@@ -18,7 +18,6 @@ from .core import (
     TradingCalendar,
     align_lagged,
     paired_on_common_days,
-    previous_trading_day,
 )
 from .entropy import (
     EntropyEstimate,
@@ -50,7 +49,6 @@ from .granger import (
     first_differences,
     granger_causes,
     ols,
-    regularized_incomplete_beta,
 )
 from .ingest import (
     AspectLexicon,
@@ -88,9 +86,7 @@ from .report import (
 from .scores import (
     AspectDayCount,
     aggregate_daily,
-    aspect_frequencies,
     fill_absent_zero,
-    score_series,
 )
 
 __all__ = [
@@ -98,7 +94,7 @@ __all__ = [
     # core
     "AlignedPairs", "PolarityLabel", "PriceSeries", "ScoreKind",
     "SentimentSeries", "TradingCalendar", "align_lagged",
-    "paired_on_common_days", "previous_trading_day",
+    "paired_on_common_days",
     # errors
     "ConfigError", "DegenerateSample", "DegenerateSeries", "DomainError",
     "EmptyAlignment", "EmptySeries", "FormatError", "HeaderMismatch",
@@ -112,13 +108,12 @@ __all__ = [
     "AspectOccurrence", "LexiconWindowLabeler", "PolarityLexicon",
     "find_aspect_occurrences", "label_corpus", "lexicon_window_label",
     # scores
-    "AspectDayCount", "aggregate_daily", "aspect_frequencies",
-    "fill_absent_zero", "score_series",
+    "AspectDayCount", "aggregate_daily", "fill_absent_zero",
     # pearson
     "CorrelationResult", "classify", "correlate", "pearson",
     # granger
     "GrangerResult", "OlsFit", "f_distribution_sf", "first_differences",
-    "granger_causes", "ols", "regularized_incomplete_beta",
+    "granger_causes", "ols",
     # entropy
     "EntropyEstimate", "UCoeffResult", "conditional_entropy", "digamma",
     "kl_entropy", "uncertainty_coefficient",

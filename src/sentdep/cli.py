@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, EmptySeries, FormatError
 from .pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     load_config,
     run_pipeline,
@@ -39,25 +40,22 @@ from .report import read_cells
 
 logger = logging.getLogger(__name__)
 
-_CONFIG_HELP = """\
-config file keys (INI syntax; relative paths resolve against the file):
-
-  [inputs]   aspects, tweets, labels, positive_terms, negative_terms, calendar
-  [prices]   one `TICKER = path.csv` per stock (order = report column order)
-  [label]    window                       (tokens each side, default 5)
-  [ingest]   min_keyword_count            (default 100)
-             max_malformed_fraction       (default 0.1)
-  [analysis] lag                          (sentiment lag in trading days, default 1)
-             pearson_threshold            (|r| significance cut, default 0.4)
-             granger_alpha                (default 0.05)
-             granger_lag                  (default 1)
-             granger_reverse              (test price -> sentiment, default false)
-             granger_difference           (first-difference inputs, default false)
-             entropy_k                    (neighbor order 1..20, default 3)
-             top_n_aspects                (default 20)
-             absent_as_zero               (zero-fill absolute scores, default false)
-  [output]   dir, seed
-"""
+def _config_help() -> str:
+    """The ``run``/``analyze`` epilog: every config key, grouped by section."""
+    lines = ["config file keys (INI syntax; relative paths resolve against the file):", ""]
+    previous = None
+    for key in CONFIG_KEYS:
+        label = f"[{key.section}]" if key.section != previous else ""
+        previous = key.section
+        if key.kind is dict:
+            lines.append(f"  {label:<10} {key.doc}")
+            continue
+        notes = [key.doc]
+        if key.kind is not Path:
+            default = str(key.default).lower() if key.kind is bool else key.default
+            notes.append(f"default {default}")
+        lines.append(f"  {label:<10} {key.key:<28} ({', '.join(notes)})")
+    return "\n".join(lines) + "\n"
 
 
 def _packaged_data(name: str) -> Path:
@@ -66,35 +64,23 @@ def _packaged_data(name: str) -> Path:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
-    group.add_argument("--lag", type=int, default=None,
-                       help="sentiment lag in trading days")
-    group.add_argument("--pearson-threshold", type=float, default=None)
-    group.add_argument("--granger-alpha", type=float, default=None)
-    group.add_argument("--granger-lag", type=int, default=None)
-    group.add_argument("--granger-reverse", action=argparse.BooleanOptionalAction,
-                       default=None, help="test the price -> sentiment direction")
-    group.add_argument("--granger-difference", action=argparse.BooleanOptionalAction,
-                       default=None, help="first-difference both series before testing")
-    group.add_argument("--entropy-k", type=int, default=None)
-    group.add_argument("--top-n-aspects", type=int, default=None)
-    group.add_argument("--absent-as-zero", action=argparse.BooleanOptionalAction,
-                       default=None, help="treat days without labels as zero counts")
-    group.add_argument("--seed", type=int, default=None)
-
-
-_OVERRIDE_ATTRS = (
-    "lag", "pearson_threshold", "granger_alpha", "granger_lag",
-    "granger_reverse", "granger_difference", "entropy_k",
-    "top_n_aspects", "absent_as_zero", "seed",
-)
+    for key in CONFIG_KEYS:
+        if not key.override:
+            continue
+        flag = "--" + key.name.replace("_", "-")
+        if key.kind is bool:
+            group.add_argument(flag, action=argparse.BooleanOptionalAction,
+                               default=None, help=key.doc)
+        else:
+            group.add_argument(flag, type=key.kind, default=None, help=key.doc)
 
 
 def _load_config_with_overrides(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
-    for attr in _OVERRIDE_ATTRS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, attr, value)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.name, None)
+        if key.override and value is not None:
+            setattr(config, key.name, value)
     if getattr(args, "output_dir", None) is not None:
         config.output_dir = Path(args.output_dir)
     return config
@@ -170,9 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keywords", help="count tweets per token (collection-query tuning)")
     p.add_argument("--tweets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=100,
+    p.add_argument("--min-count", type=int, default=PipelineConfig.min_keyword_count,
                    help="keep tokens appearing in at least this many tweets")
-    p.add_argument("--malformed-cap", type=float, default=0.1)
+    p.add_argument("--malformed-cap", type=float,
+                   default=PipelineConfig.max_malformed_fraction)
     p.set_defaults(func=_cmd_keywords)
 
     p = sub.add_parser("label", help="detect and label aspect occurrences")
@@ -182,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-terms", default=_packaged_data("positive_terms.txt"))
     p.add_argument("--negative-terms", default=_packaged_data("negative_terms.txt"))
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--malformed-cap", type=float, default=0.1)
+    p.add_argument("--window", type=int, default=PipelineConfig.window)
+    p.add_argument("--malformed-cap", type=float,
+                   default=PipelineConfig.max_malformed_fraction)
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("score", help="aggregate labels into daily score series")
@@ -193,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze", help="compute dependence cells from scores and prices",
-        epilog=_CONFIG_HELP, formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_config_help(), formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--config", required=True)
     p.add_argument("--scores", required=True)
@@ -208,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run", help="run the whole pipeline from a config file",
-        epilog=_CONFIG_HELP, formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_config_help(), formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default=None, help="override [output] dir")

@@ -110,11 +110,6 @@ class TradingCalendar:
         return self._days[i - k]
 
 
-def previous_trading_day(cal: TradingCalendar, d: date, k: int = 1) -> date:
-    """Functional form of :meth:`TradingCalendar.previous`."""
-    return cal.previous(d, k)
-
-
 def _validate_series_value(kind: ScoreKind, d: date, v: float) -> None:
     if kind.is_absolute:
         if v < 0 or v != int(v):

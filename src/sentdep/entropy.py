@@ -17,7 +17,7 @@ ratio ill-conditioned; results therefore carry a validity flag and the
 raw numerator (a mutual-information estimate) so downstream consumers can
 see *why* a u value is untrustworthy instead of crashing on it.
 
-Neighbor queries use a k-d tree; everything else is computed here.
+Neighbor queries use SciPy's k-d tree and ψ comes from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.spatial import cKDTree
 
 from .core import AlignedPairs
@@ -82,31 +83,10 @@ class UCoeffResult:
 
 
 def digamma(z: float) -> float:
-    """ψ(z) for z > 0, |error| ≤ 1e−10.
-
-    Small arguments are shifted up with ψ(z) = ψ(z+1) − 1/z until z ≥ 6,
-    where the asymptotic series (Bernoulli terms through z^−12, truncation
-    error < 2e−12 at z = 6) applies.
-    """
-    if z <= 0.0:
+    """ψ(z) for z > 0, by ``scipy.special.digamma``."""
+    if not z > 0.0:
         raise DomainError(f"digamma requires z > 0, got {z}")
-    acc = 0.0
-    while z < 6.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv = 1.0 / z
-    t = inv * inv
-    series = (
-        math.log(z)
-        - 0.5 * inv
-        - t * (1.0 / 12.0
-               - t * (1.0 / 120.0
-                      - t * (1.0 / 252.0
-                             - t * (1.0 / 240.0
-                                    - t * (1.0 / 132.0
-                                           - t * (691.0 / 32760.0))))))
-    )
-    return acc + series
+    return float(special.digamma(z))
 
 
 def _as_points(samples) -> np.ndarray:

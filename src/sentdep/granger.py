@@ -13,10 +13,8 @@ upper-tail probability comes from the F(q, n_eff − 2q − 1) distribution.
 ``causal`` means p < alpha. The reverse direction (prices explaining
 sentiment) is just ``granger_causes(y, x, ...)``; callers flip arguments.
 
-The F survival function is evaluated through the regularized incomplete
-beta function with a continued fraction (modified Lentz), keeping the
-statistical core free of external dependencies; linear algebra goes
-through an orthogonal-decomposition least-squares solve for rank safety.
+The F upper tail comes from ``scipy.special.fdtrc``; linear algebra goes
+through an SVD-based least-squares solve for rank safety.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import fdtrc
 
 from .errors import InsufficientData, RankDeficient
 
@@ -101,12 +100,11 @@ def ols(regressors, response) -> OlsFit:
     if n < p + 1:
         raise InsufficientData(f"need at least {p + 1} observations for {p} parameters, got {n}")
     X = np.column_stack([np.ones(n), X_reg])
-    singular = np.linalg.svd(X, compute_uv=False)
+    beta, _, _, singular = np.linalg.lstsq(X, y, rcond=None)
     if singular[-1] == 0.0 or singular[0] / singular[-1] > CONDITION_LIMIT:
         raise RankDeficient(
             f"design condition number exceeds {CONDITION_LIMIT:.0e}"
         )
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     return OlsFit(
         coefficients=tuple(float(b) for b in beta),
@@ -197,90 +195,10 @@ def first_differences(values: Sequence[float]) -> list[float]:
     return [b - a for a, b in zip(vs, vs[1:])]
 
 
-# --- F distribution upper tail ------------------------------------------
-
-_BETACF_MAX_ITER = 300
-_BETACF_EPS = 1e-15
-_BETACF_TINY = 1e-300
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz.
-
-    Converges quickly only for x < (a + 1)/(a + b + 2); the caller picks
-    the direct or symmetry-flipped form accordingly.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_TINY:
-        d = _BETACF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
-    )
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1], to ~1e−14 absolute."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def f_distribution_sf(f: float, d1: int, d2: int) -> float:
-    """P(F > f) for an F(d1, d2) variate.
-
-    Uses sf(f) = I_{d2/(d2 + d1·f)}(d2/2, d1/2); absolute error ≤ 1e−10
-    over the degree-of-freedom ranges these tests produce.
-    """
+    """P(F > f) for an F(d1, d2) variate, by ``scipy.special.fdtrc``."""
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
-    if f < 0.0:
+    if not f >= 0.0:
         raise ValueError(f"f must be >= 0, got {f}")
-    if f == 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    x = d2 / (d2 + d1 * f)
-    p = regularized_incomplete_beta(d2 / 2.0, d1 / 2.0, x)
-    return min(1.0, max(0.0, p))
+    return float(fdtrc(d1, d2, f))

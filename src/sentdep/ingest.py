@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -159,20 +160,28 @@ def _tweet_from_json(line: str) -> TweetRecord | None:
 def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> list[TweetRecord]:
     """Read a JSONL tweet file, keeping English posts in file order.
 
-    Records with ``lang != "en"`` are excluded. Malformed lines are counted
-    and logged; the file is rejected with FormatError only when their
-    fraction exceeds ``malformed_cap``. Blank lines are ignored entirely.
+    Records with ``lang != "en"`` are excluded. Malformed lines, including
+    lines that are not valid UTF-8, are counted and logged; the file is
+    rejected with FormatError only when their fraction exceeds
+    ``malformed_cap``. Blank lines are ignored entirely. Lines end at a
+    line feed, as JSON Lines prescribes; a carriage return before it is
+    whitespace.
     """
     path = Path(path)
     records: list[TweetRecord] = []
     total = 0
     bad_lines: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    # Decoded line by line, so one undecodable line is one malformed line.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                line = None
+            if line is not None and not line.strip():
                 continue
             total += 1
-            rec = _tweet_from_json(line)
+            rec = None if line is None else _tweet_from_json(line)
             if rec is None:
                 bad_lines.append(lineno)
                 continue
@@ -192,23 +201,11 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> list[Twe
     return records
 
 
-def write_tweets(records: Iterable[TweetRecord], path) -> None:
-    """Serialize tweets back to JSONL (inverse of :func:`parse_tweets`)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "id": r.id,
-                "created_at": r.timestamp.isoformat(),
-                "text": r.text,
-                "lang": r.lang,
-            }, ensure_ascii=False) + "\n")
-
-
 def parse_prices(path, ticker: str):
     """Read one Yahoo-layout CSV into a PriceSeries for ``ticker``.
 
     Rows whose Close is non-numeric (Yahoo writes "null"), non-positive,
-    or whose Date is unparseable are skipped with a warning.
+    non-finite, or whose Date is unparseable are skipped with a warning.
     """
     from .core import PriceSeries
 
@@ -245,8 +242,9 @@ def parse_prices(path, ticker: str):
                 logger.warning("%s:%d: non-numeric Close %r skipped",
                                path, lineno, row[close_col])
                 continue
-            if not close > 0:
-                logger.warning("%s:%d: non-positive Close %r skipped", path, lineno, close)
+            if not 0 < close < math.inf:
+                logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
+                               path, lineno, close)
                 continue
             values[d] = close
     if not values:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import (
     PriceSeries,
@@ -32,15 +32,16 @@ from .core import (
     align_lagged,
     paired_on_common_days,
 )
-from .entropy import MAX_K, uncertainty_coefficient
+from .entropy import DEFAULT_K, MAX_K, uncertainty_coefficient
 from .errors import (
     ConfigError,
     EmptyAlignment,
     InsufficientData,
     SentdepError,
 )
-from .granger import first_differences, granger_causes
+from .granger import DEFAULT_ALPHA, first_differences, granger_causes
 from .ingest import (
+    DEFAULT_MALFORMED_CAP,
     AspectLexicon,
     keyword_frequencies,
     load_aspects,
@@ -51,7 +52,7 @@ from .ingest import (
     write_labeled,
 )
 from .labeler import DEFAULT_WINDOW, LexiconWindowLabeler, PolarityLexicon, label_corpus
-from .pearson import correlate
+from .pearson import DEFAULT_THRESHOLD, correlate
 from .report import (
     DependenceCell,
     emit_granger_table,
@@ -65,9 +66,106 @@ from .scores import aggregate_daily, fill_absent_zero, read_scores, write_scores
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: its INI place, type, default, rule and CLI exposure.
+
+    ``kind`` is the value's type: ``Path``, ``int``, ``float``, ``bool``, or
+    ``dict`` for the free-form ``[prices]`` section (``TICKER = path``,
+    kept in file order). A value for which ``check`` is False fails
+    validation with ``"<name> <rule>, got <value>"``. ``override`` adds a
+    ``--name-with-dashes`` flag to ``sentdep run`` and ``analyze``;
+    ``doc`` is its help text and the key's note in the config help.
+    """
+
+    name: str
+    section: str
+    kind: type
+    default: object = None
+    check: Callable[[Any], bool] | None = None
+    rule: str = ""
+    override: bool = False
+    doc: str = ""
+    ini_key: str | None = None  # when the INI key differs from ``name``
+
+    @property
+    def key(self) -> str:
+        return self.ini_key or self.name
+
+
+#: Every pipeline config key, in field order. ``PipelineConfig``, the INI
+#: schema, validation, the manifest echo and the CLI overrides and help
+#: are all derived from this table.
+CONFIG_KEYS: tuple[ConfigKey, ...] = (
+    ConfigKey("aspects", "inputs", Path, doc="aspect lexicon, required"),
+    ConfigKey("tweets", "inputs", Path, doc="JSON Lines posts; this or labels"),
+    ConfigKey("labels", "inputs", Path, doc="aspect labels; skips the built-in labeler"),
+    ConfigKey("positive_terms", "inputs", Path, doc="required when labeling tweets"),
+    ConfigKey("negative_terms", "inputs", Path, doc="required when labeling tweets"),
+    ConfigKey("calendar", "inputs", Path, doc="trading days; default: union of price dates"),
+    ConfigKey("prices", "prices", dict,
+              doc="one `TICKER = path.csv` per stock (order = report column order)"),
+    ConfigKey("window", "label", int, DEFAULT_WINDOW, lambda v: v >= 0, "must be >= 0",
+              doc="tokens each side"),
+    ConfigKey("min_keyword_count", "ingest", int, 100, lambda v: v >= 1, "must be >= 1",
+              doc="tweets a keyword needs"),
+    ConfigKey("max_malformed_fraction", "ingest", float, DEFAULT_MALFORMED_CAP,
+              lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
+              doc="malformed tweet lines tolerated"),
+    ConfigKey("lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1", True,
+              doc="sentiment lag in trading days"),
+    ConfigKey("pearson_threshold", "analysis", float, DEFAULT_THRESHOLD,
+              lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", True,
+              doc="|r| significance cut"),
+    ConfigKey("granger_alpha", "analysis", float, DEFAULT_ALPHA,
+              lambda v: 0.0 < v < 1.0, "must lie in (0, 1)", True,
+              doc="F-test significance level"),
+    ConfigKey("granger_lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1", True,
+              doc="lag order of the F-test"),
+    ConfigKey("granger_reverse", "analysis", bool, False, override=True,
+              doc="test the price -> sentiment direction"),
+    ConfigKey("granger_difference", "analysis", bool, False, override=True,
+              doc="first-difference both series before testing"),
+    ConfigKey("entropy_k", "analysis", int, DEFAULT_K, lambda v: 1 <= v <= MAX_K,
+              f"must lie in 1..{MAX_K}", True, doc=f"neighbor order 1..{MAX_K}"),
+    ConfigKey("top_n_aspects", "analysis", int, 20, lambda v: v >= 1, "must be >= 1", True,
+              doc="most-mentioned aspects reported"),
+    ConfigKey("absent_as_zero", "analysis", bool, False, override=True,
+              doc="treat days without labels as zero counts"),
+    ConfigKey("output_dir", "output", Path, Path("out"), ini_key="dir",
+              doc="artifact directory"),
+    ConfigKey("seed", "output", int, 0, lambda v: v >= 0, "must be >= 0", True,
+              doc="recorded in the manifest"),
+)
+
+#: Rules spanning several keys, checked before the per-key rules.
+_REQUIREMENTS: tuple[tuple[Callable[[Any], bool], str], ...] = (
+    (lambda c: c.aspects is not None, "an aspect lexicon file is required"),
+    (lambda c: c.tweets is not None or c.labels is not None,
+     "either a tweet file or a label file is required"),
+    (lambda c: c.labels is not None
+     or (c.positive_terms is not None and c.negative_terms is not None),
+     "labeling tweets internally requires positive and negative term files"),
+    (lambda c: bool(c.prices), "at least one ticker price file is required"),
+)
+
+
+def _config_dataclass(cls):
+    """Make ``cls`` a dataclass with one field per CONFIG_KEYS row."""
+    fields = [
+        (key.name, key.kind,
+         field(default_factory=dict) if key.kind is dict else field(default=key.default))
+        for key in CONFIG_KEYS
+    ]
+    # Rebuild rather than subclass, so the class keeps its methods and
+    # docstring without a second PipelineConfig in its MRO.
+    namespace = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    return make_dataclass(cls.__name__, fields, namespace=namespace)
+
+
+@_config_dataclass
 class PipelineConfig:
-    """Everything one pipeline run needs.
+    """Everything one pipeline run needs: one field per ``CONFIG_KEYS`` row.
 
     Either ``tweets`` (with both polarity term files, for the built-in
     labeler) or ``labels`` (externally produced) must be set; both is fine
@@ -75,151 +173,71 @@ class PipelineConfig:
     keyword stage.
     """
 
-    aspects: Path | None = None
-    tweets: Path | None = None
-    labels: Path | None = None
-    positive_terms: Path | None = None
-    negative_terms: Path | None = None
-    prices: dict[str, Path] = field(default_factory=dict)
-    calendar: Path | None = None
-    window: int = DEFAULT_WINDOW
-    min_keyword_count: int = 100
-    max_malformed_fraction: float = 0.1
-    lag: int = 1
-    pearson_threshold: float = 0.4
-    granger_alpha: float = 0.05
-    granger_lag: int = 1
-    granger_reverse: bool = False
-    granger_difference: bool = False
-    entropy_k: int = 3
-    top_n_aspects: int = 20
-    absent_as_zero: bool = False
-    output_dir: Path = Path("out")
-    seed: int = 0
-
     def validate(self) -> None:
         """Raise ConfigError on any invalid value or missing input file."""
-        if self.aspects is None:
-            raise ConfigError("an aspect lexicon file is required")
-        if self.tweets is None and self.labels is None:
-            raise ConfigError("either a tweet file or a label file is required")
-        if self.labels is None and (
-            self.positive_terms is None or self.negative_terms is None
-        ):
-            raise ConfigError(
-                "labeling tweets internally requires positive and negative term files"
-            )
-        if not self.prices:
-            raise ConfigError("at least one ticker price file is required")
+        for holds, message in _REQUIREMENTS:
+            if not holds(self):
+                raise ConfigError(message)
         for name, p in self._input_files():
             if not Path(p).is_file():
                 raise ConfigError(f"{name} file does not exist: {p}")
-        checks = [
-            (self.window >= 0, f"window must be >= 0, got {self.window}"),
-            (self.min_keyword_count >= 1,
-             f"min_keyword_count must be >= 1, got {self.min_keyword_count}"),
-            (0.0 <= self.max_malformed_fraction <= 1.0,
-             f"max_malformed_fraction must lie in [0, 1], got {self.max_malformed_fraction}"),
-            (self.lag >= 1, f"lag must be >= 1, got {self.lag}"),
-            (0.0 <= self.pearson_threshold < 1.0,
-             f"pearson_threshold must lie in [0, 1), got {self.pearson_threshold}"),
-            (0.0 < self.granger_alpha < 1.0,
-             f"granger_alpha must lie in (0, 1), got {self.granger_alpha}"),
-            (self.granger_lag >= 1, f"granger_lag must be >= 1, got {self.granger_lag}"),
-            (1 <= self.entropy_k <= MAX_K,
-             f"entropy_k must lie in 1..{MAX_K}, got {self.entropy_k}"),
-            (self.top_n_aspects >= 1,
-             f"top_n_aspects must be >= 1, got {self.top_n_aspects}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        for key in CONFIG_KEYS:
+            value = getattr(self, key.name)
+            if key.check is not None and not key.check(value):
+                raise ConfigError(f"{key.name} {key.rule}, got {value}")
 
     def _input_files(self) -> list[tuple[str, Path]]:
         """(logical name, path) for every configured input file."""
-        named: list[tuple[str, Path | None]] = [
-            ("aspects", self.aspects),
-            ("tweets", self.tweets),
-            ("labels", self.labels),
-            ("positive_terms", self.positive_terms),
-            ("negative_terms", self.negative_terms),
-            ("calendar", self.calendar),
-        ]
-        out = [(n, p) for n, p in named if p is not None]
-        out.extend((f"prices:{ticker}", p) for ticker, p in self.prices.items())
+        out: list[tuple[str, Path]] = []
+        for key in CONFIG_KEYS:
+            value = getattr(self, key.name)
+            if key.kind is dict:
+                out.extend((f"{key.name}:{ticker}", p) for ticker, p in value.items())
+            elif key.section == "inputs" and value is not None:
+                out.append((key.name, value))
         return out
 
     def manifest_echo(self) -> dict:
         """Config as recorded in the manifest.
 
-        Paths are reduced to basenames and the output directory is
-        omitted, so a rerun into a different directory (or from a copied
-        input tree) still writes identical manifest bytes.
+        Paths are reduced to basenames and the ``[output]`` keys are
+        omitted (the seed is recorded separately), so a rerun into a
+        different directory (or from a copied input tree) still writes
+        identical manifest bytes.
         """
-
-        def name(p: Path | None):
-            return None if p is None else Path(p).name
-
-        return {
-            "aspects": name(self.aspects),
-            "tweets": name(self.tweets),
-            "labels": name(self.labels),
-            "positive_terms": name(self.positive_terms),
-            "negative_terms": name(self.negative_terms),
-            "prices": {t: name(p) for t, p in self.prices.items()},
-            "calendar": name(self.calendar),
-            "window": self.window,
-            "min_keyword_count": self.min_keyword_count,
-            "max_malformed_fraction": self.max_malformed_fraction,
-            "lag": self.lag,
-            "pearson_threshold": self.pearson_threshold,
-            "granger_alpha": self.granger_alpha,
-            "granger_lag": self.granger_lag,
-            "granger_reverse": self.granger_reverse,
-            "granger_difference": self.granger_difference,
-            "entropy_k": self.entropy_k,
-            "top_n_aspects": self.top_n_aspects,
-            "absent_as_zero": self.absent_as_zero,
-        }
+        echo: dict[str, object] = {}
+        for key in CONFIG_KEYS:
+            if key.section == "output":
+                continue
+            value = getattr(self, key.name)
+            if key.kind is Path and value is not None:
+                value = Path(value).name
+            elif key.kind is dict:
+                value = {t: Path(p).name for t, p in value.items()}
+            echo[key.name] = value
+        return echo
 
 
-_CONFIG_SCHEMA: dict[str, dict[str, str]] = {
-    "inputs": {
-        "aspects": "path", "tweets": "path", "labels": "path",
-        "positive_terms": "path", "negative_terms": "path", "calendar": "path",
-    },
-    "prices": {},  # free-form: ticker = path
-    "label": {"window": "int"},
-    "ingest": {"min_keyword_count": "int", "max_malformed_fraction": "float"},
-    "analysis": {
-        "lag": "int", "pearson_threshold": "float",
-        "granger_alpha": "float", "granger_lag": "int",
-        "granger_reverse": "bool", "granger_difference": "bool",
-        "entropy_k": "int", "top_n_aspects": "int", "absent_as_zero": "bool",
-    },
-    "output": {"dir": "path", "seed": "int"},
-}
+_INI_KEYS = {(key.section, key.key): key for key in CONFIG_KEYS}
+_FREE_FORM_SECTIONS = {key.section: key for key in CONFIG_KEYS if key.kind is dict}
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
 
 
-def _convert(section: str, key: str, kind: str, text: str, base: Path):
+def _convert(section: str, key: str, kind: type, text: str, base: Path):
     text = text.strip()
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "bool":
+        if kind is bool:
             low = text.lower()
             if low in _TRUE_WORDS:
                 return True
             if low in _FALSE_WORDS:
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        return base / text
+        if kind is Path:
+            return base / text
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
@@ -244,22 +262,21 @@ def load_config(path) -> PipelineConfig:
 
     base = path.parent
     config = PipelineConfig()
-    key_to_attr = {("output", "dir"): "output_dir"}
+    sections = {section for section, _ in _INI_KEYS}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}] in {path}")
-        if section == "prices":
-            for ticker, text in parser.items(section):
-                config.prices[ticker] = base / text.strip()
-            continue
-        schema = _CONFIG_SCHEMA[section]
+        free_form = _FREE_FORM_SECTIONS.get(section)
         for key, text in parser.items(section):
+            if free_form is not None:
+                getattr(config, free_form.name)[key] = base / text.strip()
+                continue
             # configparser lowercases nothing here (optionxform=str), so
             # compare case-sensitively against the documented keys.
-            if key not in schema:
+            row = _INI_KEYS.get((section, key))
+            if row is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
-            attr = key_to_attr.get((section, key), key)
-            setattr(config, attr, _convert(section, key, schema[key], text, base))
+            setattr(config, row.name, _convert(section, key, row.kind, text, base))
     return config
 
 
@@ -307,7 +324,10 @@ def select_top_aspects(
 
 
 def stage_keywords(
-    tweets_path, out_path, min_count: int = 100, malformed_cap: float = 0.1
+    tweets_path,
+    out_path,
+    min_count: int = PipelineConfig.min_keyword_count,
+    malformed_cap: float = PipelineConfig.max_malformed_fraction,
 ) -> int:
     """tweets.jsonl -> keywords.csv; returns the number of keywords kept."""
     tweets = parse_tweets(tweets_path, malformed_cap)
@@ -322,8 +342,8 @@ def stage_label(
     positive_path,
     negative_path,
     out_path,
-    window: int = DEFAULT_WINDOW,
-    malformed_cap: float = 0.1,
+    window: int = PipelineConfig.window,
+    malformed_cap: float = PipelineConfig.max_malformed_fraction,
 ) -> int:
     """tweets.jsonl -> labels.csv; returns the number of labels written."""
     tweets = parse_tweets(tweets_path, malformed_cap)

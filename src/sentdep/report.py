@@ -32,10 +32,6 @@ from typing import Iterable, Mapping, Sequence
 from .core import ScoreKind
 from .errors import FormatError, HeaderMismatch
 
-#: Ticker presentation order used by the stock-universe reports.
-DEFAULT_TICKER_ORDER = ("SHEL", "BP", "XOM", "BEPC", "CWEN", "NEE")
-
-
 @dataclass(frozen=True)
 class DependenceCell:
     """All dependence statistics for one (aspect, kind, ticker) triple.

@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import PolarityLabel, ScoreKind, SentimentSeries, TradingCalendar
 from .errors import FormatError, HeaderMismatch
@@ -74,28 +74,6 @@ def aggregate_daily(
     ]
 
 
-def score_series(
-    counts: Sequence[AspectDayCount], aspect: str, kind: ScoreKind
-) -> SentimentSeries:
-    """Build one (aspect, kind) daily series from aggregated counts.
-
-    Days absent from ``counts`` stay absent from the series.
-    """
-    values: dict[date, float] = {}
-    for c in counts:
-        if c.aspect != aspect:
-            continue
-        if kind is ScoreKind.ABS_POSITIVE:
-            values[c.day] = float(c.positive)
-        elif kind is ScoreKind.ABS_NEGATIVE:
-            values[c.day] = float(c.negative)
-        elif kind is ScoreKind.NORM_POSITIVE:
-            values[c.day] = c.positive / c.total
-        else:
-            values[c.day] = c.negative / c.total
-    return SentimentSeries(aspect=aspect, kind=kind, values=values)
-
-
 def fill_absent_zero(
     series: SentimentSeries, calendar: TradingCalendar
 ) -> SentimentSeries:
@@ -110,16 +88,6 @@ def fill_absent_zero(
     for d in calendar.days:
         values.setdefault(d, 0.0)
     return SentimentSeries(aspect=series.aspect, kind=series.kind, values=values)
-
-
-def aspect_frequencies(
-    labels: Iterable[tuple[str, date, str, PolarityLabel]]
-) -> dict[str, int]:
-    """Total label occurrences per aspect over the whole corpus."""
-    freq: dict[str, int] = {}
-    for _tweet_id, _day, aspect, _polarity in labels:
-        freq[aspect] = freq.get(aspect, 0) + 1
-    return freq
 
 
 _SCORES_HEADER = ["aspect", "date", "kind", "value"]
@@ -195,13 +163,3 @@ def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], SentimentSeries], dic
     }
     return series, totals
 
-
-def series_bundle(
-    counts: Sequence[AspectDayCount], aspects: Iterable[str]
-) -> dict[tuple[str, ScoreKind], SentimentSeries]:
-    """All four series for each requested aspect, keyed by (aspect, kind)."""
-    out: dict[tuple[str, ScoreKind], SentimentSeries] = {}
-    for aspect in aspects:
-        for kind in ScoreKind:
-            out[(aspect, kind)] = score_series(counts, aspect, kind)
-    return out

@@ -47,6 +47,32 @@ class TestExitCodes:
         )
         assert main(["run", "--config", str(ini)]) == 0
 
+    def test_infinite_close_row_is_skipped(self, tmp_path, caplog):
+        ini = build_tweet_tree(tmp_path)
+        prices = tmp_path / "AAA.csv"
+        lines = prices.read_text(encoding="utf-8").splitlines()
+        day = lines[5].split(",")[0]
+        lines[5] = f"{day},inf"
+        prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert main(["run", "--config", str(ini)]) == 0
+        assert any("AAA.csv:6" in m and "non-finite" in m for m in caplog.messages)
+
+    def test_undecodable_tweet_line_below_cap_is_skipped(self, tmp_path, caplog):
+        ini = build_tweet_tree(tmp_path)
+        with open(tmp_path / "tweets.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with caplog.at_level("WARNING"):
+            assert main(["run", "--config", str(ini)]) == 0
+        assert any("malformed" in m for m in caplog.messages)
+
+    def test_undecodable_tweet_lines_over_cap_return_two(self, tmp_path, capsys):
+        ini = build_tweet_tree(tmp_path)
+        with open(tmp_path / "tweets.jsonl", "ab") as fh:
+            fh.write(b"\xff\xfe\n" * 5)
+        assert main(["run", "--config", str(ini)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

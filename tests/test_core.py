@@ -15,7 +15,6 @@ from sentdep.core import (
     TradingCalendar,
     align_lagged,
     paired_on_common_days,
-    previous_trading_day,
 )
 from sentdep.errors import (
     EmptyAlignment,
@@ -49,7 +48,7 @@ class TestTradingCalendar:
         cal = TradingCalendar(WEEK)
         assert cal.previous(date(2022, 10, 10)) == date(2022, 10, 7)
         assert cal.previous(date(2022, 10, 10), k=2) == date(2022, 10, 6)
-        assert previous_trading_day(cal, date(2022, 10, 4)) == date(2022, 10, 3)
+        assert cal.previous(date(2022, 10, 4)) == date(2022, 10, 3)
 
     def test_previous_errors(self):
         cal = TradingCalendar(WEEK)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +16,6 @@ from sentdep.granger import (
     first_differences,
     granger_causes,
     ols,
-    regularized_incomplete_beta,
 )
 
 
@@ -218,28 +216,6 @@ class TestFUpperTail:
                     want = scipy.stats.f.sf(f, d1, d2)
                     worst = max(worst, abs(got - want))
         assert worst <= 1e-10
-
-    def test_incomplete_beta_against_scipy(self):
-        worst = 0.0
-        for a in (0.5, 1.0, 2.5, 7.0, 28.5):
-            for b in (0.5, 1.5, 4.0, 30.0):
-                for x in (0.0, 1e-8, 0.2, 0.5, 0.8, 1.0 - 1e-8, 1.0):
-                    got = regularized_incomplete_beta(a, b, x)
-                    want = scipy.special.betainc(a, b, x)
-                    worst = max(worst, abs(got - want))
-        assert worst <= 1e-10
-
-    def test_incomplete_beta_symmetry(self):
-        for a, b, x in ((2.0, 3.0, 0.3), (0.5, 5.0, 0.9), (10.0, 0.7, 0.01)):
-            left = regularized_incomplete_beta(a, b, x)
-            right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert left == pytest.approx(right, abs=1e-12)
-
-    def test_incomplete_beta_domain(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
 
     @given(
         st.integers(min_value=1, max_value=20),

@@ -16,7 +16,6 @@ from sentdep.ingest import (
     parse_tweets,
     tokenize,
     write_labeled,
-    write_tweets,
 )
 from sentdep.core import PolarityLabel
 
@@ -113,13 +112,28 @@ class TestParseTweets:
         with pytest.raises(FormatError):
             parse_tweets(p)
 
-    def test_round_trip(self, tmp_path):
+    def test_undecodable_line_is_malformed_below_cap(self, tmp_path, caplog):
         p = tmp_path / "t.jsonl"
-        write_jsonl(p, [tweet_obj(1, "inflation fears", created="2022-10-03T08:30:00Z")])
-        records = parse_tweets(p)
-        q = tmp_path / "copy.jsonl"
-        write_tweets(records, q)
-        assert parse_tweets(q) == records
+        lines = [json.dumps(tweet_obj(i, "ok")).encode() for i in range(20)]
+        lines.insert(5, b"\xff\xfe")
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level("WARNING"):
+            records = parse_tweets(p)
+        assert len(records) == 20
+        assert any("malformed" in m and "line 6" in m for m in caplog.messages)
+
+    def test_undecodable_lines_over_cap_reject_file(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(b"\xff\xfe\n" * 3 + json.dumps(tweet_obj(1, "ok")).encode() + b"\n")
+        with pytest.raises(FormatError, match="3 of 4 lines malformed"):
+            parse_tweets(p)
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(b"".join(
+            json.dumps(tweet_obj(i, "ok")).encode() + b"\r\n" for i in range(3)
+        ) + b"\r\n")
+        assert [r.id for r in parse_tweets(p)] == ["t0", "t1", "t2"]
 
 
 class TestParsePrices:
@@ -159,6 +173,21 @@ class TestParsePrices:
             encoding="utf-8",
         )
         assert list(parse_prices(p, "BP").values) == [date(2022, 10, 5)]
+
+    def test_non_finite_close_skipped(self, tmp_path, caplog):
+        p = tmp_path / "x.csv"
+        p.write_text(
+            self.HEADER
+            + "2022-10-03,1,2,0.5,inf,85.0,100\n"
+            + "2022-10-04,1,2,0.5,1e400,85.0,100\n"
+            + "2022-10-05,1,2,0.5,nan,85.0,100\n"
+            + "2022-10-06,1,2,0.5,85.2,85.0,100\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING"):
+            series = parse_prices(p, "BP")
+        assert list(series.values) == [date(2022, 10, 6)]
+        assert sum("non-finite Close" in m for m in caplog.messages) == 3
 
     def test_missing_close_column(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -9,7 +9,6 @@ import pytest
 from sentdep.core import ScoreKind
 from sentdep.errors import FormatError, HeaderMismatch
 from sentdep.report import (
-    DEFAULT_TICKER_ORDER,
     DependenceCell,
     emit_granger_table,
     emit_heatmap,
@@ -91,11 +90,14 @@ class TestCellsFile:
             read_cells(p)
 
 
+TICKERS = ("SHEL", "BP", "XOM", "BEPC", "CWEN", "NEE")
+
+
 class TestHeatmap:
     def grid(self):
         cells = []
         for aspect in ("inflation", "tax", "bank"):
-            for ticker in DEFAULT_TICKER_ORDER:
+            for ticker in TICKERS:
                 r = -0.731 if (aspect, ticker) == ("inflation", "NEE") else 0.25
                 cells.append(full_cell(aspect=aspect, ticker=ticker, r=r))
                 cells.append(

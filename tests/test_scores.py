@@ -10,11 +10,8 @@ from sentdep.core import PolarityLabel, ScoreKind, SentimentSeries, TradingCalen
 from sentdep.scores import (
     AspectDayCount,
     aggregate_daily,
-    aspect_frequencies,
     fill_absent_zero,
     read_scores,
-    score_series,
-    series_bundle,
     write_scores,
 )
 
@@ -57,36 +54,48 @@ class TestAggregateDaily:
 
 
 class TestScoreSeries:
+    """The four score formulas, as written by write_scores and read back."""
+
     COUNTS = [
         AspectDayCount("tax", D0, 2, 1, 1),
         AspectDayCount("tax", D0 + timedelta(days=1), 0, 3, 0),
         AspectDayCount("inflation", D0, 5, 0, 0),
     ]
 
-    def test_absolute_kinds_are_counts(self):
-        fp = score_series(self.COUNTS, "tax", ScoreKind.ABS_POSITIVE)
-        fn = score_series(self.COUNTS, "tax", ScoreKind.ABS_NEGATIVE)
+    def series(self, tmp_path, aspect, kind):
+        p = tmp_path / "scores.csv"
+        write_scores(self.COUNTS, p)
+        return read_scores(p)[0][(aspect, kind)]
+
+    def test_absolute_kinds_are_counts(self, tmp_path):
+        fp = self.series(tmp_path, "tax", ScoreKind.ABS_POSITIVE)
+        fn = self.series(tmp_path, "tax", ScoreKind.ABS_NEGATIVE)
         assert fp.values == {D0: 2.0, D0 + timedelta(days=1): 0.0}
         assert fn.values == {D0: 1.0, D0 + timedelta(days=1): 3.0}
 
-    def test_normalised_kinds_divide_by_total(self):
-        nfp = score_series(self.COUNTS, "tax", ScoreKind.NORM_POSITIVE)
-        nfn = score_series(self.COUNTS, "tax", ScoreKind.NORM_NEGATIVE)
+    def test_normalised_kinds_divide_by_total(self, tmp_path):
+        nfp = self.series(tmp_path, "tax", ScoreKind.NORM_POSITIVE)
+        nfn = self.series(tmp_path, "tax", ScoreKind.NORM_NEGATIVE)
         assert nfp.values[D0] == 0.5
         assert nfn.values[D0] == 0.25
         assert nfn.values[D0 + timedelta(days=1)] == 1.0
 
-    def test_days_without_labels_stay_missing(self):
-        fp = score_series(self.COUNTS, "inflation", ScoreKind.ABS_POSITIVE)
+    def test_days_without_labels_stay_missing(self, tmp_path):
+        fp = self.series(tmp_path, "inflation", ScoreKind.ABS_POSITIVE)
         assert list(fp.values) == [D0]
 
-    def test_unknown_aspect_gives_empty_series(self):
-        s = score_series(self.COUNTS, "bank", ScoreKind.ABS_POSITIVE)
-        assert s.values == {}
+    def test_unknown_aspect_gives_empty_series(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        write_scores(self.COUNTS, p)
+        series, totals = read_scores(p)
+        assert not any(aspect == "bank" for aspect, _ in series)
+        assert "bank" not in totals
 
-    def test_bundle_covers_all_kinds(self):
-        bundle = series_bundle(self.COUNTS, ["tax"])
-        assert set(bundle) == {("tax", k) for k in ScoreKind}
+    def test_bundle_covers_all_kinds(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        write_scores(self.COUNTS, p)
+        series, _ = read_scores(p)
+        assert set(series) == {(a, k) for a in ("tax", "inflation") for k in ScoreKind}
 
 
 class TestFillAbsentZero:
@@ -101,9 +110,11 @@ class TestFillAbsentZero:
             fill_absent_zero(nfp, cal)
 
 
-def test_aspect_frequencies_counts_occurrences():
+def test_aspect_frequencies_counts_occurrences(tmp_path):
     labels = [lab("t1", 0, "tax", POS), lab("t1", 0, "tax", NEG), lab("t2", 1, "bank", NEU)]
-    assert aspect_frequencies(labels) == {"tax": 2, "bank": 1}
+    p = tmp_path / "scores.csv"
+    write_scores(aggregate_daily(labels), p)
+    assert read_scores(p)[1] == {"tax": 2, "bank": 1}
 
 
 class TestScoresFile:
