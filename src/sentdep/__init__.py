@@ -17,6 +17,7 @@ from .core import (
     SentimentSeries,
     TradingCalendar,
     align_lagged,
+    on_calendar,
     paired_on_common_days,
 )
 from .entropy import (
@@ -37,8 +38,6 @@ from .errors import (
     FormatError,
     HeaderMismatch,
     InsufficientData,
-    InsufficientHistory,
-    NotTradingDay,
     RankDeficient,
     SentdepError,
 )
@@ -93,13 +92,12 @@ __all__ = [
     "__version__",
     # core
     "AlignedPairs", "PolarityLabel", "PriceSeries", "ScoreKind",
-    "SentimentSeries", "TradingCalendar", "align_lagged",
+    "SentimentSeries", "TradingCalendar", "align_lagged", "on_calendar",
     "paired_on_common_days",
     # errors
     "ConfigError", "DegenerateSample", "DegenerateSeries", "DomainError",
     "EmptyAlignment", "EmptySeries", "FormatError", "HeaderMismatch",
-    "InsufficientData", "InsufficientHistory", "NotTradingDay",
-    "RankDeficient", "SentdepError",
+    "InsufficientData", "RankDeficient", "SentdepError",
     # ingest
     "AspectLexicon", "KeywordFrequency", "TweetRecord",
     "keyword_frequencies", "load_aspects", "parse_labeled", "parse_prices",

@@ -3,7 +3,9 @@
 Dates are plain ``datetime.date`` values interpreted as UTC calendar days.
 A trading day is a date on which the exchange published a closing price;
 the calendar is always supplied (parsed from price files or an explicit
-list), never inferred from holiday rules.
+list), never inferred from holiday rules. For analysis a daily series
+becomes one float array indexed by trading day, NaN marking a missing day,
+so a lag of L trading days is a shift by L elements.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import EmptyAlignment, InsufficientHistory, NotTradingDay
+import numpy as np
+
+from .errors import EmptyAlignment
 
 
 class PolarityLabel(Enum):
@@ -94,21 +98,6 @@ class TradingCalendar:
     def __repr__(self) -> str:
         return f"TradingCalendar({self._days[0]}..{self._days[-1]}, {len(self._days)} days)"
 
-    def previous(self, d: date, k: int = 1) -> date:
-        """Return the k-th trading day strictly before ``d``.
-
-        Raises NotTradingDay if ``d`` is not on the calendar and
-        InsufficientHistory if fewer than ``k`` predecessors exist.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        i = self._index.get(d)
-        if i is None:
-            raise NotTradingDay(f"{d} is not a trading day")
-        if i < k:
-            raise InsufficientHistory(f"{d} has only {i} earlier trading days, need {k}")
-        return self._days[i - k]
-
 
 def _validate_series_value(kind: ScoreKind, d: date, v: float) -> None:
     if kind.is_absolute:
@@ -134,9 +123,6 @@ class SentimentSeries:
         for d, v in self.values.items():
             _validate_series_value(self.kind, d, v)
 
-    def dates(self) -> list[date]:
-        return sorted(self.values)
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -152,83 +138,78 @@ class PriceSeries:
             if not v > 0:
                 raise ValueError(f"closing price at {d} must be positive, got {v}")
 
-    def dates(self) -> list[date]:
-        return sorted(self.values)
+
+def on_calendar(values: Mapping[date, float], calendar: TradingCalendar) -> np.ndarray:
+    """A daily series as a float64 array indexed by trading day.
+
+    Element i holds the value on ``calendar.days[i]`` and NaN where the
+    series has no observation; values on dates off the calendar are
+    dropped.
+    """
+    out = np.full(len(calendar), np.nan)
+    index = calendar._index
+    for d, v in values.items():
+        i = index.get(d)
+        if i is not None:
+            out[i] = v
+    return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedPairs:
     """Chronological (sentiment, price) pairs with the sentiment lagged.
 
-    Pair i holds the sentiment observed ``lag_days`` trading days before
-    the trading day of its price value.
+    ``pairs`` is an (n, 2) float64 array (any sequence of pairs is
+    converted); row i holds the sentiment observed ``lag_days`` trading
+    days before the trading day of its price value.
     """
 
-    pairs: tuple[tuple[float, float], ...]
+    pairs: np.ndarray
     lag_days: int
+
+    def __post_init__(self):
+        pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
+        return self.pairs.shape[0]
 
-    def xs(self) -> list[float]:
-        return [p[0] for p in self.pairs]
+    def xs(self) -> np.ndarray:
+        return self.pairs[:, 0]
 
-    def ys(self) -> list[float]:
-        return [p[1] for p in self.pairs]
+    def ys(self) -> np.ndarray:
+        return self.pairs[:, 1]
 
 
-def align_lagged(
-    x: SentimentSeries, y: PriceSeries, cal: TradingCalendar, lag: int = 1
-) -> AlignedPairs:
+def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
     """Pair each price with the sentiment ``lag`` trading days earlier.
 
-    For every trading day t carrying a price, emits (x[t - lag], y[t]) when
-    the lagged sentiment exists; pairs with either side missing are skipped
-    (pairwise deletion). Output is sorted by the price date. Sentiment
-    observations on non-trading days are never consulted, because the
-    lagged lookup date is itself a trading day.
+    ``x`` and ``y`` are calendar arrays (see :func:`on_calendar`): the
+    price on trading day t pairs with the sentiment on trading day t − lag,
+    i.e. ``x[:-lag]`` with ``y[lag:]``, and pairs with either side missing
+    are skipped (pairwise deletion). Output is in calendar order.
+    Sentiment on non-trading days never reaches the array, so it is never
+    consulted.
 
     Raises EmptyAlignment when no pair survives.
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    pairs: list[tuple[float, float]] = []
-    for t in sorted(y.values):
-        if t not in cal:
-            continue
-        try:
-            t_prev = cal.previous(t, lag)
-        except InsufficientHistory:
-            continue
-        xv = x.values.get(t_prev)
-        if xv is None:
-            continue
-        pairs.append((float(xv), float(y.values[t])))
-    if not pairs:
-        raise EmptyAlignment(
-            f"no ({x.aspect}/{x.kind.code}, {y.ticker}) pairs at lag {lag}"
-        )
-    return AlignedPairs(pairs=tuple(pairs), lag_days=lag)
+    xs, ys = x[:-lag], y[lag:]
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if not keep.any():
+        raise EmptyAlignment(f"no (sentiment, price) pairs at lag {lag}")
+    return AlignedPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag)
 
 
-def paired_on_common_days(
-    x: SentimentSeries, y: PriceSeries, cal: TradingCalendar
-) -> tuple[list[float], list[float]]:
+def paired_on_common_days(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-date (sentiment, price) arrays over the trading days both cover.
 
-    This is the input shape for the Granger test, whose own lag terms
-    supply the time shift; contrast with :func:`align_lagged`, which bakes
-    the shift into the pairs for the symmetric statistics.
+    ``x`` and ``y`` are calendar arrays. This is the input shape for the
+    Granger test, whose own lag terms supply the time shift; contrast with
+    :func:`align_lagged`, which bakes the shift into the pairs for the
+    symmetric statistics.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    for t in sorted(y.values):
-        if t not in cal:
-            continue
-        xv = x.values.get(t)
-        if xv is None:
-            continue
-        xs.append(float(xv))
-        ys.append(float(y.values[t]))
-    return xs, ys
+    keep = np.isfinite(x) & np.isfinite(y)
+    return x[keep], y[keep]

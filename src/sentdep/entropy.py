@@ -17,7 +17,11 @@ ratio ill-conditioned; results therefore carry a validity flag and the
 raw numerator (a mutual-information estimate) so downstream consumers can
 see *why* a u value is untrustworthy instead of crashing on it.
 
-Neighbor queries use SciPy's k-d tree and ψ comes from ``scipy.special``.
+In one dimension the k nearest neighbors of a point, together with the
+point itself, fill k + 1 consecutive places of the sorted sample, so the
+neighbor distances come from sorting. Higher-dimensional clouds query
+SciPy's k-d tree. ψ comes from ``scipy.special``. SciPy is imported where
+it is used, so the stages that never estimate an entropy do not load it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.spatial import cKDTree
 
 from .core import AlignedPairs
 from .errors import DegenerateSample, DomainError, InsufficientData
@@ -86,6 +88,8 @@ def digamma(z: float) -> float:
     """ψ(z) for z > 0, by ``scipy.special.digamma``."""
     if not z > 0.0:
         raise DomainError(f"digamma requires z > 0, got {z}")
+    from scipy import special
+
     return float(special.digamma(z))
 
 
@@ -98,6 +102,29 @@ def _as_points(samples) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("samples must be finite")
     return pts
+
+
+def _kth_neighbor_distance_1d(values: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point of a 1-D sample to its k-th nearest other point.
+
+    A point and its k nearest neighbors fill a window of k + 1 consecutive
+    places in the sorted sample. Of the k + 1 windows containing place p,
+    the one whose farther end is nearest to it gives the distance. A
+    window start below 0 or past n − k − 1 is clipped, which yields another
+    window containing p. A rounded difference of sorted values never
+    decreases as the true difference grows, so the minimum picks the same
+    rounded distance the max-norm k-d tree reports, bit for bit. Distances
+    are returned in input order, so sums over them keep their order.
+    """
+    n = values.shape[0]
+    order = np.argsort(values)
+    s = values[order]
+    place = np.arange(n)
+    starts = np.clip(place - np.arange(k + 1)[:, np.newaxis], 0, n - k - 1)
+    far = np.maximum(s - s[starts], s[starts + k] - s)
+    eps = np.empty(n)
+    eps[order] = far.min(axis=0)
+    return eps
 
 
 def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
@@ -116,10 +143,14 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
     n, d = pts.shape
     if n < k + 2:
         raise InsufficientData(f"need at least {k + 2} points for k={k}, got {n}")
-    tree = cKDTree(pts)
-    # k+1 neighbors because each point is its own nearest neighbor.
-    dists, _ = tree.query(pts, k=k + 1, p=np.inf)
-    eps = dists[:, k]
+    if d == 1:
+        eps = _kth_neighbor_distance_1d(pts[:, 0], k)
+    else:
+        from scipy.spatial import cKDTree
+
+        # k+1 neighbors because each point is its own nearest neighbor.
+        dists, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf)
+        eps = dists[:, k]
     if float(np.mean(eps == 0.0)) > DEGENERATE_ZERO_FRACTION:
         raise DegenerateSample(
             f"more than {DEGENERATE_ZERO_FRACTION:.0%} of k-NN distances are zero "

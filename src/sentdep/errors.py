@@ -7,14 +7,6 @@ class SentdepError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotTradingDay(SentdepError):
-    """A date was expected to be on the trading calendar but is not."""
-
-
-class InsufficientHistory(SentdepError):
-    """The trading calendar has too few days before the requested date."""
-
-
 class EmptyAlignment(SentdepError):
     """Lag-aligning two series produced zero usable pairs."""
 

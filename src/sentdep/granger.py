@@ -13,8 +13,9 @@ upper-tail probability comes from the F(q, n_eff − 2q − 1) distribution.
 ``causal`` means p < alpha. The reverse direction (prices explaining
 sentiment) is just ``granger_causes(y, x, ...)``; callers flip arguments.
 
-The F upper tail comes from ``scipy.special.fdtrc``; linear algebra goes
-through an SVD-based least-squares solve for rank safety.
+The F upper tail comes from ``scipy.special.fdtrc``, imported on first
+use; linear algebra goes through an SVD-based least-squares solve for
+rank safety.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import InsufficientData, RankDeficient
 
@@ -140,8 +140,8 @@ def granger_causes(
         raise ValueError(f"lag must be >= 1, got {lag}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    xs = np.asarray(list(x), dtype=float)
-    ys = np.asarray(list(y), dtype=float)
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError(f"series must be equal-length vectors, got {xs.shape} and {ys.shape}")
     n_eff = xs.shape[0] - lag
@@ -201,4 +201,6 @@ def f_distribution_sf(f: float, d1: int, d2: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got ({d1}, {d2})")
     if not f >= 0.0:
         raise ValueError(f"f must be >= 0, got {f}")
+    from scipy.special import fdtrc
+
     return float(fdtrc(d1, d2, f))

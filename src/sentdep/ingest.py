@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import PolarityLabel
 from .errors import EmptySeries, FormatError, HeaderMismatch
@@ -98,6 +98,30 @@ class AspectLexicon:
 
     def __iter__(self):
         return iter(self._aspects)
+
+
+def read_lines(path, newline: str | None = None) -> Iterator[str]:
+    """Lazily yield the lines of a UTF-8 text file.
+
+    ``newline`` is passed to :func:`open` (``""`` for CSV readers). A byte
+    sequence that is not UTF-8 raises FormatError naming the file and the
+    line it sits on.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        # The decoder reports offsets within a chunk; decode the whole file
+        # again to place the bad byte on a line.
+        raw = path.read_bytes()
+        line_number = None
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_number = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError("not valid UTF-8 text", path=path,
+                          line_number=line_number) from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -211,42 +235,41 @@ def parse_prices(path, ticker: str):
 
     path = Path(path)
     values: dict[date, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise HeaderMismatch("price file is empty", path=path) from None
+    header = [h.strip() for h in header]
+    for required in ("Date", "Close"):
+        if required not in header:
+            raise HeaderMismatch(
+                f"missing column {required!r} in header {header}", path=path
+            )
+    date_col = header.index("Date")
+    close_col = header.index("Close")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) <= max(date_col, close_col):
+            logger.warning("%s:%d: short row skipped", path, lineno)
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch("price file is empty", path=path) from None
-        header = [h.strip() for h in header]
-        for required in ("Date", "Close"):
-            if required not in header:
-                raise HeaderMismatch(
-                    f"missing column {required!r} in header {header}", path=path
-                )
-        date_col = header.index("Date")
-        close_col = header.index("Close")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= max(date_col, close_col):
-                logger.warning("%s:%d: short row skipped", path, lineno)
-                continue
-            try:
-                d = date.fromisoformat(row[date_col].strip())
-            except ValueError:
-                logger.warning("%s:%d: bad date %r skipped", path, lineno, row[date_col])
-                continue
-            try:
-                close = float(row[close_col])
-            except ValueError:
-                logger.warning("%s:%d: non-numeric Close %r skipped",
-                               path, lineno, row[close_col])
-                continue
-            if not 0 < close < math.inf:
-                logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
-                               path, lineno, close)
-                continue
-            values[d] = close
+            d = date.fromisoformat(row[date_col].strip())
+        except ValueError:
+            logger.warning("%s:%d: bad date %r skipped", path, lineno, row[date_col])
+            continue
+        try:
+            close = float(row[close_col])
+        except ValueError:
+            logger.warning("%s:%d: non-numeric Close %r skipped",
+                           path, lineno, row[close_col])
+            continue
+        if not 0 < close < math.inf:
+            logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
+                           path, lineno, close)
+            continue
+        values[d] = close
     if not values:
         raise EmptySeries(f"{path}: no usable price rows for {ticker}")
     return PriceSeries(ticker=ticker, values=values)
@@ -262,36 +285,35 @@ def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:
     """
     path = Path(path)
     out: list[tuple[str, date, str, PolarityLabel]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("label file is empty", path=path) from None
+    if [h.strip() for h in header] != ["tweet_id", "date", "aspect", "polarity"]:
+        raise HeaderMismatch(
+            f"expected header tweet_id,date,aspect,polarity, got {header}", path=path
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise FormatError(f"expected 4 fields, got {len(row)}",
+                              path=path, line_number=lineno)
+        tweet_id, date_s, aspect, polarity_s = (c.strip() for c in row)
+        if not tweet_id:
+            raise FormatError("empty tweet_id", path=path, line_number=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("label file is empty", path=path) from None
-        if [h.strip() for h in header] != ["tweet_id", "date", "aspect", "polarity"]:
-            raise HeaderMismatch(
-                f"expected header tweet_id,date,aspect,polarity, got {header}", path=path
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise FormatError(f"expected 4 fields, got {len(row)}",
-                                  path=path, line_number=lineno)
-            tweet_id, date_s, aspect, polarity_s = (c.strip() for c in row)
-            if not tweet_id:
-                raise FormatError("empty tweet_id", path=path, line_number=lineno)
-            try:
-                d = date.fromisoformat(date_s)
-            except ValueError:
-                raise FormatError(f"bad date {date_s!r}", path=path,
-                                  line_number=lineno) from None
-            try:
-                pol = PolarityLabel.from_string(polarity_s)
-            except ValueError:
-                raise FormatError(f"unknown polarity {polarity_s!r}", path=path,
-                                  line_number=lineno) from None
-            out.append((tweet_id, d, aspect, pol))
+            d = date.fromisoformat(date_s)
+        except ValueError:
+            raise FormatError(f"bad date {date_s!r}", path=path,
+                              line_number=lineno) from None
+        try:
+            pol = PolarityLabel.from_string(polarity_s)
+        except ValueError:
+            raise FormatError(f"unknown polarity {polarity_s!r}", path=path,
+                              line_number=lineno) from None
+        out.append((tweet_id, d, aspect, pol))
     return out
 
 
@@ -307,12 +329,11 @@ def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) 
 def load_aspects(path) -> AspectLexicon:
     """Load an aspect lexicon file: one aspect per line, '#' comments ignored."""
     entries: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries.append(line)
+    for line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entries.append(line)
     return AspectLexicon(entries)
 
 

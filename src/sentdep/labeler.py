@@ -16,7 +16,7 @@ from datetime import date
 from typing import Iterable, Protocol, Sequence
 
 from .core import PolarityLabel
-from .ingest import AspectLexicon, TweetRecord, tokenize
+from .ingest import AspectLexicon, TweetRecord, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -50,11 +50,10 @@ class PolarityLexicon:
 
 def _read_terms(path) -> list[str]:
     terms: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                terms.append(line)
+    for line in read_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            terms.append(line)
     return terms
 
 

@@ -75,7 +75,7 @@ def correlate(
     aligned: AlignedPairs, threshold: float = DEFAULT_THRESHOLD
 ) -> CorrelationResult:
     """Correlation of lag-aligned (sentiment, price) pairs."""
-    r = pearson(aligned.xs(), aligned.ys())
+    r = pearson(aligned.xs().tolist(), aligned.ys().tolist())
     return CorrelationResult(
         r=r, n=aligned.n, significant=classify(r, threshold), threshold=threshold
     )

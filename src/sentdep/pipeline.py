@@ -24,18 +24,22 @@ from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     PriceSeries,
     ScoreKind,
     SentimentSeries,
     TradingCalendar,
     align_lagged,
+    on_calendar,
     paired_on_common_days,
 )
 from .entropy import DEFAULT_K, MAX_K, uncertainty_coefficient
 from .errors import (
     ConfigError,
     EmptyAlignment,
+    FormatError,
     InsufficientData,
     SentdepError,
 )
@@ -48,6 +52,7 @@ from .ingest import (
     parse_labeled,
     parse_prices,
     parse_tweets,
+    read_lines,
     write_keyword_frequencies,
     write_labeled,
 )
@@ -255,10 +260,11 @@ def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # tickers are case-sensitive
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_file(read_lines(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
 
     base = path.parent
     config = PipelineConfig()
@@ -281,14 +287,23 @@ def load_config(path) -> PipelineConfig:
 
 
 def load_calendar(path) -> TradingCalendar:
-    """Read an explicit trading calendar: one ISO date per line, '#' comments."""
+    """Read an explicit trading calendar: one ISO date per line, '#' comments.
+
+    A line that is not an ISO date, or a file without any date, raises
+    FormatError.
+    """
     days: list[date] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             days.append(date.fromisoformat(line))
+        except ValueError:
+            raise FormatError(f"not an ISO date: {line!r}",
+                              path=path, line_number=lineno) from None
+    if not days:
+        raise FormatError("calendar lists no trading day", path=path)
     return TradingCalendar.from_dates(days)
 
 
@@ -376,24 +391,26 @@ def _failure_reason(exc: SentdepError) -> str:
 
 
 def compute_cell(
-    sentiment: SentimentSeries,
-    price: PriceSeries,
-    calendar: TradingCalendar,
+    aspect: str,
+    kind: ScoreKind,
+    ticker: str,
+    sentiment: np.ndarray,
+    price: np.ndarray,
     config: PipelineConfig,
 ) -> DependenceCell:
     """All three dependence statistics for one (aspect, kind, ticker).
 
-    Statistic failures never abort the run; the failing statistic is
-    nulled with a reason code and the others still computed. The Pearson
-    and uncertainty statistics consume pre-lagged pairs; the Granger test
-    consumes same-date pairs and applies its own lag internally.
+    ``sentiment`` and ``price`` are calendar arrays (see
+    :func:`~sentdep.core.on_calendar`). Statistic failures never abort the
+    run; the failing statistic is nulled with a reason code and the others
+    still computed. The Pearson and uncertainty statistics consume
+    pre-lagged pairs; the Granger test consumes same-date pairs and
+    applies its own lag internally.
     """
-    cell = dict(
-        aspect=sentiment.aspect, kind=sentiment.kind, ticker=price.ticker, n=0
-    )
+    cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
     aligned = None
     try:
-        aligned = align_lagged(sentiment, price, calendar, config.lag)
+        aligned = align_lagged(sentiment, price, config.lag)
         cell["n"] = aligned.n
     except EmptyAlignment as exc:
         reason = _failure_reason(exc)
@@ -416,7 +433,7 @@ def compute_cell(
             cell["u_reason"] = _failure_reason(exc)
 
     try:
-        xs, ys = paired_on_common_days(sentiment, price, calendar)
+        xs, ys = paired_on_common_days(sentiment, price)
         if config.granger_difference:
             xs, ys = first_differences(xs), first_differences(ys)
         if config.granger_reverse:
@@ -436,13 +453,14 @@ def stage_analyze(config: PipelineConfig, scores_path, cells_path) -> list[Depen
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
-    order.
+    order. Every series is put on the calendar once per run.
     """
     aspect_lexicon = load_aspects(config.aspects)
     series, totals = read_scores(scores_path)
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
+    price_arrays = {t: on_calendar(p.values, calendar) for t, p in prices.items()}
 
     cells: list[DependenceCell] = []
     for aspect in top:
@@ -452,8 +470,9 @@ def stage_analyze(config: PipelineConfig, scores_path, cells_path) -> list[Depen
             )
             if config.absent_as_zero and kind.is_absolute:
                 sentiment = fill_absent_zero(sentiment, calendar)
-            for price in prices.values():
-                cells.append(compute_cell(sentiment, price, calendar, config))
+            x = on_calendar(sentiment.values, calendar)
+            for ticker, y in price_arrays.items():
+                cells.append(compute_cell(aspect, kind, ticker, x, y, config))
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import ScoreKind
 from .errors import FormatError, HeaderMismatch
+from .ingest import read_lines
 
 @dataclass(frozen=True)
 class DependenceCell:
@@ -93,41 +94,40 @@ def read_cells(path) -> list[DependenceCell]:
     """Inverse of :func:`write_cells` (exact float round-trip)."""
     path = Path(path)
     out: list[DependenceCell] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("cell file is empty", path=path) from None
-        if header != _CELL_COLUMNS:
-            raise HeaderMismatch(
-                f"expected columns {_CELL_COLUMNS}, got {header}", path=path
+    reader = csv.reader(read_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("cell file is empty", path=path) from None
+    if header != _CELL_COLUMNS:
+        raise HeaderMismatch(
+            f"expected columns {_CELL_COLUMNS}, got {header}", path=path
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c for c in row):
+            continue
+        if len(row) != len(_CELL_COLUMNS):
+            raise FormatError(
+                f"expected {len(_CELL_COLUMNS)} fields, got {len(row)}",
+                path=path, line_number=lineno,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c for c in row):
-                continue
-            if len(row) != len(_CELL_COLUMNS):
-                raise FormatError(
-                    f"expected {len(_CELL_COLUMNS)} fields, got {len(row)}",
-                    path=path, line_number=lineno,
-                )
-            kwargs = {}
-            for name, text in zip(_CELL_COLUMNS, row):
-                if name == "kind":
-                    kwargs[name] = ScoreKind.from_code(text)
-                elif name == "n":
-                    kwargs[name] = int(text)
-                elif name in _STR_FIELDS:
-                    kwargs[name] = text if text else None
-                elif not text:
-                    kwargs[name] = None
-                elif name in _BOOL_FIELDS:
-                    kwargs[name] = text == "true"
-                else:
-                    kwargs[name] = float(text)
-            kwargs["aspect"] = kwargs["aspect"] or ""
-            kwargs["ticker"] = kwargs["ticker"] or ""
-            out.append(DependenceCell(**kwargs))
+        kwargs = {}
+        for name, text in zip(_CELL_COLUMNS, row):
+            if name == "kind":
+                kwargs[name] = ScoreKind.from_code(text)
+            elif name == "n":
+                kwargs[name] = int(text)
+            elif name in _STR_FIELDS:
+                kwargs[name] = text if text else None
+            elif not text:
+                kwargs[name] = None
+            elif name in _BOOL_FIELDS:
+                kwargs[name] = text == "true"
+            else:
+                kwargs[name] = float(text)
+        kwargs["aspect"] = kwargs["aspect"] or ""
+        kwargs["ticker"] = kwargs["ticker"] or ""
+        out.append(DependenceCell(**kwargs))
     return out
 
 

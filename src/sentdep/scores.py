@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .core import PolarityLabel, ScoreKind, SentimentSeries, TradingCalendar
 from .errors import FormatError, HeaderMismatch
+from .ingest import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -128,35 +129,34 @@ def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], SentimentSeries], dic
     path = Path(path)
     raw: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(read_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("score file is empty", path=path) from None
+    if [h.strip() for h in header] != _SCORES_HEADER:
+        raise HeaderMismatch(
+            f"expected header {','.join(_SCORES_HEADER)}, got {header}", path=path
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise FormatError(f"expected 4 fields, got {len(row)}",
+                              path=path, line_number=lineno)
+        aspect, date_s, kind_code, value_s = (c.strip() for c in row)
+        if kind_code not in _VALID_KIND_CODES:
+            raise FormatError(f"unknown score kind {kind_code!r}",
+                              path=path, line_number=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("score file is empty", path=path) from None
-        if [h.strip() for h in header] != _SCORES_HEADER:
-            raise HeaderMismatch(
-                f"expected header {','.join(_SCORES_HEADER)}, got {header}", path=path
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise FormatError(f"expected 4 fields, got {len(row)}",
-                                  path=path, line_number=lineno)
-            aspect, date_s, kind_code, value_s = (c.strip() for c in row)
-            if kind_code not in _VALID_KIND_CODES:
-                raise FormatError(f"unknown score kind {kind_code!r}",
-                                  path=path, line_number=lineno)
-            try:
-                d = date.fromisoformat(date_s)
-                v = float(value_s)
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line_number=lineno) from None
-            if kind_code == TOTAL_KIND_CODE:
-                totals[aspect] = totals.get(aspect, 0) + int(v)
-            else:
-                raw.setdefault((aspect, ScoreKind.from_code(kind_code)), {})[d] = v
+            d = date.fromisoformat(date_s)
+            v = float(value_s)
+        except ValueError as exc:
+            raise FormatError(str(exc), path=path, line_number=lineno) from None
+        if kind_code == TOTAL_KIND_CODE:
+            totals[aspect] = totals.get(aspect, 0) + int(v)
+        else:
+            raw.setdefault((aspect, ScoreKind.from_code(kind_code)), {})[d] = v
     series = {
         (aspect, kind): SentimentSeries(aspect=aspect, kind=kind, values=values)
         for (aspect, kind), values in raw.items()

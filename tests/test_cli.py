@@ -1,12 +1,44 @@
 """Exit codes, stage composition, and override flags of the `sentdep` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sentdep
 from sentdep.cli import main
 from sentdep.report import read_cells
-from test_pipeline import EXPECTED_ARTIFACTS, build_tweet_tree
+from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree
+
+
+def add_calendar(ini: Path, lines: list[str]) -> Path:
+    """Write a calendar file next to ``ini`` and name it in ``[inputs]``."""
+    calendar = ini.parent / "days.txt"
+    calendar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = ini.read_text(encoding="utf-8")
+    ini.write_text(text.replace("[prices]", "calendar = days.txt\n[prices]"),
+                   encoding="utf-8")
+    return calendar
+
+
+_RUN = ["run", "--config", "config.ini"]
+
+#: Input file that gets the bad byte -> (command reading it, expected exit
+#: code). Paths are relative to the test's input tree.
+UNDECODABLE_CASES = {
+    "config.ini": (_RUN, 1),
+    "aspects.txt": (_RUN, 2),
+    "neg.txt": (_RUN, 2),
+    "AAA.csv": (_RUN, 2),
+    "days.txt": (_RUN, 2),
+    "labels.csv": (["score", "--labels", "labels.csv", "--out", "new_scores.csv"], 2),
+    "scores.csv": (["analyze", "--config", "config.ini", "--scores", "scores.csv",
+                    "--out", "new_cells.csv"], 2),
+    "cells.csv": (["report", "--cells", "cells.csv", "--out-dir", "report"], 2),
+}
 
 
 class TestExitCodes:
@@ -73,6 +105,30 @@ class TestExitCodes:
         assert main(["run", "--config", str(ini)]) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_calendar_line_that_is_not_a_date_returns_two(self, tmp_path, capsys):
+        ini = build_tweet_tree(tmp_path)
+        add_calendar(ini, [DAYS[0].isoformat(), "not-a-date", DAYS[1].isoformat()])
+        assert main(["run", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "days.txt:2:" in err and "not-a-date" in err
+
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE_CASES))
+    def test_undecodable_input_names_file_and_line(self, tmp_path, capsys, monkeypatch, name):
+        argv, expected = UNDECODABLE_CASES[name]
+        ini = build_tweet_tree(tmp_path)
+        add_calendar(ini, [d.isoformat() for d in DAYS])
+        assert main(["run", "--config", str(ini)]) == 0
+        for produced in ("labels.csv", "scores.csv", "cells.csv"):
+            (tmp_path / produced).write_bytes((tmp_path / "out" / produced).read_bytes())
+        capsys.readouterr()
+        target = tmp_path / name
+        line = len(target.read_bytes().splitlines()) + 1
+        with open(target, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == expected
+        assert f"{name}:{line}: not valid UTF-8" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -83,6 +139,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
+    ini = build_tweet_tree(tmp_path)
+    code = (
+        "import sys, sentdep.cli\n"
+        "from sentdep.pipeline import load_config\n"
+        "load_config(sys.argv[1]).validate()\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(sentdep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code, str(ini)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestStageComposition:

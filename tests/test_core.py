@@ -3,24 +3,22 @@
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from sentdep.core import (
-    AlignedPairs,
     PolarityLabel,
     PriceSeries,
     ScoreKind,
     SentimentSeries,
     TradingCalendar,
     align_lagged,
+    on_calendar,
     paired_on_common_days,
 )
-from sentdep.errors import (
-    EmptyAlignment,
-    InsufficientHistory,
-    NotTradingDay,
-)
+from sentdep.errors import EmptyAlignment
 
 # A small October-2022 trading week fixture: Mon 3rd .. Fri 7th, then
 # Mon 10th (weekend 8th/9th absent).
@@ -43,23 +41,6 @@ class TestTradingCalendar:
     def test_from_dates_sorts_and_dedupes(self):
         cal = TradingCalendar.from_dates([WEEK[2], WEEK[0], WEEK[2], WEEK[1]])
         assert cal.days == tuple(WEEK[:3])
-
-    def test_previous_skips_weekend(self):
-        cal = TradingCalendar(WEEK)
-        assert cal.previous(date(2022, 10, 10)) == date(2022, 10, 7)
-        assert cal.previous(date(2022, 10, 10), k=2) == date(2022, 10, 6)
-        assert cal.previous(date(2022, 10, 4)) == date(2022, 10, 3)
-
-    def test_previous_errors(self):
-        cal = TradingCalendar(WEEK)
-        with pytest.raises(NotTradingDay):
-            cal.previous(date(2022, 10, 8))  # a Saturday
-        with pytest.raises(InsufficientHistory):
-            cal.previous(WEEK[0])
-        with pytest.raises(InsufficientHistory):
-            cal.previous(WEEK[2], k=3)
-        with pytest.raises(ValueError):
-            cal.previous(WEEK[1], k=0)
 
     def test_membership_and_len(self):
         cal = TradingCalendar(WEEK)
@@ -102,18 +83,33 @@ class TestDomainTypes:
             PriceSeries(ticker="", values={WEEK[0]: 10.0})
 
 
+def on_cal(cal, x, y):
+    """The calendar arrays of a sentiment and a price series."""
+    return on_calendar(x.values, cal), on_calendar(y.values, cal)
+
+
+class TestOnCalendar:
+    def test_indexes_by_trading_day_with_nan_for_missing(self):
+        cal = TradingCalendar(WEEK)
+        arr = on_calendar({WEEK[1]: 2.0, WEEK[5]: 7.0, date(2022, 10, 8): 9.0}, cal)
+        assert arr.dtype == np.float64 and arr.shape == (6,)
+        assert arr[1] == 2.0 and arr[5] == 7.0
+        # the Saturday is off the calendar and dropped; other days are missing
+        assert np.isnan(arr[[0, 2, 3, 4]]).all()
+
+
 class TestAlignLagged:
     def test_basic_one_day_lag(self):
         cal = TradingCalendar(WEEK)
         x = make_sentiment({WEEK[0]: 3, WEEK[1]: 1, WEEK[2]: 4})
         y = PriceSeries(ticker="NEE", values={d: 30.0 + i for i, d in enumerate(WEEK)})
-        aligned = align_lagged(x, y, cal, lag=1)
+        aligned = align_lagged(*on_cal(cal, x, y), lag=1)
         # prices on days 1..3 pair with sentiment on days 0..2
-        assert aligned.pairs == ((3.0, 31.0), (1.0, 32.0), (4.0, 33.0))
+        assert aligned.pairs.tolist() == [[3.0, 31.0], [1.0, 32.0], [4.0, 33.0]]
         assert aligned.lag_days == 1
         assert aligned.n == 3
-        assert aligned.xs() == [3.0, 1.0, 4.0]
-        assert aligned.ys() == [31.0, 32.0, 33.0]
+        assert aligned.xs().tolist() == [3.0, 1.0, 4.0]
+        assert aligned.ys().tolist() == [31.0, 32.0, 33.0]
 
     def test_weekend_sentiment_never_consulted(self):
         # Sentiment exists on Saturday the 8th; Monday's price must pair
@@ -121,15 +117,15 @@ class TestAlignLagged:
         cal = TradingCalendar(WEEK)
         x = make_sentiment({date(2022, 10, 7): 2, date(2022, 10, 8): 99})
         y = PriceSeries(ticker="BP", values={date(2022, 10, 10): 32.0})
-        aligned = align_lagged(x, y, cal)
-        assert aligned.pairs == ((2.0, 32.0),)
+        aligned = align_lagged(*on_cal(cal, x, y))
+        assert aligned.pairs.tolist() == [[2.0, 32.0]]
 
     def test_pairwise_deletion_on_missing_sentiment(self):
         cal = TradingCalendar(WEEK)
         x = make_sentiment({WEEK[0]: 1, WEEK[3]: 5})  # gap on days 1, 2
         y = PriceSeries(ticker="BP", values={d: 30.0 for d in WEEK})
-        aligned = align_lagged(x, y, cal)
-        assert [p[0] for p in aligned.pairs] == [1.0, 5.0]
+        aligned = align_lagged(*on_cal(cal, x, y))
+        assert [p[0] for p in aligned.pairs.tolist()] == [1.0, 5.0]
 
     def test_price_on_unknown_day_skipped(self):
         cal = TradingCalendar(WEEK[:3])
@@ -137,38 +133,38 @@ class TestAlignLagged:
         y = PriceSeries(
             ticker="BP", values={WEEK[1]: 31.0, WEEK[2]: 32.0, date(2022, 12, 1): 40.0}
         )
-        aligned = align_lagged(x, y, cal)
+        aligned = align_lagged(*on_cal(cal, x, y))
         assert aligned.n == 2
 
     def test_lag_two(self):
         cal = TradingCalendar(WEEK)
         x = make_sentiment({WEEK[0]: 7})
         y = PriceSeries(ticker="BP", values={WEEK[2]: 31.0})
-        aligned = align_lagged(x, y, cal, lag=2)
-        assert aligned.pairs == ((7.0, 31.0),)
+        aligned = align_lagged(*on_cal(cal, x, y), lag=2)
+        assert aligned.pairs.tolist() == [[7.0, 31.0]]
 
     def test_empty_alignment_raises(self):
         cal = TradingCalendar(WEEK)
         x = make_sentiment({WEEK[5]: 1})  # only on the last day
         y = PriceSeries(ticker="BP", values={WEEK[0]: 30.0})
         with pytest.raises(EmptyAlignment):
-            align_lagged(x, y, cal)
+            align_lagged(*on_cal(cal, x, y))
 
     def test_lag_must_be_positive(self):
         cal = TradingCalendar(WEEK)
         x = make_sentiment({WEEK[0]: 1})
         y = PriceSeries(ticker="BP", values={WEEK[1]: 30.0})
         with pytest.raises(ValueError):
-            align_lagged(x, y, cal, lag=0)
+            align_lagged(*on_cal(cal, x, y), lag=0)
 
 
 def test_paired_on_common_days_keeps_same_dates():
     cal = TradingCalendar(WEEK)
     x = make_sentiment({WEEK[0]: 1, WEEK[1]: 2, WEEK[4]: 3, date(2022, 10, 9): 9})
     y = PriceSeries(ticker="BP", values={WEEK[0]: 30.0, WEEK[1]: 31.0, WEEK[2]: 32.0})
-    xs, ys = paired_on_common_days(x, y, cal)
-    assert xs == [1.0, 2.0]
-    assert ys == [30.0, 31.0]
+    xs, ys = paired_on_common_days(*on_cal(cal, x, y))
+    assert xs.tolist() == [1.0, 2.0]
+    assert ys.tolist() == [30.0, 31.0]
 
 
 @given(
@@ -186,9 +182,55 @@ def test_alignment_pairs_are_chronological_and_lag_consistent(day_offsets, lag):
     y = PriceSeries(ticker="T", values=y_values)
     if len(days) <= lag:
         return
-    aligned = align_lagged(x, y, cal, lag=lag)
+    aligned = align_lagged(*on_cal(cal, x, y), lag=lag)
     assert aligned.n == len(days) - lag
-    for x_val, y_val in aligned.pairs:
+    for x_val, y_val in aligned.pairs.tolist():
         # y on days[i] pairs with x on days[i - lag]: indices differ by lag
         assert (y_val - 100.0) - x_val == lag
-    assert aligned.ys() == sorted(aligned.ys())
+    assert aligned.ys().tolist() == sorted(aligned.ys().tolist())
+
+
+def brute_force_alignment(x_values, y_values, days, lag):
+    """Lagged and same-day pairs found by walking the calendar's dates."""
+    lagged, x_same, y_same = [], [], []
+    for i, t in enumerate(days):
+        if t in y_values and t in x_values:
+            x_same.append(x_values[t])
+            y_same.append(y_values[t])
+        if i >= lag and t in y_values and days[i - lag] in x_values:
+            lagged.append([x_values[days[i - lag]], y_values[t]])
+    return lagged, x_same, y_same
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=41), min_size=1),
+    st.sets(st.integers(min_value=0, max_value=41)),
+    st.sets(st.integers(min_value=0, max_value=41)),
+    st.integers(min_value=1, max_value=3),
+)
+# Friday the 7th is a holiday carrying a price; sentiment on the weekend.
+@example(holidays={4}, x_days={3, 5, 6, 11}, y_days={4, 7, 8, 14}, lag=1)
+def test_array_alignment_matches_brute_force_over_dates(holidays, x_days, y_days, lag):
+    """Weekday calendar with holidays; sentiment and prices on any day.
+
+    Sentiment falls on weekends and holidays too, and prices fall on
+    holidays (off the calendar); neither may ever be paired.
+    """
+    base = date(2022, 10, 3)  # a Monday
+    span = [base + timedelta(days=o) for o in range(42)]
+    days = [d for o, d in enumerate(span) if d.weekday() < 5 and o not in holidays]
+    if not days:
+        return
+    cal = TradingCalendar(days)
+    x_values = {span[o]: float(o % 7) for o in x_days}
+    y_values = {span[o]: 50.0 + o for o in y_days}
+    x, y = on_calendar(x_values, cal), on_calendar(y_values, cal)
+
+    lagged, x_same, y_same = brute_force_alignment(x_values, y_values, days, lag)
+    if lagged:
+        assert align_lagged(x, y, lag=lag).pairs.tolist() == lagged
+    else:
+        with pytest.raises(EmptyAlignment):
+            align_lagged(x, y, lag=lag)
+    xs, ys = paired_on_common_days(x, y)
+    assert (xs.tolist(), ys.tolist()) == (x_same, y_same)

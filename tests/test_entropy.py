@@ -7,11 +7,14 @@ import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from sentdep.core import AlignedPairs
 from sentdep.entropy import (
     DEFAULT_K,
+    EPSILON_FLOOR,
     MAX_K,
+    _kth_neighbor_distance_1d,
     conditional_entropy,
     digamma,
     kl_entropy,
@@ -124,6 +127,34 @@ class TestKlEntropy:
         h2 = kl_entropy(pts, k=3).value
         assert kl_entropy(0.5 * pts, k=3).value == pytest.approx(
             h2 + 2.0 * math.log(0.5), abs=1e-9)
+
+
+@st.composite
+def one_dimensional_samples(draw):
+    """(sample, k): tie-heavy integer counts or floats, n from k + 2 up."""
+    k = draw(st.integers(min_value=1, max_value=MAX_K))
+    n = draw(st.one_of(st.just(k + 2), st.integers(min_value=k + 2, max_value=300)))
+    values = st.one_of(
+        st.integers(min_value=0, max_value=6).map(float),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    )
+    sample = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(sample), k
+
+
+@given(one_dimensional_samples())
+def test_sorted_neighbor_distances_equal_the_kd_tree_bit_for_bit(sample_and_k):
+    sample, k = sample_and_k
+    points = sample[:, np.newaxis]
+    tree_eps = cKDTree(points).query(points, k=k + 1, p=np.inf)[0][:, k]
+    eps = _kth_neighbor_distance_1d(sample, k)
+    assert eps.tobytes() == tree_eps.tobytes()
+    # the log-sum runs in input order, as it did over the tree's distances
+    n = sample.shape[0]
+    if np.mean(tree_eps == 0.0) <= 0.5:
+        expected = (digamma(n) - digamma(k) + math.log(2.0)
+                    + (1 / n) * float(np.log(np.maximum(tree_eps, EPSILON_FLOOR)).sum()))
+        assert kl_entropy(sample, k).value == expected
 
 
 class TestConditionalEntropy:

@@ -16,6 +16,7 @@ from sentdep.core import (
     SentimentSeries,
     TradingCalendar,
     align_lagged,
+    on_calendar,
 )
 from sentdep.errors import DegenerateSeries, InsufficientData
 from sentdep.pearson import DEFAULT_THRESHOLD, classify, correlate, pearson
@@ -97,7 +98,8 @@ class TestCorrelate:
         sent = SentimentSeries("tax", ScoreKind.ABS_POSITIVE,
                                {d: float(i) for i, d in enumerate(days)})
         price = PriceSeries("XOM", {d: 50.0 + 2.0 * i for i, d in enumerate(days)})
-        res = correlate(align_lagged(sent, price, cal))
+        res = correlate(align_lagged(on_calendar(sent.values, cal),
+                                     on_calendar(price.values, cal)))
         assert res.r == 1.0 and res.significant
 
 

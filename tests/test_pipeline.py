@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from sentdep.core import PriceSeries, ScoreKind, SentimentSeries, TradingCalendar
-from sentdep.errors import ConfigError
+from sentdep.core import PriceSeries, ScoreKind, SentimentSeries, TradingCalendar, on_calendar
+from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
 from sentdep.pipeline import (
     PipelineConfig,
@@ -181,6 +181,12 @@ class TestCalendar:
         cal = load_calendar(cal_file)
         assert cal.days == (date(2022, 10, 3), date(2022, 10, 4), date(2022, 10, 6))
 
+    def test_calendar_without_days_is_a_format_error(self, tmp_path):
+        cal_file = tmp_path / "days.txt"
+        cal_file.write_text("# nothing yet\n\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="no trading day"):
+            load_calendar(cal_file)
+
     def test_union_of_price_dates(self):
         a = PriceSeries("A", {DAYS[0]: 1.0, DAYS[2]: 2.0})
         b = PriceSeries("B", {DAYS[1]: 3.0, DAYS[2]: 4.0})
@@ -225,10 +231,16 @@ def planted_inputs():
     return sent, price, cal
 
 
+def cell_of(sent, price, cal, config):
+    """compute_cell on the calendar arrays of the two series."""
+    return compute_cell(sent.aspect, sent.kind, price.ticker,
+                        on_calendar(sent.values, cal), on_calendar(price.values, cal), config)
+
+
 class TestComputeCell:
     def test_planted_relation_fills_r_and_granger(self):
         sent, price, cal = planted_inputs()
-        cell = compute_cell(sent, price, cal, PipelineConfig())
+        cell = cell_of(sent, price, cal, PipelineConfig())
         assert cell.n == len(DAYS) - 1
         assert cell.r == pytest.approx(1.0)
         assert cell.r_significant and cell.r_reason is None
@@ -241,7 +253,7 @@ class TestComputeCell:
     def test_no_overlap_yields_all_null(self):
         sent = SentimentSeries("tax", FP, {DAYS[0] + timedelta(days=300): 1.0})
         price = PriceSeries("AAA", {d: 10.0 for d in DAYS})
-        cell = compute_cell(sent, price, TradingCalendar(DAYS), PipelineConfig())
+        cell = cell_of(sent, price, TradingCalendar(DAYS), PipelineConfig())
         assert cell.n == 0
         assert (cell.r, cell.granger_f, cell.u) == (None, None, None)
         assert cell.r_reason == "InsufficientData"
@@ -252,7 +264,7 @@ class TestComputeCell:
         cal = TradingCalendar(DAYS)
         sent = SentimentSeries("tax", FP, {d: 2.0 for d in DAYS})
         price = PriceSeries("AAA", {d: 10.0 + (i % 7) * 0.5 for i, d in enumerate(DAYS)})
-        cell = compute_cell(sent, price, cal, PipelineConfig())
+        cell = cell_of(sent, price, cal, PipelineConfig())
         assert cell.n == len(DAYS) - 1
         assert cell.r_reason == "DegenerateSeries"
         assert cell.granger_reason == "RankDeficient"
@@ -260,8 +272,8 @@ class TestComputeCell:
 
     def test_reverse_flag_swaps_direction(self):
         sent, price, cal = planted_inputs()
-        forward = compute_cell(sent, price, cal, PipelineConfig())
-        reverse = compute_cell(sent, price, cal, PipelineConfig(granger_reverse=True))
+        forward = cell_of(sent, price, cal, PipelineConfig())
+        reverse = cell_of(sent, price, cal, PipelineConfig(granger_reverse=True))
         assert forward.granger_causal
         assert reverse.granger_f != forward.granger_f
 
@@ -277,8 +289,8 @@ class TestComputeCell:
             for i, d in enumerate(DAYS)
         }
         price = PriceSeries("AAA", closes)
-        level = compute_cell(sent, price, cal, PipelineConfig())
-        diffed = compute_cell(sent, price, cal, PipelineConfig(granger_difference=True))
+        level = cell_of(sent, price, cal, PipelineConfig())
+        diffed = cell_of(sent, price, cal, PipelineConfig(granger_difference=True))
         assert level.granger_reason is None and diffed.granger_reason is None
         assert diffed.granger_f != level.granger_f
         assert not (level.granger_perfect_fit or diffed.granger_perfect_fit)
