@@ -165,14 +165,19 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
 
 
 def conditional_entropy(y, x, k: int = DEFAULT_K) -> EntropyEstimate:
-    """Ĥ(y|x) = Ĥ(x, y) − Ĥ(x) via the chain rule, in nats."""
+    """Ĥ(y|x) = Ĥ(x, y) − Ĥ(x) via the chain rule, in nats.
+
+    Ĥ(x) comes first. A zero joint neighbor distance needs k other points
+    equal in both coordinates, hence equal in x, so a degenerate joint
+    sample always has a degenerate x sample: estimating Ĥ(x) first raises
+    the same DegenerateSample without building the joint cloud's tree.
+    """
     ys = _as_points(y)
     xs = _as_points(x)
     if xs.shape[0] != ys.shape[0]:
         raise ValueError(f"length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-    joint = np.column_stack([xs, ys])
-    h_joint = kl_entropy(joint, k)
     h_x = kl_entropy(xs, k)
+    h_joint = kl_entropy(np.column_stack([xs, ys]), k)
     return EntropyEstimate(
         value=h_joint.value - h_x.value, k=k, n=ys.shape[0], dim=ys.shape[1]
     )

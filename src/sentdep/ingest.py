@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,11 @@ class TweetRecord:
         """Calendar day of the post in UTC (the aggregation key)."""
         return self.timestamp.astimezone(timezone.utc).date()
 
+    @cached_property
+    def tokens(self) -> list[str]:
+        """The text's tokens, computed on first use and kept for the next."""
+        return tokenize(self.text)
+
 
 @dataclass(frozen=True)
 class KeywordFrequency:
@@ -57,20 +63,26 @@ class KeywordFrequency:
     tweet_count: int
 
 
+def _normalize_aspect(raw: str) -> str:
+    """Lowercase an aspect entry and collapse its whitespace runs."""
+    return " ".join(raw.lower().split())
+
+
 class AspectLexicon:
     """Ordered list of lowercase aspect token sequences.
 
     Entries may span several tokens ("stock market"); matching elsewhere is
     on whole contiguous tokens, so "stock" never matches inside
     "stockmarket". File order is preserved and doubles as the presentation
-    order in reports.
+    order in reports. ``by_first_token`` maps each entry's first token to
+    its ``(aspect, token sequence)`` pairs, in lexicon order.
     """
 
     def __init__(self, aspects: Iterable[str]):
         entries: list[str] = []
         seen: set[str] = set()
         for raw in aspects:
-            a = " ".join(raw.lower().split())
+            a = _normalize_aspect(raw)
             if not a:
                 raise ValueError("aspect entries must be non-empty")
             if a in seen:
@@ -81,6 +93,10 @@ class AspectLexicon:
             raise ValueError("aspect lexicon must not be empty")
         self._aspects = tuple(entries)
         self._token_seqs = tuple(tuple(a.split()) for a in entries)
+        index: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for aspect, seq in zip(self._aspects, self._token_seqs):
+            index.setdefault(seq[0], []).append((aspect, seq))
+        self._by_first_token = {first: tuple(pairs) for first, pairs in index.items()}
 
     @property
     def aspects(self) -> tuple[str, ...]:
@@ -89,6 +105,10 @@ class AspectLexicon:
     @property
     def token_sequences(self) -> tuple[tuple[str, ...], ...]:
         return self._token_seqs
+
+    @property
+    def by_first_token(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
+        return self._by_first_token
 
     def __len__(self) -> int:
         return len(self._aspects)
@@ -181,18 +201,19 @@ def _tweet_from_json(line: str) -> TweetRecord | None:
     return TweetRecord(id=tweet_id, timestamp=ts, text=text, lang=lang)
 
 
-def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> list[TweetRecord]:
-    """Read a JSONL tweet file, keeping English posts in file order.
+def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator[TweetRecord]:
+    """Stream the English posts of a JSONL tweet file, in file order.
 
     Records with ``lang != "en"`` are excluded. Malformed lines, including
     lines that are not valid UTF-8, are counted and logged; the file is
     rejected with FormatError only when their fraction exceeds
-    ``malformed_cap``. Blank lines are ignored entirely. Lines end at a
-    line feed, as JSON Lines prescribes; a carriage return before it is
-    whitespace.
+    ``malformed_cap``. That check needs every line, so it runs when the
+    file ends: a consumer sees the error after the last record, and should
+    write nothing before it has read the stream to the end. Blank lines
+    are ignored entirely. Lines end at a line feed, as JSON Lines
+    prescribes; a carriage return before it is whitespace.
     """
     path = Path(path)
-    records: list[TweetRecord] = []
     total = 0
     bad_lines: list[int] = []
     # Decoded line by line, so one undecodable line is one malformed line.
@@ -210,7 +231,7 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> list[Twe
                 bad_lines.append(lineno)
                 continue
             if rec.lang == "en":
-                records.append(rec)
+                yield rec
     if total and len(bad_lines) / total > malformed_cap:
         raise FormatError(
             f"{len(bad_lines)} of {total} lines malformed "
@@ -222,7 +243,6 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> list[Twe
             "%s: skipped %d malformed line(s), first at line %d",
             path, len(bad_lines), bad_lines[0],
         )
-    return records
 
 
 def parse_prices(path, ticker: str):
@@ -327,18 +347,60 @@ def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) 
 
 
 def load_aspects(path) -> AspectLexicon:
-    """Load an aspect lexicon file: one aspect per line, '#' comments ignored."""
-    entries: list[str] = []
-    for line in read_lines(path):
+    """Load an aspect lexicon file: one aspect per line, '#' comments ignored.
+
+    A file without any aspect, or an aspect listed twice, raises
+    FormatError naming the file (and the line of the second listing).
+    """
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        entries.append(line)
-    return AspectLexicon(entries)
+        aspect = _normalize_aspect(line)
+        if aspect in first_line:
+            raise FormatError(
+                f"duplicate aspect {aspect!r} (first listed on line {first_line[aspect]})",
+                path=path, line_number=lineno,
+            )
+        first_line[aspect] = lineno
+    if not first_line:
+        raise FormatError("aspect lexicon lists no aspect", path=path)
+    return AspectLexicon(first_line)
+
+
+class KeywordCounts:
+    """Tweets per token, counted while the tweets stream past.
+
+    Each distinct token is counted at most once per tweet. :meth:`tap`
+    lets another consumer read the same stream, so a corpus is read and
+    tokenized once for both the counts and the labels.
+    """
+
+    def __init__(self) -> None:
+        self._counts: dict[str, int] = {}
+
+    def tap(self, tweets: Iterable[TweetRecord]) -> Iterator[TweetRecord]:
+        """Yield each tweet unchanged after counting its tokens."""
+        counts = self._counts
+        for tweet in tweets:
+            for token in set(tweet.tokens):
+                counts[token] = counts.get(token, 0) + 1
+            yield tweet
+
+    def frequencies(self, min_count: int = 100) -> list[KeywordFrequency]:
+        """Tokens in at least ``min_count`` tweets, by count desc then keyword."""
+        kept = [
+            KeywordFrequency(keyword=k, tweet_count=c)
+            for k, c in self._counts.items()
+            if c >= min_count
+        ]
+        kept.sort(key=lambda kf: (-kf.tweet_count, kf.keyword))
+        return kept
 
 
 def keyword_frequencies(
-    tweets: Sequence[TweetRecord], min_count: int = 100
+    tweets: Iterable[TweetRecord], min_count: int = 100
 ) -> list[KeywordFrequency]:
     """Count, for each token, the tweets containing it at least once.
 
@@ -348,17 +410,10 @@ def keyword_frequencies(
     of keyword hopping: high-frequency terms are candidates for widening
     the collection query.
     """
-    counts: dict[str, int] = {}
-    for tweet in tweets:
-        for token in set(tokenize(tweet.text)):
-            counts[token] = counts.get(token, 0) + 1
-    kept = [
-        KeywordFrequency(keyword=k, tweet_count=c)
-        for k, c in counts.items()
-        if c >= min_count
-    ]
-    kept.sort(key=lambda kf: (-kf.tweet_count, kf.keyword))
-    return kept
+    counts = KeywordCounts()
+    for _ in counts.tap(tweets):
+        pass
+    return counts.frequencies(min_count)
 
 
 def write_keyword_frequencies(freqs: Sequence[KeywordFrequency], path) -> None:

@@ -16,7 +16,8 @@ from datetime import date
 from typing import Iterable, Protocol, Sequence
 
 from .core import PolarityLabel
-from .ingest import AspectLexicon, TweetRecord, read_lines, tokenize
+from .errors import FormatError
+from .ingest import AspectLexicon, TweetRecord, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -44,16 +45,31 @@ class PolarityLexicon:
 
     @classmethod
     def from_files(cls, positive_path, negative_path) -> "PolarityLexicon":
-        """Load term files: one term per line, '#' comments ignored."""
-        return cls(_read_terms(positive_path), _read_terms(negative_path))
+        """Load term files: one term per line, '#' comments ignored.
+
+        A file without any term, or a term listed in both files, raises
+        FormatError naming the file (and, for a shared term, its line in
+        the negative file).
+        """
+        positive = _read_terms(positive_path)
+        negative = _read_terms(negative_path)
+        for path, terms in ((positive_path, positive), (negative_path, negative)):
+            if not terms:
+                raise FormatError("term file lists no term", path=path)
+        for term, lineno in negative.items():
+            if term in positive:
+                raise FormatError(f"term {term!r} is also listed in {positive_path}",
+                                  path=negative_path, line_number=lineno)
+        return cls(positive, negative)
 
 
-def _read_terms(path) -> list[str]:
-    terms: list[str] = []
-    for line in read_lines(path):
-        line = line.strip()
+def _read_terms(path) -> dict[str, int]:
+    """Lowercase terms of a term file, each with the line it first appears on."""
+    terms: dict[str, int] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip().lower()
         if line and not line.startswith("#"):
-            terms.append(line)
+            terms.setdefault(line, lineno)
     return terms
 
 
@@ -78,17 +94,18 @@ def find_aspect_occurrences(
     in order with no gaps. Overlapping matches of *different* aspects are
     all reported (a token span can support several aspects); repeated
     mentions of the same aspect yield one occurrence each. Output is
-    ordered by (start, lexicon position).
+    ordered by (start, lexicon position): positions are walked in order,
+    and at each one only the entries starting with its token are tried,
+    in lexicon order.
     """
-    found: list[tuple[int, int, AspectOccurrence]] = []
-    for lex_idx, seq in enumerate(lexicon.token_sequences):
-        w = len(seq)
-        for start in range(len(tokens) - w + 1):
-            if tuple(tokens[start:start + w]) == seq:
-                found.append((start, lex_idx,
-                              AspectOccurrence(lexicon.aspects[lex_idx], start, start + w)))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return [occ for _, _, occ in found]
+    found: list[AspectOccurrence] = []
+    index = lexicon.by_first_token
+    for start, token in enumerate(tokens):
+        for aspect, seq in index.get(token, ()):
+            end = start + len(seq)
+            if tuple(tokens[start:end]) == seq:
+                found.append(AspectOccurrence(aspect, start, end))
+    return found
 
 
 class Labeler(Protocol):
@@ -151,11 +168,12 @@ def label_corpus(
     Emits one tuple per occurrence (not per distinct aspect), keyed by the
     tweet's UTC calendar day, in (corpus order, occurrence order). The
     output shape matches :func:`sentdep.ingest.parse_labeled`, so built-in
-    and external labels are interchangeable downstream.
+    and external labels are interchangeable downstream. Tweets are read
+    once, in order, so ``tweets`` may be a stream.
     """
     out: list[tuple[str, date, str, PolarityLabel]] = []
     for tweet in tweets:
-        tokens = tokenize(tweet.text)
+        tokens = tweet.tokens
         if not tokens:
             continue
         day = tweet.utc_date

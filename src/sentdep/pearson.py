@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import AlignedPairs
 from .errors import DegenerateSeries, InsufficientData
 
@@ -38,27 +40,32 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Two-pass Pearson correlation of two equal-length sequences.
 
     Raises InsufficientData for fewer than three pairs and
-    DegenerateSeries when either side is constant (zero variance makes
-    the coefficient undefined).
+    DegenerateSeries when either side is constant, or so nearly constant
+    that its squared deviations underflow (zero variance makes the
+    coefficient undefined).
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < MIN_PAIRS:
         raise InsufficientData(f"need at least {MIN_PAIRS} pairs, got {n}")
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
     # max == min is an exact constant-series test; a summed-variance
     # threshold would misfire on rounding noise.
-    if max(xs) == min(xs):
+    if x.max() == x.min():
         raise DegenerateSeries("first series is constant")
-    if max(ys) == min(ys):
+    if y.max() == y.min():
         raise DegenerateSeries("second series is constant")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    sxx = math.fsum(a * a for a in dx)
-    syy = math.fsum(b * b for b in dy)
+    # Elementwise float64 arithmetic rounds exactly as Python floats do;
+    # only the sums need compensation.
+    dx = x - math.fsum(x.tolist()) / n
+    dy = y - math.fsum(y.tolist()) / n
+    sxy = math.fsum((dx * dy).tolist())
+    sxx = math.fsum((dx * dx).tolist())
+    syy = math.fsum((dy * dy).tolist())
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateSeries("variance underflows to zero")
     r = sxy / math.sqrt(sxx * syy)
     # Rounding can push |r| infinitesimally past 1 for collinear data.
     return max(-1.0, min(1.0, r))
@@ -75,7 +82,7 @@ def correlate(
     aligned: AlignedPairs, threshold: float = DEFAULT_THRESHOLD
 ) -> CorrelationResult:
     """Correlation of lag-aligned (sentiment, price) pairs."""
-    r = pearson(aligned.xs().tolist(), aligned.ys().tolist())
+    r = pearson(aligned.xs(), aligned.ys())
     return CorrelationResult(
         r=r, n=aligned.n, significant=classify(r, threshold), threshold=threshold
     )

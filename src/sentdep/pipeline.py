@@ -11,6 +11,8 @@ writes plain files so they can also be driven individually from the CLI:
 
 :func:`run_pipeline` is exactly this composition plus a reproducibility
 manifest; running the stages by hand yields byte-identical artifacts.
+When it labels the tweets itself, the label stage also counts the
+keywords, so the tweet file is read and tokenized once.
 Nothing in the pipeline draws random numbers, so identical inputs and
 configuration always produce identical outputs.
 """
@@ -47,6 +49,7 @@ from .granger import DEFAULT_ALPHA, first_differences, granger_causes
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
+    KeywordCounts,
     keyword_frequencies,
     load_aspects,
     parse_labeled,
@@ -359,14 +362,30 @@ def stage_label(
     out_path,
     window: int = PipelineConfig.window,
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
+    keywords_path=None,
+    min_count: int = PipelineConfig.min_keyword_count,
 ) -> int:
-    """tweets.jsonl -> labels.csv; returns the number of labels written."""
-    tweets = parse_tweets(tweets_path, malformed_cap)
+    """tweets.jsonl -> labels.csv; returns the number of labels written.
+
+    With ``keywords_path`` it also writes what :func:`stage_keywords` would
+    write there, from the same single read of the tweets. Nothing is
+    written before the whole tweet file has been read, so a file over the
+    malformed-line cap leaves neither output behind.
+    """
     aspects = load_aspects(aspects_path)
     labeler = LexiconWindowLabeler(
         PolarityLexicon.from_files(positive_path, negative_path), window=window
     )
+    tweets = parse_tweets(tweets_path, malformed_cap)
+    keywords = None
+    if keywords_path is not None:
+        keywords = KeywordCounts()
+        tweets = keywords.tap(tweets)
     labels = label_corpus(tweets, aspects, labeler)
+    if keywords is not None:
+        freqs = keywords.frequencies(min_count)
+        write_keyword_frequencies(freqs, keywords_path)
+        logger.info("keywords: %d kept", len(freqs))
     write_labeled(labels, out_path)
     return len(labels)
 
@@ -505,22 +524,22 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if config.tweets is not None:
-        n_keywords = stage_keywords(
-            config.tweets, out / "keywords.csv",
-            min_count=config.min_keyword_count,
-            malformed_cap=config.max_malformed_fraction,
-        )
-        logger.info("keywords: %d kept", n_keywords)
-
     if config.labels is not None:
         labels_path = config.labels
+        if config.tweets is not None:
+            n_keywords = stage_keywords(
+                config.tweets, out / "keywords.csv",
+                min_count=config.min_keyword_count,
+                malformed_cap=config.max_malformed_fraction,
+            )
+            logger.info("keywords: %d kept", n_keywords)
     else:
         labels_path = out / "labels.csv"
         n_labels = stage_label(
             config.tweets, config.aspects, config.positive_terms,
             config.negative_terms, labels_path,
             window=config.window, malformed_cap=config.max_malformed_fraction,
+            keywords_path=out / "keywords.csv", min_count=config.min_keyword_count,
         )
         logger.info("labels: %d occurrences", n_labels)
 

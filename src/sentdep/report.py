@@ -65,6 +65,7 @@ _CELL_COLUMNS = [f.name for f in fields(DependenceCell)]
 _BOOL_FIELDS = {"r_significant", "granger_causal", "granger_perfect_fit", "u_valid"}
 _FLOAT_FIELDS = {"r", "granger_f", "granger_p", "u", "u_mi"}
 _STR_FIELDS = {"aspect", "ticker", "r_reason", "granger_reason", "u_reason"}
+_BOOL_WORDS = {"true": True, "false": False}
 
 
 def _cell_value_to_text(name: str, value) -> str:
@@ -113,18 +114,22 @@ def read_cells(path) -> list[DependenceCell]:
             )
         kwargs = {}
         for name, text in zip(_CELL_COLUMNS, row):
-            if name == "kind":
-                kwargs[name] = ScoreKind.from_code(text)
-            elif name == "n":
-                kwargs[name] = int(text)
-            elif name in _STR_FIELDS:
-                kwargs[name] = text if text else None
-            elif not text:
-                kwargs[name] = None
-            elif name in _BOOL_FIELDS:
-                kwargs[name] = text == "true"
-            else:
-                kwargs[name] = float(text)
+            try:
+                if name == "kind":
+                    kwargs[name] = ScoreKind.from_code(text)
+                elif name == "n":
+                    kwargs[name] = int(text)
+                elif name in _STR_FIELDS:
+                    kwargs[name] = text if text else None
+                elif not text:
+                    kwargs[name] = None
+                elif name in _BOOL_FIELDS:
+                    kwargs[name] = _BOOL_WORDS[text]
+                else:
+                    kwargs[name] = float(text)
+            except (KeyError, ValueError):
+                raise FormatError(f"bad {name} {text!r}", path=path,
+                                  line_number=lineno) from None
         kwargs["aspect"] = kwargs["aspect"] or ""
         kwargs["ticker"] = kwargs["ticker"] or ""
         out.append(DependenceCell(**kwargs))

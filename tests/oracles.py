@@ -3,8 +3,9 @@
 Everything here deliberately takes a *different* computational route from
 the code under test: exact rational arithmetic (floats are dyadic
 rationals, so Fraction conversion is lossless) instead of floating point,
-normal equations instead of orthogonal decompositions, and per-keyword
-set scans instead of a single counting pass.
+normal equations instead of orthogonal decompositions, per-keyword set
+scans instead of a single counting pass, and a scan of every aspect at
+every position instead of a first-token index.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from sentdep.ingest import tokenize
+from sentdep.ingest import AspectLexicon, tokenize
+from sentdep.labeler import AspectOccurrence
 
 
 def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -34,6 +36,23 @@ def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sxy == 0:
         return 0.0
     return math.copysign(magnitude, float(sxy))
+
+
+def pearson_float_lists(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Two-pass Pearson r over Python float lists, with compensated sums.
+
+    The same float operations as :func:`sentdep.pearson.pearson`, one
+    element at a time, so the two agree bit for bit.
+    """
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -100,3 +119,18 @@ def keyword_counts_bruteforce(texts: Sequence[str]) -> dict[str, int]:
         word: sum(1 for toks in token_sets if word in toks)
         for word in vocabulary
     }
+
+
+def aspect_occurrences_bruteforce(
+    tokens: Sequence[str], lexicon: AspectLexicon
+) -> list[AspectOccurrence]:
+    """Every aspect tried at every token position, then sorted."""
+    found: list[tuple[int, int, AspectOccurrence]] = []
+    for lex_idx, seq in enumerate(lexicon.token_sequences):
+        w = len(seq)
+        for start in range(len(tokens) - w + 1):
+            if tuple(tokens[start:start + w]) == seq:
+                found.append((start, lex_idx,
+                              AspectOccurrence(lexicon.aspects[lex_idx], start, start + w)))
+    found.sort(key=lambda t: (t[0], t[1]))
+    return [occ for _, _, occ in found]

@@ -105,6 +105,28 @@ class TestExitCodes:
         assert main(["run", "--config", str(ini)]) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_tweets_over_the_cap_leave_no_keywords_or_labels(self, tmp_path, capsys):
+        ini = build_tweet_tree(tmp_path)
+        with open(tmp_path / "tweets.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{broken\n" * 5)
+        assert main(["run", "--config", str(ini)]) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "keywords.csv").exists()
+        assert not (tmp_path / "out" / "labels.csv").exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("aspects.txt", "# no aspect here\n", "aspects.txt: aspect lexicon lists no aspect"),
+        ("aspects.txt", "tax\nbank\n\nTax\n",
+         "aspects.txt:4: duplicate aspect 'tax' (first listed on line 1)"),
+        ("pos.txt", "\n# none\n", "pos.txt: term file lists no term"),
+        ("neg.txt", "bad\nGood\n", "neg.txt:2: term 'good' is also listed in"),
+    ])
+    def test_unusable_lexicon_returns_two(self, tmp_path, capsys, name, text, message):
+        ini = build_tweet_tree(tmp_path)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(ini)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_calendar_line_that_is_not_a_date_returns_two(self, tmp_path, capsys):
         ini = build_tweet_tree(tmp_path)
         add_calendar(ini, [DAYS[0].isoformat(), "not-a-date", DAYS[1].isoformat()])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+import sentdep.entropy
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -177,6 +178,22 @@ class TestConditionalEntropy:
     def test_minimum_sample(self):
         with pytest.raises(InsufficientData):
             conditional_entropy([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4], k=3)
+
+    def test_tied_counts_fail_before_the_joint_cloud(self, monkeypatch):
+        dims = []
+        real = sentdep.entropy.kl_entropy
+
+        def recording(samples, k=DEFAULT_K):
+            points = np.asarray(samples)
+            dims.append(1 if points.ndim == 1 else points.shape[1])
+            return real(samples, k)
+
+        monkeypatch.setattr(sentdep.entropy, "kl_entropy", recording)
+        counts = [0.0] * 80 + [1.0] * 15 + [2.0] * 5
+        prices = np.random.default_rng(3).normal(size=100)
+        with pytest.raises(DegenerateSample):
+            conditional_entropy(prices, counts)
+        assert dims == [1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -63,7 +63,7 @@ class TestParseTweets:
             tweet_obj(2, "los mercados", lang="es"),
             tweet_obj(3, "rates up"),
         ])
-        records = parse_tweets(p)
+        records = list(parse_tweets(p))
         assert [r.id for r in records] == ["t1", "t3"]
         assert records[0].text == "inflation fears"
         assert records[0].lang == "en"
@@ -88,7 +88,7 @@ class TestParseTweets:
         lines.insert(5, "{not json")
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            records = parse_tweets(p)
+            records = list(parse_tweets(p))
         assert len(records) == 20
         assert any("malformed" in m for m in caplog.messages)
 
@@ -97,20 +97,20 @@ class TestParseTweets:
         p.write_text("{broken\n" * 3 + json.dumps(tweet_obj(1, "ok")) + "\n",
                      encoding="utf-8")
         with pytest.raises(FormatError):
-            parse_tweets(p)
+            list(parse_tweets(p))
         # a generous cap accepts the same file
-        assert len(parse_tweets(p, malformed_cap=0.9)) == 1
+        assert len(list(parse_tweets(p, malformed_cap=0.9))) == 1
 
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "t.jsonl"
         p.write_text("\n" + json.dumps(tweet_obj(1, "ok")) + "\n\n", encoding="utf-8")
-        assert len(parse_tweets(p)) == 1
+        assert len(list(parse_tweets(p))) == 1
 
     def test_missing_fields_are_malformed(self, tmp_path):
         p = tmp_path / "t.jsonl"
         write_jsonl(p, [{"id": "a", "text": "no lang", "created_at": "2022-10-03T00:00:00Z"}])
         with pytest.raises(FormatError):
-            parse_tweets(p)
+            list(parse_tweets(p))
 
     def test_undecodable_line_is_malformed_below_cap(self, tmp_path, caplog):
         p = tmp_path / "t.jsonl"
@@ -118,7 +118,7 @@ class TestParseTweets:
         lines.insert(5, b"\xff\xfe")
         p.write_bytes(b"\n".join(lines) + b"\n")
         with caplog.at_level("WARNING"):
-            records = parse_tweets(p)
+            records = list(parse_tweets(p))
         assert len(records) == 20
         assert any("malformed" in m and "line 6" in m for m in caplog.messages)
 
@@ -126,7 +126,16 @@ class TestParseTweets:
         p = tmp_path / "t.jsonl"
         p.write_bytes(b"\xff\xfe\n" * 3 + json.dumps(tweet_obj(1, "ok")).encode() + b"\n")
         with pytest.raises(FormatError, match="3 of 4 lines malformed"):
-            parse_tweets(p)
+            list(parse_tweets(p))
+
+    def test_streams_records_and_checks_the_cap_at_the_end(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(tweet_obj(1, "ok")) + "\n" + "{broken\n" * 3,
+                     encoding="utf-8")
+        records = parse_tweets(p)
+        assert next(records).id == "t1"
+        with pytest.raises(FormatError, match="3 of 4 lines malformed"):
+            next(records)
 
     def test_crlf_line_endings(self, tmp_path):
         p = tmp_path / "t.jsonl"

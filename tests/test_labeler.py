@@ -3,6 +3,8 @@
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sentdep.core import PolarityLabel
 from sentdep.ingest import AspectLexicon, TweetRecord, parse_labeled, write_labeled
@@ -14,6 +16,8 @@ from sentdep.labeler import (
     label_corpus,
     lexicon_window_label,
 )
+
+from oracles import aspect_occurrences_bruteforce
 
 LEX = PolarityLexicon(
     positive=["gains", "rally", "strong", "optimism"],
@@ -80,6 +84,30 @@ class TestFindAspectOccurrences:
             ("stock market", 0),
             ("market", 1),
         ]
+
+
+#: Tokens that share first tokens, prefix one another as aspects ("stock"
+#: and "stock market") and as strings ("sto", "stock", "stockmarket").
+VOCABULARY = ["stock", "market", "stockmarket", "sto", "rate", "rates", "tax", "the"]
+
+
+@st.composite
+def lexicon_and_tokens(draw):
+    seqs = draw(st.lists(
+        st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=8, unique=True,
+    ))
+    tokens = draw(st.lists(st.sampled_from(VOCABULARY), max_size=30))
+    return AspectLexicon(" ".join(seq) for seq in seqs), tokens
+
+
+@given(lexicon_and_tokens())
+@example((AspectLexicon(["stock", "stock market", "market", "stock stock"]),
+          "the stock stock market stock market sto stockmarket stock".split()))
+def test_indexed_matching_equals_the_full_scan(case):
+    lexicon, tokens = case
+    assert find_aspect_occurrences(tokens, lexicon) == aspect_occurrences_bruteforce(
+        tokens, lexicon)
 
 
 class TestLexiconWindowLabel:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import pearson_exact
+from oracles import pearson_exact, pearson_float_lists
 from sentdep.core import (
     AlignedPairs,
     PriceSeries,
@@ -58,6 +58,10 @@ class TestPearson:
         xs = [1.0, 1.0 + 1e-12, 1.0]
         r = pearson(xs, [1.0, 2.0, 1.0])
         assert r == pytest.approx(1.0)
+
+    def test_underflowing_variance_is_degenerate(self):
+        with pytest.raises(DegenerateSeries, match="underflows"):
+            pearson([1.0, 0.0, 0.0], [0.0, 0.0, 5.44562600914303e-212])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -150,3 +154,16 @@ def test_agrees_with_rational_arithmetic(pair):
         pytest.skip("constant after float rounding")
     assert pearson(xs, ys) == pytest.approx(expected, abs=1e-10)
     assert math.isfinite(pearson(xs, ys))
+
+
+@given(varied_pair())
+def test_numpy_deviations_equal_python_floats_bit_for_bit(pair):
+    xs, ys = pair
+    try:
+        expected = pearson_float_lists(xs, ys)
+    except ZeroDivisionError:
+        with pytest.raises(DegenerateSeries):
+            pearson(xs, ys)
+        return
+    assert pearson(xs, ys) == expected
+    assert pearson(np.array(xs), np.array(ys)) == expected

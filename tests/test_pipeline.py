@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import sentdep.ingest
+import sentdep.labeler
+import sentdep.pipeline
 from sentdep.core import PriceSeries, ScoreKind, SentimentSeries, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
@@ -450,6 +453,29 @@ class TestRunPipeline:
             a = (tmp_path / "out" / name).read_bytes()
             b = (tmp_path / "out2" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
+
+    def test_reads_and_tokenizes_each_tweet_once(self, tmp_path, monkeypatch):
+        ini = build_tweet_tree(tmp_path)
+        with open(tmp_path / "tweets.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "es", "created_at": "2022-10-03T09:00:00Z",
+                                 "text": "el tax", "lang": "es"}) + "\n")
+        lines = (tmp_path / "tweets.jsonl").read_text(encoding="utf-8").splitlines()
+        english = sum(json.loads(line)["lang"] == "en" for line in lines)
+        calls = {"parse_tweets": 0, "tokenize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sentdep.pipeline, "parse_tweets",
+                            counted("parse_tweets", sentdep.pipeline.parse_tweets))
+        tokenize = counted("tokenize", sentdep.ingest.tokenize)
+        for module in (sentdep.ingest, sentdep.labeler):
+            monkeypatch.setattr(module, "tokenize", tokenize, raising=False)
+        run_pipeline(load_config(ini))
+        assert calls == {"parse_tweets": 1, "tokenize": english}
 
     def test_no_aspect_mentions_still_completes(self, tmp_path, caplog):
         ini = build_tweet_tree(tmp_path)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from sentdep.cli import main
 from sentdep.core import ScoreKind
 from sentdep.errors import FormatError, HeaderMismatch
 from sentdep.report import (
@@ -82,6 +83,21 @@ class TestCellsFile:
         with pytest.raises(FormatError) as exc:
             read_cells(p)
         assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("column, bad", [
+        ("n", "x"), ("r", "0.5.1"), ("kind", "zz"), ("r_significant", "yes"),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, column, bad):
+        p = tmp_path / "cells.csv"
+        write_cells([full_cell(), null_cell()], p)
+        header, first, second = p.read_text(encoding="utf-8").splitlines()
+        row = second.split(",")
+        row[header.split(",").index(column)] = bad
+        p.write_text("\n".join([header, first, ",".join(row)]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"cells.csv:3: bad {column} '{bad}'"):
+            read_cells(p)
+        assert main(["report", "--cells", str(p), "--out-dir", str(tmp_path / "r")]) == 2
+        assert f"cells.csv:3: bad {column}" in capsys.readouterr().err
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "cells.csv"
