@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .core import (
     AlignedPairs,
     PolarityLabel,
-    PriceSeries,
     ScoreKind,
-    SentimentSeries,
     TradingCalendar,
     align_lagged,
     on_calendar,
@@ -45,7 +43,6 @@ from .granger import (
     GrangerResult,
     OlsFit,
     f_distribution_sf,
-    first_differences,
     granger_causes,
     ols,
 )
@@ -62,7 +59,6 @@ from .ingest import (
 )
 from .labeler import (
     AspectOccurrence,
-    LexiconWindowLabeler,
     PolarityLexicon,
     find_aspect_occurrences,
     label_corpus,
@@ -82,18 +78,13 @@ from .report import (
     read_cells,
     write_cells,
 )
-from .scores import (
-    AspectDayCount,
-    aggregate_daily,
-    fill_absent_zero,
-)
+from .scores import AspectDayCount, aggregate_daily
 
 __all__ = [
     "__version__",
     # core
-    "AlignedPairs", "PolarityLabel", "PriceSeries", "ScoreKind",
-    "SentimentSeries", "TradingCalendar", "align_lagged", "on_calendar",
-    "paired_on_common_days",
+    "AlignedPairs", "PolarityLabel", "ScoreKind", "TradingCalendar",
+    "align_lagged", "on_calendar", "paired_on_common_days",
     # errors
     "ConfigError", "DegenerateSample", "DegenerateSeries", "DomainError",
     "EmptyAlignment", "EmptySeries", "FormatError", "HeaderMismatch",
@@ -103,15 +94,14 @@ __all__ = [
     "keyword_frequencies", "load_aspects", "parse_labeled", "parse_prices",
     "parse_tweets", "tokenize",
     # labeler
-    "AspectOccurrence", "LexiconWindowLabeler", "PolarityLexicon",
+    "AspectOccurrence", "PolarityLexicon",
     "find_aspect_occurrences", "label_corpus", "lexicon_window_label",
     # scores
-    "AspectDayCount", "aggregate_daily", "fill_absent_zero",
+    "AspectDayCount", "aggregate_daily",
     # pearson
     "CorrelationResult", "classify", "correlate", "pearson",
     # granger
-    "GrangerResult", "OlsFit", "f_distribution_sf", "first_differences",
-    "granger_causes", "ols",
+    "GrangerResult", "OlsFit", "f_distribution_sf", "granger_causes", "ols",
     # entropy
     "EntropyEstimate", "UCoeffResult", "conditional_entropy", "digamma",
     "kl_entropy", "uncertainty_coefficient",

@@ -3,9 +3,10 @@
 Dates are plain ``datetime.date`` values interpreted as UTC calendar days.
 A trading day is a date on which the exchange published a closing price;
 the calendar is always supplied (parsed from price files or an explicit
-list), never inferred from holiday rules. For analysis a daily series
-becomes one float array indexed by trading day, NaN marking a missing day,
-so a lag of L trading days is a shift by L elements.
+list), never inferred from holiday rules. Readers return a daily series
+as a date -> value dict; for analysis it becomes one float array indexed
+by trading day, NaN marking a missing day, so a lag of L trading days is
+a shift by L elements.
 """
 
 from __future__ import annotations
@@ -89,54 +90,8 @@ class TradingCalendar:
     def __len__(self) -> int:
         return len(self._days)
 
-    def __contains__(self, d: date) -> bool:
-        return d in self._index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TradingCalendar) and self._days == other._days
-
     def __repr__(self) -> str:
         return f"TradingCalendar({self._days[0]}..{self._days[-1]}, {len(self._days)} days)"
-
-
-def _validate_series_value(kind: ScoreKind, d: date, v: float) -> None:
-    if kind.is_absolute:
-        if v < 0 or v != int(v):
-            raise ValueError(f"absolute score at {d} must be a non-negative integer, got {v}")
-    else:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"normalised score at {d} must lie in [0, 1], got {v}")
-
-
-@dataclass(frozen=True)
-class SentimentSeries:
-    """Date-indexed daily sentiment scores for one (aspect, kind).
-
-    Missing dates mean "no observation", never zero.
-    """
-
-    aspect: str
-    kind: ScoreKind
-    values: Mapping[date, float]
-
-    def __post_init__(self):
-        for d, v in self.values.items():
-            _validate_series_value(self.kind, d, v)
-
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """Date-indexed daily closing prices for one ticker."""
-
-    ticker: str
-    values: Mapping[date, float]
-
-    def __post_init__(self):
-        if not self.ticker:
-            raise ValueError("ticker must be non-empty")
-        for d, v in self.values.items():
-            if not v > 0:
-                raise ValueError(f"closing price at {d} must be positive, got {v}")
 
 
 def on_calendar(values: Mapping[date, float], calendar: TradingCalendar) -> np.ndarray:

@@ -183,18 +183,6 @@ def granger_causes(
     )
 
 
-def first_differences(values: Sequence[float]) -> list[float]:
-    """Δv_t = v_t − v_{t−1}; output is one shorter than the input.
-
-    Offered as a pre-transform for users worried about unit roots; the
-    default pipeline tests raw levels.
-    """
-    vs = [float(v) for v in values]
-    if len(vs) < 2:
-        raise InsufficientData("need at least 2 observations to difference")
-    return [b - a for a, b in zip(vs, vs[1:])]
-
-
 def f_distribution_sf(f: float, d1: int, d2: int) -> float:
     """P(F > f) for an F(d1, d2) variate, by ``scipy.special.fdtrc``."""
     if d1 < 1 or d2 < 1:

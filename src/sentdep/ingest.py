@@ -92,9 +92,9 @@ class AspectLexicon:
         if not entries:
             raise ValueError("aspect lexicon must not be empty")
         self._aspects = tuple(entries)
-        self._token_seqs = tuple(tuple(a.split()) for a in entries)
         index: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-        for aspect, seq in zip(self._aspects, self._token_seqs):
+        for aspect in self._aspects:
+            seq = tuple(aspect.split())
             index.setdefault(seq[0], []).append((aspect, seq))
         self._by_first_token = {first: tuple(pairs) for first, pairs in index.items()}
 
@@ -103,21 +103,8 @@ class AspectLexicon:
         return self._aspects
 
     @property
-    def token_sequences(self) -> tuple[tuple[str, ...], ...]:
-        return self._token_seqs
-
-    @property
     def by_first_token(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
         return self._by_first_token
-
-    def __len__(self) -> int:
-        return len(self._aspects)
-
-    def __contains__(self, aspect: str) -> bool:
-        return aspect in set(self._aspects)
-
-    def __iter__(self):
-        return iter(self._aspects)
 
 
 def read_lines(path, newline: str | None = None) -> Iterator[str]:
@@ -245,14 +232,13 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator
         )
 
 
-def parse_prices(path, ticker: str):
-    """Read one Yahoo-layout CSV into a PriceSeries for ``ticker``.
+def parse_prices(path, ticker: str) -> dict[date, float]:
+    """Read one Yahoo-layout CSV into the date -> close dict of ``ticker``.
 
     Rows whose Close is non-numeric (Yahoo writes "null"), non-positive,
-    non-finite, or whose Date is unparseable are skipped with a warning.
+    non-finite, or whose Date is unparseable are skipped with a warning,
+    so every close returned is positive and finite.
     """
-    from .core import PriceSeries
-
     path = Path(path)
     values: dict[date, float] = {}
     reader = csv.reader(read_lines(path, newline=""))
@@ -292,7 +278,7 @@ def parse_prices(path, ticker: str):
         values[d] = close
     if not values:
         raise EmptySeries(f"{path}: no usable price rows for {ticker}")
-    return PriceSeries(ticker=ticker, values=values)
+    return values
 
 
 def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .core import PolarityLabel
 from .errors import FormatError
@@ -108,13 +108,6 @@ def find_aspect_occurrences(
     return found
 
 
-class Labeler(Protocol):
-    """Anything that can assign a polarity to one aspect occurrence."""
-
-    def label(self, tokens: Sequence[str], occurrence: AspectOccurrence) -> PolarityLabel:
-        ...
-
-
 def lexicon_window_label(
     tokens: Sequence[str],
     occurrence: AspectOccurrence,
@@ -147,29 +140,21 @@ def lexicon_window_label(
     return PolarityLabel.NEUTRAL
 
 
-@dataclass(frozen=True)
-class LexiconWindowLabeler:
-    """Deterministic :class:`Labeler` built on a polarity lexicon."""
-
-    lexicon: PolarityLexicon
-    window: int = DEFAULT_WINDOW
-
-    def label(self, tokens: Sequence[str], occurrence: AspectOccurrence) -> PolarityLabel:
-        return lexicon_window_label(tokens, occurrence, self.lexicon, self.window)
-
-
 def label_corpus(
     tweets: Iterable[TweetRecord],
     aspects: AspectLexicon,
-    labeler: Labeler,
+    lexicon: PolarityLexicon,
+    window: int = DEFAULT_WINDOW,
 ) -> list[tuple[str, date, str, PolarityLabel]]:
     """Detect and label every aspect occurrence in a tweet corpus.
 
-    Emits one tuple per occurrence (not per distinct aspect), keyed by the
-    tweet's UTC calendar day, in (corpus order, occurrence order). The
-    output shape matches :func:`sentdep.ingest.parse_labeled`, so built-in
-    and external labels are interchangeable downstream. Tweets are read
-    once, in order, so ``tweets`` may be a stream.
+    Each occurrence is labeled by :func:`lexicon_window_label` with
+    ``lexicon`` and ``window``. Emits one tuple per occurrence (not per
+    distinct aspect), keyed by the tweet's UTC calendar day, in (corpus
+    order, occurrence order). The output shape matches
+    :func:`sentdep.ingest.parse_labeled`, so built-in and external labels
+    are interchangeable downstream. Tweets are read once, in order, so
+    ``tweets`` may be a stream.
     """
     out: list[tuple[str, date, str, PolarityLabel]] = []
     for tweet in tweets:
@@ -178,5 +163,6 @@ def label_corpus(
             continue
         day = tweet.utc_date
         for occ in find_aspect_occurrences(tokens, aspects):
-            out.append((tweet.id, day, occ.aspect, labeler.label(tokens, occ)))
+            out.append((tweet.id, day, occ.aspect,
+                        lexicon_window_label(tokens, occ, lexicon, window)))
     return out

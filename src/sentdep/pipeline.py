@@ -29,9 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    PriceSeries,
     ScoreKind,
-    SentimentSeries,
     TradingCalendar,
     align_lagged,
     on_calendar,
@@ -45,7 +43,7 @@ from .errors import (
     InsufficientData,
     SentdepError,
 )
-from .granger import DEFAULT_ALPHA, first_differences, granger_causes
+from .granger import DEFAULT_ALPHA, granger_causes
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
@@ -59,7 +57,7 @@ from .ingest import (
     write_keyword_frequencies,
     write_labeled,
 )
-from .labeler import DEFAULT_WINDOW, LexiconWindowLabeler, PolarityLexicon, label_corpus
+from .labeler import DEFAULT_WINDOW, PolarityLexicon, label_corpus
 from .pearson import DEFAULT_THRESHOLD, correlate
 from .report import (
     DependenceCell,
@@ -69,7 +67,7 @@ from .report import (
     write_cells,
     write_manifest,
 )
-from .scores import aggregate_daily, fill_absent_zero, read_scores, write_scores
+from .scores import aggregate_daily, read_scores, write_scores
 
 logger = logging.getLogger(__name__)
 
@@ -310,13 +308,15 @@ def load_calendar(path) -> TradingCalendar:
     return TradingCalendar.from_dates(days)
 
 
-def build_calendar(config: PipelineConfig, prices: Mapping[str, PriceSeries]) -> TradingCalendar:
+def build_calendar(
+    config: PipelineConfig, prices: Mapping[str, Mapping[date, float]]
+) -> TradingCalendar:
     """The run's trading calendar: explicit file, or union of price dates."""
     if config.calendar is not None:
         return load_calendar(config.calendar)
     all_days: set[date] = set()
-    for series in prices.values():
-        all_days.update(series.values)
+    for closes in prices.values():
+        all_days.update(closes)
     return TradingCalendar.from_dates(all_days)
 
 
@@ -373,15 +373,13 @@ def stage_label(
     malformed-line cap leaves neither output behind.
     """
     aspects = load_aspects(aspects_path)
-    labeler = LexiconWindowLabeler(
-        PolarityLexicon.from_files(positive_path, negative_path), window=window
-    )
+    lexicon = PolarityLexicon.from_files(positive_path, negative_path)
     tweets = parse_tweets(tweets_path, malformed_cap)
     keywords = None
     if keywords_path is not None:
         keywords = KeywordCounts()
         tweets = keywords.tap(tweets)
-    labels = label_corpus(tweets, aspects, labeler)
+    labels = label_corpus(tweets, aspects, lexicon, window)
     if keywords is not None:
         freqs = keywords.frequencies(min_count)
         write_keyword_frequencies(freqs, keywords_path)
@@ -454,7 +452,7 @@ def compute_cell(
     try:
         xs, ys = paired_on_common_days(sentiment, price)
         if config.granger_difference:
-            xs, ys = first_differences(xs), first_differences(ys)
+            xs, ys = np.diff(xs), np.diff(ys)
         if config.granger_reverse:
             xs, ys = ys, xs
         g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha)
@@ -472,24 +470,22 @@ def stage_analyze(config: PipelineConfig, scores_path, cells_path) -> list[Depen
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
-    order. Every series is put on the calendar once per run.
+    order. Every series is put on the calendar once per run; with
+    ``absent_as_zero`` the missing days of the absolute kinds read 0.
     """
     aspect_lexicon = load_aspects(config.aspects)
     series, totals = read_scores(scores_path)
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
-    price_arrays = {t: on_calendar(p.values, calendar) for t, p in prices.items()}
+    price_arrays = {t: on_calendar(p, calendar) for t, p in prices.items()}
 
     cells: list[DependenceCell] = []
     for aspect in top:
         for kind in ScoreKind:
-            sentiment = series.get(
-                (aspect, kind), SentimentSeries(aspect=aspect, kind=kind, values={})
-            )
+            x = on_calendar(series.get((aspect, kind), {}), calendar)
             if config.absent_as_zero and kind.is_absolute:
-                sentiment = fill_absent_zero(sentiment, calendar)
-            x = on_calendar(sentiment.values, calendar)
+                x[np.isnan(x)] = 0.0
             for ticker, y in price_arrays.items():
                 cells.append(compute_cell(aspect, kind, ticker, x, y, config))
     write_cells(cells, cells_path)

@@ -9,8 +9,9 @@ yield four score series per aspect:
 * ``nfn`` — negative count / total labels that day (normalised),
 
 where the total includes neutral labels, so nfp + nfn <= 1. Days with no
-labels for an aspect are missing, not zero; a zero-fill helper exists for
-the absolute kinds where "no mentions" genuinely means a count of zero.
+labels for an aspect are missing, not zero; the analysis can fill the
+absolute kinds with zeros (``absent_as_zero``), where "no mentions"
+genuinely means a count of zero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import PolarityLabel, ScoreKind, SentimentSeries, TradingCalendar
+from .core import PolarityLabel, ScoreKind
 from .errors import FormatError, HeaderMismatch
 from .ingest import read_lines
 
@@ -75,22 +76,6 @@ def aggregate_daily(
     ]
 
 
-def fill_absent_zero(
-    series: SentimentSeries, calendar: TradingCalendar
-) -> SentimentSeries:
-    """Fill calendar days missing from an *absolute* series with 0 counts.
-
-    Normalised kinds have no defensible fill value (0/0 is undefined), so
-    they are rejected.
-    """
-    if not series.kind.is_absolute:
-        raise ValueError(f"cannot zero-fill normalised kind {series.kind.code!r}")
-    values = dict(series.values)
-    for d in calendar.days:
-        values.setdefault(d, 0.0)
-    return SentimentSeries(aspect=series.aspect, kind=series.kind, values=values)
-
-
 _SCORES_HEADER = ["aspect", "date", "kind", "value"]
 
 #: Extra per-day row kind carrying the total label count ("fs"). It rides
@@ -99,6 +84,7 @@ _SCORES_HEADER = ["aspect", "date", "kind", "value"]
 TOTAL_KIND_CODE = "fs"
 
 _VALID_KIND_CODES = {k.value for k in ScoreKind} | {TOTAL_KIND_CODE}
+_SHARE_KIND_CODES = {k.value for k in ScoreKind if not k.is_absolute}
 
 
 def write_scores(counts: Sequence[AspectDayCount], path) -> None:
@@ -119,15 +105,18 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> None:
             writer.writerow([c.aspect, day, ScoreKind.NORM_NEGATIVE.code, repr(c.negative / c.total)])
 
 
-def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], SentimentSeries], dict[str, int]]:
-    """Read a score CSV back into series plus per-aspect total frequencies.
+def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], dict[date, float]], dict[str, int]]:
+    """Read a score CSV back into daily series plus per-aspect totals.
 
-    Returns ``(series, totals)`` where ``series`` maps (aspect, kind) to a
-    SentimentSeries and ``totals`` maps aspect to its summed ``fs`` rows
-    (mention count over the whole file).
+    Returns ``(series, totals)`` where ``series`` maps (aspect, kind) to
+    its date -> value dict and ``totals`` maps aspect to its summed ``fs``
+    rows (mention count over the whole file). Counts (``fp``, ``fn``,
+    ``fs``) must be non-negative whole numbers and shares (``nfp``,
+    ``nfn``) must lie in [0, 1]; any other value raises FormatError with
+    its line.
     """
     path = Path(path)
-    raw: dict[tuple[str, ScoreKind], dict[date, float]] = {}
+    series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
     reader = csv.reader(read_lines(path, newline=""))
     try:
@@ -153,13 +142,15 @@ def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], SentimentSeries], dic
             v = float(value_s)
         except ValueError as exc:
             raise FormatError(str(exc), path=path, line_number=lineno) from None
+        if kind_code in _SHARE_KIND_CODES:
+            valid, rule = 0.0 <= v <= 1.0, "lie in [0, 1]"
+        else:
+            valid, rule = v >= 0.0 and v.is_integer(), "be a whole number >= 0"
+        if not valid:
+            raise FormatError(f"{kind_code} must {rule}, got {value_s!r}",
+                              path=path, line_number=lineno)
         if kind_code == TOTAL_KIND_CODE:
             totals[aspect] = totals.get(aspect, 0) + int(v)
         else:
-            raw.setdefault((aspect, ScoreKind.from_code(kind_code)), {})[d] = v
-    series = {
-        (aspect, kind): SentimentSeries(aspect=aspect, kind=kind, values=values)
-        for (aspect, kind), values in raw.items()
-    }
+            series.setdefault((aspect, ScoreKind.from_code(kind_code)), {})[d] = v
     return series, totals
-

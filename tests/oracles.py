@@ -126,11 +126,11 @@ def aspect_occurrences_bruteforce(
 ) -> list[AspectOccurrence]:
     """Every aspect tried at every token position, then sorted."""
     found: list[tuple[int, int, AspectOccurrence]] = []
-    for lex_idx, seq in enumerate(lexicon.token_sequences):
+    for lex_idx, aspect in enumerate(lexicon.aspects):
+        seq = tuple(aspect.split())
         w = len(seq)
         for start in range(len(tokens) - w + 1):
             if tuple(tokens[start:start + w]) == seq:
-                found.append((start, lex_idx,
-                              AspectOccurrence(lexicon.aspects[lex_idx], start, start + w)))
+                found.append((start, lex_idx, AspectOccurrence(aspect, start, start + w)))
     found.sort(key=lambda t: (t[0], t[1]))
     return [occ for _, _, occ in found]

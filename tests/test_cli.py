@@ -127,6 +127,23 @@ class TestExitCodes:
         assert main(["run", "--config", str(ini)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, value", [("fp", "-1.0"), ("fs", "inf"), ("nfp", "nan")])
+    def test_bad_score_value_returns_two(self, tmp_path, capsys, monkeypatch, kind, value):
+        ini = build_tweet_tree(tmp_path)
+        assert main(["run", "--config", str(ini)]) == 0
+        lines = (tmp_path / "out" / "scores.csv").read_text(encoding="utf-8").splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if f",{kind}," in text)
+        aspect, day, _, _ = lines[line - 1].split(",")
+        lines[line - 1] = f"{aspect},{day},{kind},{value}"
+        (tmp_path / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", "--config", "config.ini", "--scores", "scores.csv",
+                "--out", "new_cells.csv"]
+        assert main(argv) == 2
+        assert f"scores.csv:{line}: {kind} must" in capsys.readouterr().err
+        assert not (tmp_path / "new_cells.csv").exists()
+
     def test_calendar_line_that_is_not_a_date_returns_two(self, tmp_path, capsys):
         ini = build_tweet_tree(tmp_path)
         add_calendar(ini, [DAYS[0].isoformat(), "not-a-date", DAYS[1].isoformat()])

@@ -10,23 +10,26 @@ import numpy as np
 
 from sentdep.core import (
     PolarityLabel,
-    PriceSeries,
     ScoreKind,
-    SentimentSeries,
     TradingCalendar,
     align_lagged,
     on_calendar,
     paired_on_common_days,
 )
-from sentdep.errors import EmptyAlignment
+from sentdep.errors import EmptyAlignment, FormatError
+from sentdep.scores import read_scores
 
 # A small October-2022 trading week fixture: Mon 3rd .. Fri 7th, then
 # Mon 10th (weekend 8th/9th absent).
 WEEK = [date(2022, 10, d) for d in (3, 4, 5, 6, 7, 10)]
 
 
-def make_sentiment(values, aspect="inflation", kind=ScoreKind.ABS_POSITIVE):
-    return SentimentSeries(aspect=aspect, kind=kind, values=values)
+def read_score_row(tmp_path, kind, value):
+    """The series read_scores makes of one (tax, WEEK[0], kind, value) row."""
+    p = tmp_path / "scores.csv"
+    p.write_text(f"aspect,date,kind,value\ntax,{WEEK[0]},{kind.code},{value}\n",
+                 encoding="utf-8")
+    return read_scores(p)[0][("tax", kind)]
 
 
 class TestTradingCalendar:
@@ -45,8 +48,8 @@ class TestTradingCalendar:
     def test_membership_and_len(self):
         cal = TradingCalendar(WEEK)
         assert len(cal) == 6
-        assert WEEK[0] in cal
-        assert date(2022, 10, 8) not in cal
+        assert WEEK[0] in cal.days
+        assert date(2022, 10, 8) not in cal.days
 
 
 class TestDomainTypes:
@@ -64,28 +67,23 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ScoreKind.from_code("fs")
 
-    def test_absolute_series_rejects_fractions_and_negatives(self):
-        with pytest.raises(ValueError):
-            make_sentiment({WEEK[0]: 1.5})
-        with pytest.raises(ValueError):
-            make_sentiment({WEEK[0]: -1.0})
-        make_sentiment({WEEK[0]: 4.0})  # fine
+    def test_absolute_series_rejects_fractions_and_negatives(self, tmp_path):
+        with pytest.raises(FormatError):
+            read_score_row(tmp_path, ScoreKind.ABS_POSITIVE, 1.5)
+        with pytest.raises(FormatError):
+            read_score_row(tmp_path, ScoreKind.ABS_POSITIVE, -1.0)
+        assert read_score_row(tmp_path, ScoreKind.ABS_POSITIVE, 4.0) == {WEEK[0]: 4.0}
 
-    def test_normalised_series_bounded(self):
-        make_sentiment({WEEK[0]: 0.0, WEEK[1]: 1.0}, kind=ScoreKind.NORM_POSITIVE)
-        with pytest.raises(ValueError):
-            make_sentiment({WEEK[0]: 1.2}, kind=ScoreKind.NORM_NEGATIVE)
-
-    def test_price_series_requires_positive_close(self):
-        with pytest.raises(ValueError):
-            PriceSeries(ticker="NEE", values={WEEK[0]: 0.0})
-        with pytest.raises(ValueError):
-            PriceSeries(ticker="", values={WEEK[0]: 10.0})
+    def test_normalised_series_bounded(self, tmp_path):
+        assert read_score_row(tmp_path, ScoreKind.NORM_POSITIVE, 0.0) == {WEEK[0]: 0.0}
+        assert read_score_row(tmp_path, ScoreKind.NORM_POSITIVE, 1.0) == {WEEK[0]: 1.0}
+        with pytest.raises(FormatError):
+            read_score_row(tmp_path, ScoreKind.NORM_NEGATIVE, 1.2)
 
 
 def on_cal(cal, x, y):
     """The calendar arrays of a sentiment and a price series."""
-    return on_calendar(x.values, cal), on_calendar(y.values, cal)
+    return on_calendar(x, cal), on_calendar(y, cal)
 
 
 class TestOnCalendar:
@@ -101,8 +99,8 @@ class TestOnCalendar:
 class TestAlignLagged:
     def test_basic_one_day_lag(self):
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({WEEK[0]: 3, WEEK[1]: 1, WEEK[2]: 4})
-        y = PriceSeries(ticker="NEE", values={d: 30.0 + i for i, d in enumerate(WEEK)})
+        x = {WEEK[0]: 3, WEEK[1]: 1, WEEK[2]: 4}
+        y = {d: 30.0 + i for i, d in enumerate(WEEK)}
         aligned = align_lagged(*on_cal(cal, x, y), lag=1)
         # prices on days 1..3 pair with sentiment on days 0..2
         assert aligned.pairs.tolist() == [[3.0, 31.0], [1.0, 32.0], [4.0, 33.0]]
@@ -115,53 +113,51 @@ class TestAlignLagged:
         # Sentiment exists on Saturday the 8th; Monday's price must pair
         # with Friday's sentiment instead.
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({date(2022, 10, 7): 2, date(2022, 10, 8): 99})
-        y = PriceSeries(ticker="BP", values={date(2022, 10, 10): 32.0})
+        x = {date(2022, 10, 7): 2, date(2022, 10, 8): 99}
+        y = {date(2022, 10, 10): 32.0}
         aligned = align_lagged(*on_cal(cal, x, y))
         assert aligned.pairs.tolist() == [[2.0, 32.0]]
 
     def test_pairwise_deletion_on_missing_sentiment(self):
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({WEEK[0]: 1, WEEK[3]: 5})  # gap on days 1, 2
-        y = PriceSeries(ticker="BP", values={d: 30.0 for d in WEEK})
+        x = {WEEK[0]: 1, WEEK[3]: 5}  # gap on days 1, 2
+        y = {d: 30.0 for d in WEEK}
         aligned = align_lagged(*on_cal(cal, x, y))
         assert [p[0] for p in aligned.pairs.tolist()] == [1.0, 5.0]
 
     def test_price_on_unknown_day_skipped(self):
         cal = TradingCalendar(WEEK[:3])
-        x = make_sentiment({WEEK[0]: 1, WEEK[1]: 2})
-        y = PriceSeries(
-            ticker="BP", values={WEEK[1]: 31.0, WEEK[2]: 32.0, date(2022, 12, 1): 40.0}
-        )
+        x = {WEEK[0]: 1, WEEK[1]: 2}
+        y = {WEEK[1]: 31.0, WEEK[2]: 32.0, date(2022, 12, 1): 40.0}
         aligned = align_lagged(*on_cal(cal, x, y))
         assert aligned.n == 2
 
     def test_lag_two(self):
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({WEEK[0]: 7})
-        y = PriceSeries(ticker="BP", values={WEEK[2]: 31.0})
+        x = {WEEK[0]: 7}
+        y = {WEEK[2]: 31.0}
         aligned = align_lagged(*on_cal(cal, x, y), lag=2)
         assert aligned.pairs.tolist() == [[7.0, 31.0]]
 
     def test_empty_alignment_raises(self):
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({WEEK[5]: 1})  # only on the last day
-        y = PriceSeries(ticker="BP", values={WEEK[0]: 30.0})
+        x = {WEEK[5]: 1}  # only on the last day
+        y = {WEEK[0]: 30.0}
         with pytest.raises(EmptyAlignment):
             align_lagged(*on_cal(cal, x, y))
 
     def test_lag_must_be_positive(self):
         cal = TradingCalendar(WEEK)
-        x = make_sentiment({WEEK[0]: 1})
-        y = PriceSeries(ticker="BP", values={WEEK[1]: 30.0})
+        x = {WEEK[0]: 1}
+        y = {WEEK[1]: 30.0}
         with pytest.raises(ValueError):
             align_lagged(*on_cal(cal, x, y), lag=0)
 
 
 def test_paired_on_common_days_keeps_same_dates():
     cal = TradingCalendar(WEEK)
-    x = make_sentiment({WEEK[0]: 1, WEEK[1]: 2, WEEK[4]: 3, date(2022, 10, 9): 9})
-    y = PriceSeries(ticker="BP", values={WEEK[0]: 30.0, WEEK[1]: 31.0, WEEK[2]: 32.0})
+    x = {WEEK[0]: 1, WEEK[1]: 2, WEEK[4]: 3, date(2022, 10, 9): 9}
+    y = {WEEK[0]: 30.0, WEEK[1]: 31.0, WEEK[2]: 32.0}
     xs, ys = paired_on_common_days(*on_cal(cal, x, y))
     assert xs.tolist() == [1.0, 2.0]
     assert ys.tolist() == [30.0, 31.0]
@@ -176,10 +172,8 @@ def test_alignment_pairs_are_chronological_and_lag_consistent(day_offsets, lag):
     base = date(2022, 10, 3)
     days = sorted(base + timedelta(days=o) for o in day_offsets)
     cal = TradingCalendar(days)
-    x_values = {d: float(i) for i, d in enumerate(days)}
-    y_values = {d: 100.0 + i for i, d in enumerate(days)}
-    x = make_sentiment(x_values)
-    y = PriceSeries(ticker="T", values=y_values)
+    x = {d: float(i) for i, d in enumerate(days)}
+    y = {d: 100.0 + i for i, d in enumerate(days)}
     if len(days) <= lag:
         return
     aligned = align_lagged(*on_cal(cal, x, y), lag=lag)

@@ -51,12 +51,12 @@ def test_tweets_include_weekends_and_foreign_decoys(tmp_path):
 
 def test_planted_price_file_tracks_lagged_positive_count(tmp_path):
     generate_fixture(tmp_path / "demo", seed=0)
-    series = parse_prices(tmp_path / "demo" / f"prices_{PLANTED_TICKER}.csv",
+    closes = parse_prices(tmp_path / "demo" / f"prices_{PLANTED_TICKER}.csv",
                           PLANTED_TICKER)
     days = fixture_trading_days()
-    assert sorted(series.values) == days
+    assert sorted(closes) == days
     # close = 30 + 0.9·count + noise with count ≥ 0 keeps a hard floor
-    assert all(v > 29.0 for v in series.values.values())
+    assert all(v > 29.0 for v in closes.values())
 
 
 def test_null_close_row_is_skippable(tmp_path):
@@ -64,9 +64,9 @@ def test_null_close_row_is_skippable(tmp_path):
     raw = (tmp_path / "demo" / "prices_XOM.csv").read_text(encoding="utf-8")
     null_day = fixture_trading_days()[NULL_CLOSE_INDEX]
     assert f"{null_day.isoformat()},null" in raw
-    series = parse_prices(tmp_path / "demo" / "prices_XOM.csv", "XOM")
-    assert len(series.values) == N_TRADING_DAYS - 1
-    assert null_day not in series.values
+    closes = parse_prices(tmp_path / "demo" / "prices_XOM.csv", "XOM")
+    assert len(closes) == N_TRADING_DAYS - 1
+    assert null_day not in closes
 
 
 def test_same_seed_reproduces_identical_bytes(tmp_path):

@@ -13,7 +13,6 @@ from sentdep.errors import InsufficientData, RankDeficient
 from sentdep.granger import (
     GrangerResult,
     f_distribution_sf,
-    first_differences,
     granger_causes,
     ols,
 )
@@ -179,13 +178,6 @@ class TestGrangerCauses:
             restricted = ols(y[:-1], resp)
             unrestricted = ols(np.column_stack([y[:-1], x[:-1]]), resp)
             assert unrestricted.rss <= restricted.rss + 1e-9 * max(1.0, restricted.rss)
-
-
-def test_first_differences():
-    assert first_differences([1.0, 3.0, 6.0, 10.0]) == [2.0, 3.0, 4.0]
-    assert len(first_differences(list(range(61)))) == 60
-    with pytest.raises(InsufficientData):
-        first_differences([5.0])
 
 
 class TestFUpperTail:

@@ -156,9 +156,7 @@ class TestParsePrices:
             + "2022-10-04,1,2,0.5,85.1,85.0,100\n",
             encoding="utf-8",
         )
-        series = parse_prices(p, "NEE")
-        assert series.ticker == "NEE"
-        assert series.values == {date(2022, 10, 3): 84.4, date(2022, 10, 4): 85.1}
+        assert parse_prices(p, "NEE") == {date(2022, 10, 3): 84.4, date(2022, 10, 4): 85.1}
 
     def test_null_close_skipped(self, tmp_path, caplog):
         p = tmp_path / "x.csv"
@@ -169,8 +167,8 @@ class TestParsePrices:
             encoding="utf-8",
         )
         with caplog.at_level("WARNING"):
-            series = parse_prices(p, "XOM")
-        assert list(series.values) == [date(2022, 10, 4)]
+            closes = parse_prices(p, "XOM")
+        assert list(closes) == [date(2022, 10, 4)]
 
     def test_bad_date_and_nonpositive_skipped(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -181,7 +179,7 @@ class TestParsePrices:
             + "2022-10-05,1,2,0.5,85.2,85.0,100\n",
             encoding="utf-8",
         )
-        assert list(parse_prices(p, "BP").values) == [date(2022, 10, 5)]
+        assert list(parse_prices(p, "BP")) == [date(2022, 10, 5)]
 
     def test_non_finite_close_skipped(self, tmp_path, caplog):
         p = tmp_path / "x.csv"
@@ -194,8 +192,8 @@ class TestParsePrices:
             encoding="utf-8",
         )
         with caplog.at_level("WARNING"):
-            series = parse_prices(p, "BP")
-        assert list(series.values) == [date(2022, 10, 6)]
+            closes = parse_prices(p, "BP")
+        assert list(closes) == [date(2022, 10, 6)]
         assert sum("non-finite Close" in m for m in caplog.messages) == 3
 
     def test_missing_close_column(self, tmp_path):
@@ -214,7 +212,7 @@ class TestParsePrices:
     def test_reordered_columns_ok(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("Close,Date\n12.5,2022-10-03\n", encoding="utf-8")
-        assert parse_prices(p, "BP").values[date(2022, 10, 3)] == 12.5
+        assert parse_prices(p, "BP")[date(2022, 10, 3)] == 12.5
 
 
 class TestParseLabeled:
@@ -262,7 +260,10 @@ class TestAspectLexicon:
         p.write_text("# a comment\ninflation\n\nstock market\n", encoding="utf-8")
         lex = load_aspects(p)
         assert lex.aspects == ("inflation", "stock market")
-        assert lex.token_sequences == (("inflation",), ("stock", "market"))
+        assert lex.by_first_token == {
+            "inflation": (("inflation", ("inflation",)),),
+            "stock": (("stock market", ("stock", "market")),),
+        }
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -274,9 +275,9 @@ class TestAspectLexicon:
 
     def test_membership(self):
         lex = AspectLexicon(["tax", "rate"])
-        assert "tax" in lex
-        assert "inflation" not in lex
-        assert list(lex) == ["tax", "rate"]
+        assert "tax" in lex.aspects
+        assert "inflation" not in lex.aspects
+        assert list(lex.aspects) == ["tax", "rate"]
 
 
 class TestKeywordFrequencies:

@@ -10,7 +10,6 @@ from sentdep.core import PolarityLabel
 from sentdep.ingest import AspectLexicon, TweetRecord, parse_labeled, write_labeled
 from sentdep.labeler import (
     AspectOccurrence,
-    LexiconWindowLabeler,
     PolarityLexicon,
     find_aspect_occurrences,
     label_corpus,
@@ -165,7 +164,6 @@ class TestLabelCorpus:
 
     def test_emits_one_tuple_per_occurrence(self):
         aspects = AspectLexicon(["inflation", "tax"])
-        labeler = LexiconWindowLabeler(LEX)
         # the aspects sit far enough apart that neither window sees the
         # other's opinion word
         tweets = [
@@ -173,7 +171,7 @@ class TestLabelCorpus:
             self.tweet(2, "tax tax"),
             self.tweet(3, "nothing relevant"),
         ]
-        labels = label_corpus(tweets, aspects, labeler)
+        labels = label_corpus(tweets, aspects, LEX)
         assert labels == [
             ("t1", date(2022, 10, 3), "inflation", PolarityLabel.POSITIVE),
             ("t1", date(2022, 10, 3), "tax", PolarityLabel.NEGATIVE),
@@ -183,20 +181,18 @@ class TestLabelCorpus:
 
     def test_output_interchangeable_with_parsed_labels(self, tmp_path):
         aspects = AspectLexicon(["inflation"])
-        labeler = LexiconWindowLabeler(LEX)
-        labels = label_corpus([self.tweet(1, "inflation crash")], aspects, labeler)
+        labels = label_corpus([self.tweet(1, "inflation crash")], aspects, LEX)
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
         assert parse_labeled(p) == labels
 
     def test_uses_utc_day(self):
         aspects = AspectLexicon(["inflation"])
-        labeler = LexiconWindowLabeler(LEX)
         tweet = TweetRecord(
             id="t1",
             timestamp=datetime(2022, 10, 3, 23, 30, tzinfo=timezone.utc),
             text="inflation",
             lang="en",
         )
-        (label,) = label_corpus([tweet], aspects, labeler)
+        (label,) = label_corpus([tweet], aspects, LEX)
         assert label[1] == date(2022, 10, 3)

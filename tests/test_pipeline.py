@@ -5,12 +5,13 @@ import logging
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sentdep.ingest
 import sentdep.labeler
 import sentdep.pipeline
-from sentdep.core import PriceSeries, ScoreKind, SentimentSeries, TradingCalendar, on_calendar
+from sentdep.core import ScoreKind, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
 from sentdep.pipeline import (
@@ -26,7 +27,7 @@ from sentdep.pipeline import (
 )
 
 FP, FN = ScoreKind.ABS_POSITIVE, ScoreKind.ABS_NEGATIVE
-NFP = ScoreKind.NORM_POSITIVE
+NFP, NFN = ScoreKind.NORM_POSITIVE, ScoreKind.NORM_NEGATIVE
 
 
 def weekdays(start: date, n: int) -> list[date]:
@@ -191,8 +192,8 @@ class TestCalendar:
             load_calendar(cal_file)
 
     def test_union_of_price_dates(self):
-        a = PriceSeries("A", {DAYS[0]: 1.0, DAYS[2]: 2.0})
-        b = PriceSeries("B", {DAYS[1]: 3.0, DAYS[2]: 4.0})
+        a = {DAYS[0]: 1.0, DAYS[2]: 2.0}
+        b = {DAYS[1]: 3.0, DAYS[2]: 4.0}
         cal = build_calendar(PipelineConfig(), {"A": a, "B": b})
         assert cal.days == (DAYS[0], DAYS[1], DAYS[2])
 
@@ -200,7 +201,7 @@ class TestCalendar:
         cal_file = tmp_path / "days.txt"
         cal_file.write_text("2022-10-03\n", encoding="utf-8")
         cfg = PipelineConfig(calendar=cal_file)
-        cal = build_calendar(cfg, {"A": PriceSeries("A", {DAYS[5]: 1.0})})
+        cal = build_calendar(cfg, {"A": {DAYS[5]: 1.0}})
         assert cal.days == (date(2022, 10, 3),)
 
 
@@ -226,18 +227,16 @@ def planted_inputs():
     """Sentiment counts whose previous-day value sets the price exactly."""
     cal = TradingCalendar(DAYS)
     counts = {d: float(i % 5 + 1) for i, d in enumerate(DAYS)}
-    sent = SentimentSeries("tax", FP, counts)
     closes = {DAYS[0]: 10.0 + counts[DAYS[0]]}
     for prev, d in zip(DAYS, DAYS[1:]):
         closes[d] = 10.0 + counts[prev]
-    price = PriceSeries("AAA", closes)
-    return sent, price, cal
+    return counts, closes, cal
 
 
 def cell_of(sent, price, cal, config):
-    """compute_cell on the calendar arrays of the two series."""
-    return compute_cell(sent.aspect, sent.kind, price.ticker,
-                        on_calendar(sent.values, cal), on_calendar(price.values, cal), config)
+    """compute_cell for (tax, fp, AAA) on the calendar arrays of two series."""
+    return compute_cell("tax", FP, "AAA",
+                        on_calendar(sent, cal), on_calendar(price, cal), config)
 
 
 class TestComputeCell:
@@ -254,8 +253,8 @@ class TestComputeCell:
         assert cell.u is None and cell.u_reason == "DegenerateSample"
 
     def test_no_overlap_yields_all_null(self):
-        sent = SentimentSeries("tax", FP, {DAYS[0] + timedelta(days=300): 1.0})
-        price = PriceSeries("AAA", {d: 10.0 for d in DAYS})
+        sent = {DAYS[0] + timedelta(days=300): 1.0}
+        price = {d: 10.0 for d in DAYS}
         cell = cell_of(sent, price, TradingCalendar(DAYS), PipelineConfig())
         assert cell.n == 0
         assert (cell.r, cell.granger_f, cell.u) == (None, None, None)
@@ -265,8 +264,8 @@ class TestComputeCell:
 
     def test_constant_sentiment_fails_statistics_independently(self):
         cal = TradingCalendar(DAYS)
-        sent = SentimentSeries("tax", FP, {d: 2.0 for d in DAYS})
-        price = PriceSeries("AAA", {d: 10.0 + (i % 7) * 0.5 for i, d in enumerate(DAYS)})
+        sent = {d: 2.0 for d in DAYS}
+        price = {d: 10.0 + (i % 7) * 0.5 for i, d in enumerate(DAYS)}
         cell = cell_of(sent, price, cal, PipelineConfig())
         assert cell.n == len(DAYS) - 1
         assert cell.r_reason == "DegenerateSeries"
@@ -284,19 +283,41 @@ class TestComputeCell:
         # distinct interfering cycles keep both fits inexact, so the level
         # and differenced F statistics are finite and genuinely different
         cal = TradingCalendar(DAYS)
-        counts = {d: float(i % 5 + 1) for i, d in enumerate(DAYS)}
-        sent = SentimentSeries("tax", FP, counts)
-        closes = {
-            d: 10.0 + 0.9 * counts[DAYS[max(i - 1, 0)]]
+        sent = {d: float(i % 5 + 1) for i, d in enumerate(DAYS)}
+        price = {
+            d: 10.0 + 0.9 * sent[DAYS[max(i - 1, 0)]]
             + 0.07 * (i % 3) + 0.013 * (i % 7)
             for i, d in enumerate(DAYS)
         }
-        price = PriceSeries("AAA", closes)
         level = cell_of(sent, price, cal, PipelineConfig())
         diffed = cell_of(sent, price, cal, PipelineConfig(granger_difference=True))
         assert level.granger_reason is None and diffed.granger_reason is None
         assert diffed.granger_f != level.granger_f
         assert not (level.granger_perfect_fit or diffed.granger_perfect_fit)
+
+    def test_difference_needs_two_common_days(self, monkeypatch):
+        seen = []
+        granger_causes = sentdep.pipeline.granger_causes
+
+        def spy(x, y, **kwargs):
+            seen.append((x.tolist(), y.tolist()))
+            return granger_causes(x, y, **kwargs)
+
+        monkeypatch.setattr(sentdep.pipeline, "granger_causes", spy)
+        cal = TradingCalendar(DAYS)
+        config = PipelineConfig(granger_difference=True)
+        sent = dict(zip(DAYS, (1.0, 3.0, 6.0, 10.0)))
+        price = dict(zip(DAYS, (10.0, 12.0, 15.0, 19.0)))
+        cell = cell_of(sent, price, cal, config)
+        assert seen == [([2.0, 3.0, 4.0], [2.0, 3.0, 4.0])]
+        assert cell.granger_reason == "InsufficientData"
+        # a single common day differences to nothing; the lagged pairs of
+        # the other statistics are untouched
+        seen.clear()
+        cell = cell_of({DAYS[0]: 1.0, DAYS[1]: 2.0}, {DAYS[1]: 10.0, DAYS[2]: 11.0}, cal, config)
+        assert seen == [([], [])]
+        assert cell.granger_f is None and cell.granger_reason == "InsufficientData"
+        assert cell.n == 2
 
 
 # --- file-level stages -------------------------------------------------------
@@ -362,6 +383,28 @@ class TestStageAnalyze:
         assert sparse[("bank", FP)].n == 2
         assert filled[("bank", FP)].n == len(DAYS) - 1
         assert filled[("bank", NFP)].n == sparse[("bank", NFP)].n
+
+    def test_absent_as_zero_fills_only_absolute(self, tmp_path, monkeypatch):
+        cfg = build_analysis_tree(tmp_path)
+        cfg.absent_as_zero = True
+        scores = tmp_path / "scores.csv"
+        stage_score(cfg.labels, scores)
+        seen = {}
+        compute = sentdep.pipeline.compute_cell
+
+        def spy(aspect, kind, ticker, sentiment, price, config):
+            seen[(aspect, kind)] = sentiment.copy()
+            return compute(aspect, kind, ticker, sentiment, price, config)
+
+        monkeypatch.setattr(sentdep.pipeline, "compute_cell", spy)
+        stage_analyze(cfg, scores, tmp_path / "cells.csv")
+        # bank is labeled on the first two trading days only (one positive,
+        # then one neutral label); the calendar holds every day of DAYS
+        assert seen[("bank", FP)].tolist() == [1.0, 0.0] + [0.0] * (len(DAYS) - 2)
+        assert seen[("bank", FN)].tolist() == [0.0] * len(DAYS)
+        for kind in (NFP, NFN):
+            assert not np.isnan(seen[("bank", kind)][:2]).any()
+            assert np.isnan(seen[("bank", kind)][2:]).all()
 
     def test_labels_outside_calendar_leave_all_null(self, tmp_path, caplog):
         cfg = build_analysis_tree(tmp_path)

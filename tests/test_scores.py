@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentdep.core import PolarityLabel, ScoreKind, SentimentSeries, TradingCalendar
-from sentdep.scores import (
-    AspectDayCount,
-    aggregate_daily,
-    fill_absent_zero,
-    read_scores,
-    write_scores,
-)
+from sentdep.core import PolarityLabel, ScoreKind
+from sentdep.errors import FormatError
+from sentdep.scores import AspectDayCount, aggregate_daily, read_scores, write_scores
 
 D0 = date(2022, 10, 3)
 
@@ -70,19 +65,19 @@ class TestScoreSeries:
     def test_absolute_kinds_are_counts(self, tmp_path):
         fp = self.series(tmp_path, "tax", ScoreKind.ABS_POSITIVE)
         fn = self.series(tmp_path, "tax", ScoreKind.ABS_NEGATIVE)
-        assert fp.values == {D0: 2.0, D0 + timedelta(days=1): 0.0}
-        assert fn.values == {D0: 1.0, D0 + timedelta(days=1): 3.0}
+        assert fp == {D0: 2.0, D0 + timedelta(days=1): 0.0}
+        assert fn == {D0: 1.0, D0 + timedelta(days=1): 3.0}
 
     def test_normalised_kinds_divide_by_total(self, tmp_path):
         nfp = self.series(tmp_path, "tax", ScoreKind.NORM_POSITIVE)
         nfn = self.series(tmp_path, "tax", ScoreKind.NORM_NEGATIVE)
-        assert nfp.values[D0] == 0.5
-        assert nfn.values[D0] == 0.25
-        assert nfn.values[D0 + timedelta(days=1)] == 1.0
+        assert nfp[D0] == 0.5
+        assert nfn[D0] == 0.25
+        assert nfn[D0 + timedelta(days=1)] == 1.0
 
     def test_days_without_labels_stay_missing(self, tmp_path):
         fp = self.series(tmp_path, "inflation", ScoreKind.ABS_POSITIVE)
-        assert list(fp.values) == [D0]
+        assert list(fp) == [D0]
 
     def test_unknown_aspect_gives_empty_series(self, tmp_path):
         p = tmp_path / "scores.csv"
@@ -96,18 +91,6 @@ class TestScoreSeries:
         write_scores(self.COUNTS, p)
         series, _ = read_scores(p)
         assert set(series) == {(a, k) for a in ("tax", "inflation") for k in ScoreKind}
-
-
-class TestFillAbsentZero:
-    def test_fills_only_absolute(self):
-        cal = TradingCalendar([D0, D0 + timedelta(days=1), D0 + timedelta(days=2)])
-        fp = SentimentSeries("tax", ScoreKind.ABS_POSITIVE, {D0: 2.0})
-        filled = fill_absent_zero(fp, cal)
-        assert filled.values == {D0: 2.0, D0 + timedelta(days=1): 0.0,
-                                 D0 + timedelta(days=2): 0.0}
-        nfp = SentimentSeries("tax", ScoreKind.NORM_POSITIVE, {D0: 0.5})
-        with pytest.raises(ValueError):
-            fill_absent_zero(nfp, cal)
 
 
 def test_aspect_frequencies_counts_occurrences(tmp_path):
@@ -127,8 +110,8 @@ class TestScoresFile:
         write_scores(counts, p)
         series, totals = read_scores(p)
         assert totals == {"tax": 7, "inflation": 1}
-        assert series[("tax", ScoreKind.NORM_POSITIVE)].values[D0] == 2 / 7
-        assert series[("tax", ScoreKind.ABS_NEGATIVE)].values[D0] == 1.0
+        assert series[("tax", ScoreKind.NORM_POSITIVE)][D0] == 2 / 7
+        assert series[("tax", ScoreKind.ABS_NEGATIVE)][D0] == 1.0
         assert set(series) == {(a, k) for a in ("tax", "inflation") for k in ScoreKind}
 
     def test_read_rejects_unknown_kind(self, tmp_path):
@@ -136,6 +119,23 @@ class TestScoresFile:
         p.write_text("aspect,date,kind,value\ntax,2022-10-03,zz,1.0\n", encoding="utf-8")
         with pytest.raises(Exception):
             read_scores(p)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("fp", "-1.0"), ("fp", "1.5"), ("fp", "nan"), ("fp", "inf"),
+        ("fs", "nan"), ("fs", "inf"), ("nfp", "nan"), ("nfp", "2"),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, kind, value):
+        p = tmp_path / "scores.csv"
+        write_scores([AspectDayCount("tax", D0, 2, 1, 1)], p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        (lineno,) = [i for i, line in enumerate(lines, start=1) if f",{kind}," in line]
+        lines[lineno - 1] = f"tax,{D0.isoformat()},{kind},{value}"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as excinfo:
+            read_scores(p)
+        assert excinfo.value.line_number == lineno
+        assert f"scores.csv:{lineno}: {kind} must" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
 
 
 # --- randomized invariant suite -------------------------------------------
