@@ -28,6 +28,7 @@ from .errors import ConfigError, EmptySeries, FormatError
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
+    check_values,
     load_config,
     run_pipeline,
     stage_analyze,
@@ -87,6 +88,7 @@ def _load_config_with_overrides(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_keywords(args: argparse.Namespace) -> int:
+    check_values(min_keyword_count=args.min_count, max_malformed_fraction=args.malformed_cap)
     n = stage_keywords(args.tweets, args.out,
                        min_count=args.min_count, malformed_cap=args.malformed_cap)
     print(f"{n} keywords with >= {args.min_count} tweets -> {args.out}")
@@ -94,6 +96,7 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
+    check_values(window=args.window, max_malformed_fraction=args.malformed_cap)
     n = stage_label(args.tweets, args.aspects, args.positive_terms,
                     args.negative_terms, args.out,
                     window=args.window, malformed_cap=args.malformed_cap)

@@ -107,6 +107,14 @@ class AspectLexicon:
         return self._by_first_token
 
 
+def open_input(path, mode: str = "r", **kwargs):
+    """:func:`open`, but a path that cannot be opened raises FormatError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise FormatError(f"cannot open file: {exc.strerror}", path=path) from None
+
+
 def read_lines(path, newline: str | None = None) -> Iterator[str]:
     """Lazily yield the lines of a UTF-8 text file.
 
@@ -116,7 +124,7 @@ def read_lines(path, newline: str | None = None) -> Iterator[str]:
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open_input(path, encoding="utf-8", newline=newline) as fh:
             yield from fh
     except UnicodeDecodeError:
         # The decoder reports offsets within a chunk; decode the whole file
@@ -129,6 +137,57 @@ def read_lines(path, newline: str | None = None) -> Iterator[str]:
             line_number = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError("not valid UTF-8 text", path=path,
                           line_number=line_number) from None
+
+
+def comment_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped text)`` for each line of a plain-text
+    list that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def csv_rows(
+    path, what: str, header: Sequence[str] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each non-blank CSV row.
+
+    With ``header``, a different first row raises HeaderMismatch and a row
+    without one field per column raises FormatError; without it, the first
+    row is yielded too. An empty file, or a CSV syntax error such as an
+    oversized field, raises FormatError. Lines are counted as read, so a
+    quoted field spanning lines puts its row on the line where it ends.
+    """
+    reader = csv.reader(read_lines(path, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise FormatError(f"{what} file is empty", path=path)
+        first = [f.strip() for f in first]
+        if header is None:
+            yield reader.line_num, first
+        elif first != list(header):
+            raise HeaderMismatch(f"expected header {','.join(header)}, got {first}",
+                                 path=path)
+        for row in reader:
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            if header is not None and len(fields) != len(header):
+                raise FormatError(f"expected {len(header)} fields, got {len(fields)}",
+                                  path=path, line_number=reader.line_num)
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise FormatError(str(exc), path=path, line_number=reader.line_num) from None
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a CSV artifact: UTF-8, ``\\n`` line endings, header then rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def tokenize(text: str) -> list[str]:
@@ -204,7 +263,7 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator
     total = 0
     bad_lines: list[int] = []
     # Decoded line by line, so one undecodable line is one malformed line.
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -239,14 +298,9 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
     non-finite, or whose Date is unparseable are skipped with a warning,
     so every close returned is positive and finite.
     """
-    path = Path(path)
     values: dict[date, float] = {}
-    reader = csv.reader(read_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatch("price file is empty", path=path) from None
-    header = [h.strip() for h in header]
+    rows = csv_rows(path, "price")
+    _, header = next(rows)
     for required in ("Date", "Close"):
         if required not in header:
             raise HeaderMismatch(
@@ -254,14 +308,12 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
             )
     date_col = header.index("Date")
     close_col = header.index("Close")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in rows:
         if len(row) <= max(date_col, close_col):
             logger.warning("%s:%d: short row skipped", path, lineno)
             continue
         try:
-            d = date.fromisoformat(row[date_col].strip())
+            d = date.fromisoformat(row[date_col])
         except ValueError:
             logger.warning("%s:%d: bad date %r skipped", path, lineno, row[date_col])
             continue
@@ -281,6 +333,9 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
     return values
 
 
+_LABEL_HEADER = ("tweet_id", "date", "aspect", "polarity")
+
+
 def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:
     """Read externally produced aspect labels.
 
@@ -289,24 +344,10 @@ def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:
     kept: an aspect can occur several times in one tweet and downstream
     counts are occurrence-based.
     """
-    path = Path(path)
     out: list[tuple[str, date, str, PolarityLabel]] = []
-    reader = csv.reader(read_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("label file is empty", path=path) from None
-    if [h.strip() for h in header] != ["tweet_id", "date", "aspect", "polarity"]:
-        raise HeaderMismatch(
-            f"expected header tweet_id,date,aspect,polarity, got {header}", path=path
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise FormatError(f"expected 4 fields, got {len(row)}",
-                              path=path, line_number=lineno)
-        tweet_id, date_s, aspect, polarity_s = (c.strip() for c in row)
+    for lineno, (tweet_id, date_s, aspect, polarity_s) in csv_rows(
+        path, "label", _LABEL_HEADER
+    ):
         if not tweet_id:
             raise FormatError("empty tweet_id", path=path, line_number=lineno)
         try:
@@ -325,11 +366,9 @@ def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:
 
 def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) -> None:
     """Serialize label tuples (inverse of :func:`parse_labeled`)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tweet_id", "date", "aspect", "polarity"])
-        for tweet_id, d, aspect, pol in labels:
-            writer.writerow([tweet_id, d.isoformat(), aspect, pol.value])
+    write_csv(path, _LABEL_HEADER,
+              ((tweet_id, d.isoformat(), aspect, pol.value)
+               for tweet_id, d, aspect, pol in labels))
 
 
 def load_aspects(path) -> AspectLexicon:
@@ -339,10 +378,7 @@ def load_aspects(path) -> AspectLexicon:
     FormatError naming the file (and the line of the second listing).
     """
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in comment_lines(path):
         aspect = _normalize_aspect(line)
         if aspect in first_line:
             raise FormatError(
@@ -404,8 +440,5 @@ def keyword_frequencies(
 
 def write_keyword_frequencies(freqs: Sequence[KeywordFrequency], path) -> None:
     """Write keyword frequencies as CSV ``keyword,tweet_count``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["keyword", "tweet_count"])
-        for kf in freqs:
-            writer.writerow([kf.keyword, kf.tweet_count])
+    write_csv(path, ("keyword", "tweet_count"),
+              ((kf.keyword, kf.tweet_count) for kf in freqs))

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .core import PolarityLabel
 from .errors import FormatError
-from .ingest import AspectLexicon, TweetRecord, read_lines
+from .ingest import AspectLexicon, TweetRecord, comment_lines
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +66,8 @@ class PolarityLexicon:
 def _read_terms(path) -> dict[str, int]:
     """Lowercase terms of a term file, each with the line it first appears on."""
     terms: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            terms.setdefault(line, lineno)
+    for lineno, line in comment_lines(path):
+        terms.setdefault(line.lower(), lineno)
     return terms
 
 

@@ -2,10 +2,12 @@
 
 The coefficient is computed with the classic two-pass formula: subtract
 each sample mean, then form sum(dx*dy) / sqrt(sum(dx^2) * sum(dy^2)).
-Accumulation uses compensated summation (math.fsum), which keeps the
-result within ~1e-15 of an exact-arithmetic evaluation for series of this
-length. A correlation is flagged significant when its magnitude strictly
-exceeds a threshold (default 0.4).
+Each series is first scaled by the power of two that puts its largest
+magnitude in [0.5, 1): that is exact and leaves r unchanged, and no sum
+can overflow or underflow. Accumulation uses compensated summation
+(math.fsum), which keeps the result within ~1e-15 of an exact-arithmetic
+evaluation for series of this length. A correlation is flagged
+significant when its magnitude strictly exceeds a threshold (default 0.4).
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Two-pass Pearson correlation of two equal-length sequences.
 
     Raises InsufficientData for fewer than three pairs and
-    DegenerateSeries when either side is constant, or so nearly constant
-    that its squared deviations underflow (zero variance makes the
-    coefficient undefined).
+    DegenerateSeries when either side is constant (zero variance makes
+    the coefficient undefined).
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -57,6 +58,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DegenerateSeries("first series is constant")
     if y.max() == y.min():
         raise DegenerateSeries("second series is constant")
+    # With the largest magnitude in [0.5, 1), a non-constant series keeps
+    # a deviation of at least 2^-55, so neither variance can reach zero.
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     # Elementwise float64 arithmetic rounds exactly as Python floats do;
     # only the sums need compensation.
     dx = x - math.fsum(x.tolist()) / n
@@ -64,8 +69,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     sxy = math.fsum((dx * dy).tolist())
     sxx = math.fsum((dx * dx).tolist())
     syy = math.fsum((dy * dy).tolist())
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSeries("variance underflows to zero")
     r = sxy / math.sqrt(sxx * syy)
     # Rounding can push |r| infinitesimally past 1 for collinear data.
     return max(-1.0, min(1.0, r))

@@ -48,6 +48,7 @@ from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
     KeywordCounts,
+    comment_lines,
     keyword_frequencies,
     load_aspects,
     parse_labeled,
@@ -144,6 +145,13 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
               doc="recorded in the manifest"),
 )
 
+def check_values(**values) -> None:
+    """Raise ConfigError for the first value, by key name, that breaks its rule."""
+    for key in CONFIG_KEYS:
+        if key.name in values and key.check is not None and not key.check(values[key.name]):
+            raise ConfigError(f"{key.name} {key.rule}, got {values[key.name]}")
+
+
 #: Rules spanning several keys, checked before the per-key rules.
 _REQUIREMENTS: tuple[tuple[Callable[[Any], bool], str], ...] = (
     (lambda c: c.aspects is not None, "an aspect lexicon file is required"),
@@ -187,10 +195,7 @@ class PipelineConfig:
         for name, p in self._input_files():
             if not Path(p).is_file():
                 raise ConfigError(f"{name} file does not exist: {p}")
-        for key in CONFIG_KEYS:
-            value = getattr(self, key.name)
-            if key.check is not None and not key.check(value):
-                raise ConfigError(f"{key.name} {key.rule}, got {value}")
+        check_values(**vars(self))
 
     def _input_files(self) -> list[tuple[str, Path]]:
         """(logical name, path) for every configured input file."""
@@ -294,10 +299,7 @@ def load_calendar(path) -> TradingCalendar:
     FormatError.
     """
     days: list[date] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in comment_lines(path):
         try:
             days.append(date.fromisoformat(line))
         except ValueError:

@@ -21,17 +21,16 @@ Artifacts:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import platform
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import ScoreKind
-from .errors import FormatError, HeaderMismatch
-from .ingest import read_lines
+from .errors import FormatError
+from .ingest import csv_rows, write_csv
+
 
 @dataclass(frozen=True)
 class DependenceCell:
@@ -82,36 +81,15 @@ def _cell_value_to_text(name: str, value) -> str:
 
 def write_cells(cells: Sequence[DependenceCell], path) -> None:
     """Write the full cell set as CSV, one row per cell, in input order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CELL_COLUMNS)
-        for cell in cells:
-            writer.writerow(
-                [_cell_value_to_text(name, getattr(cell, name)) for name in _CELL_COLUMNS]
-            )
+    write_csv(path, _CELL_COLUMNS,
+              ([_cell_value_to_text(name, getattr(cell, name)) for name in _CELL_COLUMNS]
+               for cell in cells))
 
 
 def read_cells(path) -> list[DependenceCell]:
     """Inverse of :func:`write_cells` (exact float round-trip)."""
-    path = Path(path)
     out: list[DependenceCell] = []
-    reader = csv.reader(read_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("cell file is empty", path=path) from None
-    if header != _CELL_COLUMNS:
-        raise HeaderMismatch(
-            f"expected columns {_CELL_COLUMNS}, got {header}", path=path
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c for c in row):
-            continue
-        if len(row) != len(_CELL_COLUMNS):
-            raise FormatError(
-                f"expected {len(_CELL_COLUMNS)} fields, got {len(row)}",
-                path=path, line_number=lineno,
-            )
+    for lineno, row in csv_rows(path, "cell", _CELL_COLUMNS):
         kwargs = {}
         for name, text in zip(_CELL_COLUMNS, row):
             try:
@@ -170,19 +148,13 @@ def emit_heatmap(
     if not cells:
         raise ValueError("cannot emit a heatmap from an empty cell set")
     aspects, tickers = _presentation_orders(cells)
-    values: dict[tuple[str, str], float | None] = {}
+    texts: dict[tuple[str, str], str] = {}
     for c in cells:
         if c.kind is kind:
-            values[(c.aspect, c.ticker)] = c.r if statistic == "r" else c.u
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["aspect", *tickers])
-        for aspect in aspects:
-            row: list[str] = [aspect]
-            for ticker in tickers:
-                v = values.get((aspect, ticker))
-                row.append("" if v is None else f"{v:.3f}")
-            writer.writerow(row)
+            v = c.r if statistic == "r" else c.u
+            texts[(c.aspect, c.ticker)] = "" if v is None else f"{v:.3f}"
+    write_csv(path, ["aspect", *tickers],
+              ([aspect, *(texts.get((aspect, t), "") for t in tickers)] for aspect in aspects))
 
 
 def heatmap_filename(statistic: str, kind: ScoreKind) -> str:
@@ -201,17 +173,11 @@ def emit_granger_table(cells: Sequence[DependenceCell], path) -> None:
     for c in cells:
         if c.granger_causal:
             by_ticker[c.ticker].append(c)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ticker", "aspect", "kind", "f_stat", "p_value"])
-        for ticker in tickers:
-            rows = sorted(
-                by_ticker[ticker], key=lambda c: (c.granger_p, c.aspect, c.kind.code)
-            )
-            for c in rows:
-                writer.writerow(
-                    [ticker, c.aspect, c.kind.code, repr(c.granger_f), repr(c.granger_p)]
-                )
+    write_csv(path, ("ticker", "aspect", "kind", "f_stat", "p_value"),
+              ((ticker, c.aspect, c.kind.code, repr(c.granger_f), repr(c.granger_p))
+               for ticker in tickers
+               for c in sorted(by_ticker[ticker],
+                               key=lambda c: (c.granger_p, c.aspect, c.kind.code))))
 
 
 def sha256_file(path) -> str:

@@ -16,16 +16,14 @@ genuinely means a count of zero.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import PolarityLabel, ScoreKind
-from .errors import FormatError, HeaderMismatch
-from .ingest import read_lines
+from .errors import FormatError
+from .ingest import csv_rows, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +74,7 @@ def aggregate_daily(
     ]
 
 
-_SCORES_HEADER = ["aspect", "date", "kind", "value"]
+_SCORES_HEADER = ("aspect", "date", "kind", "value")
 
 #: Extra per-day row kind carrying the total label count ("fs"). It rides
 #: along in score files so a reader can rank aspects by total mentions
@@ -93,16 +91,17 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> None:
     One row per (aspect, day, kind) for the four score kinds plus the
     ``fs`` total row. Values use ``repr`` so floats round-trip exactly.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SCORES_HEADER)
-        for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-            day = c.day.isoformat()
-            writer.writerow([c.aspect, day, ScoreKind.ABS_POSITIVE.code, repr(float(c.positive))])
-            writer.writerow([c.aspect, day, ScoreKind.ABS_NEGATIVE.code, repr(float(c.negative))])
-            writer.writerow([c.aspect, day, TOTAL_KIND_CODE, repr(float(c.total))])
-            writer.writerow([c.aspect, day, ScoreKind.NORM_POSITIVE.code, repr(c.positive / c.total)])
-            writer.writerow([c.aspect, day, ScoreKind.NORM_NEGATIVE.code, repr(c.negative / c.total)])
+    write_csv(path, _SCORES_HEADER, _score_rows(counts))
+
+
+def _score_rows(counts: Sequence[AspectDayCount]):
+    for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
+        day = c.day.isoformat()
+        yield c.aspect, day, ScoreKind.ABS_POSITIVE.code, repr(float(c.positive))
+        yield c.aspect, day, ScoreKind.ABS_NEGATIVE.code, repr(float(c.negative))
+        yield c.aspect, day, TOTAL_KIND_CODE, repr(float(c.total))
+        yield c.aspect, day, ScoreKind.NORM_POSITIVE.code, repr(c.positive / c.total)
+        yield c.aspect, day, ScoreKind.NORM_NEGATIVE.code, repr(c.negative / c.total)
 
 
 def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], dict[date, float]], dict[str, int]]:
@@ -115,25 +114,11 @@ def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], dict[date, float]], d
     ``nfn``) must lie in [0, 1]; any other value raises FormatError with
     its line.
     """
-    path = Path(path)
     series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
-    reader = csv.reader(read_lines(path, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("score file is empty", path=path) from None
-    if [h.strip() for h in header] != _SCORES_HEADER:
-        raise HeaderMismatch(
-            f"expected header {','.join(_SCORES_HEADER)}, got {header}", path=path
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise FormatError(f"expected 4 fields, got {len(row)}",
-                              path=path, line_number=lineno)
-        aspect, date_s, kind_code, value_s = (c.strip() for c in row)
+    for lineno, (aspect, date_s, kind_code, value_s) in csv_rows(
+        path, "score", _SCORES_HEADER
+    ):
         if kind_code not in _VALID_KIND_CODES:
             raise FormatError(f"unknown score kind {kind_code!r}",
                               path=path, line_number=lineno)

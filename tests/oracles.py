@@ -38,6 +38,12 @@ def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
     return math.copysign(magnitude, float(sxy))
 
 
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    """``values`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    exponent = math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson_float_lists(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Two-pass Pearson r over Python float lists, with compensated sums.
 
@@ -45,6 +51,7 @@ def pearson_float_lists(xs: Sequence[float], ys: Sequence[float]) -> float:
     element at a time, so the two agree bit for bit.
     """
     n = len(xs)
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     dx = [x - mx for x in xs]

@@ -40,6 +40,42 @@ UNDECODABLE_CASES = {
     "cells.csv": (["report", "--cells", "cells.csv", "--out-dir", "report"], 2),
 }
 
+CSV_INPUTS = ("AAA.csv", "labels.csv", "scores.csv", "cells.csv")
+
+#: Each stage subcommand with every input file flag set; the values are
+#: relative to the input tree of :func:`clean_run_tree`.
+STAGE_ARGV = {
+    "keywords": ["--tweets", "tweets.jsonl", "--out", "new_keywords.csv"],
+    "label": ["--tweets", "tweets.jsonl", "--aspects", "aspects.txt",
+              "--positive-terms", "pos.txt", "--negative-terms", "neg.txt",
+              "--out", "new_labels.csv"],
+    "score": ["--labels", "labels.csv", "--out", "new_scores.csv"],
+    "analyze": ["--config", "config.ini", "--scores", "scores.csv", "--out", "new_cells.csv"],
+    "report": ["--cells", "cells.csv", "--out-dir", "report"],
+}
+INPUT_FLAGS = [(command, flag) for command, argv in STAGE_ARGV.items()
+               for flag in argv[::2] if flag not in ("--out", "--out-dir", "--config")]
+
+
+def clean_run_tree(tmp_path, capsys, monkeypatch) -> None:
+    """Input tree with a calendar and the labels, scores and cells of a clean
+    run beside the raw inputs; the working directory moves into it."""
+    ini = build_tweet_tree(tmp_path)
+    add_calendar(ini, [d.isoformat() for d in DAYS])
+    assert main(["run", "--config", str(ini)]) == 0
+    for produced in ("labels.csv", "scores.csv", "cells.csv"):
+        (tmp_path / produced).write_bytes((tmp_path / "out" / produced).read_bytes())
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+
+
+def append_line(path: Path, data: bytes) -> int:
+    """Append ``data`` as a new last line; returns its line number."""
+    line = len(path.read_bytes().splitlines()) + 1
+    with open(path, "ab") as fh:
+        fh.write(data + b"\n")
+    return line
+
 
 class TestExitCodes:
     def test_successful_run_returns_zero(self, tmp_path, capsys):
@@ -154,19 +190,44 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", sorted(UNDECODABLE_CASES))
     def test_undecodable_input_names_file_and_line(self, tmp_path, capsys, monkeypatch, name):
         argv, expected = UNDECODABLE_CASES[name]
-        ini = build_tweet_tree(tmp_path)
-        add_calendar(ini, [d.isoformat() for d in DAYS])
-        assert main(["run", "--config", str(ini)]) == 0
-        for produced in ("labels.csv", "scores.csv", "cells.csv"):
-            (tmp_path / produced).write_bytes((tmp_path / "out" / produced).read_bytes())
-        capsys.readouterr()
-        target = tmp_path / name
-        line = len(target.read_bytes().splitlines()) + 1
-        with open(target, "ab") as fh:
-            fh.write(b"\xff\xfe\n")
-        monkeypatch.chdir(tmp_path)
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        line = append_line(tmp_path / name, b"\xff\xfe")
         assert main(argv) == expected
         assert f"{name}:{line}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", CSV_INPUTS)
+    def test_oversized_csv_field_names_file_and_line(self, tmp_path, capsys, monkeypatch,
+                                                     name):
+        argv, _ = UNDECODABLE_CASES[name]
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        line = append_line(tmp_path / name, b"2022-10-03," + b"9" * 140_000)
+        assert main(argv) == 2
+        assert f"{name}:{line}: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag", INPUT_FLAGS)
+    def test_unreadable_input_path_returns_two(self, tmp_path, capsys, monkeypatch,
+                                               command, flag, unreadable):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        (tmp_path / "a_directory").mkdir()
+        path = {"missing": "no_such_file", "directory": "a_directory"}[unreadable]
+        argv = list(STAGE_ARGV[command])
+        argv[argv.index(flag) + 1] = path
+        assert main([command, *argv]) == 2
+        assert f"error: {path}: cannot open file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("label", ["--window", "-1"], "window must be >= 0, got -1"),
+        ("keywords", ["--malformed-cap", "-1"],
+         "max_malformed_fraction must lie in [0, 1], got -1.0"),
+        ("keywords", ["--min-count", "-3"], "min_keyword_count must be >= 1, got -3"),
+    ])
+    def test_stage_option_breaking_its_key_rule_returns_one(
+            self, tmp_path, capsys, monkeypatch, command, option, message):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        assert main([command, *STAGE_ARGV[command], *option]) == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / STAGE_ARGV[command][-1]).exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

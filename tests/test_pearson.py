@@ -1,11 +1,12 @@
 """Lagged correlation: exact-arithmetic oracle checks plus edge handling."""
 
 import math
+import sys
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pearson_exact, pearson_float_lists
@@ -56,9 +57,16 @@ class TestPearson:
         r = pearson(xs, [1.0, 2.0, 1.0])
         assert r == pytest.approx(1.0)
 
-    def test_underflowing_variance_is_degenerate(self):
-        with pytest.raises(DegenerateSeries, match="underflows"):
-            pearson([1.0, 0.0, 0.0], [0.0, 0.0, 5.44562600914303e-212])
+    def test_tiny_values_keep_their_correlation(self):
+        # Unscaled, the squared deviations of ys underflow to zero.
+        xs, ys = [1.0, 0.0, 0.0], [0.0, 0.0, 5.44562600914303e-212]
+        assert pearson(xs, ys) == pytest.approx(pearson_exact(xs, ys), abs=1e-15)
+
+    @pytest.mark.parametrize("exponent", [1012, 1016])
+    def test_huge_values_keep_their_correlation(self, exponent):
+        # Unscaled, the sums overflow: r reads 0 at 2^1012, fsum raises at 2^1016.
+        huge = [math.ldexp(c, exponent) for c in PRICES]
+        assert pearson(COUNTS, huge) == pearson(COUNTS, PRICES)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -100,6 +108,12 @@ class TestCorrelate:
         price = {d: 50.0 + 2.0 * i for i, d in enumerate(days)}
         res = correlate(align_lagged(on_calendar(sent, cal), on_calendar(price, cal)))
         assert res.r == 1.0 and res.significant
+
+
+#: Positive counts and closes shaped like the fixture's planted cell
+#: (close = 30 + 0.9 x the previous day's count, plus noise).
+COUNTS = [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 1.0, 7.0]
+PRICES = [32.71, 33.94, 35.43, 31.87, 37.12, 33.68, 35.46, 30.83]
 
 
 # --- properties -------------------------------------------------------------
@@ -157,6 +171,23 @@ def test_positive_affine_map_preserves_r(pair, scale, shift):
         return
     assert mapped == pytest.approx(r, abs=1e-9)
     assert flipped == pytest.approx(-r, abs=1e-9)
+
+
+def scaled_stays_normal(values, exponent):
+    """Every nonzero value times 2**exponent is a normal float."""
+    low, high = sys.float_info.min_exp, sys.float_info.max_exp
+    return all(v == 0.0 or low <= math.frexp(v)[1] + exponent <= high for v in values)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(varied_pair(), st.integers(-1000, 1000), st.integers(-1000, 1000))
+@example((COUNTS, PRICES), 0, 1012)
+@example((COUNTS, PRICES), 0, 1016)
+def test_power_of_two_scaling_keeps_every_bit(pair, a, b):
+    xs, ys = pair
+    assume(scaled_stays_normal(xs, a) and scaled_stays_normal(ys, b))
+    scaled = pearson([math.ldexp(x, a) for x in xs], [math.ldexp(y, b) for y in ys])
+    assert scaled == pearson(xs, ys)
 
 
 @given(varied_pair())

@@ -99,6 +99,14 @@ class TestCellsFile:
         assert main(["report", "--cells", str(p), "--out-dir", str(tmp_path / "r")]) == 2
         assert f"cells.csv:3: bad {column}" in capsys.readouterr().err
 
+    def test_read_strips_fields_and_skips_whitespace_rows(self, tmp_path):
+        p = tmp_path / "cells.csv"
+        write_cells([full_cell(), null_cell()], p)
+        header, first, second = p.read_text(encoding="utf-8").splitlines()
+        padded = ",".join(f" {field} " for field in second.split(","))
+        p.write_text("\n".join([header, first, " , \t", padded]) + "\n", encoding="utf-8")
+        assert read_cells(p) == [full_cell(), null_cell()]
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "cells.csv"
         p.write_text("", encoding="utf-8")
