@@ -62,12 +62,6 @@ class TestPearson:
         xs, ys = [1.0, 0.0, 0.0], [0.0, 0.0, 5.44562600914303e-212]
         assert pearson(xs, ys) == pytest.approx(pearson_exact(xs, ys), abs=1e-15)
 
-    @pytest.mark.parametrize("exponent", [1012, 1016])
-    def test_huge_values_keep_their_correlation(self, exponent):
-        # Unscaled, the sums overflow: r reads 0 at 2^1012, fsum raises at 2^1016.
-        huge = [math.ldexp(c, exponent) for c in PRICES]
-        assert pearson(COUNTS, huge) == pearson(COUNTS, PRICES)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
@@ -108,12 +102,6 @@ class TestCorrelate:
         price = {d: 50.0 + 2.0 * i for i, d in enumerate(days)}
         res = correlate(align_lagged(on_calendar(sent, cal), on_calendar(price, cal)))
         assert res.r == 1.0 and res.significant
-
-
-#: Positive counts and closes shaped like the fixture's planted cell
-#: (close = 30 + 0.9 x the previous day's count, plus noise).
-COUNTS = [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 1.0, 7.0]
-PRICES = [32.71, 33.94, 35.43, 31.87, 37.12, 33.68, 35.46, 30.83]
 
 
 # --- properties -------------------------------------------------------------
@@ -173,6 +161,12 @@ def test_positive_affine_map_preserves_r(pair, scale, shift):
     assert flipped == pytest.approx(-r, abs=1e-9)
 
 
+#: Positive counts and closes shaped like the fixture's planted cell
+#: (close = 30 + 0.9 x the previous day's count, plus noise).
+COUNTS = [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 1.0, 7.0]
+PRICES = [32.71, 33.94, 35.43, 31.87, 37.12, 33.68, 35.46, 30.83]
+
+
 def scaled_stays_normal(values, exponent):
     """Every nonzero value times 2**exponent is a normal float."""
     low, high = sys.float_info.min_exp, sys.float_info.max_exp
@@ -181,6 +175,7 @@ def scaled_stays_normal(values, exponent):
 
 @settings(max_examples=60, derandomize=True)
 @given(varied_pair(), st.integers(-1000, 1000), st.integers(-1000, 1000))
+# Unscaled, the sums overflow: r reads 0 at 2^1012 and fsum raises at 2^1016.
 @example((COUNTS, PRICES), 0, 1012)
 @example((COUNTS, PRICES), 0, 1016)
 def test_power_of_two_scaling_keeps_every_bit(pair, a, b):
