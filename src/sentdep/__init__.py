@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     HeaderMismatch,
     InsufficientData,
+    OutputError,
     RankDeficient,
     SentdepError,
 )
@@ -88,7 +89,7 @@ __all__ = [
     # errors
     "ConfigError", "DegenerateSample", "DegenerateSeries", "DomainError",
     "EmptyAlignment", "EmptySeries", "FormatError", "HeaderMismatch",
-    "InsufficientData", "RankDeficient", "SentdepError",
+    "InsufficientData", "OutputError", "RankDeficient", "SentdepError",
     # ingest
     "AspectLexicon", "KeywordFrequency", "TweetRecord",
     "keyword_frequencies", "load_aspects", "parse_labeled", "parse_prices",

@@ -12,7 +12,7 @@ Subcommands mirror the pipeline stages and compose through files::
 
 ``run`` is byte-identical to executing the stages by hand. Exit codes:
 0 success (warnings possible), 1 configuration error, 2 fatal input-file
-error.
+error or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, EmptySeries, FormatError
+from .errors import ConfigError, EmptySeries, FormatError, OutputError
+from .ingest import make_output_dir
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
@@ -38,6 +39,7 @@ from .pipeline import (
     stage_score,
 )
 from .report import read_cells
+from .scores import aspect_days
 
 logger = logging.getLogger(__name__)
 
@@ -97,16 +99,16 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     check_values(window=args.window, max_malformed_fraction=args.malformed_cap)
-    n = stage_label(args.tweets, args.aspects, args.positive_terms,
-                    args.negative_terms, args.out,
-                    window=args.window, malformed_cap=args.malformed_cap)
-    print(f"{n} aspect labels -> {args.out}")
+    labels = stage_label(args.tweets, args.aspects, args.positive_terms,
+                         args.negative_terms, args.out,
+                         window=args.window, malformed_cap=args.malformed_cap)
+    print(f"{len(labels)} aspect labels -> {args.out}")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    n = stage_score(args.labels, args.out)
-    print(f"{n} aspect-day score rows -> {args.out}")
+    scores = stage_score(args.labels, args.out)
+    print(f"{aspect_days(scores)} aspect-day score rows -> {args.out}")
     return 0
 
 
@@ -120,8 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cells = read_cells(args.cells)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(args.out_dir)
     written = stage_report(cells, out_dir)
     print(f"{len(written)} report files -> {out_dir}")
     return 0
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, EmptySeries) as exc:
+    except (FormatError, EmptySeries, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

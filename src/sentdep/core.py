@@ -28,13 +28,6 @@ class PolarityLabel(Enum):
     NEUTRAL = "neutral"
     NEGATIVE = "negative"
 
-    @classmethod
-    def from_string(cls, value: str) -> "PolarityLabel":
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown polarity {value!r}") from None
-
 
 class ScoreKind(Enum):
     """The four daily aspect sentiment score kinds.
@@ -116,11 +109,14 @@ class AlignedPairs:
 
     ``pairs`` is an (n, 2) float64 array (any sequence of pairs is
     converted); row i holds the sentiment observed ``lag_days`` trading
-    days before the trading day of its price value.
+    days before the trading day of its price value. ``kept``, when set,
+    is the boolean mask over the price days ``lag_days`` onwards of the
+    calendar that marks the days the pairs come from.
     """
 
     pairs: np.ndarray
     lag_days: int
+    kept: np.ndarray | None = None
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
@@ -143,7 +139,8 @@ def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
     ``x`` and ``y`` are calendar arrays (see :func:`on_calendar`): the
     price on trading day t pairs with the sentiment on trading day t − lag,
     i.e. ``x[:-lag]`` with ``y[lag:]``, and pairs with either side missing
-    are skipped (pairwise deletion). Output is in calendar order.
+    are skipped (pairwise deletion). Output is in calendar order, with the
+    mask of the days kept.
     Sentiment on non-trading days never reaches the array, so it is never
     consulted.
 
@@ -155,16 +152,20 @@ def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
     keep = np.isfinite(xs) & np.isfinite(ys)
     if not keep.any():
         raise EmptyAlignment(f"no (sentiment, price) pairs at lag {lag}")
-    return AlignedPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag)
+    return AlignedPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag,
+                        kept=keep)
 
 
-def paired_on_common_days(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def paired_on_common_days(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Same-date (sentiment, price) arrays over the trading days both cover.
 
-    ``x`` and ``y`` are calendar arrays. This is the input shape for the
-    Granger test, whose own lag terms supply the time shift; contrast with
-    :func:`align_lagged`, which bakes the shift into the pairs for the
-    symmetric statistics.
+    ``x`` and ``y`` are calendar arrays; the third array returned is the
+    boolean calendar mask of those common days. This is the input shape
+    for the Granger test, whose own lag terms supply the time shift;
+    contrast with :func:`align_lagged`, which bakes the shift into the
+    pairs for the symmetric statistics.
     """
     keep = np.isfinite(x) & np.isfinite(y)
-    return x[keep], y[keep]
+    return x[keep], y[keep], keep

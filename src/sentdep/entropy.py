@@ -164,37 +164,54 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
     return EntropyEstimate(value=value, k=k, n=n, dim=d)
 
 
-def conditional_entropy(y, x, k: int = DEFAULT_K) -> EntropyEstimate:
+def marginal_entropy(values, k: int = DEFAULT_K) -> float:
+    """Ĥ of a 1-D sample in nats: an ``h_y`` or ``h_x`` for
+    :func:`uncertainty_coefficient`."""
+    return kl_entropy(values, k).value
+
+
+def conditional_entropy(y, x, k: int = DEFAULT_K, h_x: float | None = None) -> EntropyEstimate:
     """Ĥ(y|x) = Ĥ(x, y) − Ĥ(x) via the chain rule, in nats.
 
-    Ĥ(x) comes first. A zero joint neighbor distance needs k other points
-    equal in both coordinates, hence equal in x, so a degenerate joint
-    sample always has a degenerate x sample: estimating Ĥ(x) first raises
-    the same DegenerateSample without building the joint cloud's tree.
+    Ĥ(x) comes first; a caller that already has it passes it as ``h_x``.
+    A zero joint neighbor distance needs k other points equal in both
+    coordinates, hence equal in x, so a degenerate joint sample always has
+    a degenerate x sample: estimating Ĥ(x) first raises the same
+    DegenerateSample without building the joint cloud's tree.
     """
     ys = _as_points(y)
     xs = _as_points(x)
     if xs.shape[0] != ys.shape[0]:
         raise ValueError(f"length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-    h_x = kl_entropy(xs, k)
+    if h_x is None:
+        h_x = marginal_entropy(xs, k)
     h_joint = kl_entropy(np.column_stack([xs, ys]), k)
     return EntropyEstimate(
-        value=h_joint.value - h_x.value, k=k, n=ys.shape[0], dim=ys.shape[1]
+        value=h_joint.value - h_x, k=k, n=ys.shape[0], dim=ys.shape[1]
     )
 
 
-def uncertainty_coefficient(pairs: AlignedPairs, k: int = DEFAULT_K) -> UCoeffResult:
+def uncertainty_coefficient(
+    pairs: AlignedPairs,
+    k: int = DEFAULT_K,
+    h_y: float | None = None,
+    h_x: float | None = None,
+) -> UCoeffResult:
     """Relative entropy reduction in the price series given the sentiment.
 
     ``pairs`` carries lag-aligned (sentiment, price) pairs; the result is
     u = (Ĥ(price) − Ĥ(price|sentiment)) / Ĥ(price). The flag ``valid`` is
     True only when the denominator Ĥ(price) ≥ 1e−6; otherwise u is
     reported as-is (NaN for an exactly zero denominator) but flagged.
+    ``h_y`` and ``h_x``, the entropies of the price and the sentiment
+    sides of the pairs, spare estimating them again when a caller already
+    has them; only the joint entropy is then estimated here.
     """
     xs = pairs.xs()
     ys = pairs.ys()
-    h_y = kl_entropy(ys, k).value
-    h_y_given_x = conditional_entropy(ys, xs, k).value
+    if h_y is None:
+        h_y = marginal_entropy(ys, k)
+    h_y_given_x = conditional_entropy(ys, xs, k, h_x).value
     mi = h_y - h_y_given_x
     u = math.nan if h_y == 0.0 else mi / h_y
     return UCoeffResult(

@@ -33,6 +33,14 @@ class HeaderMismatch(FormatError):
     """A CSV file does not carry the expected header columns."""
 
 
+class OutputError(SentdepError):
+    """An output file or directory cannot be written."""
+
+    def __init__(self, message: str, path):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
 class EmptySeries(SentdepError):
     """A parsed series contains no usable observations."""
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,17 +119,41 @@ def _lagged_columns(values: np.ndarray, lag: int) -> np.ndarray:
     return np.column_stack([values[lag - i : n - i] for i in range(1, lag + 1)])
 
 
+def _check_effective_sample(n: int, lag: int) -> None:
+    """Raise InsufficientData unless n observations leave n − lag ≥ 2·lag + 10."""
+    n_eff = n - lag
+    if n_eff < 2 * lag + 10:
+        raise InsufficientData(
+            f"{n_eff} effective observations after trimming, need {2 * lag + 10}"
+        )
+
+
+def restricted_fit(y: Sequence[float], lag: int = 1) -> OlsFit:
+    """The restricted regression of a test at lag order ``lag``.
+
+    Fits y_t on an intercept and y_{t−1}, …, y_{t−lag} over the test's
+    effective sample. It depends on y alone, so a caller testing several
+    x against one y can fit it once (see :func:`granger_causes`).
+    """
+    ys = np.asarray(y, dtype=float)
+    _check_effective_sample(ys.shape[0], lag)
+    return ols(_lagged_columns(ys, lag), ys[lag:])
+
+
 def granger_causes(
     x: Sequence[float],
     y: Sequence[float],
     lag: int = 1,
     alpha: float = DEFAULT_ALPHA,
+    fit_restricted: Callable[[np.ndarray, int], OlsFit] = restricted_fit,
 ) -> GrangerResult:
     """Test whether lagged x helps predict y, at lag order ``lag``.
 
     ``x`` and ``y`` are equal-length, same-date chronological series; the
     lagging happens here (feed raw aligned series, not pre-shifted ones).
-    Requires n − lag ≥ 2·lag + 10 effective observations.
+    Requires n − lag ≥ 2·lag + 10 effective observations. The restricted
+    regression comes from ``fit_restricted(y, lag)``; a caller testing
+    several x against one y can pass one that fits it only once.
 
     An unrestricted RSS of zero cannot feed the F ratio; such exact fits
     are reported with ``perfect_fit=True``: causal with p = 0 when the
@@ -144,16 +168,12 @@ def granger_causes(
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError(f"series must be equal-length vectors, got {xs.shape} and {ys.shape}")
+    _check_effective_sample(xs.shape[0], lag)
+    restricted = fit_restricted(ys, lag)
     n_eff = xs.shape[0] - lag
-    if n_eff < 2 * lag + 10:
-        raise InsufficientData(
-            f"{n_eff} effective observations after trimming, need {2 * lag + 10}"
-        )
     response = ys[lag:]
     own = _lagged_columns(ys, lag)
-    cross = _lagged_columns(xs, lag)
-    restricted = ols(own, response)
-    unrestricted = ols(np.column_stack([own, cross]), response)
+    unrestricted = ols(np.column_stack([own, _lagged_columns(xs, lag)]), response)
 
     q = lag
     df_den = n_eff - 2 * q - 1

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .core import PolarityLabel
-from .errors import EmptySeries, FormatError, HeaderMismatch
+from .errors import EmptySeries, FormatError, HeaderMismatch, OutputError
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +171,7 @@ def csv_rows(
             raise HeaderMismatch(f"expected header {','.join(header)}, got {first}",
                                  path=path)
         for row in reader:
-            fields = [f.strip() for f in row]
+            fields = list(map(str.strip, row))
             if not any(fields):
                 continue
             if header is not None and len(fields) != len(header):
@@ -182,9 +182,29 @@ def csv_rows(
         raise FormatError(str(exc), path=path, line_number=reader.line_num) from None
 
 
+def open_output(path, newline: str | None = None):
+    """:func:`open` for writing UTF-8 text; a path that cannot be written
+    raises OutputError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise OutputError(f"cannot write file: {exc.strerror}", path=path) from None
+
+
+def make_output_dir(path) -> Path:
+    """Create the directory ``path`` and its parents unless it exists; a
+    path that cannot be a directory raises OutputError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create directory: {exc.strerror}", path=path) from None
+    return path
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a CSV artifact: UTF-8, ``\\n`` line endings, header then rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -336,32 +356,37 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
 _LABEL_HEADER = ("tweet_id", "date", "aspect", "polarity")
 
 
-def parse_labeled(path) -> list[tuple[str, date, str, PolarityLabel]]:
-    """Read externally produced aspect labels.
+#: Polarity of each label-file spelling.
+_POLARITIES = {p.value: p for p in PolarityLabel}
+
+
+def parse_labeled(path) -> Iterator[tuple[str, date, str, PolarityLabel]]:
+    """Stream externally produced aspect labels, in file order.
 
     CSV header ``tweet_id,date,aspect,polarity`` with polarity in
     {positive, neutral, negative}. Duplicate (tweet_id, aspect) rows are
     kept: an aspect can occur several times in one tweet and downstream
-    counts are occurrence-based.
+    counts are occurrence-based. Each distinct date string is parsed once.
+    A bad row raises FormatError when the stream reaches it.
     """
-    out: list[tuple[str, date, str, PolarityLabel]] = []
+    days: dict[str, date] = {}
     for lineno, (tweet_id, date_s, aspect, polarity_s) in csv_rows(
         path, "label", _LABEL_HEADER
     ):
         if not tweet_id:
             raise FormatError("empty tweet_id", path=path, line_number=lineno)
-        try:
-            d = date.fromisoformat(date_s)
-        except ValueError:
-            raise FormatError(f"bad date {date_s!r}", path=path,
-                              line_number=lineno) from None
-        try:
-            pol = PolarityLabel.from_string(polarity_s)
-        except ValueError:
+        d = days.get(date_s)
+        if d is None:
+            try:
+                d = days[date_s] = date.fromisoformat(date_s)
+            except ValueError:
+                raise FormatError(f"bad date {date_s!r}", path=path,
+                                  line_number=lineno) from None
+        pol = _POLARITIES.get(polarity_s)
+        if pol is None:
             raise FormatError(f"unknown polarity {polarity_s!r}", path=path,
-                              line_number=lineno) from None
-        out.append((tweet_id, d, aspect, pol))
-    return out
+                              line_number=lineno)
+        yield tweet_id, d, aspect, pol
 
 
 def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) -> None:

@@ -9,8 +9,10 @@ writes plain files so they can also be driven individually from the CLI:
     analyze   scores.csv + prices     -> cells.csv
     report    cells.csv               -> heatmap_*.csv, granger.csv
 
-:func:`run_pipeline` is exactly this composition plus a reproducibility
-manifest; running the stages by hand yields byte-identical artifacts.
+:func:`run_pipeline` writes what this composition writes, plus a
+reproducibility manifest; running the stages by hand yields
+byte-identical artifacts. It reads back nothing it has written: the
+label rows and the scores pass from one stage to the next in memory.
 When it labels the tweets itself, the label stage also counts the
 keywords, so the tweet file is read and tokenized once.
 Nothing in the pipeline draws random numbers, so identical inputs and
@@ -23,19 +25,21 @@ import configparser
 import logging
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    PolarityLabel,
     ScoreKind,
     TradingCalendar,
     align_lagged,
     on_calendar,
     paired_on_common_days,
 )
-from .entropy import DEFAULT_K, MAX_K, uncertainty_coefficient
+from .entropy import DEFAULT_K, MAX_K, marginal_entropy, uncertainty_coefficient
 from .errors import (
     ConfigError,
     EmptyAlignment,
@@ -43,7 +47,7 @@ from .errors import (
     InsufficientData,
     SentdepError,
 )
-from .granger import DEFAULT_ALPHA, granger_causes
+from .granger import DEFAULT_ALPHA, granger_causes, restricted_fit
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
@@ -51,6 +55,7 @@ from .ingest import (
     comment_lines,
     keyword_frequencies,
     load_aspects,
+    make_output_dir,
     parse_labeled,
     parse_prices,
     parse_tweets,
@@ -59,7 +64,7 @@ from .ingest import (
     write_labeled,
 )
 from .labeler import DEFAULT_WINDOW, PolarityLexicon, label_corpus
-from .pearson import DEFAULT_THRESHOLD, correlate
+from .pearson import DEFAULT_THRESHOLD, centered, correlate
 from .report import (
     DependenceCell,
     emit_granger_table,
@@ -68,7 +73,7 @@ from .report import (
     write_cells,
     write_manifest,
 )
-from .scores import aggregate_daily, read_scores, write_scores
+from .scores import Scores, aggregate_daily, aspect_days, read_scores, write_scores
 
 logger = logging.getLogger(__name__)
 
@@ -366,8 +371,8 @@ def stage_label(
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
     keywords_path=None,
     min_count: int = PipelineConfig.min_keyword_count,
-) -> int:
-    """tweets.jsonl -> labels.csv; returns the number of labels written.
+) -> list[tuple[str, date, str, PolarityLabel]]:
+    """tweets.jsonl -> labels.csv; returns the labels written.
 
     With ``keywords_path`` it also writes what :func:`stage_keywords` would
     write there, from the same single read of the tweets. Nothing is
@@ -387,26 +392,74 @@ def stage_label(
         write_keyword_frequencies(freqs, keywords_path)
         logger.info("keywords: %d kept", len(freqs))
     write_labeled(labels, out_path)
-    return len(labels)
+    return labels
 
 
-def stage_score(labels_path, out_path) -> int:
-    """labels.csv -> scores.csv; returns the number of (aspect, day) cells."""
-    labels = parse_labeled(labels_path)
-    counts = aggregate_daily(labels)
-    write_scores(counts, out_path)
-    return len(counts)
+def stage_score(labels_path, out_path, labels=None) -> Scores:
+    """labels.csv -> scores.csv; returns the series and totals written.
+
+    ``labels`` are the rows of ``labels_path`` when the caller already
+    holds them; otherwise they stream from the file. Either way they are
+    counted as they pass, and nothing is written before the last one, so
+    a bad row leaves no ``scores.csv`` behind.
+    """
+    if labels is None:
+        labels = parse_labeled(labels_path)
+    return write_scores(aggregate_daily(labels), out_path)
 
 
 def _failure_reason(exc: SentdepError) -> str:
     """Reason code stored in null cells: the failure's name.
 
     An empty lag alignment is just the zero-observation flavor of too few
-    observations, so it shares the InsufficientData code.
+    observations, so it shares the InsufficientData code. A series part
+    that failed before fails again with the code it stored.
     """
+    if isinstance(exc, _PartFailed):
+        return exc.reason
     if isinstance(exc, (EmptyAlignment, InsufficientData)):
         return "InsufficientData"
     return type(exc).__name__
+
+
+class _PartFailed(SentdepError):
+    """A series part whose computation failed earlier, with its reason code."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+class SeriesParts:
+    """The parts of the cell statistics that depend on one series only.
+
+    Within one aspect a ticker's closes meet every sentiment array, and a
+    sentiment array meets every ticker's closes. A cell's statistics keep
+    only the days where both sides are observed, so a part such as a
+    series' entropy or its Pearson deviations holds for every cell that
+    keeps the same days of that series. :meth:`get` computes each part
+    once per key: the part's name, the series' name and the mask of the
+    days kept. A part that fails is stored as its reason code, which
+    later lookups raise again; an exception object would keep the frames
+    of its traceback, and with them their arrays, alive.
+    """
+
+    def __init__(self) -> None:
+        self._parts: dict[tuple, object] = {}
+
+    def get(self, key: tuple, compute: Callable, *args):
+        """The part stored under ``key``, or ``compute(*args)`` stored there."""
+        part = self._parts.get(key)
+        if part is None:
+            try:
+                part = compute(*args)
+            except SentdepError as exc:
+                self._parts[key] = _failure_reason(exc)
+                raise
+            self._parts[key] = part
+        elif isinstance(part, str):
+            raise _PartFailed(part)
+        return part
 
 
 def compute_cell(
@@ -416,6 +469,7 @@ def compute_cell(
     sentiment: np.ndarray,
     price: np.ndarray,
     config: PipelineConfig,
+    parts: SeriesParts,
 ) -> DependenceCell:
     """All three dependence statistics for one (aspect, kind, ticker).
 
@@ -424,8 +478,12 @@ def compute_cell(
     run; the failing statistic is nulled with a reason code and the others
     still computed. The Pearson and uncertainty statistics consume
     pre-lagged pairs; the Granger test consumes same-date pairs and
-    applies its own lag internally.
+    applies its own lag internally. ``parts`` holds the one-series parts
+    of the statistics (see :class:`SeriesParts`) that this cell shares
+    with the other cells of the same config; each part names its series
+    by ``ticker`` or by ``(aspect, kind)``.
     """
+    sentiment_name = (aspect, kind)
     cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
     aligned = None
     try:
@@ -437,14 +495,21 @@ def compute_cell(
         cell["u_reason"] = reason
 
     if aligned is not None:
+        kept = aligned.kept.tobytes()
+        xs, ys = aligned.xs(), aligned.ys()
         try:
-            res = correlate(aligned, config.pearson_threshold)
+            sides = (parts.get(("r", sentiment_name, kept), centered, xs),
+                     parts.get(("r", ticker, kept), centered, ys))
+            res = correlate(aligned, config.pearson_threshold, sides)
             cell["r"] = res.r
             cell["r_significant"] = res.significant
         except SentdepError as exc:
             cell["r_reason"] = _failure_reason(exc)
         try:
-            uc = uncertainty_coefficient(aligned, config.entropy_k)
+            k = config.entropy_k
+            h_y = parts.get(("h", ticker, kept), marginal_entropy, ys, k)
+            h_x = parts.get(("h", sentiment_name, kept), marginal_entropy, xs, k)
+            uc = uncertainty_coefficient(aligned, k, h_y, h_x)
             cell["u"] = uc.u
             cell["u_valid"] = uc.valid
             cell["u_mi"] = uc.mi
@@ -452,12 +517,17 @@ def compute_cell(
             cell["u_reason"] = _failure_reason(exc)
 
     try:
-        xs, ys = paired_on_common_days(sentiment, price)
+        xs, ys, common = paired_on_common_days(sentiment, price)
         if config.granger_difference:
             xs, ys = np.diff(xs), np.diff(ys)
+        response_name = ticker
         if config.granger_reverse:
             xs, ys = ys, xs
-        g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha)
+            response_name = sentiment_name
+        restricted = partial(parts.get, ("granger", response_name, common.tobytes()),
+                             restricted_fit)
+        g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha,
+                           fit_restricted=restricted)
         cell["granger_f"] = g.f_stat
         cell["granger_p"] = g.p_value
         cell["granger_causal"] = g.causal
@@ -467,16 +537,24 @@ def compute_cell(
     return DependenceCell(**cell)
 
 
-def stage_analyze(config: PipelineConfig, scores_path, cells_path) -> list[DependenceCell]:
+def stage_analyze(
+    config: PipelineConfig, scores_path, cells_path, scores: Scores | None = None
+) -> list[DependenceCell]:
     """scores.csv + price files -> cells.csv; returns the cell list.
+
+    ``scores`` are the series and totals of ``scores_path`` when the caller
+    already holds them (as :func:`stage_score` returns them); otherwise
+    they are read from the file.
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
     order. Every series is put on the calendar once per run; with
-    ``absent_as_zero`` the missing days of the absolute kinds read 0.
+    ``absent_as_zero`` the missing days of the absolute kinds read 0. The
+    cells of one aspect share their one-series parts (see
+    :class:`SeriesParts`), which are dropped when the next aspect begins.
     """
     aspect_lexicon = load_aspects(config.aspects)
-    series, totals = read_scores(scores_path)
+    series, totals = read_scores(scores_path) if scores is None else scores
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
@@ -484,12 +562,13 @@ def stage_analyze(config: PipelineConfig, scores_path, cells_path) -> list[Depen
 
     cells: list[DependenceCell] = []
     for aspect in top:
+        parts = SeriesParts()
         for kind in ScoreKind:
             x = on_calendar(series.get((aspect, kind), {}), calendar)
             if config.absent_as_zero and kind.is_absolute:
                 x[np.isnan(x)] = 0.0
             for ticker, y in price_arrays.items():
-                cells.append(compute_cell(aspect, kind, ticker, x, y, config))
+                cells.append(compute_cell(aspect, kind, ticker, x, y, config, parts))
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")
@@ -519,9 +598,9 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
     granger.csv, run_manifest.json.
     """
     config.validate()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(config.output_dir)
 
+    labels = None
     if config.labels is not None:
         labels_path = config.labels
         if config.tweets is not None:
@@ -533,19 +612,20 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
             logger.info("keywords: %d kept", n_keywords)
     else:
         labels_path = out / "labels.csv"
-        n_labels = stage_label(
+        labels = stage_label(
             config.tweets, config.aspects, config.positive_terms,
             config.negative_terms, labels_path,
             window=config.window, malformed_cap=config.max_malformed_fraction,
             keywords_path=out / "keywords.csv", min_count=config.min_keyword_count,
         )
-        logger.info("labels: %d occurrences", n_labels)
+        logger.info("labels: %d occurrences", len(labels))
 
     scores_path = out / "scores.csv"
-    n_cells_scored = stage_score(labels_path, scores_path)
-    logger.info("scores: %d aspect-day cells", n_cells_scored)
+    scores = stage_score(labels_path, scores_path, labels)
+    del labels  # the analysis needs only the counts
+    logger.info("scores: %d aspect-day cells", aspect_days(scores))
 
-    cells = stage_analyze(config, scores_path, out / "cells.csv")
+    cells = stage_analyze(config, scores_path, out / "cells.csv", scores)
     logger.info("analysis: %d dependence cells", len(cells))
 
     stage_report(cells, out)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import ScoreKind
 from .errors import FormatError
-from .ingest import csv_rows, write_csv
+from .ingest import csv_rows, open_output, write_csv
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,6 @@ def write_manifest(
             "sentdep": __version__,
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path, newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

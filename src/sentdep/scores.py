@@ -57,11 +57,14 @@ def aggregate_daily(
     """Collapse per-occurrence labels into per-(aspect, day) counts.
 
     Every input tuple contributes to exactly one count cell; output is
-    sorted by (aspect, day).
+    sorted by (aspect, day). ``labels`` is read once, so it may be a
+    stream.
     """
     acc: dict[tuple[str, date], list[int]] = {}
     for _tweet_id, day, aspect, polarity in labels:
-        cell = acc.setdefault((aspect, day), [0, 0, 0])
+        cell = acc.get((aspect, day))
+        if cell is None:
+            cell = acc[(aspect, day)] = [0, 0, 0]
         if polarity is PolarityLabel.POSITIVE:
             cell[0] += 1
         elif polarity is PolarityLabel.NEGATIVE:
@@ -81,30 +84,59 @@ _SCORES_HEADER = ("aspect", "date", "kind", "value")
 #: without the original labels.
 TOTAL_KIND_CODE = "fs"
 
-_VALID_KIND_CODES = {k.value for k in ScoreKind} | {TOTAL_KIND_CODE}
+_KINDS_BY_CODE = {k.value: k for k in ScoreKind}
+_VALID_KIND_CODES = set(_KINDS_BY_CODE) | {TOTAL_KIND_CODE}
 _SHARE_KIND_CODES = {k.value for k in ScoreKind if not k.is_absolute}
 
+#: Daily series by (aspect, kind), each a date -> value dict, and the total
+#: mentions of each aspect: what a score file holds.
+Scores = tuple[dict[tuple[str, ScoreKind], dict[date, float]], dict[str, int]]
 
-def write_scores(counts: Sequence[AspectDayCount], path) -> None:
-    """Write per-day scores for all aspects to CSV.
+
+def aspect_days(scores: Scores) -> int:
+    """Number of (aspect, day) cells with a label in ``scores``."""
+    series, _ = scores
+    return sum(len(days) for (_, kind), days in series.items()
+               if kind is ScoreKind.ABS_POSITIVE)
+
+
+def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
+    """Write per-day scores for all aspects to CSV; returns what it wrote.
 
     One row per (aspect, day, kind) for the four score kinds plus the
-    ``fs`` total row. Values use ``repr`` so floats round-trip exactly.
+    ``fs`` total row. Values use ``repr`` so floats round-trip exactly,
+    and the returned series and totals equal what :func:`read_scores`
+    reads back from the file.
     """
-    write_csv(path, _SCORES_HEADER, _score_rows(counts))
+    series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
+    totals: dict[str, int] = {}
+
+    def rows():
+        for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
+            day = c.day.isoformat()
+            for code, value in (
+                (ScoreKind.ABS_POSITIVE.code, float(c.positive)),
+                (ScoreKind.ABS_NEGATIVE.code, float(c.negative)),
+                (TOTAL_KIND_CODE, float(c.total)),
+                (ScoreKind.NORM_POSITIVE.code, c.positive / c.total),
+                (ScoreKind.NORM_NEGATIVE.code, c.negative / c.total),
+            ):
+                _add(series, totals, c.aspect, c.day, code, value)
+                yield c.aspect, day, code, repr(value)
+
+    write_csv(path, _SCORES_HEADER, rows())
+    return series, totals
 
 
-def _score_rows(counts: Sequence[AspectDayCount]):
-    for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-        day = c.day.isoformat()
-        yield c.aspect, day, ScoreKind.ABS_POSITIVE.code, repr(float(c.positive))
-        yield c.aspect, day, ScoreKind.ABS_NEGATIVE.code, repr(float(c.negative))
-        yield c.aspect, day, TOTAL_KIND_CODE, repr(float(c.total))
-        yield c.aspect, day, ScoreKind.NORM_POSITIVE.code, repr(c.positive / c.total)
-        yield c.aspect, day, ScoreKind.NORM_NEGATIVE.code, repr(c.negative / c.total)
+def _add(series, totals, aspect: str, day: date, code: str, value: float) -> None:
+    """Put one score row's value into ``series``, or for ``fs`` into ``totals``."""
+    if code == TOTAL_KIND_CODE:
+        totals[aspect] = totals.get(aspect, 0) + int(value)
+    else:
+        series.setdefault((aspect, _KINDS_BY_CODE[code]), {})[day] = value
 
 
-def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], dict[date, float]], dict[str, int]]:
+def read_scores(path) -> Scores:
     """Read a score CSV back into daily series plus per-aspect totals.
 
     Returns ``(series, totals)`` where ``series`` maps (aspect, kind) to
@@ -134,8 +166,5 @@ def read_scores(path) -> tuple[dict[tuple[str, ScoreKind], dict[date, float]], d
         if not valid:
             raise FormatError(f"{kind_code} must {rule}, got {value_s!r}",
                               path=path, line_number=lineno)
-        if kind_code == TOTAL_KIND_CODE:
-            totals[aspect] = totals.get(aspect, 0) + int(v)
-        else:
-            series.setdefault((aspect, ScoreKind.from_code(kind_code)), {})[d] = v
+        _add(series, totals, aspect, d, kind_code, v)
     return series, totals

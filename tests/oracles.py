@@ -4,8 +4,10 @@ Everything here deliberately takes a *different* computational route from
 the code under test: exact rational arithmetic (floats are dyadic
 rationals, so Fraction conversion is lossless) instead of floating point,
 normal equations instead of orthogonal decompositions, per-keyword set
-scans instead of a single counting pass, and a scan of every aspect at
-every position instead of a first-token index.
+scans instead of a single counting pass, a scan of every aspect at
+every position instead of a first-token index, and cells that compute
+every part of their statistics themselves instead of sharing the parts
+that depend on one series.
 """
 
 from __future__ import annotations
@@ -14,8 +16,17 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from sentdep.ingest import AspectLexicon, tokenize
+import numpy as np
+
+from sentdep.core import ScoreKind, align_lagged, on_calendar, paired_on_common_days
+from sentdep.entropy import uncertainty_coefficient
+from sentdep.errors import EmptyAlignment, InsufficientData, SentdepError
+from sentdep.granger import granger_causes
+from sentdep.ingest import AspectLexicon, load_aspects, parse_prices, tokenize
 from sentdep.labeler import AspectOccurrence
+from sentdep.pearson import correlate
+from sentdep.pipeline import build_calendar, select_top_aspects
+from sentdep.report import DependenceCell
 
 
 def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -141,3 +152,60 @@ def aspect_occurrences_bruteforce(
                 found.append((start, lex_idx, AspectOccurrence(aspect, start, start + w)))
     found.sort(key=lambda t: (t[0], t[1]))
     return [occ for _, _, occ in found]
+
+
+def _reason(exc: SentdepError) -> str:
+    if isinstance(exc, (EmptyAlignment, InsufficientData)):
+        return "InsufficientData"
+    return type(exc).__name__
+
+
+def unshared_cell(aspect, kind, ticker, sentiment, price, config) -> DependenceCell:
+    """One cell with every statistic computed from its own two arrays."""
+    cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
+    try:
+        aligned = align_lagged(sentiment, price, config.lag)
+    except EmptyAlignment as exc:
+        aligned = None
+        cell["r_reason"] = cell["u_reason"] = _reason(exc)
+    if aligned is not None:
+        cell["n"] = aligned.n
+        try:
+            res = correlate(aligned, config.pearson_threshold)
+            cell.update(r=res.r, r_significant=res.significant)
+        except SentdepError as exc:
+            cell["r_reason"] = _reason(exc)
+        try:
+            uc = uncertainty_coefficient(aligned, config.entropy_k)
+            cell.update(u=uc.u, u_valid=uc.valid, u_mi=uc.mi)
+        except SentdepError as exc:
+            cell["u_reason"] = _reason(exc)
+    try:
+        xs, ys, _ = paired_on_common_days(sentiment, price)
+        if config.granger_difference:
+            xs, ys = np.diff(xs), np.diff(ys)
+        if config.granger_reverse:
+            xs, ys = ys, xs
+        g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha)
+        cell.update(granger_f=g.f_stat, granger_p=g.p_value, granger_causal=g.causal,
+                    granger_perfect_fit=g.perfect_fit)
+    except SentdepError as exc:
+        cell["granger_reason"] = _reason(exc)
+    return DependenceCell(**cell)
+
+
+def unshared_cells(config, series, totals) -> list[DependenceCell]:
+    """The cell grid of ``stage_analyze`` over the given scores, cell by cell."""
+    prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
+    calendar = build_calendar(config, prices)
+    top = select_top_aspects(load_aspects(config.aspects), totals, config.top_n_aspects)
+    cells = []
+    for aspect in top:
+        for kind in ScoreKind:
+            x = on_calendar(series.get((aspect, kind), {}), calendar)
+            if config.absent_as_zero and kind.is_absolute:
+                x = np.where(np.isnan(x), 0.0, x)
+            for ticker, closes in prices.items():
+                y = on_calendar(closes, calendar)
+                cells.append(unshared_cell(aspect, kind, ticker, x, y, config))
+    return cells

@@ -216,6 +216,36 @@ class TestExitCodes:
         assert main([command, *argv]) == 2
         assert f"error: {path}: cannot open file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, target, message", [
+        (["score", "--labels", "labels.csv", "--out", "no_such_dir/s.csv"],
+         "no_such_dir/s.csv", "cannot write file"),
+        (["report", "--cells", "cells.csv", "--out-dir", "a_file"],
+         "a_file", "cannot create directory"),
+        (["run", "--config", "config.ini", "--output-dir", "a_file"],
+         "a_file", "cannot create directory"),
+    ])
+    def test_unwritable_output_path_returns_two(self, tmp_path, capsys, monkeypatch,
+                                                argv, target, message):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        assert main(argv) == 2
+        assert f"error: {target}: {message}: " in capsys.readouterr().err
+        assert (tmp_path / "a_file").read_text(encoding="utf-8") == ""
+
+    def test_bad_label_row_leaves_no_scores(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        line = append_line(tmp_path / "labels.csv", b"t9,2022-10-03,tax,sideways")
+        assert main(["score", "--labels", "labels.csv", "--out", "new_scores.csv"]) == 2
+        assert f"labels.csv:{line}: unknown polarity 'sideways'" in capsys.readouterr().err
+        assert not (tmp_path / "new_scores.csv").exists()
+        # the same file as the external labels of a run
+        ini = tmp_path / "config.ini"
+        ini.write_text(ini.read_text(encoding="utf-8").replace(
+            "[prices]", "labels = labels.csv\n[prices]"), encoding="utf-8")
+        assert main(["run", "--config", "config.ini", "--output-dir", "bad_run"]) == 2
+        assert f"labels.csv:{line}: unknown polarity" in capsys.readouterr().err
+        assert not (tmp_path / "bad_run" / "scores.csv").exists()
+
     @pytest.mark.parametrize("command, option, message", [
         ("label", ["--window", "-1"], "window must be >= 0, got -1"),
         ("keywords", ["--malformed-cap", "-1"],
@@ -258,36 +288,63 @@ def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+#: Hand-written external labels for the tweet tree: out of date order,
+#: with stray spaces, repeated rows and an aspect outside the lexicon.
+EXTERNAL_LABELS = "tweet_id,date,aspect,polarity\n" + "".join(
+    f"e{i}, {DAYS[(7 * i) % 10].isoformat()} ,{aspect},{polarity}\n"
+    for i, (aspect, polarity) in enumerate(
+        [("tax", "positive"), ("tax", "negative"), ("bank", "neutral"), ("tax", "positive"),
+         ("zinc", "negative"), ("bank", "positive"), ("tax", "neutral")] * 4)
+)
+
+SHARED_FLAGS = ["--absent-as-zero", "--granger-difference", "--granger-reverse"]
+
+
 class TestStageComposition:
     def test_manual_stages_match_run_byte_for_byte(self, tmp_path, capsys):
         ini = build_tweet_tree(tmp_path)
-        assert main(["run", "--config", str(ini)]) == 0
-        auto = tmp_path / "out"
+        (tmp_path / "external.csv").write_text(EXTERNAL_LABELS, encoding="utf-8")
+        labeled_ini = tmp_path / "labeled.ini"
+        labeled_ini.write_text(
+            ini.read_text(encoding="utf-8").replace("[prices]", "labels = external.csv\n[prices]"),
+            encoding="utf-8")
+        cases = [(ini, []), (ini, SHARED_FLAGS), (labeled_ini, []), (labeled_ini, SHARED_FLAGS)]
+        for case, (config, flags) in enumerate(cases):
+            auto = tmp_path / f"auto{case}"
+            assert main(["run", "--config", str(config), "--output-dir", str(auto), *flags]) == 0
 
-        manual = tmp_path / "manual"
-        manual.mkdir()
-        steps = [
-            ["keywords", "--tweets", str(tmp_path / "tweets.jsonl"),
-             "--out", str(manual / "keywords.csv"), "--min-count", "2"],
-            ["label", "--tweets", str(tmp_path / "tweets.jsonl"),
-             "--aspects", str(tmp_path / "aspects.txt"),
-             "--positive-terms", str(tmp_path / "pos.txt"),
-             "--negative-terms", str(tmp_path / "neg.txt"),
-             "--out", str(manual / "labels.csv")],
-            ["score", "--labels", str(manual / "labels.csv"),
-             "--out", str(manual / "scores.csv")],
-            ["analyze", "--config", str(ini), "--scores", str(manual / "scores.csv"),
-             "--out", str(manual / "cells.csv")],
-            ["report", "--cells", str(manual / "cells.csv"),
-             "--out-dir", str(manual)],
-        ]
-        for argv in steps:
-            assert main(argv) == 0, f"stage failed: {argv[0]}"
+            manual = tmp_path / f"manual{case}"
+            manual.mkdir()
+            steps = [
+                ["keywords", "--tweets", str(tmp_path / "tweets.jsonl"),
+                 "--out", str(manual / "keywords.csv"), "--min-count", "2"],
+            ]
+            expected = EXPECTED_ARTIFACTS - {"run_manifest.json"}
+            if config == ini:
+                labels = manual / "labels.csv"
+                steps.append(["label", "--tweets", str(tmp_path / "tweets.jsonl"),
+                              "--aspects", str(tmp_path / "aspects.txt"),
+                              "--positive-terms", str(tmp_path / "pos.txt"),
+                              "--negative-terms", str(tmp_path / "neg.txt"),
+                              "--out", str(labels)])
+            else:
+                labels = tmp_path / "external.csv"
+                expected -= {"labels.csv"}
+            steps += [
+                ["score", "--labels", str(labels), "--out", str(manual / "scores.csv")],
+                ["analyze", "--config", str(config), "--scores", str(manual / "scores.csv"),
+                 "--out", str(manual / "cells.csv"), *flags],
+                ["report", "--cells", str(manual / "cells.csv"), "--out-dir", str(manual)],
+            ]
+            for argv in steps:
+                assert main(argv) == 0, f"stage failed: {argv[0]} in case {case}"
 
-        for name in sorted(EXPECTED_ARTIFACTS - {"run_manifest.json"}):
-            assert (manual / name).read_bytes() == (auto / name).read_bytes(), (
-                f"{name} differs between `run` and the manual composition"
-            )
+            assert {p.name for p in auto.iterdir()} == expected | {"run_manifest.json"}
+            for name in sorted(expected):
+                assert (manual / name).read_bytes() == (auto / name).read_bytes(), (
+                    f"{name} differs between `run` and the manual composition "
+                    f"(config {config.name}, flags {flags})"
+                )
 
 
 class TestOverrides:

@@ -17,6 +17,7 @@ from sentdep.core import (
     paired_on_common_days,
 )
 from sentdep.errors import EmptyAlignment, FormatError
+from sentdep.ingest import parse_labeled, write_labeled
 from sentdep.scores import read_scores
 
 # A small October-2022 trading week fixture: Mon 3rd .. Fri 7th, then
@@ -53,11 +54,15 @@ class TestTradingCalendar:
 
 
 class TestDomainTypes:
-    def test_polarity_round_trip(self):
-        for label in PolarityLabel:
-            assert PolarityLabel.from_string(label.value) is label
-        with pytest.raises(ValueError):
-            PolarityLabel.from_string("mixed")
+    def test_polarity_round_trip(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        labels = [("t1", WEEK[0], "tax", label) for label in PolarityLabel]
+        write_labeled(labels, p)
+        assert [row[3] for row in parse_labeled(p)] == list(PolarityLabel)
+        p.write_text("tweet_id,date,aspect,polarity\nt1,2022-10-03,tax,mixed\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match="labels.csv:2: unknown polarity 'mixed'"):
+            list(parse_labeled(p))
 
     def test_score_kind_codes(self):
         assert [k.code for k in ScoreKind] == ["fp", "fn", "nfp", "nfn"]
@@ -138,6 +143,8 @@ class TestAlignLagged:
         y = {WEEK[2]: 31.0}
         aligned = align_lagged(*on_cal(cal, x, y), lag=2)
         assert aligned.pairs.tolist() == [[7.0, 31.0]]
+        # the mask runs over the price days WEEK[2:]
+        assert aligned.kept.tolist() == [True, False, False, False]
 
     def test_empty_alignment_raises(self):
         cal = TradingCalendar(WEEK)
@@ -158,9 +165,10 @@ def test_paired_on_common_days_keeps_same_dates():
     cal = TradingCalendar(WEEK)
     x = {WEEK[0]: 1, WEEK[1]: 2, WEEK[4]: 3, date(2022, 10, 9): 9}
     y = {WEEK[0]: 30.0, WEEK[1]: 31.0, WEEK[2]: 32.0}
-    xs, ys = paired_on_common_days(*on_cal(cal, x, y))
+    xs, ys, kept = paired_on_common_days(*on_cal(cal, x, y))
     assert xs.tolist() == [1.0, 2.0]
     assert ys.tolist() == [30.0, 31.0]
+    assert kept.tolist() == [True, True, False, False, False, False]
 
 
 @given(
@@ -226,5 +234,5 @@ def test_array_alignment_matches_brute_force_over_dates(holidays, x_days, y_days
     else:
         with pytest.raises(EmptyAlignment):
             align_lagged(x, y, lag=lag)
-    xs, ys = paired_on_common_days(x, y)
+    xs, ys, _ = paired_on_common_days(x, y)
     assert (xs.tolist(), ys.tolist()) == (x_same, y_same)

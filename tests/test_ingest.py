@@ -224,13 +224,13 @@ class TestParseLabeled:
         ]
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert parse_labeled(p) == labels
+        assert list(parse_labeled(p)) == labels
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("tweet,day,aspect,polarity\n", encoding="utf-8")
         with pytest.raises(HeaderMismatch):
-            parse_labeled(p)
+            list(parse_labeled(p))
 
     def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -241,7 +241,7 @@ class TestParseLabeled:
             encoding="utf-8",
         )
         with pytest.raises(FormatError) as excinfo:
-            parse_labeled(p)
+            list(parse_labeled(p))
         assert excinfo.value.line_number == 3
         assert "sideways" in str(excinfo.value)
 
@@ -250,7 +250,7 @@ class TestParseLabeled:
         p.write_text("tweet_id,date,aspect,polarity\nt1,yesterday,tax,positive\n",
                      encoding="utf-8")
         with pytest.raises(FormatError) as excinfo:
-            parse_labeled(p)
+            list(parse_labeled(p))
         assert excinfo.value.line_number == 2
 
 

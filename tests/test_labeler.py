@@ -184,7 +184,7 @@ class TestLabelCorpus:
         labels = label_corpus([self.tweet(1, "inflation crash")], aspects, LEX)
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert parse_labeled(p) == labels
+        assert list(parse_labeled(p)) == labels
 
     def test_uses_utc_day(self):
         aspects = AspectLexicon(["inflation"])

@@ -2,20 +2,25 @@
 
 import json
 import logging
+from dataclasses import astuple
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentdep.entropy
+import sentdep.granger
 import sentdep.ingest
 import sentdep.labeler
 import sentdep.pipeline
 from sentdep.core import ScoreKind, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
+from oracles import unshared_cells
 from sentdep.pipeline import (
     PipelineConfig,
+    SeriesParts,
     build_calendar,
     compute_cell,
     load_calendar,
@@ -25,6 +30,7 @@ from sentdep.pipeline import (
     stage_analyze,
     stage_score,
 )
+from sentdep.scores import read_scores
 
 FP, FN = ScoreKind.ABS_POSITIVE, ScoreKind.ABS_NEGATIVE
 NFP, NFN = ScoreKind.NORM_POSITIVE, ScoreKind.NORM_NEGATIVE
@@ -236,7 +242,7 @@ def planted_inputs():
 def cell_of(sent, price, cal, config):
     """compute_cell for (tax, fp, AAA) on the calendar arrays of two series."""
     return compute_cell("tax", FP, "AAA",
-                        on_calendar(sent, cal), on_calendar(price, cal), config)
+                        on_calendar(sent, cal), on_calendar(price, cal), config, SeriesParts())
 
 
 class TestComputeCell:
@@ -392,9 +398,9 @@ class TestStageAnalyze:
         seen = {}
         compute = sentdep.pipeline.compute_cell
 
-        def spy(aspect, kind, ticker, sentiment, price, config):
+        def spy(aspect, kind, ticker, sentiment, price, config, parts):
             seen[(aspect, kind)] = sentiment.copy()
-            return compute(aspect, kind, ticker, sentiment, price, config)
+            return compute(aspect, kind, ticker, sentiment, price, config, parts)
 
         monkeypatch.setattr(sentdep.pipeline, "compute_cell", spy)
         stage_analyze(cfg, scores, tmp_path / "cells.csv")
@@ -422,6 +428,121 @@ class TestStageAnalyze:
         assert all(c.r is None and c.granger_f is None and c.u is None for c in cells)
         assert all(c.r_reason == "InsufficientData" for c in cells)
         assert any("no cell produced any statistic" in r.message for r in caplog.records)
+
+
+def build_grid_tree(root: Path) -> PipelineConfig:
+    """Labels and prices whose cells meet every reason code.
+
+    Over 60 weekdays: ``tax`` has random counts on most days, ``bank`` is
+    labeled on six days only, ``rate`` has the same counts on each of its
+    days (so its absolute series are constant), and ``gold`` has no label.
+    ``BBB`` and ``CCC`` have null closes on different days.
+    """
+    rng = np.random.default_rng(11)
+    days = weekdays(date(2022, 1, 3), 60)
+    (root / "aspects.txt").write_text("tax\nbank\nrate\ngold\n", encoding="utf-8")
+    rows = ["tweet_id,date,aspect,polarity"]
+
+    def label(aspect, d, polarity, count):
+        rows.extend(f"{aspect}{len(rows)}_{j},{d.isoformat()},{aspect},{polarity}"
+                    for j in range(count))
+
+    for i, d in enumerate(days):
+        if i % 9 != 4:
+            for polarity in ("positive", "negative", "neutral"):
+                label("tax", d, polarity, int(rng.poisson(4)))
+        if i % 10 == 0:
+            label("bank", d, "positive", 1 + i // 10)
+            label("bank", d, "neutral", 1)
+        if i % 6 != 5:
+            label("rate", d, "positive", 2)
+            label("rate", d, "negative", 1)
+    (root / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    prices = {}
+    for ticker, nulls in (("AAA", ()), ("BBB", (3, 17)), ("CCC", (8, 40, 41))):
+        closes = 50.0 + np.cumsum(rng.normal(0.0, 1.0, len(days)))
+        lines = ["Date,Close"] + [
+            f"{d.isoformat()},{'null' if i in nulls else repr(float(c))}"
+            for i, (d, c) in enumerate(zip(days, closes))
+        ]
+        prices[ticker] = root / f"{ticker}.csv"
+        prices[ticker].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return PipelineConfig(aspects=root / "aspects.txt", labels=root / "labels.csv",
+                          prices=prices, top_n_aspects=4, output_dir=root / "out")
+
+
+GRID_SETTINGS = [
+    {},
+    {"absent_as_zero": True},
+    {"granger_reverse": True},
+    {"granger_difference": True},
+    {"lag": 2},
+    {"granger_lag": 2},
+    {"entropy_k": 5},
+    {"absent_as_zero": True, "granger_reverse": True, "granger_difference": True,
+     "lag": 2, "granger_lag": 2, "entropy_k": 2},
+]
+
+
+class TestSharedSeriesParts:
+    @pytest.mark.parametrize("settings", GRID_SETTINGS, ids=lambda s: ",".join(s) or "default")
+    def test_cells_equal_the_unshared_computation_bit_for_bit(self, tmp_path, settings):
+        cfg = build_grid_tree(tmp_path)
+        for name, value in settings.items():
+            setattr(cfg, name, value)
+        scores = tmp_path / "scores.csv"
+        stage_score(cfg.labels, scores)
+        cells = stage_analyze(cfg, scores, tmp_path / "cells.csv")
+        expected = unshared_cells(cfg, *read_scores(scores))
+        assert len(cells) == 4 * 4 * 3
+        assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
+        if not settings:
+            reasons = {c.r_reason for c in cells} | {c.u_reason for c in cells} | {
+                c.granger_reason for c in cells}
+            assert reasons == {None, "InsufficientData", "DegenerateSeries",
+                               "DegenerateSample", "RankDeficient"}
+            assert any(c.u is not None for c in cells)
+            assert any(c.granger_f is not None for c in cells)
+
+    def test_each_part_is_computed_once(self, monkeypatch):
+        """kl_entropy and ols calls: one per distinct part, plus the joint
+        entropy and the unrestricted fit of each cell."""
+        calls = {"kl_entropy": 0, "ols": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sentdep.entropy, "kl_entropy")
+        counted(sentdep.granger, "ols")
+        rng = np.random.default_rng(5)
+        n = 40
+        nan_at = lambda *i: np.isin(np.arange(n), i)  # noqa: E731
+        sentiment = {kind: rng.normal(size=n) for kind in ScoreKind}
+        for kind, gaps in zip(ScoreKind, (nan_at(2), nan_at(2), nan_at(2, 30), nan_at())):
+            sentiment[kind][gaps] = np.nan
+        prices = {t: 10 + rng.normal(size=n) for t in ("AAA", "BBB", "CCC")}
+        prices["BBB"][nan_at(7)] = np.nan
+        config, parts = PipelineConfig(), SeriesParts()
+        cells = [compute_cell("tax", kind, ticker, x, y, config, parts)
+                 for kind, x in sentiment.items() for ticker, y in prices.items()]
+        assert all(c.r is not None and c.u is not None and c.granger_f is not None
+                   for c in cells)
+
+        lagged, common = set(), set()
+        for kind, x in sentiment.items():
+            for ticker, y in prices.items():
+                kept = (np.isfinite(x[:-1]) & np.isfinite(y[1:])).tobytes()
+                lagged |= {(ticker, kept), (kind, kept)}
+                common.add((ticker, (np.isfinite(x) & np.isfinite(y)).tobytes()))
+        assert len(lagged) < 2 * len(cells) and len(common) < len(cells)
+        assert calls == {"kl_entropy": len(lagged) + len(cells),
+                         "ols": len(common) + len(cells)}
 
 
 # --- full pipeline -----------------------------------------------------------

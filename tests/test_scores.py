@@ -3,7 +3,7 @@
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentdep.core import PolarityLabel, ScoreKind
@@ -165,3 +165,29 @@ def test_score_invariants_hold_for_any_aggregation(raw):
         nfn = c.negative / c.total
         assert 0.0 <= nfp <= 1.0 and 0.0 <= nfn <= 1.0
         assert nfp + nfn <= 1.0 + 1e-12
+
+
+day_counts = st.lists(
+    st.tuples(
+        st.sampled_from(["tax", "inflation", "bank"]),    # aspect
+        st.integers(min_value=0, max_value=6),            # day offset
+        st.integers(min_value=0, max_value=9),            # positive
+        st.integers(min_value=0, max_value=9),            # negative
+        st.integers(min_value=0, max_value=9),            # neutral
+    ).filter(lambda t: sum(t[2:]) > 0),
+    max_size=25,
+    unique_by=lambda t: t[:2],
+)
+
+
+@settings(max_examples=60)
+@given(day_counts)
+@example([("tax", 0, 1, 1, 1), ("bank", 2, 2, 4, 1)])  # shares 1/3 and 2/7
+def test_written_scores_equal_what_is_read_back(tmp_path_factory, raw):
+    counts = [AspectDayCount(a, D0 + timedelta(days=o), p, n, u) for a, o, p, n, u in raw]
+    p = tmp_path_factory.mktemp("scores") / "scores.csv"
+    series, totals = write_scores(counts, p)
+    assert (series, totals) == read_scores(p)
+    for (aspect, kind), days in series.items():
+        assert all(type(v) is float for v in days.values()), (aspect, kind)
+    assert all(type(v) is int for v in totals.values())
