@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import make_output_dir
+
 PLANTED_ASPECT = "inflation"
 PLANTED_TICKER = "NEE"
 PLANT_BASE = 30.0
@@ -168,8 +170,7 @@ def _write_price_file(
 
 def generate_fixture(out_dir, seed: int = 0) -> Path:
     """Write the synthetic corpus into ``out_dir``; returns the config path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
 
     aspects_text = _packaged_text("aspects_default.txt")

@@ -223,6 +223,7 @@ class TestExitCodes:
          "a_file", "cannot create directory"),
         (["run", "--config", "config.ini", "--output-dir", "a_file"],
          "a_file", "cannot create directory"),
+        (["fixture", "--out-dir", "a_file"], "a_file", "cannot create directory"),
     ])
     def test_unwritable_output_path_returns_two(self, tmp_path, capsys, monkeypatch,
                                                 argv, target, message):
