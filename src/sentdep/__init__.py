@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (
     AlignedPairs,
+    AspectDayCount,
     PolarityLabel,
     ScoreKind,
     TradingCalendar,
@@ -79,12 +80,12 @@ from .report import (
     read_cells,
     write_cells,
 )
-from .scores import AspectDayCount, aggregate_daily
+from .scores import aggregate_daily
 
 __all__ = [
     "__version__",
     # core
-    "AlignedPairs", "PolarityLabel", "ScoreKind", "TradingCalendar",
+    "AlignedPairs", "AspectDayCount", "PolarityLabel", "ScoreKind", "TradingCalendar",
     "align_lagged", "on_calendar", "paired_on_common_days",
     # errors
     "ConfigError", "DegenerateSample", "DegenerateSeries", "DomainError",
@@ -98,7 +99,7 @@ __all__ = [
     "AspectOccurrence", "PolarityLexicon",
     "find_aspect_occurrences", "label_corpus", "lexicon_window_label",
     # scores
-    "AspectDayCount", "aggregate_daily",
+    "aggregate_daily",
     # pearson
     "CorrelationResult", "classify", "correlate", "pearson",
     # granger

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,42 @@ class PolarityLabel(Enum):
     POSITIVE = "positive"
     NEUTRAL = "neutral"
     NEGATIVE = "negative"
+
+
+#: Position of each polarity in a ``[positive, negative, neutral]`` count.
+COUNT_INDEX = {PolarityLabel.POSITIVE: 0, PolarityLabel.NEGATIVE: 1,
+               PolarityLabel.NEUTRAL: 2}
+
+
+@dataclass(frozen=True)
+class AspectDayCount:
+    """Polarity label counts for one aspect on one day."""
+
+    aspect: str
+    day: date
+    positive: int
+    negative: int
+    neutral: int
+
+    def __post_init__(self):
+        for name in ("positive", "negative", "neutral"):
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} count must be >= 0, got {v}")
+        if self.total == 0:
+            raise ValueError(f"no labels for {self.aspect} on {self.day}")
+
+    @property
+    def total(self) -> int:
+        return self.positive + self.negative + self.neutral
+
+
+def sorted_day_counts(
+    cells: Mapping[tuple[str, date], Sequence[int]]
+) -> list[AspectDayCount]:
+    """``(aspect, day) -> [positive, negative, neutral]`` counts as
+    AspectDayCount rows, sorted by (aspect, day)."""
+    return [AspectDayCount(a, d, *c) for (a, d), c in sorted(cells.items())]
 
 
 class ScoreKind(Enum):

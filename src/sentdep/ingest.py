@@ -9,6 +9,14 @@ All parsers are pure per file and safe to run concurrently. Formats:
   are consumed.
 * Labels: CSV ``tweet_id,date,aspect,polarity``.
 * Aspect lexicon: plain text, one aspect per line, ``#`` comments ignored.
+
+Every CSV file is opened through :func:`csv_reader`, which decodes UTF-8,
+checks for an empty file and the header, and turns a decoding or CSV
+syntax error into a FormatError with its line; :func:`_row_fields` holds
+the rule for blank rows and field counts. :func:`csv_rows` yields checked
+rows on top of them. :func:`parse_labeled` reads a label file in one loop
+over the reader straight into per-(aspect, day) counts, and uses
+:func:`_row_fields` only for the rows that fail its quick check.
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import PolarityLabel
+from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, sorted_day_counts
 from .errors import EmptySeries, FormatError, HeaderMismatch, OutputError
 
 logger = logging.getLogger(__name__)
@@ -115,28 +124,32 @@ def open_input(path, mode: str = "r", **kwargs):
         raise FormatError(f"cannot open file: {exc.strerror}", path=path) from None
 
 
-def read_lines(path, newline: str | None = None) -> Iterator[str]:
+def _not_utf8(path) -> FormatError:
+    """The FormatError for a file that is not UTF-8, placed on the line of
+    its first bad byte."""
+    # The decoder reports offsets within a chunk; decode the whole file
+    # again to place the bad byte on a line.
+    path = Path(path)
+    raw = path.read_bytes()
+    line_number = None
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = raw.count(b"\n", 0, exc.start) + 1
+    return FormatError("not valid UTF-8 text", path=path, line_number=line_number)
+
+
+def read_lines(path) -> Iterator[str]:
     """Lazily yield the lines of a UTF-8 text file.
 
-    ``newline`` is passed to :func:`open` (``""`` for CSV readers). A byte
-    sequence that is not UTF-8 raises FormatError naming the file and the
-    line it sits on.
+    A byte sequence that is not UTF-8 raises FormatError naming the file
+    and the line it sits on.
     """
-    path = Path(path)
     try:
-        with open_input(path, encoding="utf-8", newline=newline) as fh:
+        with open_input(Path(path), encoding="utf-8") as fh:
             yield from fh
     except UnicodeDecodeError:
-        # The decoder reports offsets within a chunk; decode the whole file
-        # again to place the bad byte on a line.
-        raw = path.read_bytes()
-        line_number = None
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_number = raw.count(b"\n", 0, exc.start) + 1
-        raise FormatError("not valid UTF-8 text", path=path,
-                          line_number=line_number) from None
+        raise _not_utf8(path) from None
 
 
 def comment_lines(path) -> Iterator[tuple[int, str]]:
@@ -148,38 +161,63 @@ def comment_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+@contextmanager
+def csv_reader(path, what: str, header: Sequence[str] | None = None):
+    """Open a UTF-8 CSV file as a :func:`csv.reader` past its first row.
+
+    Yields ``(reader, first row)``, the first row's fields stripped. An
+    empty file raises FormatError; with ``header``, a different first row
+    raises HeaderMismatch. Within the block, a byte that is not UTF-8 or
+    a CSV syntax error such as an oversized field raises FormatError with
+    its line. ``reader.line_num`` counts lines as read, so a quoted field
+    spanning lines puts its row on the line where it ends.
+    """
+    try:
+        with open_input(Path(path), encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise FormatError(f"{what} file is empty", path=path)
+            first = [f.strip() for f in first]
+            if header is not None and first != list(header):
+                raise HeaderMismatch(f"expected header {','.join(header)}, got {first}",
+                                     path=path)
+            yield reader, first
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise FormatError(str(exc), path=path, line_number=reader.line_num) from None
+
+
+def _row_fields(row: list[str], width: int | None, path, line_number: int) -> list[str] | None:
+    """A CSV row's stripped fields, or None for a row that holds only
+    whitespace; with ``width``, another number of fields raises FormatError."""
+    fields = [f.strip() for f in row]
+    if not any(fields):
+        return None
+    if width is not None and len(fields) != width:
+        raise FormatError(f"expected {width} fields, got {len(fields)}",
+                          path=path, line_number=line_number)
+    return fields
+
+
 def csv_rows(
     path, what: str, header: Sequence[str] | None = None
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, stripped fields)`` for each non-blank CSV row.
 
-    With ``header``, a different first row raises HeaderMismatch and a row
-    without one field per column raises FormatError; without it, the first
-    row is yielded too. An empty file, or a CSV syntax error such as an
-    oversized field, raises FormatError. Lines are counted as read, so a
-    quoted field spanning lines puts its row on the line where it ends.
+    The file is read and its first row checked by :func:`csv_reader`.
+    With ``header``, a row without one field per column raises
+    FormatError; without it, the first row is yielded too.
     """
-    reader = csv.reader(read_lines(path, newline=""))
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise FormatError(f"{what} file is empty", path=path)
-        first = [f.strip() for f in first]
+    width = None if header is None else len(header)
+    with csv_reader(path, what, header) as (reader, first):
         if header is None:
             yield reader.line_num, first
-        elif first != list(header):
-            raise HeaderMismatch(f"expected header {','.join(header)}, got {first}",
-                                 path=path)
         for row in reader:
-            fields = list(map(str.strip, row))
-            if not any(fields):
-                continue
-            if header is not None and len(fields) != len(header):
-                raise FormatError(f"expected {len(header)} fields, got {len(fields)}",
-                                  path=path, line_number=reader.line_num)
-            yield reader.line_num, fields
-    except csv.Error as exc:
-        raise FormatError(str(exc), path=path, line_number=reader.line_num) from None
+            fields = _row_fields(row, width, path, reader.line_num)
+            if fields is not None:
+                yield reader.line_num, fields
 
 
 def open_output(path, newline: str | None = None):
@@ -356,41 +394,69 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
 _LABEL_HEADER = ("tweet_id", "date", "aspect", "polarity")
 
 
-#: Polarity of each label-file spelling.
-_POLARITIES = {p.value: p for p in PolarityLabel}
+#: Position of each label-file polarity spelling in a count cell.
+_POLARITY_INDEX = {p.value: COUNT_INDEX[p] for p in PolarityLabel}
 
 
-def parse_labeled(path) -> Iterator[tuple[str, date, str, PolarityLabel]]:
-    """Stream externally produced aspect labels, in file order.
+def parse_labeled(path) -> list[AspectDayCount]:
+    """Count externally produced aspect labels per (aspect, day).
 
     CSV header ``tweet_id,date,aspect,polarity`` with polarity in
-    {positive, neutral, negative}. Duplicate (tweet_id, aspect) rows are
-    kept: an aspect can occur several times in one tweet and downstream
-    counts are occurrence-based. Each distinct date string is parsed once.
-    A bad row raises FormatError when the stream reaches it.
+    {positive, neutral, negative}. Returns what
+    :func:`sentdep.scores.aggregate_daily` returns for the file's rows:
+    duplicate (tweet_id, aspect) rows are kept, because an aspect can
+    occur several times in one tweet and counts are occurrence-based.
+
+    The rows are counted in one pass with no row list: cells are keyed by
+    the aspect as written and merged by stripped aspect at the end, and
+    each distinct date or polarity string is parsed once. A bad row (a
+    wrong field count, an empty tweet_id or aspect, a bad date or an
+    unknown polarity) raises FormatError; the first one in file order is
+    reported, with its line.
     """
     days: dict[str, date] = {}
-    for lineno, (tweet_id, date_s, aspect, polarity_s) in csv_rows(
-        path, "label", _LABEL_HEADER
-    ):
-        if not tweet_id:
-            raise FormatError("empty tweet_id", path=path, line_number=lineno)
-        d = days.get(date_s)
-        if d is None:
-            try:
-                d = days[date_s] = date.fromisoformat(date_s)
-            except ValueError:
-                raise FormatError(f"bad date {date_s!r}", path=path,
-                                  line_number=lineno) from None
-        pol = _POLARITIES.get(polarity_s)
-        if pol is None:
-            raise FormatError(f"unknown polarity {polarity_s!r}", path=path,
-                              line_number=lineno)
-        yield tweet_id, d, aspect, pol
+    polarities = dict(_POLARITY_INDEX)
+    raw_cells: dict[tuple[str, date], list[int]] = {}
+    width = len(_LABEL_HEADER)
+    with csv_reader(path, "label", _LABEL_HEADER) as (reader, _):
+        for row in reader:
+            if len(row) != width or not row[0].strip():
+                if _row_fields(row, width, path, reader.line_num) is None:
+                    continue
+                raise FormatError("empty tweet_id", path=path,
+                                  line_number=reader.line_num)
+            _, date_s, aspect, polarity_s = row
+            day = days.get(date_s)
+            if day is None:
+                try:
+                    day = days[date_s] = date.fromisoformat(date_s.strip())
+                except ValueError:
+                    raise FormatError(f"bad date {date_s.strip()!r}", path=path,
+                                      line_number=reader.line_num) from None
+            index = polarities.get(polarity_s)
+            if index is None:
+                index = _POLARITY_INDEX.get(polarity_s.strip())
+                if index is None:
+                    raise FormatError(f"unknown polarity {polarity_s.strip()!r}",
+                                      path=path, line_number=reader.line_num)
+                polarities[polarity_s] = index
+            cell = raw_cells.get((aspect, day))
+            if cell is None:
+                if not aspect.strip():
+                    raise FormatError("empty aspect", path=path,
+                                      line_number=reader.line_num)
+                cell = raw_cells[(aspect, day)] = [0, 0, 0]
+            cell[index] += 1
+    cells: dict[tuple[str, date], list[int]] = {}
+    for (aspect, day), counts in raw_cells.items():
+        merged = cells.setdefault((aspect.strip(), day), [0, 0, 0])
+        for i, n in enumerate(counts):
+            merged[i] += n
+    return sorted_day_counts(cells)
 
 
 def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) -> None:
-    """Serialize label tuples (inverse of :func:`parse_labeled`)."""
+    """Serialize label tuples; :func:`parse_labeled` counts them back."""
     write_csv(path, _LABEL_HEADER,
               ((tweet_id, d.isoformat(), aspect, pol.value)
                for tweet_id, d, aspect, pol in labels))

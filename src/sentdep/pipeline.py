@@ -399,13 +399,12 @@ def stage_score(labels_path, out_path, labels=None) -> Scores:
     """labels.csv -> scores.csv; returns the series and totals written.
 
     ``labels`` are the rows of ``labels_path`` when the caller already
-    holds them; otherwise they stream from the file. Either way they are
-    counted as they pass, and nothing is written before the last one, so
-    a bad row leaves no ``scores.csv`` behind.
+    holds them; otherwise the file is counted in one pass by
+    :func:`parse_labeled`. Nothing is written before every row has been
+    counted, so a bad row leaves no ``scores.csv`` behind.
     """
-    if labels is None:
-        labels = parse_labeled(labels_path)
-    return write_scores(aggregate_daily(labels), out_path)
+    counts = parse_labeled(labels_path) if labels is None else aggregate_daily(labels)
+    return write_scores(counts, out_path)
 
 
 def _failure_reason(exc: SentdepError) -> str:

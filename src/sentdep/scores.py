@@ -17,38 +17,14 @@ genuinely means a count of zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
-from .core import PolarityLabel, ScoreKind
+from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind, sorted_day_counts
 from .errors import FormatError
 from .ingest import csv_rows, write_csv
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class AspectDayCount:
-    """Polarity label counts for one aspect on one day."""
-
-    aspect: str
-    day: date
-    positive: int
-    negative: int
-    neutral: int
-
-    def __post_init__(self):
-        for name in ("positive", "negative", "neutral"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} count must be >= 0, got {v}")
-        if self.total == 0:
-            raise ValueError(f"no labels for {self.aspect} on {self.day}")
-
-    @property
-    def total(self) -> int:
-        return self.positive + self.negative + self.neutral
 
 
 def aggregate_daily(
@@ -58,23 +34,16 @@ def aggregate_daily(
 
     Every input tuple contributes to exactly one count cell; output is
     sorted by (aspect, day). ``labels`` is read once, so it may be a
-    stream.
+    stream. :func:`sentdep.ingest.parse_labeled` gives the same counts
+    for a label file.
     """
     acc: dict[tuple[str, date], list[int]] = {}
     for _tweet_id, day, aspect, polarity in labels:
         cell = acc.get((aspect, day))
         if cell is None:
             cell = acc[(aspect, day)] = [0, 0, 0]
-        if polarity is PolarityLabel.POSITIVE:
-            cell[0] += 1
-        elif polarity is PolarityLabel.NEGATIVE:
-            cell[1] += 1
-        else:
-            cell[2] += 1
-    return [
-        AspectDayCount(aspect=a, day=d, positive=c[0], negative=c[1], neutral=c[2])
-        for (a, d), c in sorted(acc.items())
-    ]
+        cell[COUNT_INDEX[polarity]] += 1
+    return sorted_day_counts(acc)
 
 
 _SCORES_HEADER = ("aspect", "date", "kind", "value")
@@ -110,30 +79,29 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
     """
     series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
+    fp_code, fn_code, nfp_code, nfn_code = (k.code for k in ScoreKind)
 
     def rows():
+        aspect = None
         for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-            day = c.day.isoformat()
-            for code, value in (
-                (ScoreKind.ABS_POSITIVE.code, float(c.positive)),
-                (ScoreKind.ABS_NEGATIVE.code, float(c.negative)),
-                (TOTAL_KIND_CODE, float(c.total)),
-                (ScoreKind.NORM_POSITIVE.code, c.positive / c.total),
-                (ScoreKind.NORM_NEGATIVE.code, c.negative / c.total),
-            ):
-                _add(series, totals, c.aspect, c.day, code, value)
-                yield c.aspect, day, code, repr(value)
+            if c.aspect != aspect:
+                aspect = c.aspect
+                fp, fn, nfp, nfn = (series.setdefault((aspect, k), {}) for k in ScoreKind)
+                totals.setdefault(aspect, 0)
+            d, day, total = c.day, c.day.isoformat(), c.total
+            fp[d] = v_fp = float(c.positive)
+            fn[d] = v_fn = float(c.negative)
+            nfp[d] = v_nfp = c.positive / total
+            nfn[d] = v_nfn = c.negative / total
+            totals[aspect] += total
+            yield aspect, day, fp_code, repr(v_fp)
+            yield aspect, day, fn_code, repr(v_fn)
+            yield aspect, day, TOTAL_KIND_CODE, repr(float(total))
+            yield aspect, day, nfp_code, repr(v_nfp)
+            yield aspect, day, nfn_code, repr(v_nfn)
 
     write_csv(path, _SCORES_HEADER, rows())
     return series, totals
-
-
-def _add(series, totals, aspect: str, day: date, code: str, value: float) -> None:
-    """Put one score row's value into ``series``, or for ``fs`` into ``totals``."""
-    if code == TOTAL_KIND_CODE:
-        totals[aspect] = totals.get(aspect, 0) + int(value)
-    else:
-        series.setdefault((aspect, _KINDS_BY_CODE[code]), {})[day] = value
 
 
 def read_scores(path) -> Scores:
@@ -147,10 +115,12 @@ def read_scores(path) -> Scores:
     its line.
     """
     series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
-    totals: dict[str, int] = {}
+    fs_rows: dict[str, dict[date, int]] = {}
     for lineno, (aspect, date_s, kind_code, value_s) in csv_rows(
         path, "score", _SCORES_HEADER
     ):
+        if not aspect:
+            raise FormatError("empty aspect", path=path, line_number=lineno)
         if kind_code not in _VALID_KIND_CODES:
             raise FormatError(f"unknown score kind {kind_code!r}",
                               path=path, line_number=lineno)
@@ -166,5 +136,12 @@ def read_scores(path) -> Scores:
         if not valid:
             raise FormatError(f"{kind_code} must {rule}, got {value_s!r}",
                               path=path, line_number=lineno)
-        _add(series, totals, aspect, d, kind_code, v)
-    return series, totals
+        if kind_code == TOTAL_KIND_CODE:
+            days, v = fs_rows.setdefault(aspect, {}), int(v)
+        else:
+            days = series.setdefault((aspect, _KINDS_BY_CODE[kind_code]), {})
+        if d in days:
+            raise FormatError(f"repeated {kind_code} row for aspect {aspect!r} on {d}",
+                              path=path, line_number=lineno)
+        days[d] = v
+    return series, {aspect: sum(days.values()) for aspect, days in fs_rows.items()}

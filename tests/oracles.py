@@ -5,28 +5,38 @@ the code under test: exact rational arithmetic (floats are dyadic
 rationals, so Fraction conversion is lossless) instead of floating point,
 normal equations instead of orthogonal decompositions, per-keyword set
 scans instead of a single counting pass, a scan of every aspect at
-every position instead of a first-token index, and cells that compute
+every position instead of a first-token index, cells that compute
 every part of their statistics themselves instead of sharing the parts
-that depend on one series.
+that depend on one series, and label files checked and counted one row
+tuple at a time instead of in one pass over memoised fields.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from sentdep.core import ScoreKind, align_lagged, on_calendar, paired_on_common_days
+from sentdep.core import (
+    AspectDayCount,
+    PolarityLabel,
+    ScoreKind,
+    align_lagged,
+    on_calendar,
+    paired_on_common_days,
+)
 from sentdep.entropy import uncertainty_coefficient
-from sentdep.errors import EmptyAlignment, InsufficientData, SentdepError
+from sentdep.errors import EmptyAlignment, FormatError, InsufficientData, SentdepError
 from sentdep.granger import granger_causes
-from sentdep.ingest import AspectLexicon, load_aspects, parse_prices, tokenize
+from sentdep.ingest import AspectLexicon, csv_rows, load_aspects, parse_prices, tokenize
 from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import correlate
 from sentdep.pipeline import build_calendar, select_top_aspects
 from sentdep.report import DependenceCell
+from sentdep.scores import aggregate_daily
 
 
 def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -152,6 +162,36 @@ def aspect_occurrences_bruteforce(
                 found.append((start, lex_idx, AspectOccurrence(aspect, start, start + w)))
     found.sort(key=lambda t: (t[0], t[1]))
     return [occ for _, _, occ in found]
+
+
+def labels_row_by_row(path) -> list[AspectDayCount]:
+    """The counts of a label file, read one checked row at a time.
+
+    Each row from :func:`sentdep.ingest.csv_rows` becomes a label tuple
+    after its checks (tweet_id, date, polarity, aspect, in that order),
+    and :func:`sentdep.scores.aggregate_daily` counts the tuples.
+    """
+    def labels():
+        for lineno, (tweet_id, date_s, aspect, polarity_s) in csv_rows(
+            path, "label", ("tweet_id", "date", "aspect", "polarity")
+        ):
+            if not tweet_id:
+                raise FormatError("empty tweet_id", path=path, line_number=lineno)
+            try:
+                day = date.fromisoformat(date_s)
+            except ValueError:
+                raise FormatError(f"bad date {date_s!r}", path=path,
+                                  line_number=lineno) from None
+            try:
+                polarity = PolarityLabel(polarity_s)
+            except ValueError:
+                raise FormatError(f"unknown polarity {polarity_s!r}", path=path,
+                                  line_number=lineno) from None
+            if not aspect:
+                raise FormatError("empty aspect", path=path, line_number=lineno)
+            yield tweet_id, day, aspect, polarity
+
+    return aggregate_daily(labels())
 
 
 def _reason(exc: SentdepError) -> str:

@@ -247,6 +247,38 @@ class TestExitCodes:
         assert f"labels.csv:{line}: unknown polarity" in capsys.readouterr().err
         assert not (tmp_path / "bad_run" / "scores.csv").exists()
 
+    @pytest.mark.parametrize("command, name, row, unwritten", [
+        ("score", "labels.csv", b"t9,2022-10-03,  ,positive", "new_scores.csv"),
+        ("run", "labels.csv", b"t9,2022-10-03,  ,positive", "bad_run/scores.csv"),
+        ("analyze", "scores.csv", b" ,2022-10-03,fp,1.0", "new_cells.csv"),
+    ], ids=["score", "run", "analyze"])
+    def test_empty_aspect_returns_two(self, tmp_path, capsys, monkeypatch,
+                                      command, name, row, unwritten):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        line = append_line(tmp_path / name, row)
+        if command == "run":
+            ini = tmp_path / "config.ini"
+            ini.write_text(ini.read_text(encoding="utf-8").replace(
+                "[prices]", "labels = labels.csv\n[prices]"), encoding="utf-8")
+            argv = ["run", "--config", "config.ini", "--output-dir", "bad_run"]
+        else:
+            argv = [command, *STAGE_ARGV[command]]
+        assert main(argv) == 2
+        assert f"error: {name}:{line}: empty aspect\n" == capsys.readouterr().err
+        assert not (tmp_path / unwritten).exists()
+
+    def test_repeated_score_row_returns_two(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        scores = tmp_path / "scores.csv"
+        aspect, day, _, _ = next(line for line in scores.read_text(encoding="utf-8").splitlines()
+                                 if ",fp," in line).split(",")
+        compact = day.replace("-", "")
+        line = append_line(scores, f"{aspect},{compact},fp,1.0".encode())
+        assert main(["analyze", *STAGE_ARGV["analyze"]]) == 2
+        assert (f"error: scores.csv:{line}: repeated fp row for aspect {aspect!r} on {day}\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "new_cells.csv").exists()
+
     @pytest.mark.parametrize("command, option, message", [
         ("label", ["--window", "-1"], "window must be >= 0, got -1"),
         ("keywords", ["--malformed-cap", "-1"],

@@ -18,7 +18,7 @@ from sentdep.core import (
 )
 from sentdep.errors import EmptyAlignment, FormatError
 from sentdep.ingest import parse_labeled, write_labeled
-from sentdep.scores import read_scores
+from sentdep.scores import aggregate_daily, read_scores
 
 # A small October-2022 trading week fixture: Mon 3rd .. Fri 7th, then
 # Mon 10th (weekend 8th/9th absent).
@@ -56,13 +56,17 @@ class TestTradingCalendar:
 class TestDomainTypes:
     def test_polarity_round_trip(self, tmp_path):
         p = tmp_path / "labels.csv"
-        labels = [("t1", WEEK[0], "tax", label) for label in PolarityLabel]
+        # One aspect per polarity, so each count must land in its own column.
+        labels = [("t1", WEEK[0], label.value, label) for label in PolarityLabel]
         write_labeled(labels, p)
-        assert [row[3] for row in parse_labeled(p)] == list(PolarityLabel)
+        counts = parse_labeled(p)
+        assert counts == aggregate_daily(labels)
+        assert {c.aspect: (c.positive, c.negative, c.neutral) for c in counts} == {
+            "positive": (1, 0, 0), "negative": (0, 1, 0), "neutral": (0, 0, 1)}
         p.write_text("tweet_id,date,aspect,polarity\nt1,2022-10-03,tax,mixed\n",
                      encoding="utf-8")
         with pytest.raises(FormatError, match="labels.csv:2: unknown polarity 'mixed'"):
-            list(parse_labeled(p))
+            parse_labeled(p)
 
     def test_score_kind_codes(self):
         assert [k.code for k in ScoreKind] == ["fp", "fn", "nfp", "nfn"]

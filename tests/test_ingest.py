@@ -1,9 +1,12 @@
 """Parsers, tokenizer, and keyword counting."""
 
 import json
+import re
 from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentdep.errors import EmptySeries, FormatError, HeaderMismatch
 from sentdep.ingest import (
@@ -18,8 +21,9 @@ from sentdep.ingest import (
     write_labeled,
 )
 from sentdep.core import PolarityLabel
+from sentdep.scores import aggregate_daily
 
-from oracles import keyword_counts_bruteforce
+from oracles import keyword_counts_bruteforce, labels_row_by_row
 
 
 def write_jsonl(path, records):
@@ -215,6 +219,60 @@ class TestParsePrices:
         assert parse_prices(p, "BP")[date(2022, 10, 3)] == 12.5
 
 
+#: Days of the generated label files, each in its two ISO 8601 spellings.
+LABEL_DAYS = [("2021-01-04", "20210104"), ("2021-01-05", "20210105"),
+              ("2022-12-30", "20221230")]
+
+#: One bad label row of each kind the label reader rejects, and its message.
+BAD_LABEL_ROWS = {
+    "too few fields": ("t1,2021-01-04,tax", "expected 4 fields, got 3"),
+    "too many fields": ("t1,2021-01-04,tax,positive,x", "expected 4 fields, got 5"),
+    "empty tweet_id": ("  ,2021-01-04,tax,positive", "empty tweet_id"),
+    "bad date": ("t1, 2021-13-04,tax,positive", "bad date '2021-13-04'"),
+    "unknown polarity": ("t1,2021-01-04,tax, mixed", "unknown polarity 'mixed'"),
+    "empty aspect": ("t1,20210104, ,negative", "empty aspect"),
+}
+
+
+@st.composite
+def label_file_text(draw):
+    """A label file with stray spaces, blank rows, repeated rows, a quoted
+    tweet_id that holds a newline, each day in two spellings, and at most
+    one bad row."""
+    def padded(field):
+        before = draw(st.sampled_from(["", " ", "  "]))
+        return before + field + draw(st.sampled_from(["", " ", "\t"]))
+
+    row = st.tuples(
+        st.sampled_from(["t1", "t2", "42", '"t\n3"']),
+        st.sampled_from(LABEL_DAYS).flatmap(st.sampled_from),
+        st.sampled_from(["tax", "stock market", "inflation"]),
+        st.sampled_from([p.value for p in PolarityLabel]),
+    )
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    blank = st.sampled_from(["", "   ", " , , , ", ",,,", "\t,"])
+    lines = []
+    for item in draw(st.lists(st.sampled_from(pool) | blank, max_size=25)):
+        if isinstance(item, str):
+            lines.append(item)
+        else:
+            # A quoted field stays unpadded, so its quotes still quote.
+            lines.append(",".join(f if f.startswith('"') else padded(f) for f in item))
+    bad = draw(st.none() | st.sampled_from(sorted(BAD_LABEL_ROWS)))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), BAD_LABEL_ROWS[bad][0])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(["tweet_id, date ,aspect,polarity", *lines]) + end
+
+
+def counts_or_error(read, path):
+    """``read(path)``, or the class, message and line of its FormatError."""
+    try:
+        return read(path)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
 class TestParseLabeled:
     def test_round_trip(self, tmp_path):
         labels = [
@@ -224,13 +282,13 @@ class TestParseLabeled:
         ]
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert list(parse_labeled(p)) == labels
+        assert parse_labeled(p) == aggregate_daily(labels)
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("tweet,day,aspect,polarity\n", encoding="utf-8")
         with pytest.raises(HeaderMismatch):
-            list(parse_labeled(p))
+            parse_labeled(p)
 
     def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -241,7 +299,7 @@ class TestParseLabeled:
             encoding="utf-8",
         )
         with pytest.raises(FormatError) as excinfo:
-            list(parse_labeled(p))
+            parse_labeled(p)
         assert excinfo.value.line_number == 3
         assert "sideways" in str(excinfo.value)
 
@@ -250,8 +308,32 @@ class TestParseLabeled:
         p.write_text("tweet_id,date,aspect,polarity\nt1,yesterday,tax,positive\n",
                      encoding="utf-8")
         with pytest.raises(FormatError) as excinfo:
-            list(parse_labeled(p))
+            parse_labeled(p)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LABEL_ROWS))
+    def test_first_bad_row_is_reported(self, tmp_path, kind):
+        row, message = BAD_LABEL_ROWS[kind]
+        p = tmp_path / "labels.csv"
+        p.write_text("tweet_id,date,aspect,polarity\n"
+                     "t1,2021-01-04,tax,positive\n"
+                     f"{row}\n"
+                     "t2,2021-01-04,,sideways\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"labels.csv:3: {message}")):
+            parse_labeled(p)
+
+    def test_counts_equal_the_row_by_row_reader(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("labels") / "labels.csv"
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(label_file_text())
+        @example('tweet_id,date,aspect,polarity\n"t\n1", 2021-01-04,tax ,positive\n'
+                 " , , , \nt2,20210104, tax,  positive\nt3,2021-01-04,,neutral\n")
+        def check(text):
+            p.write_text(text, encoding="utf-8", newline="")
+            assert counts_or_error(parse_labeled, p) == counts_or_error(labels_row_by_row, p)
+
+        check()
 
 
 class TestAspectLexicon:

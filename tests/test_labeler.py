@@ -15,6 +15,7 @@ from sentdep.labeler import (
     label_corpus,
     lexicon_window_label,
 )
+from sentdep.scores import aggregate_daily
 
 from oracles import aspect_occurrences_bruteforce
 
@@ -184,7 +185,7 @@ class TestLabelCorpus:
         labels = label_corpus([self.tweet(1, "inflation crash")], aspects, LEX)
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert list(parse_labeled(p)) == labels
+        assert parse_labeled(p) == aggregate_daily(labels)
 
     def test_uses_utc_day(self):
         aspects = AspectLexicon(["inflation"])

@@ -14,7 +14,7 @@ from sentdep.scores import read_scores
 #: Input name -> (its reader, the header a well-formed file starts with).
 READERS = {
     "prices": (lambda p: parse_prices(p, "AAA"), b"Date,Close\n"),
-    "labels": (lambda p: list(parse_labeled(p)), b"tweet_id,date,aspect,polarity\n"),
+    "labels": (parse_labeled, b"tweet_id,date,aspect,polarity\n"),
     "scores": (read_scores, b"aspect,date,kind,value\n"),
     "cells": (read_cells, ",".join(_CELL_COLUMNS).encode() + b"\n"),
     "calendar": (load_calendar, b""),

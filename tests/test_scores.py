@@ -137,6 +137,28 @@ class TestScoresFile:
         assert f"scores.csv:{lineno}: {kind} must" in str(excinfo.value)
         assert repr(value) in str(excinfo.value)
 
+    def test_read_rejects_empty_aspect(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("aspect,date,kind,value\ntax,2022-10-03,fp,1.0\n  ,2022-10-03,fp,1.0\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match="scores.csv:3: empty aspect"):
+            read_scores(p)
+
+    @pytest.mark.parametrize("kind, first, second", [
+        ("fp", "3.0", "1.0"), ("fs", "4.0", "4.0"), ("nfn", "0.5", "0.5"),
+    ])
+    def test_read_rejects_a_repeated_row_in_either_date_spelling(self, tmp_path, kind,
+                                                                 first, second):
+        p = tmp_path / "scores.csv"
+        p.write_text("aspect,date,kind,value\n"
+                     f"tax,2022-10-03,{kind},{first}\n"
+                     f"tax,2022-10-04,{kind},{first}\n"
+                     f"bank,20221003,{kind},{first}\n"
+                     f" tax ,20221003,{kind},{second}\n", encoding="utf-8")
+        message = f"scores.csv:5: repeated {kind} row for aspect 'tax' on 2022-10-03"
+        with pytest.raises(FormatError, match=message):
+            read_scores(p)
+
 
 # --- randomized invariant suite -------------------------------------------
 
