@@ -3,8 +3,24 @@
 from __future__ import annotations
 
 
+def _rebuilt(cls: type, args: tuple) -> BaseException:
+    """An instance of ``cls`` holding ``args``, made without its ``__init__``."""
+    exc = cls.__new__(cls)
+    exc.args = args
+    return exc
+
+
 class SentdepError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Every subclass survives ``pickle`` with its class, message and
+    attributes (such as ``path`` and ``line_number``), whatever its
+    ``__init__`` signature: ``sentdep run`` passes the ingest stages'
+    errors from a child process back to its parent this way.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args), self.__dict__
 
 
 class EmptyAlignment(SentdepError):

@@ -17,16 +17,28 @@ When it labels the tweets itself, the label stage also counts the
 keywords, so the tweet file is read and tokenized once.
 Nothing in the pipeline draws random numbers, so identical inputs and
 configuration always produce identical outputs.
+
+The two halves of a run share nothing but the scores. Where ``os.fork``
+exists, :func:`run_pipeline` runs the keyword, label and score stages in
+one forked child while the parent imports ``scipy.special``, which only
+the statistics need, on the other core. The child sends its log records
+and its scores, or its error, back through a pipe; the parent replays
+the records, then re-raises the error or goes on with the analysis and
+the report (see :func:`_ingest_beside_import`).
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
+import os
+import pickle
+import traceback
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -589,16 +601,8 @@ def stage_report(cells: Sequence[DependenceCell], output_dir) -> list[Path]:
     return written
 
 
-def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
-    """Run every stage and write all artifacts into ``config.output_dir``.
-
-    Artifacts: keywords.csv (when tweets are configured), labels.csv
-    (when labeled internally), scores.csv, cells.csv, eight heatmaps,
-    granger.csv, run_manifest.json.
-    """
-    config.validate()
-    out = make_output_dir(config.output_dir)
-
+def _ingest(config: PipelineConfig, out: Path) -> Scores:
+    """The text half of a run: keywords.csv, labels.csv and scores.csv."""
     labels = None
     if config.labels is not None:
         labels_path = config.labels
@@ -619,12 +623,143 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
         )
         logger.info("labels: %d occurrences", len(labels))
 
-    scores_path = out / "scores.csv"
-    scores = stage_score(labels_path, scores_path, labels)
-    del labels  # the analysis needs only the counts
+    scores = stage_score(labels_path, out / "scores.csv", labels)
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
+    return scores
 
-    cells = stage_analyze(config, scores_path, out / "cells.csv", scores)
+
+class _RecordCollector(logging.Handler):
+    """Keeps each record as ``QueueHandler.prepare`` leaves it.
+
+    The message is formatted into ``msg``, and ``args`` and the exception
+    are dropped, so the record pickles and prints the same elsewhere.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # This is the process's only handler, so the record can be changed
+        # in place.
+        record.msg = record.message = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _child_message(ingest: Callable[[], Scores]) -> bytes:
+    """Run ``ingest`` in a forked child and pickle what its parent needs.
+
+    The message is (log records, ingest seconds, outcome). The outcome is
+    the Scores, the SentdepError raised, or the traceback text of any other
+    exception. Every handler of this process is replaced by one collector,
+    so the child itself writes nothing.
+    """
+    loggers = [logging.getLogger(), *logging.Logger.manager.loggerDict.values()]
+    for each in loggers:
+        if isinstance(each, logging.Logger):
+            each.handlers = []
+    collector = _RecordCollector()
+    logging.getLogger().addHandler(collector)
+    start = perf_counter()
+    try:
+        outcome = ingest()
+    except SentdepError as exc:
+        outcome = exc
+    except BaseException:  # an interrupt too: the child ends in os._exit either way
+        outcome = traceback.format_exc()
+    ingest_s = perf_counter() - start
+    try:
+        return pickle.dumps((collector.records, ingest_s, outcome))
+    except Exception:  # an error that does not pickle
+        return pickle.dumps((collector.records, ingest_s, traceback.format_exc()))
+
+
+def _ended(status: int) -> str:
+    """How a process with wait status ``status`` ended, in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal
+
+        return f"killed by signal {signal.Signals(-code).name}"
+    return f"exit status {code}"
+
+
+def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
+    """``ingest()``, run in a forked child while this process imports scipy.special.
+
+    The two share nothing: the child writes keywords.csv, labels.csv and
+    scores.csv and sends back one pickled message (see
+    :func:`_child_message`), while the parent loads the special functions
+    that only the statistics need, on the other core. The child's log
+    records are handed to this process's loggers before it logs anything
+    itself, and its SentdepError is raised here with the same class and
+    message. The child is always reaped, and killed first when this
+    process raises before its message has arrived. Without ``os.fork``
+    the ingest runs inline.
+    """
+    if not hasattr(os, "fork"):
+        return ingest()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_child_message(ingest))
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(write_fd)
+    message = None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            start = perf_counter()
+            import scipy.special  # noqa: F401  (the statistics' only slow import)
+            imported = perf_counter()
+            message = pipe.read()
+            received = perf_counter()
+    finally:
+        if message is None:
+            import signal
+
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        _, status = os.waitpid(pid, 0)
+    if not message:
+        raise RuntimeError(f"the ingest process ended without a result: {_ended(status)}")
+
+    records, ingest_s, outcome = pickle.loads(message)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if isinstance(outcome, SentdepError):
+        raise outcome
+    if isinstance(outcome, str):
+        raise RuntimeError(f"the ingest process failed:\n{outcome}")
+    logger.info("ingest %.3f s in a child process; scipy.special import %.3f s "
+                "meanwhile; then waited %.3f s", ingest_s, imported - start,
+                received - imported)
+    return outcome
+
+
+def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
+    """Run every stage and write all artifacts into ``config.output_dir``.
+
+    Artifacts: keywords.csv (when tweets are configured), labels.csv
+    (when labeled internally), scores.csv, cells.csv, eight heatmaps,
+    granger.csv, run_manifest.json. The keyword, label and score stages
+    run in a forked child while this process imports the special functions
+    of the statistics (see :func:`_ingest_beside_import`).
+    """
+    config.validate()
+    out = make_output_dir(config.output_dir)
+    scores = _ingest_beside_import(partial(_ingest, config, out))
+
+    cells = stage_analyze(config, out / "scores.csv", out / "cells.csv", scores)
     logger.info("analysis: %d dependence cells", len(cells))
 
     stage_report(cells, out)

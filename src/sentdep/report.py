@@ -64,6 +64,7 @@ _CELL_COLUMNS = [f.name for f in fields(DependenceCell)]
 _BOOL_FIELDS = {"r_significant", "granger_causal", "granger_perfect_fit", "u_valid"}
 _FLOAT_FIELDS = {"r", "granger_f", "granger_p", "u", "u_mi"}
 _STR_FIELDS = {"aspect", "ticker", "r_reason", "granger_reason", "u_reason"}
+_KEY_FIELDS = {"aspect", "ticker"}  # str fields that may not be empty
 _BOOL_WORDS = {"true": True, "false": False}
 
 
@@ -87,7 +88,10 @@ def write_cells(cells: Sequence[DependenceCell], path) -> None:
 
 
 def read_cells(path) -> list[DependenceCell]:
-    """Inverse of :func:`write_cells` (exact float round-trip)."""
+    """Inverse of :func:`write_cells` (exact float round-trip).
+
+    A row with an empty ``aspect`` or ``ticker`` raises FormatError.
+    """
     out: list[DependenceCell] = []
     for lineno, row in csv_rows(path, "cell", _CELL_COLUMNS):
         kwargs = {}
@@ -98,6 +102,8 @@ def read_cells(path) -> list[DependenceCell]:
                 elif name == "n":
                     kwargs[name] = int(text)
                 elif name in _STR_FIELDS:
+                    if not text and name in _KEY_FIELDS:
+                        raise FormatError(f"empty {name}", path=path, line_number=lineno)
                     kwargs[name] = text if text else None
                 elif not text:
                     kwargs[name] = None
@@ -108,8 +114,6 @@ def read_cells(path) -> list[DependenceCell]:
             except (KeyError, ValueError):
                 raise FormatError(f"bad {name} {text!r}", path=path,
                                   line_number=lineno) from None
-        kwargs["aspect"] = kwargs["aspect"] or ""
-        kwargs["ticker"] = kwargs["ticker"] or ""
         out.append(DependenceCell(**kwargs))
     return out
 

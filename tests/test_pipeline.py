@@ -625,11 +625,14 @@ class TestRunPipeline:
                                  "text": "el tax", "lang": "es"}) + "\n")
         lines = (tmp_path / "tweets.jsonl").read_text(encoding="utf-8").splitlines()
         english = sum(json.loads(line)["lang"] == "en" for line in lines)
-        calls = {"parse_tweets": 0, "tokenize": 0}
+        # The stages run in a forked child, so the spies count in a file.
+        log = tmp_path / "calls.txt"
+        log.touch()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(name + "\n")
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -639,6 +642,8 @@ class TestRunPipeline:
         for module in (sentdep.ingest, sentdep.labeler):
             monkeypatch.setattr(module, "tokenize", tokenize, raising=False)
         run_pipeline(load_config(ini))
+        names = log.read_text(encoding="utf-8").split()
+        calls = {name: names.count(name) for name in ("parse_tweets", "tokenize")}
         assert calls == {"parse_tweets": 1, "tokenize": english}
 
     def test_no_aspect_mentions_still_completes(self, tmp_path, caplog):

@@ -99,6 +99,22 @@ class TestCellsFile:
         assert main(["report", "--cells", str(p), "--out-dir", str(tmp_path / "r")]) == 2
         assert f"cells.csv:3: bad {column}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["aspect", "ticker"])
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_empty_key_field_names_file_and_line(self, tmp_path, capsys, column, blank):
+        p = tmp_path / "cells.csv"
+        write_cells([full_cell(), null_cell()], p)
+        header, first, second = p.read_text(encoding="utf-8").splitlines()
+        row = second.split(",")
+        row[header.split(",").index(column)] = blank
+        p.write_text("\n".join([header, first, ",".join(row)]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"cells.csv:3: empty {column}$"):
+            read_cells(p)
+        out_dir = tmp_path / "r"
+        assert main(["report", "--cells", str(p), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {p}:3: empty {column}\n"
+        assert not out_dir.exists()
+
     def test_read_strips_fields_and_skips_whitespace_rows(self, tmp_path):
         p = tmp_path / "cells.csv"
         write_cells([full_cell(), null_cell()], p)
