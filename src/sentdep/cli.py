@@ -122,6 +122,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cells = read_cells(args.cells)
+    if not cells:
+        raise FormatError("no cell rows to report", path=args.cells)
     out_dir = make_output_dir(args.out_dir)
     written = stage_report(cells, out_dir)
     print(f"{len(written)} report files -> {out_dir}")
@@ -141,6 +143,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     from .fixture import generate_fixture
 
+    check_values(seed=args.seed)
     config_path = generate_fixture(args.out_dir, seed=args.seed)
     print(f"synthetic corpus -> {args.out_dir}")
     print(f"run it with: sentdep run --config {config_path}")

@@ -7,6 +7,11 @@ list), never inferred from holiday rules. Readers return a daily series
 as a date -> value dict; for analysis it becomes one float array indexed
 by trading day, NaN marking a missing day, so a lag of L trading days is
 a shift by L elements.
+
+The text stages never touch those arrays, so numpy is imported only by
+the functions that build or align them: a process that only reads,
+labels and scores text does not load it. The defaults of the statistics
+live here too, where the config table and the statistics both read them.
 """
 
 from __future__ import annotations
@@ -14,11 +19,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyAlignment
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Default neighbor order of the entropy estimates: a common bias/variance
+#: compromise.
+DEFAULT_K = 3
+
+#: Largest supported neighbor order.
+MAX_K = 20
+
+#: Default significance level of the Granger F-test.
+DEFAULT_ALPHA = 0.05
+
+#: |r| must strictly exceed this to be called significant.
+DEFAULT_THRESHOLD = 0.4
 
 
 class PolarityLabel(Enum):
@@ -130,6 +149,8 @@ def on_calendar(values: Mapping[date, float], calendar: TradingCalendar) -> np.n
     series has no observation; values on dates off the calendar are
     dropped.
     """
+    import numpy as np
+
     out = np.full(len(calendar), np.nan)
     index = calendar._index
     for d, v in values.items():
@@ -155,6 +176,8 @@ class AlignedPairs:
     kept: np.ndarray | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         pairs = np.asarray(self.pairs, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "pairs", pairs)
 
@@ -184,6 +207,8 @@ def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
+    import numpy as np
+
     xs, ys = x[:-lag], y[lag:]
     keep = np.isfinite(xs) & np.isfinite(ys)
     if not keep.any():
@@ -203,5 +228,7 @@ def paired_on_common_days(
     contrast with :func:`align_lagged`, which bakes the shift into the
     pairs for the symmetric statistics.
     """
+    import numpy as np
+
     keep = np.isfinite(x) & np.isfinite(y)
     return x[keep], y[keep], keep

@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlignedPairs
+from .core import DEFAULT_K, MAX_K, AlignedPairs
 from .errors import DegenerateSample, DomainError, InsufficientData
-
-#: Default neighbor order: a common bias/variance compromise.
-DEFAULT_K = 3
-
-#: Largest supported neighbor order.
-MAX_K = 20
 
 #: Zero neighbor distances (duplicate points) are floored here before log.
 EPSILON_FLOOR = 1e-12
@@ -123,7 +117,8 @@ def _kth_neighbor_distance_1d(values: np.ndarray, k: int) -> np.ndarray:
     starts = np.clip(place - np.arange(k + 1)[:, np.newaxis], 0, n - k - 1)
     far = np.maximum(s - s[starts], s[starts + k] - s)
     eps = np.empty(n)
-    eps[order] = far.min(axis=0)
+    # + 0.0 turns a zero distance between 0.0 and -0.0 into the tree's +0.0
+    eps[order] = far.min(axis=0) + 0.0
     return eps
 
 

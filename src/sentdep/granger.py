@@ -26,12 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import DEFAULT_ALPHA
 from .errors import InsufficientData, RankDeficient
 
 #: Designs with a condition number above this are treated as rank deficient.
 CONDITION_LIMIT = 1e10
-
-DEFAULT_ALPHA = 0.05
 
 #: An RSS at or below this multiple of the response's centered sum of
 #: squares is considered an exact fit (pure rounding residue).

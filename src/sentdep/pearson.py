@@ -22,14 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AlignedPairs
+from .core import DEFAULT_THRESHOLD, AlignedPairs
 from .errors import DegenerateSeries, InsufficientData
 
 #: Minimum pair count for a correlation to be defined (and stable).
 MIN_PAIRS = 3
-
-#: |r| must strictly exceed this to be called significant.
-DEFAULT_THRESHOLD = 0.4
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ keywords, so the tweet file is read and tokenized once.
 Nothing in the pipeline draws random numbers, so identical inputs and
 configuration always produce identical outputs.
 
-The two halves of a run share nothing but the scores. Where ``os.fork``
-exists, :func:`run_pipeline` runs the keyword, label and score stages in
-one forked child while the parent imports ``scipy.special``, which only
-the statistics need, on the other core. The child sends its log records
+The two halves of a run share nothing but the scores. Only the analysis
+needs numpy and SciPy; its cell code lives in :mod:`sentdep.analysis`,
+which :func:`stage_analyze` imports when it runs, so this module and the
+text stages load neither. Where ``os.fork`` exists, :func:`run_pipeline`
+forks before the numerical stack is loaded: one child runs the keyword,
+label and score stages while the parent imports numpy, the statistics
+and ``scipy.special`` on the other core. The child sends its log records
 and its scores, or its error, back through a pipe; the parent replays
 the records, then re-raises the error or goes on with the analysis and
 the report (see :func:`_ingest_beside_import`).
@@ -41,25 +44,16 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
+    DEFAULT_ALPHA,
+    DEFAULT_K,
+    DEFAULT_THRESHOLD,
+    MAX_K,
     PolarityLabel,
     ScoreKind,
     TradingCalendar,
-    align_lagged,
-    on_calendar,
-    paired_on_common_days,
 )
-from .entropy import DEFAULT_K, MAX_K, marginal_entropy, uncertainty_coefficient
-from .errors import (
-    ConfigError,
-    EmptyAlignment,
-    FormatError,
-    InsufficientData,
-    SentdepError,
-)
-from .granger import DEFAULT_ALPHA, granger_causes, restricted_fit
+from .errors import ConfigError, FormatError, SentdepError
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
@@ -76,7 +70,6 @@ from .ingest import (
     write_labeled,
 )
 from .labeler import DEFAULT_WINDOW, PolarityLexicon, label_corpus
-from .pearson import DEFAULT_THRESHOLD, centered, correlate
 from .report import (
     DependenceCell,
     emit_granger_table,
@@ -419,135 +412,6 @@ def stage_score(labels_path, out_path, labels=None) -> Scores:
     return write_scores(counts, out_path)
 
 
-def _failure_reason(exc: SentdepError) -> str:
-    """Reason code stored in null cells: the failure's name.
-
-    An empty lag alignment is just the zero-observation flavor of too few
-    observations, so it shares the InsufficientData code. A series part
-    that failed before fails again with the code it stored.
-    """
-    if isinstance(exc, _PartFailed):
-        return exc.reason
-    if isinstance(exc, (EmptyAlignment, InsufficientData)):
-        return "InsufficientData"
-    return type(exc).__name__
-
-
-class _PartFailed(SentdepError):
-    """A series part whose computation failed earlier, with its reason code."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class SeriesParts:
-    """The parts of the cell statistics that depend on one series only.
-
-    Within one aspect a ticker's closes meet every sentiment array, and a
-    sentiment array meets every ticker's closes. A cell's statistics keep
-    only the days where both sides are observed, so a part such as a
-    series' entropy or its Pearson deviations holds for every cell that
-    keeps the same days of that series. :meth:`get` computes each part
-    once per key: the part's name, the series' name and the mask of the
-    days kept. A part that fails is stored as its reason code, which
-    later lookups raise again; an exception object would keep the frames
-    of its traceback, and with them their arrays, alive.
-    """
-
-    def __init__(self) -> None:
-        self._parts: dict[tuple, object] = {}
-
-    def get(self, key: tuple, compute: Callable, *args):
-        """The part stored under ``key``, or ``compute(*args)`` stored there."""
-        part = self._parts.get(key)
-        if part is None:
-            try:
-                part = compute(*args)
-            except SentdepError as exc:
-                self._parts[key] = _failure_reason(exc)
-                raise
-            self._parts[key] = part
-        elif isinstance(part, str):
-            raise _PartFailed(part)
-        return part
-
-
-def compute_cell(
-    aspect: str,
-    kind: ScoreKind,
-    ticker: str,
-    sentiment: np.ndarray,
-    price: np.ndarray,
-    config: PipelineConfig,
-    parts: SeriesParts,
-) -> DependenceCell:
-    """All three dependence statistics for one (aspect, kind, ticker).
-
-    ``sentiment`` and ``price`` are calendar arrays (see
-    :func:`~sentdep.core.on_calendar`). Statistic failures never abort the
-    run; the failing statistic is nulled with a reason code and the others
-    still computed. The Pearson and uncertainty statistics consume
-    pre-lagged pairs; the Granger test consumes same-date pairs and
-    applies its own lag internally. ``parts`` holds the one-series parts
-    of the statistics (see :class:`SeriesParts`) that this cell shares
-    with the other cells of the same config; each part names its series
-    by ``ticker`` or by ``(aspect, kind)``.
-    """
-    sentiment_name = (aspect, kind)
-    cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
-    aligned = None
-    try:
-        aligned = align_lagged(sentiment, price, config.lag)
-        cell["n"] = aligned.n
-    except EmptyAlignment as exc:
-        reason = _failure_reason(exc)
-        cell["r_reason"] = reason
-        cell["u_reason"] = reason
-
-    if aligned is not None:
-        kept = aligned.kept.tobytes()
-        xs, ys = aligned.xs(), aligned.ys()
-        try:
-            sides = (parts.get(("r", sentiment_name, kept), centered, xs),
-                     parts.get(("r", ticker, kept), centered, ys))
-            res = correlate(aligned, config.pearson_threshold, sides)
-            cell["r"] = res.r
-            cell["r_significant"] = res.significant
-        except SentdepError as exc:
-            cell["r_reason"] = _failure_reason(exc)
-        try:
-            k = config.entropy_k
-            h_y = parts.get(("h", ticker, kept), marginal_entropy, ys, k)
-            h_x = parts.get(("h", sentiment_name, kept), marginal_entropy, xs, k)
-            uc = uncertainty_coefficient(aligned, k, h_y, h_x)
-            cell["u"] = uc.u
-            cell["u_valid"] = uc.valid
-            cell["u_mi"] = uc.mi
-        except SentdepError as exc:
-            cell["u_reason"] = _failure_reason(exc)
-
-    try:
-        xs, ys, common = paired_on_common_days(sentiment, price)
-        if config.granger_difference:
-            xs, ys = np.diff(xs), np.diff(ys)
-        response_name = ticker
-        if config.granger_reverse:
-            xs, ys = ys, xs
-            response_name = sentiment_name
-        restricted = partial(parts.get, ("granger", response_name, common.tobytes()),
-                             restricted_fit)
-        g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha,
-                           fit_restricted=restricted)
-        cell["granger_f"] = g.f_stat
-        cell["granger_p"] = g.p_value
-        cell["granger_causal"] = g.causal
-        cell["granger_perfect_fit"] = g.perfect_fit
-    except SentdepError as exc:
-        cell["granger_reason"] = _failure_reason(exc)
-    return DependenceCell(**cell)
-
-
 def stage_analyze(
     config: PipelineConfig, scores_path, cells_path, scores: Scores | None = None
 ) -> list[DependenceCell]:
@@ -559,27 +423,17 @@ def stage_analyze(
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
-    order. Every series is put on the calendar once per run; with
-    ``absent_as_zero`` the missing days of the absolute kinds read 0. The
-    cells of one aspect share their one-series parts (see
-    :class:`SeriesParts`), which are dropped when the next aspect begins.
+    order (see :func:`~sentdep.analysis.analyze_cells`). numpy and the
+    statistics are imported here, on the first call.
     """
+    from .analysis import analyze_cells
+
     aspect_lexicon = load_aspects(config.aspects)
     series, totals = read_scores(scores_path) if scores is None else scores
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
-    price_arrays = {t: on_calendar(p, calendar) for t, p in prices.items()}
-
-    cells: list[DependenceCell] = []
-    for aspect in top:
-        parts = SeriesParts()
-        for kind in ScoreKind:
-            x = on_calendar(series.get((aspect, kind), {}), calendar)
-            if config.absent_as_zero and kind.is_absolute:
-                x[np.isnan(x)] = 0.0
-            for ticker, y in price_arrays.items():
-                cells.append(compute_cell(aspect, kind, ticker, x, y, config, parts))
+    cells = analyze_cells(config, top, series, prices, calendar)
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")
@@ -686,12 +540,14 @@ def _ended(status: int) -> str:
 
 
 def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
-    """``ingest()``, run in a forked child while this process imports scipy.special.
+    """``ingest()``, run in a forked child while this process imports the analysis.
 
     The two share nothing: the child writes keywords.csv, labels.csv and
     scores.csv and sends back one pickled message (see
-    :func:`_child_message`), while the parent loads the special functions
-    that only the statistics need, on the other core. The child's log
+    :func:`_child_message`), while the parent loads numpy, the statistics
+    and ``scipy.special``, which only the analysis needs, on the other
+    core. Nothing numerical is loaded before the fork, so the process
+    forks with one thread and the child never loads it. The child's log
     records are handed to this process's loggers before it logs anything
     itself, and its SentdepError is raised here with the same class and
     message. The child is always reaped, and killed first when this
@@ -717,7 +573,8 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
     try:
         with os.fdopen(read_fd, "rb") as pipe:
             start = perf_counter()
-            import scipy.special  # noqa: F401  (the statistics' only slow import)
+            from . import analysis  # noqa: F401  (numpy and the statistics)
+            import scipy.special  # noqa: F401
             imported = perf_counter()
             message = pipe.read()
             received = perf_counter()
@@ -740,9 +597,9 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
         raise outcome
     if isinstance(outcome, str):
         raise RuntimeError(f"the ingest process failed:\n{outcome}")
-    logger.info("ingest %.3f s in a child process; scipy.special import %.3f s "
-                "meanwhile; then waited %.3f s", ingest_s, imported - start,
-                received - imported)
+    logger.info("ingest %.3f s in a child process; numpy, statistics and "
+                "scipy.special import %.3f s meanwhile; then waited %.3f s",
+                ingest_s, imported - start, received - imported)
     return outcome
 
 
@@ -752,8 +609,8 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
     Artifacts: keywords.csv (when tweets are configured), labels.csv
     (when labeled internally), scores.csv, cells.csv, eight heatmaps,
     granger.csv, run_manifest.json. The keyword, label and score stages
-    run in a forked child while this process imports the special functions
-    of the statistics (see :func:`_ingest_beside_import`).
+    run in a forked child while this process imports numpy and the
+    statistics (see :func:`_ingest_beside_import`).
     """
     config.validate()
     out = make_output_dir(config.output_dir)

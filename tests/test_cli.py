@@ -292,6 +292,12 @@ class TestExitCodes:
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / STAGE_ARGV[command][-1]).exists()
 
+    def test_negative_fixture_seed_returns_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        assert main(["fixture", "--out-dir", str(out_dir), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out_dir.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -304,21 +310,50 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
-    ini = build_tweet_tree(tmp_path)
-    code = (
-        "import sys, sentdep.cli\n"
-        "from sentdep.pipeline import load_config\n"
-        "load_config(sys.argv[1]).validate()\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
+def run_python(code: str, *args, cwd=None) -> str:
+    """stdout of a fresh interpreter running ``code`` with this checkout's
+    package on its path; it must exit 0."""
     src = str(Path(sentdep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code, str(ini)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+#: Validates the config named by argv[1], then prints the loaded modules
+#: named argv[2] or below it.
+VALIDATE_AND_LIST = (
+    "import sys, sentdep.cli\n"
+    "from sentdep.pipeline import load_config\n"
+    "load_config(sys.argv[1]).validate()\n"
+    "top = sys.argv[2]\n"
+    "print(sorted(m for m in sys.modules if m == top or m.startswith(top + '.')))\n"
+)
+
+
+def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
+    ini = build_tweet_tree(tmp_path)
+    assert run_python(VALIDATE_AND_LIST, ini, "scipy").strip() == "[]"
+
+
+def test_cli_import_and_config_validation_load_no_numpy(tmp_path):
+    ini = build_tweet_tree(tmp_path)
+    assert run_python(VALIDATE_AND_LIST, ini, "numpy").strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["keywords", "label", "score", "report"])
+def test_text_commands_load_no_numpy_or_scipy(tmp_path, capsys, monkeypatch, command):
+    clean_run_tree(tmp_path, capsys, monkeypatch)
+    code = (
+        "import sys\n"
+        "from sentdep.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    out = run_python(code, command, *STAGE_ARGV[command], cwd=tmp_path)
+    assert out.splitlines()[-1] == "0 []"
 
 
 #: Hand-written external labels for the tweet tree: out of date order,

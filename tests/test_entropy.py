@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 import sentdep.entropy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -144,6 +144,9 @@ def one_dimensional_samples(draw):
 
 
 @given(one_dimensional_samples())
+# 0.0 and -0.0 side by side: the distance between them is +0.0 for the tree
+@example((np.array([0.0, -0.0, 0.0]), 1))
+@example((np.array([0.0, -0.0, 0.0, 0.0, -1.0, 0.0, -0.0]), 5))
 def test_sorted_neighbor_distances_equal_the_kd_tree_bit_for_bit(sample_and_k):
     sample, k = sample_and_k
     points = sample[:, np.newaxis]

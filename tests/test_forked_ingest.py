@@ -6,13 +6,16 @@ import pickle
 import signal
 import sys
 import time
+from ast import literal_eval
 
 import pytest
 
+import sentdep.analysis
 import sentdep.pipeline
 from sentdep import errors
 from sentdep.cli import main
 from sentdep.pipeline import load_config, run_pipeline
+from test_cli import run_python
 from test_pipeline import EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
 
 
@@ -44,7 +47,7 @@ ERROR_CASES = {
     errors.FormatError: errors.FormatError("bad date", "labels.csv", 7),
     errors.HeaderMismatch: errors.HeaderMismatch("wrong header", "cells.csv", 1),
     errors.OutputError: errors.OutputError("cannot write file: x", "out/s.csv"),
-    sentdep.pipeline._PartFailed: sentdep.pipeline._PartFailed("DegenerateSample"),
+    sentdep.analysis._PartFailed: sentdep.analysis._PartFailed("DegenerateSample"),
 }
 
 
@@ -143,6 +146,37 @@ class TestForkedIngest:
         with pytest.raises(RuntimeError, match=f"without a result: {words}$"):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
         assert_no_child_left()
+
+    def test_forks_before_numpy_loads(self, tmp_path):
+        # A fresh process: the parent forks with one thread and no numpy
+        # loaded, and the child scores without ever loading numpy.
+        code = (
+            "import os, sys\n"
+            "import sentdep.pipeline as pipeline\n"
+            "from sentdep.cli import main\n"
+            "def observe(name):\n"
+            "    task = '/proc/self/task'\n"
+            "    threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+            "    with open(name, 'w') as fh:\n"
+            "        fh.write(repr(('numpy' in sys.modules, threads)))\n"
+            "fork, stage_score = os.fork, pipeline.stage_score\n"
+            "def observed_fork():\n"
+            "    observe('fork.seen')\n"
+            "    return fork()\n"
+            "def observed_score(*args, **kwargs):\n"
+            "    scores = stage_score(*args, **kwargs)\n"
+            "    observe('child.seen')\n"
+            "    return scores\n"
+            "os.fork, pipeline.stage_score = observed_fork, observed_score\n"
+            "assert main(['run', '--config', sys.argv[1]]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        ini = build_tweet_tree(tmp_path)
+        assert run_python(code, ini, cwd=tmp_path).splitlines()[-1] == "True"
+        numpy_at_fork, threads_at_fork = literal_eval((tmp_path / "fork.seen").read_text())
+        numpy_in_child, _ = literal_eval((tmp_path / "child.seen").read_text())
+        assert not numpy_at_fork and not numpy_in_child
+        assert threads_at_fork in (1, None)
 
     def test_without_fork_the_artifacts_are_the_same(self, tmp_path, monkeypatch, caplog):
         ini = build_tweet_tree(tmp_path)

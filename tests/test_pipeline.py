@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sentdep.analysis
 import sentdep.entropy
 import sentdep.granger
 import sentdep.ingest
@@ -18,11 +19,10 @@ from sentdep.core import ScoreKind, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
 from oracles import unshared_cells
+from sentdep.analysis import SeriesParts, compute_cell
 from sentdep.pipeline import (
     PipelineConfig,
-    SeriesParts,
     build_calendar,
-    compute_cell,
     load_calendar,
     load_config,
     run_pipeline,
@@ -303,13 +303,13 @@ class TestComputeCell:
 
     def test_difference_needs_two_common_days(self, monkeypatch):
         seen = []
-        granger_causes = sentdep.pipeline.granger_causes
+        granger_causes = sentdep.analysis.granger_causes
 
         def spy(x, y, **kwargs):
             seen.append((x.tolist(), y.tolist()))
             return granger_causes(x, y, **kwargs)
 
-        monkeypatch.setattr(sentdep.pipeline, "granger_causes", spy)
+        monkeypatch.setattr(sentdep.analysis, "granger_causes", spy)
         cal = TradingCalendar(DAYS)
         config = PipelineConfig(granger_difference=True)
         sent = dict(zip(DAYS, (1.0, 3.0, 6.0, 10.0)))
@@ -396,13 +396,13 @@ class TestStageAnalyze:
         scores = tmp_path / "scores.csv"
         stage_score(cfg.labels, scores)
         seen = {}
-        compute = sentdep.pipeline.compute_cell
+        compute = sentdep.analysis.compute_cell
 
         def spy(aspect, kind, ticker, sentiment, price, config, parts):
             seen[(aspect, kind)] = sentiment.copy()
             return compute(aspect, kind, ticker, sentiment, price, config, parts)
 
-        monkeypatch.setattr(sentdep.pipeline, "compute_cell", spy)
+        monkeypatch.setattr(sentdep.analysis, "compute_cell", spy)
         stage_analyze(cfg, scores, tmp_path / "cells.csv")
         # bank is labeled on the first two trading days only (one positive,
         # then one neutral label); the calendar holds every day of DAYS

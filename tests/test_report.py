@@ -115,6 +115,15 @@ class TestCellsFile:
         assert capsys.readouterr().err == f"error: {p}:3: empty {column}\n"
         assert not out_dir.exists()
 
+    def test_header_only_file_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        p = tmp_path / "cells.csv"
+        write_cells([], p)
+        assert read_cells(p) == []
+        out_dir = tmp_path / "r"
+        assert main(["report", "--cells", str(p), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: no cell rows to report\n"
+        assert not out_dir.exists()
+
     def test_read_strips_fields_and_skips_whitespace_rows(self, tmp_path):
         p = tmp_path / "cells.csv"
         write_cells([full_cell(), null_cell()], p)
