@@ -12,7 +12,8 @@ Subcommands mirror the pipeline stages and compose through files::
 
 ``run`` is byte-identical to executing the stages by hand. Exit codes:
 0 success (warnings possible), 1 configuration error, 2 fatal input-file
-error or an output path that cannot be written.
+error, an output path that cannot be written or any other error the
+program reports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, EmptySeries, FormatError, OutputError
+from .errors import ConfigError, FormatError, SentdepError
 from .ingest import make_output_dir
 from .pipeline import (
     CONFIG_KEYS,
@@ -229,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, EmptySeries, OutputError) as exc:
+    except SentdepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

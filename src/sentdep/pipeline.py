@@ -24,10 +24,14 @@ which :func:`stage_analyze` imports when it runs, so this module and the
 text stages load neither. Where ``os.fork`` exists, :func:`run_pipeline`
 forks before the numerical stack is loaded: one child runs the keyword,
 label and score stages while the parent imports numpy, the statistics
-and ``scipy.special`` on the other core. The child sends its log records
-and its scores, or its error, back through a pipe; the parent replays
-the records, then re-raises the error or goes on with the analysis and
-the report (see :func:`_ingest_beside_import`).
+and ``scipy.special``. With two or more allowed CPUs the parent keeps
+the lowest for the overlap and the child takes the rest, because a
+cpuset without load balancing never moves a forked child off its
+parent's CPU; the parent's own set is restored before the analysis. The
+child sends its log records and its scores, or its error, back through
+a pipe; the parent replays the records, then re-raises the error or
+goes on with the analysis and the report (see
+:func:`_ingest_beside_import`).
 """
 
 from __future__ import annotations
@@ -539,29 +543,68 @@ def _ended(status: int) -> str:
     return f"exit status {code}"
 
 
+def _child_share() -> tuple[set[int] | None, set[int] | None]:
+    """(the CPUs this thread may use, those its ingest child is to take).
+
+    With two or more allowed CPUs the child takes all but the lowest,
+    which the parent keeps. Otherwise the child's share is the whole
+    allowed set, which is None where it cannot be read, and nothing is
+    pinned.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None, None
+    if len(allowed) < 2 or not hasattr(os, "sched_setaffinity"):
+        return allowed, allowed
+    return allowed, allowed - {min(allowed)}
+
+
+def _pin(cpus: set[int]) -> bool:
+    """Confine the calling thread to ``cpus``; False if the kernel refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _cpu_text(cpus: set[int] | None) -> str:
+    return ",".join(map(str, sorted(cpus))) if cpus else "any"
+
+
 def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
     """``ingest()``, run in a forked child while this process imports the analysis.
 
     The two share nothing: the child writes keywords.csv, labels.csv and
     scores.csv and sends back one pickled message (see
     :func:`_child_message`), while the parent loads numpy, the statistics
-    and ``scipy.special``, which only the analysis needs, on the other
-    core. Nothing numerical is loaded before the fork, so the process
-    forks with one thread and the child never loads it. The child's log
-    records are handed to this process's loggers before it logs anything
-    itself, and its SentdepError is raised here with the same class and
-    message. The child is always reaped, and killed first when this
-    process raises before its message has arrived. Without ``os.fork``
-    the ingest runs inline.
+    and ``scipy.special``, which only the analysis needs. Nothing
+    numerical is loaded before the fork, so the process forks with one
+    thread and the child never loads it. The two run on different CPUs
+    where :func:`_child_share` finds two or more: each pins itself to its
+    share, and this thread gets its original set back when the child is
+    reaped, however the overlap ends. Where the affinity cannot be set,
+    both stay where the kernel puts them. numpy and SciPy first loaded
+    here see one CPU, so their OpenBLAS pools start no worker thread for
+    the life of the process. The child's log records are handed to this
+    process's loggers before it logs anything itself, and its
+    SentdepError is raised here with the same class and message. The
+    child is always reaped, and killed first when this process raises
+    before its message has arrived. Without ``os.fork`` the ingest runs
+    inline.
     """
     if not hasattr(os, "fork"):
         return ingest()
+    allowed, child_cpus = _child_share()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
+            if child_cpus != allowed:
+                _pin(child_cpus)
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(_child_message(ingest))
             status = 0
@@ -569,6 +612,11 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
             os._exit(status)
 
     os.close(write_fd)
+    parent_cpus = allowed
+    if child_cpus != allowed and _pin(allowed - child_cpus):
+        parent_cpus = allowed - child_cpus
+    else:  # a pin refused here is taken to have been refused in the child too
+        child_cpus = allowed
     message = None
     try:
         with os.fdopen(read_fd, "rb") as pipe:
@@ -587,6 +635,8 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
             except ProcessLookupError:
                 pass
         _, status = os.waitpid(pid, 0)
+        if parent_cpus != allowed:
+            os.sched_setaffinity(0, allowed)
     if not message:
         raise RuntimeError(f"the ingest process ended without a result: {_ended(status)}")
 
@@ -597,9 +647,10 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
         raise outcome
     if isinstance(outcome, str):
         raise RuntimeError(f"the ingest process failed:\n{outcome}")
-    logger.info("ingest %.3f s in a child process; numpy, statistics and "
-                "scipy.special import %.3f s meanwhile; then waited %.3f s",
-                ingest_s, imported - start, received - imported)
+    logger.info("ingest %.3f s in a child process on CPUs %s; numpy, statistics "
+                "and scipy.special import %.3f s meanwhile on CPUs %s; then waited %.3f s",
+                ingest_s, _cpu_text(child_cpus), imported - start,
+                _cpu_text(parent_cpus), received - imported)
     return outcome
 
 

@@ -1,6 +1,7 @@
 """Exit codes, stage composition, and override flags of the `sentdep` CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import sentdep
+import sentdep.pipeline
+from sentdep import errors
 from sentdep.cli import main
 from sentdep.report import read_cells
 from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree
@@ -297,6 +300,35 @@ class TestExitCodes:
         assert main(["fixture", "--out-dir", str(out_dir), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.DomainError, 2), (errors.RankDeficient, 2), (errors.ConfigError, 1),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_any_package_error_is_reported_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch, error, code):
+        def broken(*args, **kwargs):
+            raise error("argument outside the domain")
+
+        monkeypatch.setattr(sentdep.pipeline, "stage_analyze", broken)
+        assert main(["run", "--config", str(build_tweet_tree(tmp_path))]) == code
+        assert capsys.readouterr().err == "error: argument outside the domain\n"
+
+    def test_huge_and_subnormal_closes_run_to_the_end(self, tmp_path, capsys):
+        # How many Granger cells such closes leave RankDeficient is not
+        # pinned here: the F-test should not depend on the scale at all.
+        assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        for ticker, exponent in (("NEE", 1012), ("SHEL", -1070)):
+            prices = tmp_path / f"prices_{ticker}.csv"
+            rows = [line.split(",") for line in prices.read_text(encoding="utf-8").splitlines()]
+            close = rows[0].index("Close")
+            for row in rows[1:]:
+                row[close] = repr(math.ldexp(float(row[close]), exponent))
+            prices.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        assert 0 < float(rows[1][close]) < sys.float_info.min  # subnormal
+        capsys.readouterr()
+        assert main(["run", "--config", str(tmp_path / "config.ini")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(read_cells(tmp_path / "out" / "cells.csv")) == 480
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

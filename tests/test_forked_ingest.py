@@ -3,6 +3,7 @@
 import logging
 import os
 import pickle
+import re
 import signal
 import sys
 import time
@@ -62,6 +63,44 @@ class TestErrorsPickle:
         assert str(copy) == str(exc)
         for name in ("path", "line_number", "reason"):
             assert getattr(copy, name, None) == getattr(exc, name, None)
+
+
+#: ``sentdep -v run`` of the config argv[1] into the directory argv[2], whose
+#: name says how the CPU placement is prevented, if at all; logs to stdout.
+VERBOSE_RUN = (
+    "import os, sys\n"
+    "sys.stderr = sys.stdout\n"
+    "from sentdep.cli import main\n"
+    "name = sys.argv[2]\n"
+    "if name == 'one_cpu':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "elif name == 'refused':\n"
+    "    def refuse(pid, cpus):\n"
+    "        raise OSError(22, 'Invalid argument')\n"
+    "    os.sched_setaffinity = refuse\n"
+    "elif name == 'missing':\n"
+    "    del os.sched_setaffinity\n"
+    "sys.exit(main(['-v', 'run', '--config', sys.argv[1], '--output-dir', name]))\n"
+)
+
+
+def verbose_run(root, name):
+    """The CPU sets of the timing line, and every other line, of a run into
+    ``root / name``."""
+    lines = run_python(VERBOSE_RUN, root / "config.ini", name, cwd=root).splitlines()
+    timing = [line for line in lines if "scipy.special import" in line]
+    assert len(timing) == 1
+    cpus = re.findall(r" on CPUs (\S+);", timing[0])
+    assert len(cpus) == 2
+    return cpus, [line for line in lines if line not in timing]
+
+
+@pytest.fixture(scope="module")
+def placed_run(tmp_path_factory):
+    """(input tree, log lines but the timing line) of a run into ``placed``."""
+    root = tmp_path_factory.mktemp("runs")
+    build_tweet_tree(root)
+    return root, verbose_run(root, "placed")[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -177,6 +216,69 @@ class TestForkedIngest:
         numpy_in_child, _ = literal_eval((tmp_path / "child.seen").read_text())
         assert not numpy_at_fork and not numpy_in_child
         assert threads_at_fork in (1, None)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two allowed CPUs and sched_setaffinity")
+    @pytest.mark.parametrize("case", ["clean", "bad_label", "parent_raises"])
+    def test_child_and_parent_run_on_different_cpus(self, tmp_path, case):
+        # The child's set is seen in stage_score, the parent's while it
+        # imports the analysis; the parent's own set is back after main.
+        code = (
+            "import os, sys, time\n"
+            "import sentdep.pipeline as pipeline\n"
+            "from sentdep.cli import main\n"
+            "case = sys.argv[2]\n"
+            "def observe(name):\n"
+            "    with open(name, 'w') as fh:\n"
+            "        fh.write(repr(os.sched_getaffinity(0)))\n"
+            "class ImportObserver:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'sentdep.analysis':\n"
+            "            observe('parent.seen')\n"
+            "sys.meta_path.insert(0, ImportObserver())\n"
+            "stage_score = pipeline.stage_score\n"
+            "def observed_score(*args, **kwargs):\n"
+            "    observe('child.seen')\n"
+            "    if case == 'parent_raises':\n"
+            "        time.sleep(60)\n"
+            "    return stage_score(*args, **kwargs)\n"
+            "pipeline.stage_score = observed_score\n"
+            "if case == 'parent_raises':\n"
+            "    sys.modules['scipy.special'] = None\n"
+            "before = os.sched_getaffinity(0)\n"
+            "try:\n"
+            "    code = main(['run', '--config', sys.argv[1]])\n"
+            "except ImportError:\n"
+            "    code = 'ImportError'\n"
+            "print(repr((before, code, os.sched_getaffinity(0))))\n"
+        )
+        if case == "bad_label":
+            ini = label_tree(tmp_path)
+            with open(tmp_path / "labels.csv", "a", encoding="utf-8") as fh:
+                fh.write("t2,2022-10-04,tax,sideways\n")
+        else:
+            ini = build_tweet_tree(tmp_path)
+        out = run_python(code, ini, case, cwd=tmp_path)
+        before, code, after = literal_eval(out.splitlines()[-1])
+        assert code == {"clean": 0, "bad_label": 2, "parent_raises": "ImportError"}[case]
+        assert after == before
+        child = literal_eval((tmp_path / "child.seen").read_text())
+        parent = literal_eval((tmp_path / "parent.seen").read_text())
+        assert child and parent and not child & parent
+        assert child | parent <= before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs sched_setaffinity")
+    @pytest.mark.parametrize("fallback", ["one_cpu", "refused", "missing"])
+    def test_unplaced_run_writes_the_same(self, placed_run, fallback):
+        root, placed_log = placed_run
+        cpus, log = verbose_run(root, fallback)
+        assert cpus[0] == cpus[1]
+        assert log == [line.replace("placed", fallback) for line in placed_log]
+        for name in sorted(EXPECTED_ARTIFACTS):
+            assert ((root / fallback / name).read_bytes()
+                    == (root / "placed" / name).read_bytes()), name
 
     def test_without_fork_the_artifacts_are_the_same(self, tmp_path, monkeypatch, caplog):
         ini = build_tweet_tree(tmp_path)
