@@ -5,6 +5,13 @@ per (aspect, score kind, ticker) from the daily series. It and the
 statistics it calls import numpy when they load, so
 :func:`sentdep.pipeline.stage_analyze` imports it when it runs, and the
 text stages and the CLI start without the numerical stack.
+
+No cell depends on another aspect's cells, and the one-series parts that
+cells share (:class:`SeriesParts`) are kept per aspect. So
+:func:`analyze_cells` over any subset of the aspects returns exactly
+those aspects' cells, and :func:`sentdep.pipeline.stage_analyze` calls
+it in two processes, a forked worker taking every other aspect, and
+merges the cells by aspect.
 """
 
 from __future__ import annotations

@@ -1,0 +1,230 @@
+"""Two pieces of work at once: one in a forked child, one in this process.
+
+:func:`beside` forks a child for one piece of work while this process
+does the other, and places the two on different CPUs where it can. The
+child sends its log records and its result, or its error, back through
+a pipe as one pickled message; this process replays the records, then
+raises the error or returns both results. :func:`measured` records what
+a piece of work cost the process that ran it, so a child's costs can
+travel back with its result. Only the standard library is imported
+here.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import pickle
+import signal
+import sys
+import traceback
+from time import perf_counter, process_time
+from typing import Any, Callable, NamedTuple
+
+from .errors import SentdepError
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
+
+class _RecordCollector(logging.Handler):
+    """Keeps each record as ``QueueHandler.prepare`` leaves it.
+
+    The message is formatted into ``msg``, and ``args`` and the exception
+    are dropped, so the record pickles and prints the same elsewhere.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # This is the process's only handler, so the record can be changed
+        # in place.
+        record.msg = record.message = self.format(record)
+        record.args = record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
+
+
+def _child_message(work: Callable[[], Any]) -> bytes:
+    """Run ``work`` in a forked child and pickle what its parent needs.
+
+    The message is (log records, result, error): what ``work`` returned,
+    and None, the SentdepError raised, or the traceback text of any other
+    exception. Every handler of this process is replaced by one collector,
+    so the child itself writes nothing.
+    """
+    loggers = [logging.getLogger(), *logging.Logger.manager.loggerDict.values()]
+    for each in loggers:
+        if isinstance(each, logging.Logger):
+            each.handlers = []
+    collector = _RecordCollector()
+    logging.getLogger().addHandler(collector)
+    result = error = None
+    try:
+        result = work()
+    except SentdepError as exc:
+        error = exc
+    except BaseException:  # an interrupt too: the child ends in os._exit either way
+        error = traceback.format_exc()
+    try:
+        return pickle.dumps((collector.records, result, error))
+    except Exception:  # a result or an error that does not pickle
+        return pickle.dumps((collector.records, None, traceback.format_exc()))
+
+
+def _ended(status: int) -> str:
+    """How a process with wait status ``status`` ended, in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"killed by signal {signal.Signals(-code).name}"
+    return f"exit status {code}"
+
+
+def _allowed() -> set[int] | None:
+    """The CPUs this thread may use; None where they cannot be read."""
+    try:
+        return os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return None
+
+
+def _child_share() -> tuple[set[int] | None, set[int] | None]:
+    """(the CPUs this thread may use, those a forked child is to take).
+
+    With two or more allowed CPUs the child takes all but the lowest,
+    which the parent keeps. Otherwise the child's share is the whole
+    allowed set, which is None where it cannot be read, and nothing is
+    pinned.
+    """
+    allowed = _allowed()
+    if allowed is None or len(allowed) < 2 or not hasattr(os, "sched_setaffinity"):
+        return allowed, allowed
+    return allowed, allowed - {min(allowed)}
+
+
+def _pin(cpus: set[int]) -> bool:
+    """Confine the calling thread to ``cpus``; False if the kernel refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _cpu_text(cpus: set[int] | None) -> str:
+    return ",".join(map(str, sorted(cpus))) if cpus else "any"
+
+
+def beside(
+    child_work: Callable[[], Any],
+    parent_work: Callable[[], Any],
+    alone: Callable[[], Any] | None = None,
+) -> tuple[Any, Any]:
+    """(``child_work()``, ``parent_work()``), the first run in a forked child.
+
+    The two share nothing but what existed at the fork. The child sends
+    back one pickled message (see :func:`_child_message`) while this
+    process runs ``parent_work``. The child's log records are then handed
+    to this process's loggers, its SentdepError is raised here with the
+    same class and message, and any other exception of the child becomes a
+    RuntimeError that carries its traceback. The child is always reaped,
+    and killed first when ``parent_work`` raises.
+
+    Where :func:`_child_share` finds two or more CPUs, this thread pins
+    itself to the lowest before the fork and the child pins itself to the
+    rest: a cpuset without load balancing never moves a forked child off
+    its parent's CPU. This thread gets its original set back once the
+    child has been reaped, however the overlap ends. Where nothing can be
+    pinned (one allowed CPU, no ``os.sched_setaffinity``, or a pin the
+    kernel refuses), both processes stay where the kernel puts them;
+    given ``alone``, this process then forks nothing and returns
+    ``(None, alone())``. Without ``os.fork`` both works run here, the
+    child's first (or ``alone`` instead).
+    """
+    forks = hasattr(os, "fork")
+    allowed, child_cpus = _child_share()
+    placed = forks and child_cpus != allowed and _pin(allowed - child_cpus)
+    if alone is not None and not placed:
+        return None, alone()
+    if not forks:
+        return child_work(), parent_work()
+
+    pid = message = None
+    try:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                if placed:
+                    _pin(child_cpus)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(_child_message(child_work))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            parent_result = parent_work()
+            message = pipe.read()
+    finally:
+        if pid:
+            if message is None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            _, status = os.waitpid(pid, 0)
+        if placed:
+            _pin(allowed)
+    if not message:
+        raise RuntimeError(f"a forked process ended without a result: {_ended(status)}")
+
+    records, child_result, error = pickle.loads(message)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if isinstance(error, SentdepError):
+        raise error
+    if error is not None:
+        raise RuntimeError(f"a forked process failed:\n{error}")
+    return child_result, parent_result
+
+
+class Usage(NamedTuple):
+    """What one process spent on one piece of work (see :func:`measured`)."""
+
+    pid: int
+    cpus: str  # the CPUs it was allowed, as text
+    wall_s: float
+    cpu_s: float
+    switches: int  # involuntary context switches (``ru_nivcsw``)
+    peak_mib: float  # the process's own peak RSS so far (``ru_maxrss``)
+
+    def __str__(self) -> str:
+        return (f"on CPUs {self.cpus}: {self.wall_s:.3f} s wall, {self.cpu_s:.3f} s CPU, "
+                f"{self.switches} involuntary context switches, "
+                f"peak RSS {self.peak_mib:.1f} MiB")
+
+
+def _rusage() -> tuple[float, int, float]:
+    """(CPU seconds, involuntary context switches, peak RSS MiB) of this process."""
+    if resource is None:
+        return process_time(), 0, 0.0
+    use = resource.getrusage(resource.RUSAGE_SELF)
+    unit_kib = 1 / 1024 if sys.platform == "darwin" else 1  # macOS counts bytes
+    return use.ru_utime + use.ru_stime, use.ru_nivcsw, use.ru_maxrss * unit_kib / 1024
+
+
+def measured(work: Callable[..., Any], *args) -> tuple[Any, Usage]:
+    """(``work(*args)``, what this process spent on it)."""
+    cpu, switches, _ = _rusage()
+    start = perf_counter()
+    result = work(*args)
+    wall_s = perf_counter() - start
+    cpu_after, switches_after, peak_mib = _rusage()
+    return result, Usage(os.getpid(), _cpu_text(_allowed()), wall_s, cpu_after - cpu,
+                         switches_after - switches, peak_mib)

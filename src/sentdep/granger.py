@@ -100,7 +100,10 @@ def ols(regressors, response) -> OlsFit:
         raise InsufficientData(f"need at least {p + 1} observations for {p} parameters, got {n}")
     X = np.column_stack([np.ones(n), X_reg])
     beta, _, _, singular = np.linalg.lstsq(X, y, rcond=None)
-    if singular[-1] == 0.0 or singular[0] / singular[-1] > CONDITION_LIMIT:
+    # Compared without dividing: with huge or subnormal data the ratio
+    # overflows, while a Python float product just reaches inf.
+    smallest, largest = float(singular[-1]), float(singular[0])
+    if smallest == 0.0 or smallest * CONDITION_LIMIT < largest:
         raise RankDeficient(
             f"design condition number exceeds {CONDITION_LIMIT:.0e}"
         )

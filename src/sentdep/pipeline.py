@@ -21,17 +21,19 @@ configuration always produce identical outputs.
 The two halves of a run share nothing but the scores. Only the analysis
 needs numpy and SciPy; its cell code lives in :mod:`sentdep.analysis`,
 which :func:`stage_analyze` imports when it runs, so this module and the
-text stages load neither. Where ``os.fork`` exists, :func:`run_pipeline`
-forks before the numerical stack is loaded: one child runs the keyword,
-label and score stages while the parent imports numpy, the statistics
-and ``scipy.special``. With two or more allowed CPUs the parent keeps
-the lowest for the overlap and the child takes the rest, because a
-cpuset without load balancing never moves a forked child off its
-parent's CPU; the parent's own set is restored before the analysis. The
-child sends its log records and its scores, or its error, back through
-a pipe; the parent replays the records, then re-raises the error or
-goes on with the analysis and the report (see
-:func:`_ingest_beside_import`).
+text stages load neither.
+
+A run uses two processes twice, through one helper,
+:func:`sentdep.fork.beside`, which :func:`run_pipeline` and
+:func:`stage_analyze` import when they run. It forks a child and, with
+two or more allowed CPUs, keeps the lowest for the parent and gives the
+child the rest, because a cpuset without load balancing never moves a
+forked child off its parent's CPU. First, before the numerical stack is
+loaded, a child runs the keyword, label and score stages while the
+parent imports numpy, the statistics and ``scipy.special`` (see
+:func:`_ingest_beside_import`). Then :func:`stage_analyze` hands the
+odd-indexed aspects to a worker and computes the even-indexed ones
+itself (see :func:`_analyze_beside`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from __future__ import annotations
 import configparser
 import logging
 import os
-import pickle
-import traceback
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date
 from functools import partial
@@ -57,7 +57,7 @@ from .core import (
     ScoreKind,
     TradingCalendar,
 )
-from .errors import ConfigError, FormatError, SentdepError
+from .errors import ConfigError, FormatError
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
     AspectLexicon,
@@ -428,7 +428,8 @@ def stage_analyze(
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
     order (see :func:`~sentdep.analysis.analyze_cells`). numpy and the
-    statistics are imported here, on the first call.
+    statistics are imported here, on the first call. A forked worker
+    computes every other aspect (see :func:`_analyze_beside`).
     """
     from .analysis import analyze_cells
 
@@ -437,7 +438,8 @@ def stage_analyze(
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
-    cells = analyze_cells(config, top, series, prices, calendar)
+    cells = _analyze_beside(
+        partial(analyze_cells, config, series=series, prices=prices, calendar=calendar), top)
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")
@@ -486,172 +488,67 @@ def _ingest(config: PipelineConfig, out: Path) -> Scores:
     return scores
 
 
-class _RecordCollector(logging.Handler):
-    """Keeps each record as ``QueueHandler.prepare`` leaves it.
-
-    The message is formatted into ``msg``, and ``args`` and the exception
-    are dropped, so the record pickles and prints the same elsewhere.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        # This is the process's only handler, so the record can be changed
-        # in place.
-        record.msg = record.message = self.format(record)
-        record.args = record.exc_info = record.exc_text = record.stack_info = None
-        self.records.append(record)
-
-
-def _child_message(ingest: Callable[[], Scores]) -> bytes:
-    """Run ``ingest`` in a forked child and pickle what its parent needs.
-
-    The message is (log records, ingest seconds, outcome). The outcome is
-    the Scores, the SentdepError raised, or the traceback text of any other
-    exception. Every handler of this process is replaced by one collector,
-    so the child itself writes nothing.
-    """
-    loggers = [logging.getLogger(), *logging.Logger.manager.loggerDict.values()]
-    for each in loggers:
-        if isinstance(each, logging.Logger):
-            each.handlers = []
-    collector = _RecordCollector()
-    logging.getLogger().addHandler(collector)
-    start = perf_counter()
-    try:
-        outcome = ingest()
-    except SentdepError as exc:
-        outcome = exc
-    except BaseException:  # an interrupt too: the child ends in os._exit either way
-        outcome = traceback.format_exc()
-    ingest_s = perf_counter() - start
-    try:
-        return pickle.dumps((collector.records, ingest_s, outcome))
-    except Exception:  # an error that does not pickle
-        return pickle.dumps((collector.records, ingest_s, traceback.format_exc()))
-
-
-def _ended(status: int) -> str:
-    """How a process with wait status ``status`` ended, in words."""
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        import signal
-
-        return f"killed by signal {signal.Signals(-code).name}"
-    return f"exit status {code}"
-
-
-def _child_share() -> tuple[set[int] | None, set[int] | None]:
-    """(the CPUs this thread may use, those its ingest child is to take).
-
-    With two or more allowed CPUs the child takes all but the lowest,
-    which the parent keeps. Otherwise the child's share is the whole
-    allowed set, which is None where it cannot be read, and nothing is
-    pinned.
-    """
-    try:
-        allowed = os.sched_getaffinity(0)
-    except (AttributeError, OSError):
-        return None, None
-    if len(allowed) < 2 or not hasattr(os, "sched_setaffinity"):
-        return allowed, allowed
-    return allowed, allowed - {min(allowed)}
-
-
-def _pin(cpus: set[int]) -> bool:
-    """Confine the calling thread to ``cpus``; False if the kernel refuses."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
-
-
-def _cpu_text(cpus: set[int] | None) -> str:
-    return ",".join(map(str, sorted(cpus))) if cpus else "any"
+def _import_analysis() -> None:
+    """Load numpy, the statistics and ``scipy.special``: what the analysis needs."""
+    from . import analysis  # noqa: F401
+    import scipy.special  # noqa: F401
 
 
 def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
     """``ingest()``, run in a forked child while this process imports the analysis.
 
-    The two share nothing: the child writes keywords.csv, labels.csv and
-    scores.csv and sends back one pickled message (see
-    :func:`_child_message`), while the parent loads numpy, the statistics
-    and ``scipy.special``, which only the analysis needs. Nothing
-    numerical is loaded before the fork, so the process forks with one
-    thread and the child never loads it. The two run on different CPUs
-    where :func:`_child_share` finds two or more: each pins itself to its
-    share, and this thread gets its original set back when the child is
-    reaped, however the overlap ends. Where the affinity cannot be set,
-    both stay where the kernel puts them. numpy and SciPy first loaded
-    here see one CPU, so their OpenBLAS pools start no worker thread for
-    the life of the process. The child's log records are handed to this
-    process's loggers before it logs anything itself, and its
-    SentdepError is raised here with the same class and message. The
-    child is always reaped, and killed first when this process raises
-    before its message has arrived. Without ``os.fork`` the ingest runs
-    inline.
+    The child writes keywords.csv, labels.csv and scores.csv (see
+    :func:`sentdep.fork.beside`). Nothing numerical is loaded before the
+    fork, so the process forks with one thread and the child never loads
+    it. numpy and SciPy first loaded here see the one CPU this thread is
+    pinned to, so their OpenBLAS pools start no worker thread for the
+    life of the process. With one CPU, or where nothing can be pinned,
+    the child still runs beside the import; without ``os.fork`` the
+    ingest runs inline.
     """
-    if not hasattr(os, "fork"):
-        return ingest()
-    allowed, child_cpus = _child_share()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            if child_cpus != allowed:
-                _pin(child_cpus)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_child_message(ingest))
-            status = 0
-        finally:
-            os._exit(status)
+    from .fork import beside, measured
 
-    os.close(write_fd)
-    parent_cpus = allowed
-    if child_cpus != allowed and _pin(allowed - child_cpus):
-        parent_cpus = allowed - child_cpus
-    else:  # a pin refused here is taken to have been refused in the child too
-        child_cpus = allowed
-    message = None
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            start = perf_counter()
-            from . import analysis  # noqa: F401  (numpy and the statistics)
-            import scipy.special  # noqa: F401
-            imported = perf_counter()
-            message = pipe.read()
-            received = perf_counter()
-    finally:
-        if message is None:
-            import signal
+    start = perf_counter()
+    (scores, child), (_, parent) = beside(partial(measured, ingest),
+                                          partial(measured, _import_analysis))
+    if child.pid != parent.pid:  # an ingest run inline overlapped nothing
+        logger.info("ingest %.3f s in a child process on CPUs %s; numpy, statistics "
+                    "and scipy.special import %.3f s meanwhile on CPUs %s; then waited %.3f s",
+                    child.wall_s, child.cpus, parent.wall_s, parent.cpus,
+                    perf_counter() - start - parent.wall_s)
+    return scores
 
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        _, status = os.waitpid(pid, 0)
-        if parent_cpus != allowed:
-            os.sched_setaffinity(0, allowed)
-    if not message:
-        raise RuntimeError(f"the ingest process ended without a result: {_ended(status)}")
 
-    records, ingest_s, outcome = pickle.loads(message)
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if isinstance(outcome, SentdepError):
-        raise outcome
-    if isinstance(outcome, str):
-        raise RuntimeError(f"the ingest process failed:\n{outcome}")
-    logger.info("ingest %.3f s in a child process on CPUs %s; numpy, statistics "
-                "and scipy.special import %.3f s meanwhile on CPUs %s; then waited %.3f s",
-                ingest_s, _cpu_text(child_cpus), imported - start,
-                _cpu_text(parent_cpus), received - imported)
-    return outcome
+def _analyze_beside(analyze: Callable[[list[str]], list[DependenceCell]],
+                    aspects: list[str]) -> list[DependenceCell]:
+    """``analyze(aspects)``, with the odd-indexed aspects done by a forked worker.
+
+    No cell depends on another aspect's cells, so a worker computes
+    ``aspects[1::2]`` while this process computes ``aspects[0::2]``, each
+    on its own CPU (see :func:`sentdep.fork.beside`); the cells are
+    merged by aspect in presentation order. One aspect, one allowed CPU,
+    a refused pin or no ``os.fork`` leaves every aspect to this process.
+    One ``-v`` line tells, for each process, its aspects and cells and
+    what it spent.
+    """
+    from .fork import beside, measured
+
+    whole = partial(measured, analyze, aspects)
+    if len(aspects) < 2:
+        runs = [whole()]
+    else:
+        worker, own = beside(partial(measured, analyze, aspects[1::2]),
+                             partial(measured, analyze, aspects[0::2]), alone=whole)
+        runs = [own] if worker is None else [own, worker]
+    by_aspect: dict[str, list[DependenceCell]] = {}
+    for cells, _ in runs:
+        for cell in cells:
+            by_aspect.setdefault(cell.aspect, []).append(cell)
+    logger.info("analysis: %s", "; ".join(
+        f"{len({c.aspect for c in cells})} aspects, {len(cells)} cells in "
+        f"{'this process' if usage.pid == os.getpid() else 'a worker'} {usage}"
+        for cells, usage in runs))
+    return [cell for aspect in aspects for cell in by_aspect.get(aspect, ())]
 
 
 def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
@@ -661,7 +558,8 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
     (when labeled internally), scores.csv, cells.csv, eight heatmaps,
     granger.csv, run_manifest.json. The keyword, label and score stages
     run in a forked child while this process imports numpy and the
-    statistics (see :func:`_ingest_beside_import`).
+    statistics (see :func:`_ingest_beside_import`); the analysis shares
+    its aspects with a forked worker (see :func:`_analyze_beside`).
     """
     config.validate()
     out = make_output_dir(config.output_dir)

@@ -1,4 +1,8 @@
-"""`sentdep run` ingests in a forked child: logs, errors, reaping, fallback."""
+"""`sentdep run` ingests in a forked child: logs, errors, reaping, fallback.
+
+The same fork helper runs the analysis worker; tests of the worker itself
+are in ``test_analysis_worker.py``.
+"""
 
 import logging
 import os
@@ -65,8 +69,20 @@ class TestErrorsPickle:
             assert getattr(copy, name, None) == getattr(exc, name, None)
 
 
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two allowed CPUs and sched_setaffinity")
+
+
+def is_timing(line):
+    """Whether a log line is one of the two that hold timings: the ingest
+    overlap's and the analysis's."""
+    return "scipy.special import" in line or " s wall, " in line
+
+
 #: ``sentdep -v run`` of the config argv[1] into the directory argv[2], whose
-#: name says how the CPU placement is prevented, if at all; logs to stdout.
+#: name says how the CPU placement or the fork is prevented, if at all; logs
+#: to stdout.
 VERBOSE_RUN = (
     "import os, sys\n"
     "sys.stderr = sys.stdout\n"
@@ -80,24 +96,63 @@ VERBOSE_RUN = (
     "    os.sched_setaffinity = refuse\n"
     "elif name == 'missing':\n"
     "    del os.sched_setaffinity\n"
+    "elif name == 'no_fork':\n"
+    "    del os.fork\n"
     "sys.exit(main(['-v', 'run', '--config', sys.argv[1], '--output-dir', name]))\n"
 )
 
 
 def verbose_run(root, name):
-    """The CPU sets of the timing line, and every other line, of a run into
-    ``root / name``."""
+    """(the timing lines, every other line) of a run into ``root / name``."""
     lines = run_python(VERBOSE_RUN, root / "config.ini", name, cwd=root).splitlines()
-    timing = [line for line in lines if "scipy.special import" in line]
-    assert len(timing) == 1
-    cpus = re.findall(r" on CPUs (\S+);", timing[0])
+    timing = [line for line in lines if is_timing(line)]
+    return timing, [line for line in lines if line not in timing]
+
+
+def overlap_cpus(timing):
+    """The CPU sets that the ingest overlap's timing line names."""
+    overlap = [line for line in timing if "scipy.special import" in line]
+    assert len(overlap) == 1
+    cpus = re.findall(r" on CPUs (\S+);", overlap[0])
     assert len(cpus) == 2
-    return cpus, [line for line in lines if line not in timing]
+    return cpus
+
+
+#: ``sentdep run`` of the config argv[1] in a fresh process that records, at
+#: each fork, whether numpy is loaded and its thread count (a line of
+#: ``fork.seen`` each), and whether the child loaded numpy by the end of
+#: ``stage_score`` (``child.seen``); prints whether numpy ended up loaded.
+OBSERVED_FORKS = (
+    "import os, sys\n"
+    "import sentdep.pipeline as pipeline\n"
+    "from sentdep.cli import main\n"
+    "def observe(name):\n"
+    "    task = '/proc/self/task'\n"
+    "    threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+    "    with open(name, 'a') as fh:\n"
+    "        fh.write(repr(('numpy' in sys.modules, threads)) + '\\n')\n"
+    "fork, stage_score = os.fork, pipeline.stage_score\n"
+    "def observed_fork():\n"
+    "    observe('fork.seen')\n"
+    "    return fork()\n"
+    "def observed_score(*args, **kwargs):\n"
+    "    scores = stage_score(*args, **kwargs)\n"
+    "    observe('child.seen')\n"
+    "    return scores\n"
+    "os.fork, pipeline.stage_score = observed_fork, observed_score\n"
+    "assert main(['run', '--config', sys.argv[1]]) == 0\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+def forks_seen(root):
+    """(numpy loaded, thread count) at each fork of an ``OBSERVED_FORKS`` run."""
+    return [literal_eval(line) for line in (root / "fork.seen").read_text().splitlines()]
 
 
 @pytest.fixture(scope="module")
 def placed_run(tmp_path_factory):
-    """(input tree, log lines but the timing line) of a run into ``placed``."""
+    """(input tree, log lines but the timing lines) of a run into ``placed``."""
     root = tmp_path_factory.mktemp("runs")
     build_tweet_tree(root)
     return root, verbose_run(root, "placed")[1]
@@ -189,37 +244,25 @@ class TestForkedIngest:
     def test_forks_before_numpy_loads(self, tmp_path):
         # A fresh process: the parent forks with one thread and no numpy
         # loaded, and the child scores without ever loading numpy.
-        code = (
-            "import os, sys\n"
-            "import sentdep.pipeline as pipeline\n"
-            "from sentdep.cli import main\n"
-            "def observe(name):\n"
-            "    task = '/proc/self/task'\n"
-            "    threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
-            "    with open(name, 'w') as fh:\n"
-            "        fh.write(repr(('numpy' in sys.modules, threads)))\n"
-            "fork, stage_score = os.fork, pipeline.stage_score\n"
-            "def observed_fork():\n"
-            "    observe('fork.seen')\n"
-            "    return fork()\n"
-            "def observed_score(*args, **kwargs):\n"
-            "    scores = stage_score(*args, **kwargs)\n"
-            "    observe('child.seen')\n"
-            "    return scores\n"
-            "os.fork, pipeline.stage_score = observed_fork, observed_score\n"
-            "assert main(['run', '--config', sys.argv[1]]) == 0\n"
-            "print('numpy' in sys.modules)\n"
-        )
         ini = build_tweet_tree(tmp_path)
-        assert run_python(code, ini, cwd=tmp_path).splitlines()[-1] == "True"
-        numpy_at_fork, threads_at_fork = literal_eval((tmp_path / "fork.seen").read_text())
+        assert run_python(OBSERVED_FORKS, ini, cwd=tmp_path).splitlines()[-1] == "True"
+        numpy_at_fork, threads_at_fork = forks_seen(tmp_path)[0]
         numpy_in_child, _ = literal_eval((tmp_path / "child.seen").read_text())
         assert not numpy_at_fork and not numpy_in_child
         assert threads_at_fork in (1, None)
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                        or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs two allowed CPUs and sched_setaffinity")
+    @needs_two_cpus
+    def test_analysis_worker_forks_with_one_thread(self, tmp_path):
+        # The second fork comes after numpy and SciPy loaded on one pinned
+        # CPU, so their OpenBLAS pools started no thread.
+        ini = build_tweet_tree(tmp_path)
+        run_python(OBSERVED_FORKS, ini, cwd=tmp_path)
+        forks = forks_seen(tmp_path)
+        assert len(forks) == 2
+        numpy_at_fork, threads_at_fork = forks[1]
+        assert numpy_at_fork and threads_at_fork in (1, None)
+
+    @needs_two_cpus
     @pytest.mark.parametrize("case", ["clean", "bad_label", "parent_raises"])
     def test_child_and_parent_run_on_different_cpus(self, tmp_path, case):
         # The child's set is seen in stage_score, the parent's while it
@@ -273,7 +316,8 @@ class TestForkedIngest:
     @pytest.mark.parametrize("fallback", ["one_cpu", "refused", "missing"])
     def test_unplaced_run_writes_the_same(self, placed_run, fallback):
         root, placed_log = placed_run
-        cpus, log = verbose_run(root, fallback)
+        timing, log = verbose_run(root, fallback)
+        cpus = overlap_cpus(timing)
         assert cpus[0] == cpus[1]
         assert log == [line.replace("placed", fallback) for line in placed_log]
         for name in sorted(EXPECTED_ARTIFACTS):
@@ -284,14 +328,14 @@ class TestForkedIngest:
         ini = build_tweet_tree(tmp_path)
         with caplog.at_level(logging.INFO):
             run_pipeline(load_config(ini))
-        forked_log = [m for m in caplog.messages if "scipy.special import" not in m]
+        forked_log = [m for m in caplog.messages if not is_timing(m)]
         caplog.clear()
         monkeypatch.delattr(os, "fork")
         config = load_config(ini)
         config.output_dir = tmp_path / "inline"
         with caplog.at_level(logging.INFO):
             run_pipeline(config)
-        assert caplog.messages == forked_log
+        assert [m for m in caplog.messages if not is_timing(m)] == forked_log
         for name in sorted(EXPECTED_ARTIFACTS):
             assert ((tmp_path / "inline" / name).read_bytes()
                     == (tmp_path / "out" / name).read_bytes()), name

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 from dataclasses import astuple
 from datetime import date, timedelta
 from pathlib import Path
@@ -403,6 +404,8 @@ class TestStageAnalyze:
             return compute(aspect, kind, ticker, sentiment, price, config, parts)
 
         monkeypatch.setattr(sentdep.analysis, "compute_cell", spy)
+        # The spy sees only this process's cells, so no worker may take bank.
+        monkeypatch.delattr(os, "fork")
         stage_analyze(cfg, scores, tmp_path / "cells.csv")
         # bank is labeled on the first two trading days only (one positive,
         # then one neutral label); the calendar holds every day of DAYS
