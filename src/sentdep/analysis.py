@@ -1,8 +1,11 @@
 """The dependence cells of one run: the numerical half of the pipeline.
 
 :func:`analyze_cells` computes one :class:`~sentdep.report.DependenceCell`
-per (aspect, score kind, ticker) from the daily series. It and the
-statistics it calls import numpy when they load, so
+per (aspect, score kind, ticker) from the daily series. A correlation is
+flagged significant when its magnitude strictly exceeds
+``pearson_threshold`` (default 0.4), the paper's rule.
+
+This module and the statistics it calls import numpy when they load, so
 :func:`sentdep.pipeline.stage_analyze` imports it when it runs, and the
 text stages and the CLI start without the numerical stack.
 
@@ -26,7 +29,7 @@ from .core import ScoreKind, TradingCalendar, align_lagged, on_calendar, paired_
 from .entropy import marginal_entropy, uncertainty_coefficient
 from .errors import EmptyAlignment, InsufficientData, SentdepError
 from .granger import granger_causes, restricted_fit
-from .pearson import centered, correlate
+from .pearson import centered, pearson_of_sides
 from .report import DependenceCell
 
 if TYPE_CHECKING:
@@ -125,9 +128,9 @@ def compute_cell(
         try:
             sides = (parts.get(("r", sentiment_name, kept), centered, xs),
                      parts.get(("r", ticker, kept), centered, ys))
-            res = correlate(aligned, config.pearson_threshold, sides)
-            cell["r"] = res.r
-            cell["r_significant"] = res.significant
+            r = pearson_of_sides(*sides)
+            cell["r"] = r
+            cell["r_significant"] = abs(r) > config.pearson_threshold
         except SentdepError as exc:
             cell["r_reason"] = _failure_reason(exc)
         try:

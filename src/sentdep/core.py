@@ -3,10 +3,11 @@
 Dates are plain ``datetime.date`` values interpreted as UTC calendar days.
 A trading day is a date on which the exchange published a closing price;
 the calendar is always supplied (parsed from price files or an explicit
-list), never inferred from holiday rules. Readers return a daily series
-as a date -> value dict; for analysis it becomes one float array indexed
-by trading day, NaN marking a missing day, so a lag of L trading days is
-a shift by L elements.
+list), never inferred from holiday rules, and holds each listed day once,
+in increasing order. Readers return a daily series as a date -> value
+dict; for analysis it becomes one float array indexed by trading day,
+NaN marking a missing day, so a lag of L trading days is a shift by L
+elements.
 
 The text stages never touch those arrays, so numpy is imported only by
 the functions that build or align them: a process that only reads,
@@ -63,14 +64,6 @@ class AspectDayCount:
     negative: int
     neutral: int
 
-    def __post_init__(self):
-        for name in ("positive", "negative", "neutral"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} count must be >= 0, got {v}")
-        if self.total == 0:
-            raise ValueError(f"no labels for {self.aspect} on {self.day}")
-
     @property
     def total(self) -> int:
         return self.positive + self.negative + self.neutral
@@ -105,31 +98,13 @@ class ScoreKind(Enum):
     def is_absolute(self) -> bool:
         return self in (ScoreKind.ABS_POSITIVE, ScoreKind.ABS_NEGATIVE)
 
-    @classmethod
-    def from_code(cls, code: str) -> "ScoreKind":
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"unknown score kind {code!r}") from None
-
 
 class TradingCalendar:
-    """Strictly increasing, non-empty sequence of trading days."""
+    """The distinct trading days of ``days``, in increasing order."""
 
     def __init__(self, days: Iterable[date]):
-        days = tuple(days)
-        if not days:
-            raise ValueError("trading calendar must not be empty")
-        for a, b in zip(days, days[1:]):
-            if a >= b:
-                raise ValueError(f"calendar days must strictly increase ({a} >= {b})")
-        self._days = days
-        self._index = {d: i for i, d in enumerate(days)}
-
-    @classmethod
-    def from_dates(cls, days: Iterable[date]) -> "TradingCalendar":
-        """Build a calendar from an arbitrary iterable (deduplicated, sorted)."""
-        return cls(sorted(set(days)))
+        self._days = tuple(sorted(set(days)))
+        self._index = {d: i for i, d in enumerate(self._days)}
 
     @property
     def days(self) -> tuple[date, ...]:
@@ -205,8 +180,6 @@ def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
 
     Raises EmptyAlignment when no pair survives.
     """
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
     import numpy as np
 
     xs, ys = x[:-lag], y[lag:]

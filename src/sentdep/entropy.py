@@ -7,10 +7,11 @@ Kozachenko–Leonenko k-th nearest-neighbor method:
 
 where ε_i is the distance from point i to its k-th nearest neighbor under
 the max-norm (Chebyshev), whose unit ball has volume c_d = 2^d, and ψ is
-the digamma function. Conditional entropy follows from the chain rule
-H(y|x) = H(x, y) − H(x) with the same k and metric on the joint and
-marginal clouds, and the uncertainty coefficient is the relative entropy
-reduction u = (H(y) − H(y|x)) / H(y).
+the digamma function. The uncertainty coefficient is the relative
+entropy reduction u = (H(y) − H(y|x)) / H(y). Its conditional entropy
+comes from the chain rule H(y|x) = H(x, y) − H(x), with the same k and
+metric on the marginal cloud of x and on the joint cloud, which is the
+(x, y) pairs themselves.
 
 Differential entropies can be negative or near zero, which makes the
 ratio ill-conditioned; results therefore carry a validity flag and the
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_K, MAX_K, AlignedPairs
-from .errors import DegenerateSample, DomainError, InsufficientData
+from .core import DEFAULT_K, AlignedPairs
+from .errors import DegenerateSample, InsufficientData
 
 #: Zero neighbor distances (duplicate points) are floored here before log.
 EPSILON_FLOOR = 1e-12
@@ -53,12 +54,6 @@ class EntropyEstimate:
     n: int
     dim: int
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"entropy estimate must be finite, got {self.value}")
-        if self.n <= self.k:
-            raise ValueError(f"need n > k, got n={self.n}, k={self.k}")
-
 
 @dataclass(frozen=True)
 class UCoeffResult:
@@ -76,26 +71,6 @@ class UCoeffResult:
     valid: bool
     k: int
     mi: float
-
-
-def digamma(z: float) -> float:
-    """ψ(z) for z > 0, by ``scipy.special.digamma``."""
-    if not z > 0.0:
-        raise DomainError(f"digamma requires z > 0, got {z}")
-    from scipy import special
-
-    return float(special.digamma(z))
-
-
-def _as_points(samples) -> np.ndarray:
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, np.newaxis]
-    if pts.ndim != 2:
-        raise ValueError(f"samples must be an (n, d) array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("samples must be finite")
-    return pts
 
 
 def _kth_neighbor_distance_1d(values: np.ndarray, k: int) -> np.ndarray:
@@ -132,9 +107,9 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
     distances needed flooring (the estimate would be floor-driven, not
     data-driven).
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must lie in 1..{MAX_K}, got {k}")
-    pts = _as_points(samples)
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, np.newaxis]
     n, d = pts.shape
     if n < k + 2:
         raise InsufficientData(f"need at least {k + 2} points for k={k}, got {n}")
@@ -152,8 +127,10 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
             f"(duplicated points)"
         )
     eps = np.maximum(eps, EPSILON_FLOOR)
+    from scipy.special import digamma
+
     value = (
-        digamma(n) - digamma(k) + d * math.log(2.0)
+        float(digamma(n)) - float(digamma(k)) + d * math.log(2.0)
         + (d / n) * float(np.log(eps).sum())
     )
     return EntropyEstimate(value=value, k=k, n=n, dim=d)
@@ -163,27 +140,6 @@ def marginal_entropy(values, k: int = DEFAULT_K) -> float:
     """Ĥ of a 1-D sample in nats: an ``h_y`` or ``h_x`` for
     :func:`uncertainty_coefficient`."""
     return kl_entropy(values, k).value
-
-
-def conditional_entropy(y, x, k: int = DEFAULT_K, h_x: float | None = None) -> EntropyEstimate:
-    """Ĥ(y|x) = Ĥ(x, y) − Ĥ(x) via the chain rule, in nats.
-
-    Ĥ(x) comes first; a caller that already has it passes it as ``h_x``.
-    A zero joint neighbor distance needs k other points equal in both
-    coordinates, hence equal in x, so a degenerate joint sample always has
-    a degenerate x sample: estimating Ĥ(x) first raises the same
-    DegenerateSample without building the joint cloud's tree.
-    """
-    ys = _as_points(y)
-    xs = _as_points(x)
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError(f"length mismatch: {xs.shape[0]} vs {ys.shape[0]}")
-    if h_x is None:
-        h_x = marginal_entropy(xs, k)
-    h_joint = kl_entropy(np.column_stack([xs, ys]), k)
-    return EntropyEstimate(
-        value=h_joint.value - h_x, k=k, n=ys.shape[0], dim=ys.shape[1]
-    )
 
 
 def uncertainty_coefficient(
@@ -201,12 +157,18 @@ def uncertainty_coefficient(
     ``h_y`` and ``h_x``, the entropies of the price and the sentiment
     sides of the pairs, spare estimating them again when a caller already
     has them; only the joint entropy is then estimated here.
+
+    Ĥ(sentiment) comes before the joint entropy. A zero joint neighbor
+    distance needs k other points equal in both coordinates, hence equal
+    in the sentiment, so a degenerate joint sample always has a
+    degenerate sentiment sample: estimating Ĥ(sentiment) first raises the
+    same DegenerateSample without building the joint cloud's tree.
     """
-    xs = pairs.xs()
-    ys = pairs.ys()
     if h_y is None:
-        h_y = marginal_entropy(ys, k)
-    h_y_given_x = conditional_entropy(ys, xs, k, h_x).value
+        h_y = marginal_entropy(pairs.ys(), k)
+    if h_x is None:
+        h_x = marginal_entropy(pairs.xs(), k)
+    h_y_given_x = kl_entropy(pairs.pairs, k).value - h_x
     mi = h_y - h_y_given_x
     u = math.nan if h_y == 0.0 else mi / h_y
     return UCoeffResult(

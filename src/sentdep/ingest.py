@@ -72,11 +72,6 @@ class KeywordFrequency:
     tweet_count: int
 
 
-def _normalize_aspect(raw: str) -> str:
-    """Lowercase an aspect entry and collapse its whitespace runs."""
-    return " ".join(raw.lower().split())
-
-
 class AspectLexicon:
     """Ordered list of lowercase aspect token sequences.
 
@@ -84,23 +79,13 @@ class AspectLexicon:
     on whole contiguous tokens, so "stock" never matches inside
     "stockmarket". File order is preserved and doubles as the presentation
     order in reports. ``by_first_token`` maps each entry's first token to
-    its ``(aspect, token sequence)`` pairs, in lexicon order.
+    its ``(aspect, token sequence)`` pairs, in lexicon order. Entries are
+    stored as given; :func:`load_aspects` normalises them and rejects a
+    repeated entry or a file without any.
     """
 
     def __init__(self, aspects: Iterable[str]):
-        entries: list[str] = []
-        seen: set[str] = set()
-        for raw in aspects:
-            a = _normalize_aspect(raw)
-            if not a:
-                raise ValueError("aspect entries must be non-empty")
-            if a in seen:
-                raise ValueError(f"duplicate aspect {a!r}")
-            seen.add(a)
-            entries.append(a)
-        if not entries:
-            raise ValueError("aspect lexicon must not be empty")
-        self._aspects = tuple(entries)
+        self._aspects = tuple(aspects)
         index: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for aspect in self._aspects:
             seq = tuple(aspect.split())
@@ -354,7 +339,9 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
 
     Rows whose Close is non-numeric (Yahoo writes "null"), non-positive,
     non-finite, or whose Date is unparseable are skipped with a warning,
-    so every close returned is positive and finite.
+    so every close returned is positive and finite. A second usable row
+    for a Date raises FormatError with its line; a row skipped before it
+    does not count.
     """
     values: dict[date, float] = {}
     rows = csv_rows(path, "price")
@@ -385,6 +372,8 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
             logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
                            path, lineno, close)
             continue
+        if d in values:
+            raise FormatError(f"repeated Date {d}", path=path, line_number=lineno)
         values[d] = close
     if not values:
         raise EmptySeries(f"{path}: no usable price rows for {ticker}")
@@ -465,12 +454,13 @@ def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) 
 def load_aspects(path) -> AspectLexicon:
     """Load an aspect lexicon file: one aspect per line, '#' comments ignored.
 
-    A file without any aspect, or an aspect listed twice, raises
+    Each aspect is lowercased and its whitespace runs collapsed to one
+    space. A file without any aspect, or an aspect listed twice, raises
     FormatError naming the file (and the line of the second listing).
     """
     first_line: dict[str, int] = {}
     for lineno, line in comment_lines(path):
-        aspect = _normalize_aspect(line)
+        aspect = " ".join(line.lower().split())
         if aspect in first_line:
             raise FormatError(
                 f"duplicate aspect {aspect!r} (first listed on line {first_line[aspect]})",

@@ -26,22 +26,15 @@ DEFAULT_WINDOW = 5
 
 
 class PolarityLexicon:
-    """Lowercase positive and negative opinion terms.
+    """Lowercase positive and negative opinion terms, stored as given.
 
-    The two sets must be disjoint and non-empty; anything not listed is
-    treated as neutral context.
+    Anything not listed is treated as neutral context. :meth:`from_files`
+    reads the two sets and requires them to be non-empty and disjoint.
     """
 
     def __init__(self, positive: Iterable[str], negative: Iterable[str]):
-        pos = {w.strip().lower() for w in positive if w.strip()}
-        neg = {w.strip().lower() for w in negative if w.strip()}
-        if not pos or not neg:
-            raise ValueError("both polarity term sets must be non-empty")
-        overlap = pos & neg
-        if overlap:
-            raise ValueError(f"terms listed as both positive and negative: {sorted(overlap)}")
-        self.positive = frozenset(pos)
-        self.negative = frozenset(neg)
+        self.positive = frozenset(positive)
+        self.negative = frozenset(negative)
 
     @classmethod
     def from_files(cls, positive_path, negative_path) -> "PolarityLexicon":
@@ -119,8 +112,6 @@ def lexicon_window_label(
     positive than negative terms labels the occurrence positive, the
     reverse negative, and a tie — including zero hits — neutral.
     """
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
     lo = max(0, occurrence.start - window)
     hi = min(len(tokens), occurrence.end + window)
     pos = neg = 0

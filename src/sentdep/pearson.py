@@ -1,4 +1,4 @@
-"""Pearson correlation over lag-aligned pairs, with a significance rule.
+"""Pearson correlation over lag-aligned pairs.
 
 The coefficient is computed with the classic two-pass formula: subtract
 each sample mean, then form sum(dx*dy) / sqrt(sum(dx^2) * sum(dy^2)).
@@ -6,8 +6,7 @@ Each series is first scaled by the power of two that puts its largest
 magnitude in [0.5, 1): that is exact and leaves r unchanged, and no sum
 can overflow or underflow. Accumulation uses compensated summation
 (math.fsum), which keeps the result within ~1e-15 of an exact-arithmetic
-evaluation for series of this length. A correlation is flagged
-significant when its magnitude strictly exceeds a threshold (default 0.4).
+evaluation for series of this length.
 
 Each series' deviations and sum of squares (its :func:`centered` side)
 depend on that series alone, so a caller correlating one series with many
@@ -17,26 +16,14 @@ can compute them once; only the cross-sum is then left per pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_THRESHOLD, AlignedPairs
 from .errors import DegenerateSeries, InsufficientData
 
 #: Minimum pair count for a correlation to be defined (and stable).
 MIN_PAIRS = 3
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Correlation coefficient plus the significance decision."""
-
-    r: float
-    n: int
-    significant: bool
-    threshold: float
 
 
 def centered(values: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -70,8 +57,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     Raises InsufficientData for fewer than three pairs and
     DegenerateSeries when either side is constant.
     """
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     return pearson_of_sides(centered(xs), centered(ys))
 
 
@@ -83,29 +68,3 @@ def pearson_of_sides(
     r = math.fsum((dx * dy).tolist()) / math.sqrt(sxx * syy)
     # Rounding can push |r| infinitesimally past 1 for collinear data.
     return max(-1.0, min(1.0, r))
-
-
-def classify(r: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """Significance rule: |r| strictly greater than ``threshold``."""
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
-    return abs(r) > threshold
-
-
-def correlate(
-    aligned: AlignedPairs,
-    threshold: float = DEFAULT_THRESHOLD,
-    sides: tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]] | None = None,
-) -> CorrelationResult:
-    """Correlation of lag-aligned (sentiment, price) pairs.
-
-    ``sides``, the :func:`centered` sentiment and price sides of the
-    pairs, spares computing them again when a caller already has them.
-    """
-    if sides is None:
-        r = pearson(aligned.xs(), aligned.ys())
-    else:
-        r = pearson_of_sides(*sides)
-    return CorrelationResult(
-        r=r, n=aligned.n, significant=classify(r, threshold), threshold=threshold
-    )

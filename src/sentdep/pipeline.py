@@ -321,7 +321,7 @@ def load_calendar(path) -> TradingCalendar:
                               path=path, line_number=lineno) from None
     if not days:
         raise FormatError("calendar lists no trading day", path=path)
-    return TradingCalendar.from_dates(days)
+    return TradingCalendar(days)
 
 
 def build_calendar(
@@ -330,10 +330,7 @@ def build_calendar(
     """The run's trading calendar: explicit file, or union of price dates."""
     if config.calendar is not None:
         return load_calendar(config.calendar)
-    all_days: set[date] = set()
-    for closes in prices.values():
-        all_days.update(closes)
-    return TradingCalendar.from_dates(all_days)
+    return TradingCalendar(day for closes in prices.values() for day in closes)
 
 
 def select_top_aspects(

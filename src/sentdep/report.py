@@ -98,7 +98,7 @@ def read_cells(path) -> list[DependenceCell]:
         for name, text in zip(_CELL_COLUMNS, row):
             try:
                 if name == "kind":
-                    kwargs[name] = ScoreKind.from_code(text)
+                    kwargs[name] = ScoreKind(text)
                 elif name == "n":
                     kwargs[name] = int(text)
                 elif name in _STR_FIELDS:
@@ -147,10 +147,6 @@ def emit_heatmap(
     matrix shows every computed value — consult ``u_valid`` in the cell
     file before trusting individual entries.
     """
-    if statistic not in ("r", "u"):
-        raise ValueError(f"statistic must be 'r' or 'u', got {statistic!r}")
-    if not cells:
-        raise ValueError("cannot emit a heatmap from an empty cell set")
     aspects, tickers = _presentation_orders(cells)
     texts: dict[tuple[str, str], str] = {}
     for c in cells:

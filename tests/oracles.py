@@ -33,7 +33,7 @@ from sentdep.errors import EmptyAlignment, FormatError, InsufficientData, Sentde
 from sentdep.granger import granger_causes
 from sentdep.ingest import AspectLexicon, csv_rows, load_aspects, parse_prices, tokenize
 from sentdep.labeler import AspectOccurrence
-from sentdep.pearson import correlate
+from sentdep.pearson import pearson
 from sentdep.pipeline import build_calendar, select_top_aspects
 from sentdep.report import DependenceCell
 from sentdep.scores import aggregate_daily
@@ -211,8 +211,8 @@ def unshared_cell(aspect, kind, ticker, sentiment, price, config) -> DependenceC
     if aligned is not None:
         cell["n"] = aligned.n
         try:
-            res = correlate(aligned, config.pearson_threshold)
-            cell.update(r=res.r, r_significant=res.significant)
+            r = pearson(aligned.xs(), aligned.ys())
+            cell.update(r=r, r_significant=abs(r) > config.pearson_threshold)
         except SentdepError as exc:
             cell["r_reason"] = _reason(exc)
         try:

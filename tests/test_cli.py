@@ -5,9 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sentdep
 import sentdep.pipeline
@@ -282,11 +285,31 @@ class TestExitCodes:
                 == capsys.readouterr().err)
         assert not (tmp_path / "new_cells.csv").exists()
 
+    def test_repeated_price_date_returns_two(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        prices = tmp_path / "AAA.csv"
+        day = prices.read_text(encoding="utf-8").splitlines()[3].split(",")[0]
+        line = append_line(prices, f"{day},12.5".encode())
+        assert main(["analyze", *STAGE_ARGV["analyze"]]) == 2
+        assert f"error: AAA.csv:{line}: repeated Date {day}\n" == capsys.readouterr().err
+        assert not (tmp_path / "new_cells.csv").exists()
+
     @pytest.mark.parametrize("command, option, message", [
         ("label", ["--window", "-1"], "window must be >= 0, got -1"),
         ("keywords", ["--malformed-cap", "-1"],
          "max_malformed_fraction must lie in [0, 1], got -1.0"),
         ("keywords", ["--min-count", "-3"], "min_keyword_count must be >= 1, got -3"),
+        # The config rules are the statistics' only guard: both ends of each.
+        ("analyze", ["--lag", "0"], "lag must be >= 1, got 0"),
+        ("analyze", ["--granger-lag", "0"], "granger_lag must be >= 1, got 0"),
+        ("analyze", ["--granger-alpha", "0"], "granger_alpha must lie in (0, 1), got 0.0"),
+        ("analyze", ["--granger-alpha", "1"], "granger_alpha must lie in (0, 1), got 1.0"),
+        ("analyze", ["--pearson-threshold", "-0.1"],
+         "pearson_threshold must lie in [0, 1), got -0.1"),
+        ("analyze", ["--pearson-threshold", "1"],
+         "pearson_threshold must lie in [0, 1), got 1.0"),
+        ("analyze", ["--entropy-k", "0"], "entropy_k must lie in 1..20, got 0"),
+        ("analyze", ["--entropy-k", "21"], "entropy_k must lie in 1..20, got 21"),
     ])
     def test_stage_option_breaking_its_key_rule_returns_one(
             self, tmp_path, capsys, monkeypatch, command, option, message):
@@ -342,6 +365,56 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+#: Close cells the price reader skips.
+SKIPPED_CLOSES = ["null", "", "-1", "0", "inf", "nan", "1e400", "abc"]
+
+#: ISO dates around the fixture's Q4 2022 calendar.
+FUZZ_DAYS = st.dates(date(2022, 9, 26), date(2023, 1, 6)).map(date.isoformat)
+
+
+@st.composite
+def price_rows(draw):
+    """(Date, Close) rows: distinct dates, then up to two repeated ones.
+
+    A usable close is either any finite positive float, subnormals and the
+    largest included, or, for the whole file, a float in [2^e, 2^(e+1)) for
+    one drawn e, so that a series can be huge or tiny as a whole.
+    """
+    e = draw(st.none() | st.integers(-1074, 1023))
+    if e is None:
+        usable = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    else:
+        usable = st.floats(1.0, 2.0, exclude_max=True).map(lambda m: math.ldexp(m, e))
+    closes = st.one_of(usable.map(repr), usable.map(repr), st.sampled_from(SKIPPED_CLOSES))
+    n = draw(st.integers(0, 80))
+    rows = [(day, draw(closes))
+            for day in draw(st.lists(FUZZ_DAYS, min_size=n, max_size=n, unique=True))]
+    repeats = draw(st.integers(0, 2)) if rows else 0
+    for _ in range(repeats):
+        day = draw(st.sampled_from(rows))[0]
+        rows.insert(draw(st.integers(0, len(rows))), (day, draw(closes)))
+    return rows
+
+
+def test_any_price_rows_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of one ticker's price file in the fixture tree."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["fixture", "--out-dir", str(root), "--seed", "0"]) == 0
+    assert main(["run", "--config", str(root / "config.ini")]) == 0
+    prices = root / "prices_NEE.csv"
+    argv = ["analyze", "--config", str(root / "config.ini"),
+            "--scores", str(root / "out" / "scores.csv"), "--out", str(root / "cells.csv")]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(price_rows())
+    def check(rows):
+        prices.write_text("Date,Close\n" + "".join(f"{day},{close}\n" for day, close in rows),
+                          encoding="utf-8")
+        assert main(argv) in (0, 2)
+
+    check()
 
 
 #: ``sentdep run`` of the config argv[1] with file descriptor 2 joined to 1,

@@ -10,20 +10,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from sentdep.core import AlignedPairs
+from sentdep.core import MAX_K, AlignedPairs
 from sentdep.entropy import (
     DEFAULT_K,
     EPSILON_FLOOR,
-    MAX_K,
     _kth_neighbor_distance_1d,
-    conditional_entropy,
-    digamma,
     kl_entropy,
     uncertainty_coefficient,
 )
-from sentdep.errors import DegenerateSample, DomainError, InsufficientData
+from sentdep.errors import ConfigError, DegenerateSample, InsufficientData
+from sentdep.pipeline import check_values
 
-EULER_GAMMA = 0.5772156649015329
 GAUSSIAN_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
@@ -31,29 +28,6 @@ def _pairs(xs, ys) -> AlignedPairs:
     return AlignedPairs(
         pairs=tuple((float(a), float(b)) for a, b in zip(xs, ys)), lag_days=1
     )
-
-
-class TestDigamma:
-    def test_euler_mascheroni_anchor(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-10)
-
-    def test_psi_of_two(self):
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            digamma(0.0)
-        with pytest.raises(DomainError):
-            digamma(-3.5)
-
-    def test_against_scipy_grid(self):
-        zs = [0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.9, 6.0, 10.0, 123.4, 10000.0]
-        worst = max(abs(digamma(z) - scipy.special.digamma(z)) for z in zs)
-        assert worst <= 1e-10
-
-    @given(st.floats(min_value=0.01, max_value=50.0))
-    def test_recurrence(self, z):
-        assert digamma(z + 1.0) - digamma(z) == pytest.approx(1.0 / z, abs=1e-9)
 
 
 class TestKlEntropy:
@@ -81,12 +55,12 @@ class TestKlEntropy:
         assert math.isfinite(est.value)
 
     def test_k_range(self):
-        rng = np.random.default_rng(1)
-        s = rng.normal(size=50)
-        with pytest.raises(ValueError):
-            kl_entropy(s, k=0)
-        with pytest.raises(ValueError):
-            kl_entropy(s, k=MAX_K + 1)
+        # the config rule is the one check of k
+        for bad in (0, MAX_K + 1):
+            with pytest.raises(ConfigError, match=f"entropy_k must lie in 1..{MAX_K}"):
+                check_values(entropy_k=bad)
+        s = np.random.default_rng(1).normal(size=50)
+        assert kl_entropy(s, k=1).k == 1
         assert kl_entropy(s, k=MAX_K).k == MAX_K
 
     def test_sample_size_floor(self):
@@ -101,12 +75,6 @@ class TestKlEntropy:
         assert est.dim == 2
         # independent standard normals: H = 2 · ½ln(2πe)
         assert est.value == pytest.approx(2.0 * GAUSSIAN_ENTROPY, abs=0.15)
-
-    def test_nonfinite_rejected(self):
-        s = np.ones(20)
-        s[3] = np.nan
-        with pytest.raises(ValueError):
-            kl_entropy(s, k=3)
 
     def test_translation_leaves_estimate_unchanged(self):
         rng = np.random.default_rng(4)
@@ -156,31 +124,36 @@ def test_sorted_neighbor_distances_equal_the_kd_tree_bit_for_bit(sample_and_k):
     # the log-sum runs in input order, as it did over the tree's distances
     n = sample.shape[0]
     if np.mean(tree_eps == 0.0) <= 0.5:
-        expected = (digamma(n) - digamma(k) + math.log(2.0)
+        expected = (float(scipy.special.digamma(n)) - float(scipy.special.digamma(k))
+                    + math.log(2.0)
                     + (1 / n) * float(np.log(np.maximum(tree_eps, EPSILON_FLOOR)).sum()))
         assert kl_entropy(sample, k).value == expected
 
 
 class TestConditionalEntropy:
+    """Ĥ(y|x) by the chain rule: ``h_y_given_x`` of uncertainty_coefficient."""
+
     def test_independence_keeps_full_entropy(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=4000)
         y = rng.normal(size=4000)
         h_y = kl_entropy(y, k=3).value
-        h_y_x = conditional_entropy(y, x, k=3).value
+        h_y_x = uncertainty_coefficient(_pairs(x, y), k=3).h_y_given_x
         assert h_y_x == pytest.approx(h_y, abs=0.05)
 
     def test_additive_noise_leaves_noise_entropy(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=10_000)
         y = x + rng.normal(0.0, 0.01, size=10_000)
-        h = conditional_entropy(y, x, k=3).value
+        h = uncertainty_coefficient(_pairs(x, y), k=3).h_y_given_x
         # analytic: ½·ln(2πe·1e−4) ≈ −3.1862
         assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 1e-4), abs=0.1)
 
     def test_minimum_sample(self):
+        # with both marginal entropies given, only the joint cloud is estimated
+        pairs = _pairs([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InsufficientData):
-            conditional_entropy([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4], k=3)
+            uncertainty_coefficient(pairs, k=3, h_y=1.0, h_x=1.0)
 
     def test_tied_counts_fail_before_the_joint_cloud(self, monkeypatch):
         dims = []
@@ -195,20 +168,16 @@ class TestConditionalEntropy:
         counts = [0.0] * 80 + [1.0] * 15 + [2.0] * 5
         prices = np.random.default_rng(3).normal(size=100)
         with pytest.raises(DegenerateSample):
-            conditional_entropy(prices, counts)
-        assert dims == [1]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            conditional_entropy([1.0, 2.0, 3.0], [1.0, 2.0], k=1)
+            uncertainty_coefficient(_pairs(counts, prices))
+        assert dims == [1, 1]  # Ĥ(price), then Ĥ(counts) fails: no 2-D cloud
 
     def test_conditioning_rarely_raises_entropy(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=800)
             y = 0.5 * x + rng.normal(size=800)
-            assert (conditional_entropy(y, x, k=3).value
-                    <= kl_entropy(y, k=3).value + 0.1)
+            res = uncertainty_coefficient(_pairs(x, y), k=3)
+            assert res.h_y_given_x <= res.h_y + 0.1
 
 
 class TestUncertaintyCoefficient:

@@ -5,17 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import granger_f_exact, ols_exact
-from sentdep.errors import InsufficientData, RankDeficient
-from sentdep.granger import (
-    GrangerResult,
-    f_distribution_sf,
-    granger_causes,
-    ols,
-)
+from sentdep.errors import ConfigError, InsufficientData, RankDeficient
+from sentdep.granger import granger_causes, ols
+from sentdep.pipeline import check_values
 
 
 class TestOls:
@@ -54,19 +48,6 @@ class TestOls:
             ols([1.0, 2.0], [1.0, 2.0])
         fit = ols([1.0, 2.0, 3.0], [1.0, 2.0, 3.1])
         assert fit.n_obs == 3
-
-    def test_rejects_nonfinite_inputs(self):
-        t = np.arange(10, dtype=float)
-        bad = t.copy()
-        bad[3] = np.nan
-        with pytest.raises(ValueError):
-            ols(bad, t)
-        with pytest.raises(ValueError):
-            ols(t, np.where(t == 4, np.inf, t))
-
-    def test_row_mismatch(self):
-        with pytest.raises(ValueError):
-            ols(np.arange(5.0), np.arange(6.0))
 
 
 class TestGrangerCauses:
@@ -136,13 +117,13 @@ class TestGrangerCauses:
             granger_causes(rng.normal(size=15), rng.normal(size=15), lag=2)
 
     def test_parameter_validation(self):
-        x = list(range(20))
-        with pytest.raises(ValueError):
-            granger_causes(x, x, lag=0)
-        with pytest.raises(ValueError):
-            granger_causes(x, x, lag=1, alpha=0.0)
-        with pytest.raises(ValueError):
-            granger_causes(x, x[:-1], lag=1)
+        # the config rules are the one check of the lag order and alpha
+        with pytest.raises(ConfigError, match="granger_lag must be >= 1, got 0"):
+            check_values(granger_lag=0)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ConfigError, match=rf"granger_alpha must lie in \(0, 1\), "
+                                                  rf"got {alpha}"):
+                check_values(granger_alpha=alpha)
 
     def test_lag_two_degrees_of_freedom(self):
         rng = np.random.default_rng(11)
@@ -150,14 +131,6 @@ class TestGrangerCauses:
         assert res.df_num == 2
         assert res.df_den == 54  # 59 effective − 2·2 − 1
         assert res.lag == 2
-
-    def test_result_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            GrangerResult(f_stat=1.0, p_value=0.5, df_num=1, df_den=10,
-                          lag=1, causal=True)
-        with pytest.raises(ValueError):
-            GrangerResult(f_stat=-1.0, p_value=0.5, df_num=1, df_den=10,
-                          lag=1, causal=False)
 
     def test_affine_maps_leave_f_unchanged(self):
         rng = np.random.default_rng(17)
@@ -181,42 +154,13 @@ class TestGrangerCauses:
 
 
 class TestFUpperTail:
-    def test_zero_statistic(self):
-        assert f_distribution_sf(0.0, 1, 57) == 1.0
-
-    def test_textbook_quantile(self):
-        # 95th percentile of F(1, 10) is 4.9646
-        assert f_distribution_sf(4.9646, 1, 10) == pytest.approx(0.05, abs=1e-3)
-
-    def test_infinite_statistic(self):
-        assert f_distribution_sf(math.inf, 3, 8) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            f_distribution_sf(-0.1, 1, 10)
-        with pytest.raises(ValueError):
-            f_distribution_sf(1.0, 0, 10)
-        with pytest.raises(ValueError):
-            f_distribution_sf(1.0, 1, 0)
-
     def test_against_scipy_grid(self):
-        worst = 0.0
-        for d1 in (1, 2, 3, 5, 10, 30):
-            for d2 in (1, 2, 5, 12, 57, 120):
-                for f in (1e-6, 0.1, 0.5, 1.0, 2.0, 4.9646, 10.0, 100.0, 1e4):
-                    got = f_distribution_sf(f, d1, d2)
-                    want = scipy.stats.f.sf(f, d1, d2)
-                    worst = max(worst, abs(got - want))
-        assert worst <= 1e-10
-
-    @given(
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=1, max_value=200),
-        st.floats(min_value=0.0, max_value=50.0),
-        st.floats(min_value=0.0, max_value=50.0),
-    )
-    def test_tail_probability_decreases_in_f(self, d1, d2, f1, f2):
-        lo, hi = sorted((f1, f2))
-        assert f_distribution_sf(lo, d1, d2) >= f_distribution_sf(hi, d1, d2)
-        p = f_distribution_sf(f1, d1, d2)
-        assert 0.0 <= p <= 1.0
+        # p is the upper tail of F(q, df_den) at the test's F statistic
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for lag in (1, 2, 3):
+                x = rng.normal(size=40)
+                y = 0.2 * np.roll(x, lag) + rng.normal(size=40)
+                res = granger_causes(x, y, lag=lag)
+                assert not res.perfect_fit
+                assert res.p_value == scipy.stats.f(res.df_num, res.df_den).sf(res.f_stat)

@@ -218,6 +218,23 @@ class TestParsePrices:
         p.write_text("Close,Date\n12.5,2022-10-03\n", encoding="utf-8")
         assert parse_prices(p, "BP")[date(2022, 10, 3)] == 12.5
 
+    def test_repeated_date_is_a_format_error(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("Date,Close\n2022-10-03,10.0\n2022-10-03,99.0\n2022-10-04,11.0\n",
+                     encoding="utf-8")
+        with pytest.raises(FormatError, match=r"x.csv:3: repeated Date 2022-10-03$"):
+            parse_prices(p, "BP")
+        # the same day in its other ISO 8601 spelling
+        p.write_text("Date,Close\n2022-10-03,10.0\n20221003,99.0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"x.csv:3: repeated Date 2022-10-03$"):
+            parse_prices(p, "BP")
+
+    def test_skipped_row_does_not_make_a_repeat(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("Date,Close\n2022-10-03,null\n2022-10-03,10.0\n"
+                     "2022-10-04,11.0\n2022-10-04,0\n", encoding="utf-8")
+        assert parse_prices(p, "BP") == {date(2022, 10, 3): 10.0, date(2022, 10, 4): 11.0}
+
 
 #: Days of the generated label files, each in its two ISO 8601 spellings.
 LABEL_DAYS = [("2021-01-04", "20210104"), ("2021-01-05", "20210105"),
@@ -347,13 +364,19 @@ class TestAspectLexicon:
             "stock": (("stock market", ("stock", "market")),),
         }
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            AspectLexicon(["tax", "Tax"])
+    def test_duplicates_rejected(self, tmp_path):
+        # entries are normalised before they are compared
+        p = tmp_path / "aspects.txt"
+        p.write_text("stock market\ntax\n  Stock   MARKET \n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"aspects.txt:3: duplicate aspect "
+                                              r"'stock market' \(first listed on line 1\)"):
+            load_aspects(p)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AspectLexicon([])
+    def test_empty_rejected(self, tmp_path):
+        p = tmp_path / "aspects.txt"
+        p.write_text("# nothing yet\n\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="aspects.txt: aspect lexicon lists no aspect"):
+            load_aspects(p)
 
     def test_membership(self):
         lex = AspectLexicon(["tax", "rate"])

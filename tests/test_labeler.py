@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentdep.core import PolarityLabel
+from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon, TweetRecord, parse_labeled, write_labeled
 from sentdep.labeler import (
     AspectOccurrence,
@@ -15,6 +16,7 @@ from sentdep.labeler import (
     label_corpus,
     lexicon_window_label,
 )
+from sentdep.pipeline import check_values
 from sentdep.scores import aggregate_daily
 
 from oracles import aspect_occurrences_bruteforce
@@ -25,19 +27,30 @@ LEX = PolarityLexicon(
 )
 
 
+def term_files(tmp_path, positive: str, negative: str):
+    pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+    pos.write_text(positive, encoding="utf-8")
+    neg.write_text(negative, encoding="utf-8")
+    return pos, neg
+
+
 class TestPolarityLexicon:
-    def test_disjoint_required(self):
-        with pytest.raises(ValueError):
-            PolarityLexicon(positive=["up", "flat"], negative=["down", "flat"])
+    """Term files are checked where they are read, by from_files."""
 
-    def test_nonempty_required(self):
-        with pytest.raises(ValueError):
-            PolarityLexicon(positive=[], negative=["down"])
+    def test_disjoint_required(self, tmp_path):
+        pos, neg = term_files(tmp_path, "up\nflat\n", "down\nFlat\n")
+        with pytest.raises(FormatError, match=r"neg.txt:2: term 'flat' is also listed in"):
+            PolarityLexicon.from_files(pos, neg)
 
-    def test_normalizes_case(self):
-        lex = PolarityLexicon(positive=["Gains "], negative=["Fears"])
-        assert "gains" in lex.positive
-        assert "fears" in lex.negative
+    def test_nonempty_required(self, tmp_path):
+        pos, neg = term_files(tmp_path, "# none yet\n\n", "down\n")
+        with pytest.raises(FormatError, match="pos.txt: term file lists no term"):
+            PolarityLexicon.from_files(pos, neg)
+
+    def test_normalizes_case(self, tmp_path):
+        lex = PolarityLexicon.from_files(*term_files(tmp_path, "  Gains \n", "FEARS\n"))
+        assert lex.positive == {"gains"}
+        assert lex.negative == {"fears"}
 
     def test_from_files(self, tmp_path):
         pos = tmp_path / "pos.txt"
@@ -150,8 +163,9 @@ class TestLexiconWindowLabel:
         )
 
     def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            lexicon_window_label(["inflation"], self.occ(0), LEX, window=-1)
+        # the config rule is the one check of the window
+        with pytest.raises(ConfigError, match="window must be >= 0, got -1"):
+            check_values(window=-1)
 
 
 class TestLabelCorpus:

@@ -10,14 +10,23 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pearson_exact, pearson_float_lists
+from sentdep.analysis import SeriesParts, compute_cell
 from sentdep.core import (
-    AlignedPairs,
+    DEFAULT_THRESHOLD,
+    ScoreKind,
     TradingCalendar,
     align_lagged,
     on_calendar,
 )
-from sentdep.errors import DegenerateSeries, InsufficientData
-from sentdep.pearson import DEFAULT_THRESHOLD, classify, correlate, pearson
+from sentdep.errors import ConfigError, DegenerateSeries, InsufficientData
+from sentdep.pearson import pearson
+from sentdep.pipeline import PipelineConfig, check_values
+
+
+#: Positive counts and closes shaped like the fixture's planted cell
+#: (close = 30 + 0.9 x the previous day's count, plus noise).
+COUNTS = [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 1.0, 7.0]
+PRICES = [32.71, 33.94, 35.43, 31.87, 37.12, 33.68, 35.46, 30.83]
 
 
 class TestPearson:
@@ -62,46 +71,59 @@ class TestPearson:
         xs, ys = [1.0, 0.0, 0.0], [0.0, 0.0, 5.44562600914303e-212]
         assert pearson(xs, ys) == pytest.approx(pearson_exact(xs, ys), abs=1e-15)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+def lagged_cell(xs, ys, config):
+    """compute_cell for (tax, fp, AAA), ys[i] being the close one day after
+    sentiment xs[i]."""
+    days = [date(2022, 10, 3) + timedelta(days=i) for i in range(len(xs) + 1)]
+    cal = TradingCalendar(days)
+    sent = on_calendar(dict(zip(days, xs)), cal)
+    price = on_calendar(dict(zip(days[1:], ys)), cal)
+    return compute_cell("tax", ScoreKind.ABS_POSITIVE, "AAA", sent, price, config,
+                        SeriesParts())
 
 
 class TestClassify:
+    """The paper's significance rule, |r| strictly above the threshold, as
+    a cell applies it."""
+
     def test_threshold_is_strict(self):
-        assert classify(0.4, 0.4) is False
-        assert classify(0.4000000001, 0.4) is True
-        assert classify(-0.41, 0.4) is True
-        assert classify(-0.4, 0.4) is False
+        r = lagged_cell(COUNTS, PRICES, PipelineConfig()).r
+        assert 0.0 < abs(r) < 1.0
+        at = lagged_cell(COUNTS, PRICES, PipelineConfig(pearson_threshold=abs(r)))
+        assert at.r == r and at.r_significant is False
+        below = PipelineConfig(pearson_threshold=math.nextafter(abs(r), 0.0))
+        assert lagged_cell(COUNTS, PRICES, below).r_significant is True
 
     def test_default_threshold(self):
         assert DEFAULT_THRESHOLD == 0.4
+        assert PipelineConfig().pearson_threshold == DEFAULT_THRESHOLD
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            classify(0.2, -0.1)
-        with pytest.raises(ValueError):
-            classify(0.2, 1.5)
+        # the config rule is the one check of the threshold
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\), got -0.1"):
+            check_values(pearson_threshold=-0.1)
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\), got 1.0"):
+            check_values(pearson_threshold=1.0)
 
 
 class TestCorrelate:
+    """r of lag-aligned pairs."""
+
     def test_wraps_pearson_with_verdict(self):
-        pairs = AlignedPairs(
-            pairs=((1.0, 10.0), (2.0, 11.5), (3.0, 13.0), (4.0, 14.2), (2.5, 11.9)),
-            lag_days=1,
-        )
-        res = correlate(pairs)
-        assert res.n == 5
-        assert res.significant == (abs(res.r) > 0.4)
-        assert res.threshold == 0.4
+        cell = lagged_cell(COUNTS, PRICES, PipelineConfig())
+        assert cell.n == len(COUNTS)
+        assert cell.r == pearson(COUNTS, PRICES)
+        assert cell.r_significant == (abs(cell.r) > 0.4)
 
     def test_end_to_end_with_alignment(self):
         days = [date(2022, 10, 3) + timedelta(days=i) for i in range(5)]
         cal = TradingCalendar(days)
         sent = {d: float(i) for i, d in enumerate(days)}
         price = {d: 50.0 + 2.0 * i for i, d in enumerate(days)}
-        res = correlate(align_lagged(on_calendar(sent, cal), on_calendar(price, cal)))
-        assert res.r == 1.0 and res.significant
+        aligned = align_lagged(on_calendar(sent, cal), on_calendar(price, cal))
+        r = pearson(aligned.xs(), aligned.ys())
+        assert r == 1.0 and abs(r) > DEFAULT_THRESHOLD
 
 
 # --- properties -------------------------------------------------------------
@@ -159,12 +181,6 @@ def test_positive_affine_map_preserves_r(pair, scale, shift):
         return
     assert mapped == pytest.approx(r, abs=1e-9)
     assert flipped == pytest.approx(-r, abs=1e-9)
-
-
-#: Positive counts and closes shaped like the fixture's planted cell
-#: (close = 30 + 0.9 x the previous day's count, plus noise).
-COUNTS = [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 1.0, 7.0]
-PRICES = [32.71, 33.94, 35.43, 31.87, 37.12, 33.68, 35.46, 30.83]
 
 
 def scaled_stays_normal(values, exponent):

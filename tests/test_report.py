@@ -178,12 +178,6 @@ class TestHeatmap:
         body = p.read_text(encoding="utf-8").splitlines()[1]
         assert body.split(",")[1] == "0.159"
 
-    def test_statistic_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_heatmap(self.grid(), "f", FP, tmp_path / "x.csv")
-        with pytest.raises(ValueError):
-            emit_heatmap([], "r", FP, tmp_path / "x.csv")
-
     def test_filenames(self):
         assert heatmap_filename("r", FP) == "heatmap_r_fp.csv"
         assert heatmap_filename("u", ScoreKind.NORM_NEGATIVE) == "heatmap_u_nfn.csv"

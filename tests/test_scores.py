@@ -41,11 +41,15 @@ class TestAggregateDaily:
     def test_empty_input(self):
         assert aggregate_daily([]) == []
 
-    def test_count_cell_never_all_zero(self):
-        with pytest.raises(ValueError):
-            AspectDayCount("tax", D0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            AspectDayCount("tax", D0, -1, 2, 0)
+    @given(st.lists(st.tuples(st.sampled_from(["tax", "bank"]), st.integers(0, 3),
+                              st.sampled_from(list(PolarityLabel)))))
+    def test_count_cell_never_all_zero(self, rows):
+        # each cell is made by its first label, so counts start at one
+        counts = aggregate_daily(lab("t", offset, aspect, polarity)
+                                 for aspect, offset, polarity in rows)
+        assert len(counts) == len({(aspect, offset) for aspect, offset, _ in rows})
+        assert all(min(c.positive, c.negative, c.neutral) >= 0 and c.total >= 1
+                   for c in counts)
 
 
 class TestScoreSeries:
