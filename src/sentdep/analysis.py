@@ -12,16 +12,17 @@ text stages and the CLI start without the numerical stack.
 No cell depends on another aspect's cells, and the one-series parts that
 cells share (:class:`SeriesParts`) are kept per aspect. So
 :func:`analyze_cells` over any subset of the aspects returns exactly
-those aspects' cells, and :func:`sentdep.pipeline.stage_analyze` calls
-it in two processes, a forked worker taking every other aspect, and
-merges the cells by aspect.
+those aspects' cells. It iterates its aspects once, one after the other,
+so :func:`sentdep.pipeline.stage_analyze` calls it in two processes,
+each given a generator that claims the next aspects from one shared pipe
+only when the last are done, and merges the cells by aspect.
 """
 
 from __future__ import annotations
 
 from datetime import date
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -167,17 +168,18 @@ def compute_cell(
 
 def analyze_cells(
     config: PipelineConfig,
-    aspects: Sequence[str],
+    aspects: Iterable[str],
     series: Mapping[tuple[str, ScoreKind], Mapping[date, float]],
     prices: Mapping[str, Mapping[date, float]],
     calendar: TradingCalendar,
 ) -> list[DependenceCell]:
     """One cell per (aspect x 4 kinds x ticker), in that nesting order.
 
-    Every series is put on the calendar once; with ``absent_as_zero`` the
-    missing days of the absolute kinds read 0. The cells of one aspect
-    share their one-series parts (see :class:`SeriesParts`), which are
-    dropped when the next aspect begins.
+    ``aspects`` is iterated once, and the next aspect is taken only when
+    the cells of the last are done. Every series is put on the calendar
+    once; with ``absent_as_zero`` the missing days of the absolute kinds
+    read 0. The cells of one aspect share their one-series parts (see
+    :class:`SeriesParts`), which are dropped when the next aspect begins.
     """
     price_arrays = {t: on_calendar(p, calendar) for t, p in prices.items()}
     cells: list[DependenceCell] = []

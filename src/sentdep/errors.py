@@ -77,9 +77,5 @@ class DegenerateSample(SentdepError):
     """Nearest-neighbor distances are dominated by duplicated points."""
 
 
-class DomainError(SentdepError):
-    """A special-function argument lies outside its domain."""
-
-
 class ConfigError(SentdepError):
     """The pipeline configuration is invalid or references missing files."""

@@ -1,13 +1,14 @@
 """Two pieces of work at once: one in a forked child, one in this process.
 
 :func:`beside` forks a child for one piece of work while this process
-does the other, and places the two on different CPUs where it can. The
-child sends its log records and its result, or its error, back through
-a pipe as one pickled message; this process replays the records, then
-raises the error or returns both results. :func:`measured` records what
-a piece of work cost the process that ran it, so a child's costs can
-travel back with its result. Only the standard library is imported
-here.
+does the other, and places the two on different CPUs where it can: this
+thread on the lowest allowed CPU (see :func:`lowest_cpu`), the child on
+the rest. The child sends its log records and its result, or its error,
+back through a pipe as one pickled message; this process replays the
+records, then raises the error or returns both results. :func:`measured`
+records what a piece of work cost the process that ran it, so a child's
+costs can travel back with its result. Only the standard library is
+imported here.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import pickle
 import signal
 import sys
 import traceback
+from contextlib import contextmanager
 from time import perf_counter, process_time
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import SentdepError
 
@@ -91,20 +93,6 @@ def _allowed() -> set[int] | None:
         return None
 
 
-def _child_share() -> tuple[set[int] | None, set[int] | None]:
-    """(the CPUs this thread may use, those a forked child is to take).
-
-    With two or more allowed CPUs the child takes all but the lowest,
-    which the parent keeps. Otherwise the child's share is the whole
-    allowed set, which is None where it cannot be read, and nothing is
-    pinned.
-    """
-    allowed = _allowed()
-    if allowed is None or len(allowed) < 2 or not hasattr(os, "sched_setaffinity"):
-        return allowed, allowed
-    return allowed, allowed - {min(allowed)}
-
-
 def _pin(cpus: set[int]) -> bool:
     """Confine the calling thread to ``cpus``; False if the kernel refuses."""
     try:
@@ -116,6 +104,27 @@ def _pin(cpus: set[int]) -> bool:
 
 def _cpu_text(cpus: set[int] | None) -> str:
     return ",".join(map(str, sorted(cpus))) if cpus else "any"
+
+
+@contextmanager
+def lowest_cpu() -> Iterator[set[int] | None]:
+    """Confine this thread to its lowest allowed CPU for the ``with`` block.
+
+    Yields the rest of the allowed set, which a forked child may take; or
+    None, having pinned nothing, with fewer than two allowed CPUs, without
+    ``os.sched_setaffinity``, or where the kernel refuses the pin. The
+    original set is restored when the block ends, however it ends.
+    Numerical libraries first loaded in the block see one CPU, so their
+    thread pools start no worker thread.
+    """
+    allowed = _allowed()
+    placed = (allowed is not None and len(allowed) >= 2
+              and hasattr(os, "sched_setaffinity") and _pin({min(allowed)}))
+    try:
+        yield allowed - {min(allowed)} if placed else None
+    finally:
+        if placed:
+            _pin(allowed)
 
 
 def beside(
@@ -133,54 +142,48 @@ def beside(
     RuntimeError that carries its traceback. The child is always reaped,
     and killed first when ``parent_work`` raises.
 
-    Where :func:`_child_share` finds two or more CPUs, this thread pins
-    itself to the lowest before the fork and the child pins itself to the
-    rest: a cpuset without load balancing never moves a forked child off
-    its parent's CPU. This thread gets its original set back once the
-    child has been reaped, however the overlap ends. Where nothing can be
-    pinned (one allowed CPU, no ``os.sched_setaffinity``, or a pin the
-    kernel refuses), both processes stay where the kernel puts them;
-    given ``alone``, this process then forks nothing and returns
-    ``(None, alone())``. Without ``os.fork`` both works run here, the
-    child's first (or ``alone`` instead).
+    Where :func:`lowest_cpu` can pin, this thread keeps the lowest allowed
+    CPU from before the fork and the child pins itself to the rest: a
+    cpuset without load balancing never moves a forked child off its
+    parent's CPU. This thread gets its original set back once the child
+    has been reaped, however the overlap ends. Where nothing can be pinned,
+    both processes stay where the kernel puts them; given ``alone``, this
+    process then forks nothing and returns ``(None, alone())``. Without
+    ``os.fork`` both works run here, the child's first (or ``alone``
+    instead).
     """
-    forks = hasattr(os, "fork")
-    allowed, child_cpus = _child_share()
-    placed = forks and child_cpus != allowed and _pin(allowed - child_cpus)
-    if alone is not None and not placed:
-        return None, alone()
-    if not forks:
-        return child_work(), parent_work()
-
-    pid = message = None
-    try:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                if placed:
-                    _pin(child_cpus)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(_child_message(child_work))
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as pipe:
-            parent_result = parent_work()
-            message = pipe.read()
-    finally:
-        if pid:
-            if message is None:
+    if not hasattr(os, "fork"):
+        return (None, alone()) if alone is not None else (child_work(), parent_work())
+    with lowest_cpu() as child_cpus:
+        if alone is not None and child_cpus is None:
+            return None, alone()
+        pid = message = None
+        try:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            _, status = os.waitpid(pid, 0)
-        if placed:
-            _pin(allowed)
+                    os.close(read_fd)
+                    if child_cpus is not None:
+                        _pin(child_cpus)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(_child_message(child_work))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as pipe:
+                parent_result = parent_work()
+                message = pipe.read()
+        finally:
+            if pid:
+                if message is None:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                _, status = os.waitpid(pid, 0)
     if not message:
         raise RuntimeError(f"a forked process ended without a result: {_ended(status)}")
 

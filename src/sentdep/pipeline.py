@@ -31,9 +31,10 @@ child the rest, because a cpuset without load balancing never moves a
 forked child off its parent's CPU. First, before the numerical stack is
 loaded, a child runs the keyword, label and score stages while the
 parent imports numpy, the statistics and ``scipy.special`` (see
-:func:`_ingest_beside_import`). Then :func:`stage_analyze` hands the
-odd-indexed aspects to a worker and computes the even-indexed ones
-itself (see :func:`_analyze_beside`).
+:func:`_ingest_beside_import`). Then :func:`stage_analyze` shares the
+aspects with a forked worker: both processes claim them, one block at a
+time, from one pipe that the parent filled before the fork, so whichever
+process is free takes the next block (see :func:`_analyze_beside`).
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from __future__ import annotations
 import configparser
 import logging
 import os
+import select
+import sys
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     DEFAULT_ALPHA,
@@ -424,10 +427,18 @@ def stage_analyze(
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
-    order (see :func:`~sentdep.analysis.analyze_cells`). numpy and the
-    statistics are imported here, on the first call. A forked worker
-    computes every other aspect (see :func:`_analyze_beside`).
+    order (see :func:`~sentdep.analysis.analyze_cells`). numpy, the
+    statistics and ``scipy.special`` are imported here, on the first call,
+    with this thread pinned to one CPU (see :func:`sentdep.fork.lowest_cpu`),
+    so their thread pools start no worker thread before the fork. A
+    forked worker claims aspects beside this process (see
+    :func:`_analyze_beside`).
     """
+    if "sentdep.analysis" not in sys.modules:
+        from .fork import lowest_cpu
+
+        with lowest_cpu():
+            _import_analysis()
     from .analysis import analyze_cells
 
     aspect_lexicon = load_aspects(config.aspects)
@@ -516,27 +527,56 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
     return scores
 
 
-def _analyze_beside(analyze: Callable[[list[str]], list[DependenceCell]],
-                    aspects: list[str]) -> list[DependenceCell]:
-    """``analyze(aspects)``, with the odd-indexed aspects done by a forked worker.
+#: Bytes of one claim record: a block index, little-endian.
+_CLAIM_BYTES = 4
+#: Most claim records per run: a write of at most ``PIPE_BUF`` bytes (512
+#: or more by POSIX) into an empty pipe is atomic and never blocks.
+_MAX_CLAIMS = getattr(select, "PIPE_BUF", 512) // _CLAIM_BYTES
 
-    No cell depends on another aspect's cells, so a worker computes
-    ``aspects[1::2]`` while this process computes ``aspects[0::2]``, each
-    on its own CPU (see :func:`sentdep.fork.beside`); the cells are
-    merged by aspect in presentation order. One aspect, one allowed CPU,
-    a refused pin or no ``os.fork`` leaves every aspect to this process.
-    One ``-v`` line tells, for each process, its aspects and cells and
-    what it spent.
+
+def _claimed(read_fd: int, blocks: Sequence[Sequence[str]]) -> Iterator[str]:
+    """The aspects of each block whose index this process reads from
+    ``read_fd``, one record at a time, until EOF."""
+    while record := os.read(read_fd, _CLAIM_BYTES):
+        yield from blocks[int.from_bytes(record, "little")]
+
+
+def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
+                    aspects: list[str]) -> list[DependenceCell]:
+    """``analyze(aspects)``, shared with a forked worker by claims on one pipe.
+
+    No cell depends on another aspect's cells. Before the fork this
+    process writes one record per block of consecutive aspects (one block
+    per aspect, unless there are more than ``_MAX_CLAIMS``) into a pipe in
+    one write, and closes its write end. The worker and this process, each
+    on its own CPU (see :func:`sentdep.fork.beside`), then read one record
+    at a time and compute that block, until EOF; so the process that is
+    free takes the next block, and an aspect with heavier cells does not
+    hold up the other process. A worker that dies mid-claim cannot block
+    this process, which takes what is left and then raises ``beside``'s
+    RuntimeError. The cells are merged by aspect in presentation order.
+    One aspect, one allowed CPU, a refused pin or no ``os.fork`` leaves
+    every claim to this process. One ``-v`` line tells, for each process,
+    its aspects and cells and what it spent; how many aspects each took
+    may differ between runs.
     """
     from .fork import beside, measured
 
-    whole = partial(measured, analyze, aspects)
-    if len(aspects) < 2:
-        runs = [whole()]
-    else:
-        worker, own = beside(partial(measured, analyze, aspects[1::2]),
-                             partial(measured, analyze, aspects[0::2]), alone=whole)
-        runs = [own] if worker is None else [own, worker]
+    n, count = len(aspects), min(len(aspects), _MAX_CLAIMS)
+    blocks = [aspects[i * n // count:(i + 1) * n // count] for i in range(count)]
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(count)))
+    os.close(write_fd)
+    try:
+        here = partial(measured, analyze, _claimed(read_fd, blocks))
+        if n < 2:
+            runs = [here()]
+        else:
+            worker, own = beside(partial(measured, analyze, _claimed(read_fd, blocks)),
+                                 here, alone=here)
+            runs = [own] if worker is None else [own, worker]
+    finally:
+        os.close(read_fd)
     by_aspect: dict[str, list[DependenceCell]] = {}
     for cells, _ in runs:
         for cell in cells:

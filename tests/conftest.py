@@ -1,7 +1,12 @@
+import os
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from _acceptance_log import LINES
+
+_STDERR = pytest.StashKey[int]()
 
 settings.register_profile(
     "deterministic",
@@ -18,3 +23,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in LINES:
             terminalreporter.write_line(line)
+
+
+def pytest_configure(config):
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(scope="session")
+def session_stderr(pytestconfig):
+    """A descriptor of the session's stderr, copied before any test captured
+    descriptor 2: what faulthandler writes to it reaches the terminal even
+    when the process ends inside a test."""
+    return pytestconfig.stash[_STDERR]

@@ -325,7 +325,7 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("error, code", [
-        (errors.DomainError, 2), (errors.RankDeficient, 2), (errors.ConfigError, 1),
+        (errors.RankDeficient, 2), (errors.ConfigError, 1),
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_any_package_error_is_reported_without_a_traceback(
             self, tmp_path, capsys, monkeypatch, error, code):

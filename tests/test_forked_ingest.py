@@ -4,6 +4,7 @@ The same fork helper runs the analysis worker; tests of the worker itself
 are in ``test_analysis_worker.py``.
 """
 
+import faulthandler
 import logging
 import os
 import pickle
@@ -22,6 +23,16 @@ from sentdep.cli import main
 from sentdep.pipeline import load_config, run_pipeline
 from test_cli import run_python
 from test_pipeline import EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
+
+
+@pytest.fixture(scope="module", autouse=True)
+def hang_guard(session_stderr):
+    """Ends the session with every thread's traceback if the module's tests
+    and fixtures run 300 s, so a pipe read that blocks fails the suite
+    instead of stalling it."""
+    faulthandler.dump_traceback_later(300, exit=True, file=session_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def label_tree(tmp_path):
@@ -118,10 +129,10 @@ def overlap_cpus(timing):
     return cpus
 
 
-#: ``sentdep run`` of the config argv[1] in a fresh process that records, at
-#: each fork, whether numpy is loaded and its thread count (a line of
-#: ``fork.seen`` each), and whether the child loaded numpy by the end of
-#: ``stage_score`` (``child.seen``); prints whether numpy ended up loaded.
+#: ``sentdep`` with the arguments argv[1:] in a fresh process that records,
+#: at each fork, whether numpy is loaded and its thread count (a line of
+#: ``fork.seen`` each), and whether the ingest child loaded numpy by the end
+#: of ``stage_score`` (``child.seen``); prints whether numpy ended up loaded.
 OBSERVED_FORKS = (
     "import os, sys\n"
     "import sentdep.pipeline as pipeline\n"
@@ -140,7 +151,7 @@ OBSERVED_FORKS = (
     "    observe('child.seen')\n"
     "    return scores\n"
     "os.fork, pipeline.stage_score = observed_fork, observed_score\n"
-    "assert main(['run', '--config', sys.argv[1]]) == 0\n"
+    "assert main(sys.argv[1:]) == 0\n"
     "print('numpy' in sys.modules)\n"
 )
 
@@ -245,7 +256,8 @@ class TestForkedIngest:
         # A fresh process: the parent forks with one thread and no numpy
         # loaded, and the child scores without ever loading numpy.
         ini = build_tweet_tree(tmp_path)
-        assert run_python(OBSERVED_FORKS, ini, cwd=tmp_path).splitlines()[-1] == "True"
+        out = run_python(OBSERVED_FORKS, "run", "--config", ini, cwd=tmp_path)
+        assert out.splitlines()[-1] == "True"
         numpy_at_fork, threads_at_fork = forks_seen(tmp_path)[0]
         numpy_in_child, _ = literal_eval((tmp_path / "child.seen").read_text())
         assert not numpy_at_fork and not numpy_in_child
@@ -256,7 +268,7 @@ class TestForkedIngest:
         # The second fork comes after numpy and SciPy loaded on one pinned
         # CPU, so their OpenBLAS pools started no thread.
         ini = build_tweet_tree(tmp_path)
-        run_python(OBSERVED_FORKS, ini, cwd=tmp_path)
+        run_python(OBSERVED_FORKS, "run", "--config", ini, cwd=tmp_path)
         forks = forks_seen(tmp_path)
         assert len(forks) == 2
         numpy_at_fork, threads_at_fork = forks[1]
