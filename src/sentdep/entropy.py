@@ -18,11 +18,15 @@ ratio ill-conditioned; results therefore carry a validity flag and the
 raw numerator (a mutual-information estimate) so downstream consumers can
 see *why* a u value is untrustworthy instead of crashing on it.
 
-In one dimension the k nearest neighbors of a point, together with the
-point itself, fill k + 1 consecutive places of the sorted sample, so the
-neighbor distances come from sorting. Higher-dimensional clouds query
-SciPy's k-d tree. ψ comes from ``scipy.special``. SciPy is imported where
-it is used, so the stages that never estimate an entropy do not load it.
+Neighbor distances come from sorting, in numpy alone. In one dimension
+the k nearest neighbors of a point, together with the point itself, fill
+k + 1 consecutive places of the sorted sample. A higher-dimensional cloud
+is sorted on its last coordinate, and each point searches a strip of
+sorted places around it that widens until no point outside can be
+nearer. Both searches give exactly the distances of a brute-force
+max-norm search, bit for bit. ψ comes from ``scipy.special``, imported
+where it is used, so the stages that never estimate an entropy do not
+load SciPy.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_K, AlignedPairs
 from .errors import DegenerateSample, InsufficientData
@@ -43,6 +48,10 @@ DEGENERATE_ZERO_FRACTION = 0.5
 
 #: Denominators below this make the uncertainty coefficient invalid.
 H_Y_EPSILON = 1e-6
+
+#: Window places the max-norm neighbor search holds at once (2 MiB of
+#: float64 per temporary).
+_BLOCK_ITEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,9 @@ def _kth_neighbor_distance_1d(values: np.ndarray, k: int) -> np.ndarray:
     window start below 0 or past n − k − 1 is clipped, which yields another
     window containing p. A rounded difference of sorted values never
     decreases as the true difference grows, so the minimum picks the same
-    rounded distance the max-norm k-d tree reports, bit for bit. Distances
-    are returned in input order, so sums over them keep their order.
+    rounded distance a brute-force max-norm search finds, bit for bit.
+    Distances are returned in input order, so sums over them keep their
+    order.
     """
     n = values.shape[0]
     order = np.argsort(values)
@@ -92,8 +102,64 @@ def _kth_neighbor_distance_1d(values: np.ndarray, k: int) -> np.ndarray:
     starts = np.clip(place - np.arange(k + 1)[:, np.newaxis], 0, n - k - 1)
     far = np.maximum(s - s[starts], s[starts + k] - s)
     eps = np.empty(n)
-    # + 0.0 turns a zero distance between 0.0 and -0.0 into the tree's +0.0
+    # + 0.0 turns the -0.0 that 0.0 and -0.0 can give into the +0.0 of |a - b|
     eps[order] = far.min(axis=0) + 0.0
+    return eps
+
+
+def _kth_neighbor_distance_strip(points: np.ndarray, k: int) -> np.ndarray:
+    """Max-norm distance from each point of an (n, d) cloud to its k-th
+    nearest other point.
+
+    The points are sorted on their last coordinate. Each point takes its
+    max-norm distances to a window of consecutive sorted places around it,
+    itself included, and keeps the (k+1)-th smallest. A point outside the
+    window is no nearer than the sort-axis gap to the window's nearest
+    outside place on its side, since a rounded difference of sorted values
+    never decreases as the true difference grows. So a point whose gaps on
+    both sides are at least its candidate has its exact distance; the
+    window doubles for the other points until it holds all n places. A
+    maximum of absolute differences is exact, and a zero one is +0.0, so
+    the distances equal, bit for bit, those of any exact max-norm search.
+    Points are taken ``_BLOCK_ITEMS`` window places at a time, so memory
+    stays bounded however wide the window grows. Distances are returned in
+    input order, so sums over them keep their order.
+    """
+    n, d = points.shape
+    order = np.argsort(points[:, -1])
+    # The sorted columns sit between n places of -inf and n of +inf, which
+    # are infinitely far from every point: a window never leaves the array,
+    # and an edge has an infinite gap.
+    padded = np.empty((d, 3 * n))
+    padded[:, :n] = -np.inf
+    padded[:, n:2 * n] = points[order].T
+    padded[:, 2 * n:] = np.inf
+    key = padded[-1]
+    eps = np.empty(n)
+    pending = np.arange(n, 2 * n)
+    half = 2 * (k + 1)
+    while pending.size:
+        half = min(half, n - 1)
+        width = 2 * half + 1
+        rows = max(1, _BLOCK_ITEMS // width)
+        left_over = []
+        for first in range(0, pending.size, rows):
+            place = pending[first:first + rows]
+            start = place - half
+            dist = None
+            for column in padded:
+                near = sliding_window_view(column, width)[start]
+                near -= column[place, np.newaxis]
+                np.abs(near, out=near)
+                dist = near if dist is None else np.maximum(dist, near, out=dist)
+            kth = np.partition(dist, k, axis=1)[:, k]
+            done = (half == n - 1) | (
+                (key[place] - key[start - 1] >= kth) & (key[start + width] - key[place] >= kth)
+            )
+            eps[order[place[done] - n]] = kth[done]
+            left_over.append(place[~done])
+        pending = np.concatenate(left_over)
+        half *= 2
     return eps
 
 
@@ -116,11 +182,7 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
     if d == 1:
         eps = _kth_neighbor_distance_1d(pts[:, 0], k)
     else:
-        from scipy.spatial import cKDTree
-
-        # k+1 neighbors because each point is its own nearest neighbor.
-        dists, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf)
-        eps = dists[:, k]
+        eps = _kth_neighbor_distance_strip(pts, k)
     if float(np.mean(eps == 0.0)) > DEGENERATE_ZERO_FRACTION:
         raise DegenerateSample(
             f"more than {DEGENERATE_ZERO_FRACTION:.0%} of k-NN distances are zero "
@@ -162,7 +224,7 @@ def uncertainty_coefficient(
     distance needs k other points equal in both coordinates, hence equal
     in the sentiment, so a degenerate joint sample always has a
     degenerate sentiment sample: estimating Ĥ(sentiment) first raises the
-    same DegenerateSample without building the joint cloud's tree.
+    same DegenerateSample without searching the joint cloud.
     """
     if h_y is None:
         h_y = marginal_entropy(pairs.ys(), k)

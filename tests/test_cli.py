@@ -427,16 +427,22 @@ MERGED_STDERR_RUN = (
 )
 
 
-def run_python(code: str, *args, cwd=None) -> str:
-    """stdout of a fresh interpreter running ``code`` with this checkout's
-    package on its path; it must exit 0."""
+def run_interpreter(*args, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` and this checkout's package on
+    its path; it must exit 0."""
     src = str(Path(sentdep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    done = subprocess.run([sys.executable, *map(str, args)], env=env,
                           cwd=cwd, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
+
+
+def run_python(code: str, *args, cwd=None) -> str:
+    """stdout of a fresh interpreter running ``code`` with this checkout's
+    package on its path; it must exit 0."""
+    return run_interpreter("-c", code, *args, cwd=cwd).stdout
 
 
 #: Validates the config named by argv[1], then prints the loaded modules
@@ -453,6 +459,26 @@ VALIDATE_AND_LIST = (
 def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
     ini = build_tweet_tree(tmp_path)
     assert run_python(VALIDATE_AND_LIST, ini, "scipy").strip() == "[]"
+
+
+def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
+    # -X importtime logs each module a process loads to stderr, which the
+    # forked ingest child and analysis worker inherit.
+    assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+    ini = tmp_path / "config.ini"
+    for argv in (["run", "--config", ini],
+                 ["analyze", "--config", ini, "--scores", tmp_path / "out" / "scores.csv",
+                  "--out", tmp_path / "cells.csv"]):
+        log = run_interpreter("-X", "importtime", "-m", "sentdep.cli", *argv,
+                              cwd=tmp_path).stderr
+        modules = [line.split("|")[-1].strip() for line in log.splitlines()
+                   if line.startswith("import time:")]
+        assert "scipy.special" in modules
+        assert not [m for m in modules if m.startswith("scipy.spatial")]
+    package = Path(sentdep.__file__).parent
+    assert not [path for path in package.rglob("*.py")
+                if "scipy.spatial" in (text := path.read_text(encoding="utf-8"))
+                or "cKDTree" in text]
 
 
 def test_cli_import_and_config_validation_load_no_numpy(tmp_path):

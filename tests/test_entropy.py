@@ -1,6 +1,7 @@
 """Nearest-neighbor entropy estimation and the uncertainty coefficient."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sentdep.entropy import (
     DEFAULT_K,
     EPSILON_FLOOR,
     _kth_neighbor_distance_1d,
+    _kth_neighbor_distance_strip,
     kl_entropy,
     uncertainty_coefficient,
 )
@@ -98,6 +100,21 @@ class TestKlEntropy:
             h2 + 2.0 * math.log(0.5), abs=1e-9)
 
 
+def tree_distances(points, k):
+    """The oracle: k-th neighbor distances of (n, d) points under the
+    max-norm, from SciPy's k-d tree."""
+    return cKDTree(points).query(points, k=k + 1, p=np.inf)[0][:, k]
+
+
+def entropy_over(eps, k, d):
+    """The Kozachenko–Leonenko formula over the k-th neighbor distances
+    ``eps`` of a d-dimensional sample, summed in their order."""
+    n = eps.shape[0]
+    return (float(scipy.special.digamma(n)) - float(scipy.special.digamma(k))
+            + d * math.log(2.0)
+            + (d / n) * float(np.log(np.maximum(eps, EPSILON_FLOOR)).sum()))
+
+
 @st.composite
 def one_dimensional_samples(draw):
     """(sample, k): tie-heavy integer counts or floats, n from k + 2 up."""
@@ -117,17 +134,79 @@ def one_dimensional_samples(draw):
 @example((np.array([0.0, -0.0, 0.0, 0.0, -1.0, 0.0, -0.0]), 5))
 def test_sorted_neighbor_distances_equal_the_kd_tree_bit_for_bit(sample_and_k):
     sample, k = sample_and_k
-    points = sample[:, np.newaxis]
-    tree_eps = cKDTree(points).query(points, k=k + 1, p=np.inf)[0][:, k]
+    tree_eps = tree_distances(sample[:, np.newaxis], k)
     eps = _kth_neighbor_distance_1d(sample, k)
     assert eps.tobytes() == tree_eps.tobytes()
     # the log-sum runs in input order, as it did over the tree's distances
-    n = sample.shape[0]
     if np.mean(tree_eps == 0.0) <= 0.5:
-        expected = (float(scipy.special.digamma(n)) - float(scipy.special.digamma(k))
-                    + math.log(2.0)
-                    + (1 / n) * float(np.log(np.maximum(tree_eps, EPSILON_FLOOR)).sum()))
-        assert kl_entropy(sample, k).value == expected
+        assert kl_entropy(sample, k).value == entropy_over(tree_eps, k, 1)
+
+
+#: Column kinds of a joint cloud: tie-heavy integers, floats that hold 0.0
+#: beside -0.0, floats of huge scale, and one value throughout.
+COLUMNS = {
+    "ties": st.integers(min_value=0, max_value=6).map(float),
+    "floats": st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    ),
+    "huge": st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                      allow_infinity=False),
+}
+
+
+@st.composite
+def joint_clouds(draw):
+    """(cloud, k): an (n, d) cloud, d = 2 or 3 and n from k + 2 up, whose
+    columns are each of a ``COLUMNS`` kind or constant, and whose rows may
+    repeat whole."""
+    k = draw(st.integers(min_value=1, max_value=MAX_K))
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.one_of(st.just(k + 2), st.integers(min_value=k + 2, max_value=200)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from([*COLUMNS, "constant"]))
+        if kind == "constant":
+            columns.append([draw(COLUMNS["floats"])] * n)
+        else:
+            columns.append(draw(st.lists(COLUMNS[kind], min_size=n, max_size=n)))
+    cloud = np.array(columns).T
+    rows = draw(st.one_of(
+        st.just(list(range(n))),
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    ))
+    return cloud[rows], k
+
+
+@given(joint_clouds())
+# a constant sort column: the strip widens until it holds every point
+@example((np.column_stack([np.arange(40.0), np.full(40, 2.5)]), 3))
+# 0.0 beside -0.0 in both columns, and whole repeated points
+@example((np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, -0.0], [-0.0, -0.0]]), 2))
+@example((np.repeat(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]]), 5, axis=0), 8))
+def test_strip_distances_equal_the_kd_tree_bit_for_bit(cloud_and_k):
+    cloud, k = cloud_and_k
+    tree_eps = tree_distances(cloud, k)
+    eps = _kth_neighbor_distance_strip(cloud, k)
+    assert eps.tobytes() == tree_eps.tobytes()
+    # the log-sum runs in input order, as it did over the tree's distances
+    if np.mean(tree_eps == 0.0) <= 0.5:
+        assert kl_entropy(cloud, k).value == entropy_over(tree_eps, k, cloud.shape[1])
+
+
+def test_constant_sort_column_stays_within_bounded_memory():
+    # The strip widens to all 5,000 points; one n × n float64 block would
+    # take 200 MB.
+    rng = np.random.default_rng(7)
+    cloud = np.column_stack([rng.normal(size=5000), np.full(5000, 1.25)])
+    tracemalloc.start()
+    try:
+        value = kl_entropy(cloud, k=3).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == entropy_over(tree_distances(cloud, 3), 3, 2)
+    assert peak < 20e6
 
 
 class TestConditionalEntropy:
