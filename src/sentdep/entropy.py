@@ -146,12 +146,11 @@ def _kth_neighbor_distance_strip(points: np.ndarray, k: int) -> np.ndarray:
         for first in range(0, pending.size, rows):
             place = pending[first:first + rows]
             start = place - half
-            dist = None
+            dist = np.zeros((place.size, width))
             for column in padded:
                 near = sliding_window_view(column, width)[start]
                 near -= column[place, np.newaxis]
-                np.abs(near, out=near)
-                dist = near if dist is None else np.maximum(dist, near, out=dist)
+                np.maximum(dist, np.abs(near, out=near), out=dist)
             kth = np.partition(dist, k, axis=1)[:, k]
             done = (half == n - 1) | (
                 (key[place] - key[start - 1] >= kth) & (key[start + width] - key[place] >= kth)
