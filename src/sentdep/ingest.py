@@ -14,9 +14,10 @@ Every CSV file is opened through :func:`csv_reader`, which decodes UTF-8,
 checks for an empty file and the header, and turns a decoding or CSV
 syntax error into a FormatError with its line; :func:`_row_fields` holds
 the rule for blank rows and field counts. :func:`csv_rows` yields checked
-rows on top of them. :func:`parse_labeled` reads a label file in one loop
-over the reader straight into per-(aspect, day) counts, and uses
-:func:`_row_fields` only for the rows that fail its quick check.
+rows of a file with a fixed header on top of them. :func:`parse_prices`
+and :func:`parse_labeled` each read their file in one loop over the
+reader, stripping only the fields they use, and use :func:`_row_fields`
+only for the rows that fail their quick checks.
 """
 
 from __future__ import annotations
@@ -186,19 +187,15 @@ def _row_fields(row: list[str], width: int | None, path, line_number: int) -> li
     return fields
 
 
-def csv_rows(
-    path, what: str, header: Sequence[str] | None = None
-) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, stripped fields)`` for each non-blank CSV row.
+def csv_rows(path, what: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each non-blank CSV row
+    after the header.
 
-    The file is read and its first row checked by :func:`csv_reader`.
-    With ``header``, a row without one field per column raises
-    FormatError; without it, the first row is yielded too.
+    The file is read and its header checked by :func:`csv_reader`; a row
+    without one field per column raises FormatError.
     """
-    width = None if header is None else len(header)
-    with csv_reader(path, what, header) as (reader, first):
-        if header is None:
-            yield reader.line_num, first
+    width = len(header)
+    with csv_reader(path, what, header) as (reader, _):
         for row in reader:
             fields = _row_fields(row, width, path, reader.line_num)
             if fields is not None:
@@ -342,39 +339,48 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
     so every close returned is positive and finite. A second usable row
     for a Date raises FormatError with its line; a row skipped before it
     does not count.
+
+    The file is read in one loop over the reader, which strips only the
+    Date and Close fields; a row is checked for being blank only when it
+    is too short or its Date does not parse, so a blank row is skipped
+    without a warning.
     """
     values: dict[date, float] = {}
-    rows = csv_rows(path, "price")
-    _, header = next(rows)
-    for required in ("Date", "Close"):
-        if required not in header:
-            raise HeaderMismatch(
-                f"missing column {required!r} in header {header}", path=path
-            )
-    date_col = header.index("Date")
-    close_col = header.index("Close")
-    for lineno, row in rows:
-        if len(row) <= max(date_col, close_col):
-            logger.warning("%s:%d: short row skipped", path, lineno)
-            continue
-        try:
-            d = date.fromisoformat(row[date_col])
-        except ValueError:
-            logger.warning("%s:%d: bad date %r skipped", path, lineno, row[date_col])
-            continue
-        try:
-            close = float(row[close_col])
-        except ValueError:
-            logger.warning("%s:%d: non-numeric Close %r skipped",
-                           path, lineno, row[close_col])
-            continue
-        if not 0 < close < math.inf:
-            logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
-                           path, lineno, close)
-            continue
-        if d in values:
-            raise FormatError(f"repeated Date {d}", path=path, line_number=lineno)
-        values[d] = close
+    with csv_reader(path, "price") as (reader, header):
+        for required in ("Date", "Close"):
+            if required not in header:
+                raise HeaderMismatch(
+                    f"missing column {required!r} in header {header}", path=path
+                )
+        date_col = header.index("Date")
+        close_col = header.index("Close")
+        last_col = max(date_col, close_col)
+        for row in reader:
+            if len(row) <= last_col:
+                if _row_fields(row, None, path, reader.line_num) is not None:
+                    logger.warning("%s:%d: short row skipped", path, reader.line_num)
+                continue
+            date_s = row[date_col].strip()
+            try:
+                d = date.fromisoformat(date_s)
+            except ValueError:
+                if _row_fields(row, None, path, reader.line_num) is not None:
+                    logger.warning("%s:%d: bad date %r skipped", path, reader.line_num, date_s)
+                continue
+            close_s = row[close_col].strip()
+            try:
+                close = float(close_s)
+            except ValueError:
+                logger.warning("%s:%d: non-numeric Close %r skipped",
+                               path, reader.line_num, close_s)
+                continue
+            if not 0 < close < math.inf:
+                logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
+                               path, reader.line_num, close)
+                continue
+            if d in values:
+                raise FormatError(f"repeated Date {d}", path=path, line_number=reader.line_num)
+            values[d] = close
     if not values:
         raise EmptySeries(f"{path}: no usable price rows for {ticker}")
     return values

@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 
@@ -39,3 +40,14 @@ def session_stderr(pytestconfig):
     descriptor 2: what faulthandler writes to it reaches the terminal even
     when the process ends inside a test."""
     return pytestconfig.stash[_STDERR]
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that ends with the cyclic garbage collector disabled, and
+    enable it again, so that one missing ``finally`` cannot leave it off
+    for every later test."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

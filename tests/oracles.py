@@ -7,12 +7,15 @@ normal equations instead of orthogonal decompositions, per-keyword set
 scans instead of a single counting pass, a scan of every aspect at
 every position instead of a first-token index, cells that compute
 every part of their statistics themselves instead of sharing the parts
-that depend on one series, and label files checked and counted one row
-tuple at a time instead of in one pass over memoised fields.
+that depend on one series, label files checked and counted one row
+tuple at a time instead of in one pass over memoised fields, and price
+files read with every field of every row stripped first instead of only
+the two fields used.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 from datetime import date
@@ -29,9 +32,23 @@ from sentdep.core import (
     paired_on_common_days,
 )
 from sentdep.entropy import uncertainty_coefficient
-from sentdep.errors import EmptyAlignment, FormatError, InsufficientData, SentdepError
+from sentdep.errors import (
+    EmptyAlignment,
+    EmptySeries,
+    FormatError,
+    HeaderMismatch,
+    InsufficientData,
+    SentdepError,
+)
 from sentdep.granger import granger_causes
-from sentdep.ingest import AspectLexicon, csv_rows, load_aspects, parse_prices, tokenize
+from sentdep.ingest import (
+    AspectLexicon,
+    csv_reader,
+    csv_rows,
+    load_aspects,
+    parse_prices,
+    tokenize,
+)
 from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import pearson
 from sentdep.pipeline import build_calendar, select_top_aspects
@@ -192,6 +209,55 @@ def labels_row_by_row(path) -> list[AspectDayCount]:
             yield tweet_id, day, aspect, polarity
 
     return aggregate_daily(labels())
+
+
+def prices_row_by_row(path, ticker: str) -> dict[date, float]:
+    """The closes of a price file, every row stripped and checked in turn.
+
+    Each row's fields are all stripped, a row of blank fields is dropped,
+    and the rest go through the checks of
+    :func:`sentdep.ingest.parse_prices` one after another, with the same
+    warnings and errors. Warnings are logged on ``sentdep.ingest``'s logger.
+    """
+    log = logging.getLogger("sentdep.ingest")
+    values: dict[date, float] = {}
+    with csv_reader(path, "price") as (reader, header):
+        for required in ("Date", "Close"):
+            if required not in header:
+                raise HeaderMismatch(
+                    f"missing column {required!r} in header {header}", path=path
+                )
+        date_col = header.index("Date")
+        close_col = header.index("Close")
+        for row in reader:
+            lineno = reader.line_num
+            row = [f.strip() for f in row]
+            if not any(row):
+                continue
+            if len(row) <= max(date_col, close_col):
+                log.warning("%s:%d: short row skipped", path, lineno)
+                continue
+            try:
+                d = date.fromisoformat(row[date_col])
+            except ValueError:
+                log.warning("%s:%d: bad date %r skipped", path, lineno, row[date_col])
+                continue
+            try:
+                close = float(row[close_col])
+            except ValueError:
+                log.warning("%s:%d: non-numeric Close %r skipped",
+                            path, lineno, row[close_col])
+                continue
+            if not 0 < close < math.inf:
+                log.warning("%s:%d: non-positive or non-finite Close %r skipped",
+                            path, lineno, close)
+                continue
+            if d in values:
+                raise FormatError(f"repeated Date {d}", path=path, line_number=lineno)
+            values[d] = close
+    if not values:
+        raise EmptySeries(f"{path}: no usable price rows for {ticker}")
+    return values
 
 
 def _reason(exc: SentdepError) -> str:

@@ -481,6 +481,35 @@ def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
                 or "cKDTree" in text]
 
 
+#: Runs ``sentdep.cli.main`` on argv[2:] and, at exit, prints whether the
+#: cyclic garbage collector is enabled and how many objects are frozen.
+#: With argv[1] == "1" the process is first confined to one CPU, so the
+#: analysis forks no worker.
+GC_AT_EXIT = (
+    "import atexit, gc, os, sys\n"
+    "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count()))\n"
+    "if sys.argv[1] == '1':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "from sentdep.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["default", "one_cpu"])
+def test_a_fixture_run_ends_with_the_imports_frozen_and_the_collector_on(tmp_path, one_cpu):
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the process cannot be confined to one CPU here")
+    assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+    ini = tmp_path / "config.ini"
+    for argv in (["run", "--config", ini],
+                 ["analyze", "--config", ini, "--scores", tmp_path / "out" / "scores.csv",
+                  "--out", tmp_path / "cells.csv"]):
+        out = run_python(GC_AT_EXIT, int(one_cpu), *argv, cwd=tmp_path)
+        enabled, frozen = out.splitlines()[-1].split()
+        assert enabled == "True"
+        assert int(frozen) > 30_000
+
+
 def test_cli_import_and_config_validation_load_no_numpy(tmp_path):
     ini = build_tweet_tree(tmp_path)
     assert run_python(VALIDATE_AND_LIST, ini, "numpy").strip() == "[]"

@@ -1,6 +1,7 @@
 """Parsers, tokenizer, and keyword counting."""
 
 import json
+import logging
 import re
 from datetime import date, datetime, timezone
 
@@ -23,7 +24,7 @@ from sentdep.ingest import (
 from sentdep.core import PolarityLabel
 from sentdep.scores import aggregate_daily
 
-from oracles import keyword_counts_bruteforce, labels_row_by_row
+from oracles import keyword_counts_bruteforce, labels_row_by_row, prices_row_by_row
 
 
 def write_jsonl(path, records):
@@ -234,6 +235,73 @@ class TestParsePrices:
         p.write_text("Date,Close\n2022-10-03,null\n2022-10-03,10.0\n"
                      "2022-10-04,11.0\n2022-10-04,0\n", encoding="utf-8")
         assert parse_prices(p, "BP") == {date(2022, 10, 3): 10.0, date(2022, 10, 4): 11.0}
+
+
+    def test_closes_and_warnings_equal_the_row_by_row_reader(self, tmp_path_factory, caplog):
+        p = tmp_path_factory.mktemp("prices") / "x.csv"
+
+        def closes_and_warnings(read):
+            caplog.clear()
+            try:
+                result = read(p, "BP")
+            except (FormatError, EmptySeries) as exc:
+                result = type(exc), str(exc)
+            return result, caplog.messages
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(price_file_text())
+        @example('Close , Date\n" 12.5\n",2022-10-03\n \t, \n7\n'
+                 '1,"2022-10-04\n",x\n0,20221005\n')
+        def check(text):
+            p.write_text(text, encoding="utf-8", newline="")
+            assert closes_and_warnings(parse_prices) == closes_and_warnings(prices_row_by_row)
+
+        with caplog.at_level(logging.WARNING):
+            check()
+
+
+#: Values drawn for each column of a generated price file: valid, skipped
+#: and bad ones, quoted fields that span lines, and blank ones.
+PRICE_VALUES = {
+    "Date": st.builds("2022-10-{:02d}".format, st.integers(1, 28))
+    | st.builds("202210{:02d}".format, st.integers(1, 28))
+    | st.sampled_from(["not-a-date", "2022-13-01", "", " ", '"\n2022-11-01"',
+                       '"2022-11-02\n"', '"2022-\n11-03"']),
+    "Close": st.sampled_from(["84.4", "85.1", "1e-320", "1e300", "null", "-3.0", "0",
+                              "inf", "nan", "1e400", "", "\t", '"\n85.2"', '"8\n5"']),
+    "extra": st.sampled_from(["1", "", " ", "null", '"a\nb"']),
+}
+
+
+@st.composite
+def price_file_text(draw):
+    """A price file with Date and Close in either order among extra
+    columns (or one of them missing), stray spaces, blank rows,
+    whitespace-only fields, short and long rows, and quoted fields that
+    span lines."""
+    def padded(field):
+        if field.startswith('"'):  # a quoted field stays unpadded, so its quotes still quote
+            return field
+        before = draw(st.sampled_from(["", " ", "  "]))
+        return before + field + draw(st.sampled_from(["", " ", "\t"]))
+
+    columns = draw(st.permutations(["Date", "Close", "Open", "Volume"]))
+    columns = columns[:draw(st.integers(1, 4))] if draw(st.integers(0, 9)) == 0 else columns
+    lines = [",".join(padded(c) for c in columns)]
+    for _ in range(draw(st.integers(0, 15))):
+        shape = draw(st.sampled_from(["full"] * 4 + ["short", "long", "blank"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", " , , ", ",,,", "\t,"])))
+            continue
+        fields = [padded(draw(PRICE_VALUES.get(c, PRICE_VALUES["extra"]))) for c in columns]
+        if shape == "short":
+            fields = fields[:draw(st.integers(0, len(fields) - 1))]
+        elif shape == "long":
+            fields += [padded(draw(PRICE_VALUES["extra"]))
+                       for _ in range(draw(st.integers(1, 2)))]
+        lines.append(",".join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 #: Days of the generated label files, each in its two ISO 8601 spellings.

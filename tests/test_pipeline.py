@@ -1,8 +1,10 @@
 """Config loading, aspect selection, cell computation, and stage wiring."""
 
+import gc
 import json
 import logging
 import os
+import sys
 from dataclasses import astuple
 from datetime import date, timedelta
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sentdep
 import sentdep.analysis
 import sentdep.entropy
 import sentdep.granger
@@ -600,6 +603,34 @@ EXPECTED_ARTIFACTS = {
     "keywords.csv", "labels.csv", "scores.csv", "cells.csv", "granger.csv",
     "run_manifest.json",
 } | {f"heatmap_{s}_{k}.csv" for s in ("r", "u") for k in ("fp", "fn", "nfp", "nfn")}
+
+
+class TestImportAnalysis:
+    def test_a_second_call_freezes_nothing(self):
+        sentdep.pipeline._import_analysis()
+        frozen = gc.get_freeze_count()
+        assert sentdep.pipeline._import_analysis() == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("load", ["done before", "first", "failing"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_collector_state_is_kept(self, monkeypatch, load, enabled):
+        if load != "done before":
+            monkeypatch.setattr(sentdep, "analysis", sentdep.analysis)
+            monkeypatch.delitem(sys.modules, "sentdep.analysis")
+        if load == "failing":
+            monkeypatch.setitem(sys.modules, "scipy.special", None)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if load == "failing":
+                with pytest.raises(ImportError):
+                    sentdep.pipeline._import_analysis()
+            else:
+                frozen = sentdep.pipeline._import_analysis()
+                assert (frozen > 0) == (load == "first")
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestRunPipeline:

@@ -75,8 +75,8 @@ def test_reader_returns_or_raises_a_format_error(tmp_path_factory, name):
 class TestSharedReaders:
     def test_csv_rows_strip_fields_skip_blank_rows_and_count_physical_lines(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text(' a , b \n\n , \n" x\ny ", z \n', encoding="utf-8")
-        assert list(csv_rows(p, "test")) == [(1, ["a", "b"]), (5, ["x\ny", "z"])]
+        p.write_text(' a , b \n a , b \n\n , \n" x\ny ", z \n', encoding="utf-8")
+        assert list(csv_rows(p, "test", ("a", "b"))) == [(2, ["a", "b"]), (6, ["x\ny", "z"])]
 
     def test_csv_rows_check_header_and_field_count(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -90,7 +90,7 @@ class TestSharedReaders:
         p = tmp_path / "t.csv"
         p.write_bytes(b"")
         with pytest.raises(FormatError, match="t.csv: test file is empty"):
-            list(csv_rows(p, "test"))
+            list(csv_rows(p, "test", ("a", "b")))
 
     def test_comment_lines_skip_blanks_and_comments(self, tmp_path):
         p = tmp_path / "t.txt"
