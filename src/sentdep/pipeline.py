@@ -35,6 +35,13 @@ parent imports numpy, the statistics and ``scipy.special`` (see
 aspects with a forked worker: both processes claim them, one block at a
 time, from one pipe that the parent filled before the fork, so whichever
 process is free takes the next block (see :func:`_analyze_beside`).
+
+The numerical stack is loaded once per process, by
+:func:`_import_analysis`, with the cyclic garbage collector disabled,
+and the objects it leaves are then frozen (:func:`gc.freeze`) before the
+analysis worker is forked. They live until the process ends, so no
+collection needs to walk them: not the parent's, not the worker's after
+the fork, and not the full collections of the interpreter's exit.
 """
 
 from __future__ import annotations
@@ -502,15 +509,15 @@ def _import_analysis() -> int:
 
     Returns how many objects this call froze. The call that first loads
     :mod:`sentdep.analysis` imports with the cyclic garbage collector
-    disabled and then moves every object it tracks into the permanent
-    generation (:func:`gc.freeze`): about 63,000 objects of numpy, the
-    statistics and ``scipy.special``, none of which is ever freed.
-    Collections then no longer walk them: not the import's own, not the
-    full collections of the interpreter's exit, and not those of an
-    analysis worker forked afterwards, which so also leaves the pages it
-    shares with this process unwritten. The caller's collector state is
-    restored however the import ends. Later calls find the modules
-    loaded, freeze nothing and return 0.
+    disabled, then moves every object the collector tracks into its
+    permanent generation (:func:`gc.freeze`): about 63,000 objects of
+    numpy, the statistics and ``scipy.special``, which live until the
+    process ends. No collection walks them again: not the import's own,
+    not those of an analysis worker forked afterwards, and not the full
+    collections at the interpreter's exit (see the README for what that
+    saves). The caller's collector state is restored however the import
+    ends. Later calls find the modules loaded, freeze nothing and
+    return 0.
     """
     first = "sentdep.analysis" not in sys.modules
     enabled = gc.isenabled()

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sentdep
 import sentdep.analysis
 import sentdep.entropy
 import sentdep.granger
