@@ -27,8 +27,9 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -45,19 +46,30 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 DEFAULT_MALFORMED_CAP = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TweetRecord:
-    """One ingested social-media post."""
+    """One ingested social-media post.
+
+    ``utc_date``, the calendar day of the post in UTC (the aggregation
+    key), is computed once, when the record is made; a timestamp whose UTC
+    day falls outside the years 1–9999 raises OverflowError there.
+    """
 
     id: str
     timestamp: datetime
     text: str
     lang: str
+    utc_date: date = field(init=False, repr=False, compare=False)
 
-    @property
-    def utc_date(self) -> date:
-        """Calendar day of the post in UTC (the aggregation key)."""
-        return self.timestamp.astimezone(timezone.utc).date()
+    def __init__(self, id: str, timestamp: datetime, text: str, lang: str) -> None:
+        # A frozen dataclass's own __init__ sets each field through
+        # object.__setattr__; writing the instance dict is the same, faster.
+        fields = self.__dict__
+        fields["id"] = id
+        fields["timestamp"] = timestamp
+        fields["text"] = text
+        fields["lang"] = lang
+        fields["utc_date"] = timestamp.astimezone(timezone.utc).date()
 
     @cached_property
     def tokens(self) -> list[str]:
@@ -237,10 +249,25 @@ def tokenize(text: str) -> list[str]:
     non-alphanumeric characters stripped from each token (which removes
     '#' from hashtags and '$' from cashtags while keeping intra-word
     punctuation such as apostrophes and hyphens); empty tokens dropped.
+
+    The URL pattern runs only on a lowered text that contains ``http`` or
+    ``www.``: no other characters match those letters case-insensitively,
+    so any other text has no URL. A text whose tokens are alphanumeric
+    throughout is returned as split, and otherwise only the tokens that
+    do not start and end with an alphanumeric character are stripped;
+    each shortcut gives the tokens of the full rules.
     """
-    text = _URL_RE.sub(" ", text.lower())
+    text = text.lower()
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    raws = text.split()
+    if "".join(raws).isalnum():
+        return raws
     tokens: list[str] = []
-    for raw in text.split():
+    for raw in raws:
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tokens.append(raw)
+            continue
         start, end = 0, len(raw)
         while start < end and not raw[start].isalnum():
             start += 1
@@ -261,13 +288,27 @@ def _parse_timestamp(value: str) -> datetime:
     return ts
 
 
+#: The JSON decoder's scanner: the value at an index and the index after it.
+_scan_json = json.JSONDecoder().scan_once
+#: The whitespace JSON allows around a value.
+_JSON_SPACE = " \t\n\r"
+
+
 def _tweet_from_json(line: str) -> TweetRecord | None:
-    """Parse one JSONL line; None signals a malformed line."""
+    """Parse one JSONL line; None signals a malformed line (see
+    :func:`parse_tweets` for the rules).
+
+    The line is decoded as :func:`json.loads` decodes it: its value is
+    scanned once its JSON whitespace is stripped, and must end where the
+    stripped line ends. Only a ``\\u`` escape can produce a lone
+    surrogate, so only lines with one are checked for it.
+    """
+    body = line.strip(_JSON_SPACE)
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj, end = _scan_json(body, 0)
+    except (StopIteration, ValueError, RecursionError):
         return None
-    if not isinstance(obj, dict):
+    if end != len(body) or not isinstance(obj, dict):
         return None
     try:
         tweet_id = obj["id"]
@@ -276,28 +317,41 @@ def _tweet_from_json(line: str) -> TweetRecord | None:
         lang = obj["lang"]
     except KeyError:
         return None
-    if not all(isinstance(v, str) for v in (tweet_id, created_at, text, lang)):
+    if not (isinstance(tweet_id, str) and isinstance(created_at, str)
+            and isinstance(text, str) and isinstance(lang, str)):
         return None
     if not tweet_id or not text:
         return None
+    if "\\u" in line:
+        try:
+            tweet_id.encode("utf-8")
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
     try:
-        ts = _parse_timestamp(created_at)
-    except ValueError:
+        return TweetRecord(id=tweet_id, timestamp=_parse_timestamp(created_at),
+                           text=text, lang=lang)
+    except (ValueError, OverflowError):
         return None
-    return TweetRecord(id=tweet_id, timestamp=ts, text=text, lang=lang)
 
 
 def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator[TweetRecord]:
     """Stream the English posts of a JSONL tweet file, in file order.
 
-    Records with ``lang != "en"`` are excluded. Malformed lines, including
-    lines that are not valid UTF-8, are counted and logged; the file is
-    rejected with FormatError only when their fraction exceeds
-    ``malformed_cap``. That check needs every line, so it runs when the
-    file ends: a consumer sees the error after the last record, and should
-    write nothing before it has read the stream to the end. Blank lines
-    are ignored entirely. Lines end at a line feed, as JSON Lines
-    prescribes; a carriage return before it is whitespace.
+    Records with ``lang != "en"`` are excluded. A line is malformed when
+    it is not valid UTF-8; when it is not one JSON object, which includes
+    JSON nested too deep to decode and an integer too long to convert;
+    when any of the four fields is missing or not a string, or ``id`` or
+    ``text`` is empty; when ``created_at`` is not ISO-8601 or its UTC day
+    falls outside the years 1–9999; and when ``id`` or ``text`` holds a
+    lone surrogate (from a ``\\u`` escape), which no UTF-8 output can
+    hold. Malformed lines count whatever their ``lang``; they are counted
+    and logged, and the file is rejected with FormatError only when their
+    fraction exceeds ``malformed_cap``. That check needs every line, so it
+    runs when the file ends: a consumer sees the error after the last
+    record, and should write nothing before it has read the stream to the
+    end. Blank lines are ignored entirely. Lines end at a line feed, as
+    JSON Lines prescribes; a carriage return before it is whitespace.
     """
     path = Path(path)
     total = 0
@@ -308,11 +362,12 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                line = None
-            if line is not None and not line.strip():
-                continue
+                rec = None
+            else:
+                if line.isspace():
+                    continue
+                rec = _tweet_from_json(line)
             total += 1
-            rec = None if line is None else _tweet_from_json(line)
             if rec is None:
                 bad_lines.append(lineno)
                 continue
@@ -450,10 +505,22 @@ def parse_labeled(path) -> list[AspectDayCount]:
     return sorted_day_counts(cells)
 
 
+class DayText(dict):
+    """``date -> ISO-8601 text``, each day formatted on its first lookup.
+
+    A writer with many rows per day formats each day once.
+    """
+
+    def __missing__(self, day: date) -> str:
+        text = self[day] = day.isoformat()
+        return text
+
+
 def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) -> None:
     """Serialize label tuples; :func:`parse_labeled` counts them back."""
+    day_text = DayText()
     write_csv(path, _LABEL_HEADER,
-              ((tweet_id, d.isoformat(), aspect, pol.value)
+              ((tweet_id, day_text[d], aspect, pol.value)
                for tweet_id, d, aspect, pol in labels))
 
 
@@ -481,20 +548,21 @@ def load_aspects(path) -> AspectLexicon:
 class KeywordCounts:
     """Tweets per token, counted while the tweets stream past.
 
-    Each distinct token is counted at most once per tweet. :meth:`tap`
-    lets another consumer read the same stream, so a corpus is read and
-    tokenized once for both the counts and the labels.
+    Each distinct token is counted at most once per tweet: a tweet's
+    token set goes to :meth:`collections.Counter.update`, whose counting
+    loop runs in C. :meth:`tap` lets another consumer read the same
+    stream, so a corpus is read and tokenized once for both the counts
+    and the labels.
     """
 
     def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
+        self._counts: Counter[str] = Counter()
 
     def tap(self, tweets: Iterable[TweetRecord]) -> Iterator[TweetRecord]:
         """Yield each tweet unchanged after counting its tokens."""
-        counts = self._counts
+        count = self._counts.update
         for tweet in tweets:
-            for token in set(tweet.tokens):
-                counts[token] = counts.get(token, 0) + 1
+            count(set(tweet.tokens))
             yield tweet
 
     def frequencies(self, min_count: int = 100) -> list[KeywordFrequency]:

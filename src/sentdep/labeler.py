@@ -85,14 +85,14 @@ def find_aspect_occurrences(
     in order with no gaps. Overlapping matches of *different* aspects are
     all reported (a token span can support several aspects); repeated
     mentions of the same aspect yield one occurrence each. Output is
-    ordered by (start, lexicon position): positions are walked in order,
-    and at each one only the entries starting with its token are tried,
-    in lexicon order.
+    ordered by (start, lexicon position): only the positions whose token
+    starts a lexicon entry are visited, in order, and at each one the
+    entries starting with its token are tried, in lexicon order.
     """
     found: list[AspectOccurrence] = []
     index = lexicon.by_first_token
-    for start, token in enumerate(tokens):
-        for aspect, seq in index.get(token, ()):
+    for start in [i for i, token in enumerate(tokens) if token in index]:
+        for aspect, seq in index[tokens[start]]:
             end = start + len(seq)
             if tuple(tokens[start:end]) == seq:
                 found.append(AspectOccurrence(aspect, start, end))
@@ -112,15 +112,13 @@ def lexicon_window_label(
     positive than negative terms labels the occurrence positive, the
     reverse negative, and a tie — including zero hits — neutral.
     """
-    lo = max(0, occurrence.start - window)
-    hi = min(len(tokens), occurrence.end + window)
+    start, end = occurrence.start, occurrence.end
+    positive, negative = lexicon.positive, lexicon.negative
     pos = neg = 0
-    for i in range(lo, hi):
-        if occurrence.start <= i < occurrence.end:
-            continue
-        if tokens[i] in lexicon.positive:
+    for token in [*tokens[max(0, start - window):start], *tokens[end:end + window]]:
+        if token in positive:
             pos += 1
-        elif tokens[i] in lexicon.negative:
+        elif token in negative:
             neg += 1
     if pos > neg:
         return PolarityLabel.POSITIVE

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind, sorted_day_counts
 from .errors import FormatError
-from .ingest import csv_rows, write_csv
+from .ingest import DayText, csv_rows, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +80,7 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
     series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
     fp_code, fn_code, nfp_code, nfn_code = (k.code for k in ScoreKind)
+    day_text = DayText()
 
     def rows():
         aspect = None
@@ -88,7 +89,7 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
                 aspect = c.aspect
                 fp, fn, nfp, nfn = (series.setdefault((aspect, k), {}) for k in ScoreKind)
                 totals.setdefault(aspect, 0)
-            d, day, total = c.day, c.day.isoformat(), c.total
+            d, day, total = c.day, day_text[c.day], c.total
             fp[d] = v_fp = float(c.positive)
             fn[d] = v_fn = float(c.negative)
             nfp[d] = v_nfp = c.positive / total

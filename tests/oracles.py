@@ -8,15 +8,18 @@ scans instead of a single counting pass, a scan of every aspect at
 every position instead of a first-token index, cells that compute
 every part of their statistics themselves instead of sharing the parts
 that depend on one series, label files checked and counted one row
-tuple at a time instead of in one pass over memoised fields, and price
+tuple at a time instead of in one pass over memoised fields, price
 files read with every field of every row stripped first instead of only
-the two fields used.
+the two fields used, tweet text tokenized with the URL pattern run on
+every text and every token stripped one character at a time, and window
+votes counted index by index instead of over slices.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from fractions import Fraction
 from datetime import date
 from typing import Sequence
@@ -47,7 +50,6 @@ from sentdep.ingest import (
     csv_rows,
     load_aspects,
     parse_prices,
-    tokenize,
 )
 from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import pearson
@@ -156,9 +158,32 @@ def granger_f_exact(x: Sequence[float], y: Sequence[float], lag: int = 1) -> flo
     return float(((rss_r - rss_u) / q) / (rss_u / df_den))
 
 
+_URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+
+
+def tokens_char_by_char(text: str) -> list[str]:
+    """The tokenizer's rules applied to every text and every token in full.
+
+    Lowercase; every URL replaced by a space; whitespace split; then each
+    token stripped of non-alphanumeric characters one at a time from both
+    ends, and dropped if nothing is left.
+    """
+    text = _URL.sub(" ", text.lower())
+    tokens: list[str] = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            tokens.append(raw[start:end])
+    return tokens
+
+
 def keyword_counts_bruteforce(texts: Sequence[str]) -> dict[str, int]:
     """Tweets-per-token by scanning all texts once per candidate keyword."""
-    token_sets = [set(tokenize(t)) for t in texts]
+    token_sets = [set(tokens_char_by_char(t)) for t in texts]
     vocabulary = set().union(*token_sets) if token_sets else set()
     return {
         word: sum(1 for toks in token_sets if word in toks)
@@ -179,6 +204,24 @@ def aspect_occurrences_bruteforce(
                 found.append((start, lex_idx, AspectOccurrence(aspect, start, start + w)))
     found.sort(key=lambda t: (t[0], t[1]))
     return [occ for _, _, occ in found]
+
+
+def window_label_index_by_index(
+    tokens: Sequence[str], occurrence: AspectOccurrence, lexicon, window: int
+) -> PolarityLabel:
+    """The window labeler's vote, walking every index around the occurrence
+    and skipping those inside it; a term in both sets counts as positive."""
+    pos = neg = 0
+    for i in range(max(0, occurrence.start - window), min(len(tokens), occurrence.end + window)):
+        if occurrence.start <= i < occurrence.end:
+            continue
+        if tokens[i] in lexicon.positive:
+            pos += 1
+        elif tokens[i] in lexicon.negative:
+            neg += 1
+    if pos == neg:
+        return PolarityLabel.NEUTRAL
+    return PolarityLabel.POSITIVE if pos > neg else PolarityLabel.NEGATIVE
 
 
 def labels_row_by_row(path) -> list[AspectDayCount]:

@@ -9,7 +9,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sentdep
@@ -415,6 +415,96 @@ def test_any_price_rows_end_in_exit_zero_or_two(tmp_path_factory):
         assert main(argv) in (0, 2)
 
     check()
+
+
+def tweet_json(tweet_id: str, created_at: str, text: str, lang: str = "en") -> str:
+    return json.dumps({"id": tweet_id, "created_at": created_at, "text": text, "lang": lang})
+
+
+#: Tweet lines that each ended ``sentdep label``, ``keywords`` or ``run``
+#: in a traceback before they counted as malformed: UTC days before year 1
+#: and after year 9999, nesting too deep to decode, and lone surrogates
+#: from ``\u`` escapes in an id and in a text.
+BROKEN_TWEET_LINES = [
+    tweet_json("x1", "0001-01-01T00:30:00+01:00", "inflation gains"),
+    tweet_json("x2", "9999-12-31T23:30:00-01:00", "inflation gains"),
+    "[" * 200_000,
+    tweet_json("t\ud800x", "2022-10-03T12:00:00Z", "inflation gains"),
+    tweet_json("x3", "2022-10-03T12:00:00Z", "inflation a\udc00b numbers"),
+]
+
+#: Words of the drawn tweets: fixture aspects, opinion terms and noise.
+FUZZ_WORDS = ["inflation", "energy", "gains", "fears", "the", "#Tax", "$NEE", "it's",
+              "https://x.co/a", "WWW.x.org", "ſ", "\u212a", "İ", "--"]
+
+UTC_OFFSETS = st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"),
+                        st.integers(0, 23), st.integers(0, 59))
+
+
+@st.composite
+def tweet_lines(draw) -> bytes:
+    """A tweet file: valid records among random bytes, timestamps at the
+    ends of the calendar with any offset, deep nesting and ``\\u`` escapes."""
+    clock = st.builds("T{:02d}:{:02d}:00".format, st.integers(0, 23), st.integers(0, 59))
+    offset = st.sampled_from(["", "Z", "+00:00"]) | UTC_OFFSETS
+    text = st.lists(st.sampled_from(FUZZ_WORDS), min_size=1, max_size=8).map(" ".join)
+    valid = st.builds(tweet_json, st.from_regex(r"t[0-9]{1,4}", fullmatch=True),
+                      st.builds("{}{}{}".format, FUZZ_DAYS, clock, offset), text,
+                      st.sampled_from(["en", "en", "fr"]))
+    extreme = st.builds(tweet_json, st.just("e1"),
+                        st.builds("{}{}{}".format,
+                                  st.sampled_from(["0001-01-01", "9999-12-31"]),
+                                  clock, UTC_OFFSETS),
+                        text)
+    escape = st.builds(lambda line, at, code: line[:at] + f"\\u{code:04x}" + line[at:],
+                       valid, st.integers(8, 60), st.integers(0, 0xFFFF))
+    nesting = st.builds(lambda opener, n: opener * n, st.sampled_from(["[", '{"a":']),
+                        st.sampled_from([10, 5_000, 200_000]))
+    line = st.one_of(valid.map(str.encode), extreme.map(str.encode),
+                     escape.map(str.encode),
+                     nesting.map(str.encode), st.binary(max_size=40),
+                     st.text(max_size=40).map(str.encode))
+    good = draw(st.lists(valid, max_size=30))
+    lines = [g.encode() for g in good] + draw(st.lists(line, max_size=8))
+    return b"\n".join(draw(st.permutations(lines))) + b"\n"
+
+
+def test_any_tweet_lines_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of the tweet file, through the label and keyword stages."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["fixture", "--out-dir", str(root), "--seed", "0"]) == 0
+    tweets = root / "tweets.jsonl"
+    label = ["label", "--tweets", str(tweets), "--aspects", str(root / "aspects.txt"),
+             "--positive-terms", str(root / "positive_terms.txt"),
+             "--negative-terms", str(root / "negative_terms.txt"),
+             "--out", str(root / "labels.csv")]
+    keywords = ["keywords", "--tweets", str(tweets), "--min-count", "1",
+                "--out", str(root / "keywords.csv")]
+    good = b"".join(tweet_json(f"g{i}", "2022-10-03T12:00:00Z", "inflation gains").encode()
+                    + b"\n" for i in range(20))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(tweet_lines())
+    @example(good + b"".join(line.encode() + b"\n" for line in BROKEN_TWEET_LINES[:2]))
+    @example(good + BROKEN_TWEET_LINES[2].encode() + b"\n")
+    @example(good + b"".join(line.encode() + b"\n" for line in BROKEN_TWEET_LINES[3:]))
+    def check(data):
+        tweets.write_bytes(data)
+        assert main(label) in (0, 2)
+        assert main(keywords) in (0, 2)
+
+    check()
+
+
+@pytest.mark.parametrize("broken", BROKEN_TWEET_LINES,
+                         ids=["year_0", "year_10000", "nesting", "surrogate_id",
+                              "surrogate_text"])
+def test_a_broken_tweet_line_is_one_malformed_line_of_a_run(tmp_path, caplog, broken):
+    assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+    lineno = append_line(tmp_path / "tweets.jsonl", broken.encode())
+    with caplog.at_level("WARNING"):
+        assert main(["run", "--config", str(tmp_path / "config.ini")]) == 0
+    assert f"skipped 1 malformed line(s), first at line {lineno}" in caplog.text
 
 
 #: ``sentdep run`` of the config argv[1] with file descriptor 2 joined to 1,

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from sentdep.errors import EmptySeries, FormatError, HeaderMismatch
 from sentdep.ingest import (
     AspectLexicon,
+    KeywordCounts,
     KeywordFrequency,
+    TweetRecord,
     keyword_frequencies,
     load_aspects,
     parse_labeled,
@@ -24,7 +26,12 @@ from sentdep.ingest import (
 from sentdep.core import PolarityLabel
 from sentdep.scores import aggregate_daily
 
-from oracles import keyword_counts_bruteforce, labels_row_by_row, prices_row_by_row
+from oracles import (
+    keyword_counts_bruteforce,
+    labels_row_by_row,
+    prices_row_by_row,
+    tokens_char_by_char,
+)
 
 
 def write_jsonl(path, records):
@@ -58,6 +65,47 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("https://example.com") == []
+
+
+#: Pieces of tweet text around the tokenizer's shortcuts: URL prefixes in
+#: mixed case, the long s that the pattern's ``s`` matches, characters
+#: that lower to ASCII (the Kelvin sign) or to two characters (``İ``),
+#: fullwidth letters, non-ASCII digits and numerals, combining marks,
+#: punctuation, and every character ``str.split`` splits on.
+TOKENIZER_PIECES = [
+    "HtTpS://", "hTTP://", "http:/", "https", "WWW.", "www", "wWw.", ".",
+    "ſ", "httpſ://", "\u212a", "İ", "ｈｔｔｐ", "ｗｗｗ.", "½", "Ⅷ", "٣", "\u0301", "\u0308",
+    "_", "#", "$", "'", "-", "!", "?", "/", ":", "a", "Z", "h", "t", "p", "s", "w", "7",
+    "stock", "can't", "x.y/z",
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u202f", "\u3000",
+]
+
+
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES) | st.characters(), max_size=40)
+       .map("".join))
+@example("see HTTPS://Example.com/a and www.x.org, #Tax $NEE!")
+@example("httpſ://x ſtock \u212aelvin İstanbul ｈｔｔｐ://ｘ ½ Ⅷ ٣x")
+@example("a\x1cb\x85c\xa0d\u2028e\u3000f _a_ -b- 'c'")
+def test_tokenize_equals_the_char_by_char_oracle(text):
+    assert tokenize(text) == tokens_char_by_char(text)
+
+
+#: Words of tweets drawn for the keyword counts, each often repeated.
+KEYWORD_WORDS = ["tax", "Tax", "#tax", "rates", "$NEE", "nee", "it's", "--", "http://x.co/tax"]
+
+
+@given(st.lists(st.lists(st.sampled_from(KEYWORD_WORDS), max_size=12).map(" ".join),
+                max_size=20))
+def test_keyword_counts_equal_the_brute_force(texts):
+    ts = datetime(2022, 10, 3, tzinfo=timezone.utc)
+    counts = KeywordCounts()
+    tweets = [TweetRecord(id=f"t{i}", timestamp=ts, text=t, lang="en")
+              for i, t in enumerate(texts)]
+    assert list(counts.tap(tweets)) == tweets
+    freqs = counts.frequencies(min_count=1)
+    assert {f.keyword: f.tweet_count for f in freqs} == keyword_counts_bruteforce(texts)
+    assert freqs == sorted(freqs, key=lambda f: (-f.tweet_count, f.keyword))
 
 
 class TestParseTweets:
@@ -141,6 +189,60 @@ class TestParseTweets:
         assert next(records).id == "t1"
         with pytest.raises(FormatError, match="3 of 4 lines malformed"):
             next(records)
+
+    def malformed_lines(self, tmp_path, caplog, bad_lines: list[str]) -> list[str]:
+        """Ids parsed from 40 good lines with ``bad_lines`` after the fifth;
+        the warning must count the bad lines and name the first."""
+        p = tmp_path / "t.jsonl"
+        lines = [json.dumps(tweet_obj(i, "ok")) for i in range(40)]
+        lines[5:5] = bad_lines
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            ids = [r.id for r in parse_tweets(p)]
+        assert f"skipped {len(bad_lines)} malformed line(s), first at line 6" in caplog.text
+        return ids
+
+    @pytest.mark.parametrize("created", [
+        "0001-01-01T00:30:00+01:00",
+        "9999-12-31T23:30:00-01:00",
+    ])
+    @pytest.mark.parametrize("lang", ["en", "fr"])
+    def test_timestamp_without_a_utc_day_is_malformed(self, tmp_path, caplog, created, lang):
+        bad = json.dumps(tweet_obj(99, "inflation", lang=lang, created=created))
+        assert len(self.malformed_lines(tmp_path, caplog, [bad])) == 40
+
+    def test_extreme_timestamps_with_a_utc_day_are_read(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [tweet_obj(1, "x", created="0001-01-01T00:30:00-01:00"),
+                        tweet_obj(2, "x", created="9999-12-31T23:30:00+01:00")])
+        assert [r.utc_date for r in parse_tweets(p)] == [date(1, 1, 1), date(9999, 12, 31)]
+
+    def test_json_too_deep_or_too_long_to_decode_is_malformed(self, tmp_path, caplog):
+        bad = ["[" * 200_000, '{"id": [' * 100_000, '{"id": %s}' % ("1" * 5000)]
+        assert len(self.malformed_lines(tmp_path, caplog, bad)) == 40
+
+    def test_lone_surrogate_in_id_or_text_is_malformed(self, tmp_path, caplog):
+        bad = [json.dumps(tweet_obj(1, "ok")).replace('"t1"', '"t\\ud800x"'),
+               json.dumps(tweet_obj(2, "inflation a\udc00b numbers")),
+               json.dumps(tweet_obj(3, "\ude00 first")),
+               json.dumps(tweet_obj(4, "last \ud83d"))]
+        assert "\\ud800" in bad[0] and "\\udc00" in bad[1]
+        assert len(self.malformed_lines(tmp_path, caplog, bad)) == 40
+
+    def test_escaped_surrogate_pair_and_other_escapes_are_read(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        write_jsonl(p, [tweet_obj(1, "rally \U0001f600 \\ud800 caf\u00e9"),
+                        tweet_obj(2, "x", lang="\ud800")])
+        (rec,) = parse_tweets(p)
+        assert rec.text == "rally \U0001f600 \\ud800 caf\u00e9"
+
+    def test_json_whitespace_around_the_object(self, tmp_path, caplog):
+        good = json.dumps(tweet_obj(1, "ok"))
+        p = tmp_path / "t.jsonl"
+        p.write_text(f" \t{good}\r\n{good} \n\ufeff{good}\n{good}\x0b\n{good} x\n",
+                     encoding="utf-8")
+        assert len(list(parse_tweets(p, malformed_cap=0.9))) == 2
+        assert "skipped 3 malformed line(s), first at line 3" in caplog.text
 
     def test_crlf_line_endings(self, tmp_path):
         p = tmp_path / "t.jsonl"

@@ -19,7 +19,7 @@ from sentdep.labeler import (
 from sentdep.pipeline import check_values
 from sentdep.scores import aggregate_daily
 
-from oracles import aspect_occurrences_bruteforce
+from oracles import aspect_occurrences_bruteforce, window_label_index_by_index
 
 LEX = PolarityLexicon(
     positive=["gains", "rally", "strong", "optimism"],
@@ -106,10 +106,17 @@ VOCABULARY = ["stock", "market", "stockmarket", "sto", "rate", "rates", "tax", "
 
 @st.composite
 def lexicon_and_tokens(draw):
-    seqs = draw(st.lists(
+    """A lexicon with at least two entries that share a first token, in
+    drawn order among the others, and tokens drawn from the same words."""
+    phrase = st.lists(st.sampled_from(VOCABULARY), max_size=2).map(tuple)
+    first = draw(st.sampled_from(VOCABULARY))
+    shared = [(first, *tail)
+              for tail in draw(st.lists(phrase, min_size=2, max_size=4, unique=True))]
+    others = draw(st.lists(
         st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=3).map(tuple),
-        min_size=1, max_size=8, unique=True,
+        max_size=6,
     ))
+    seqs = draw(st.permutations(list(dict.fromkeys(shared + others))))
     tokens = draw(st.lists(st.sampled_from(VOCABULARY), max_size=30))
     return AspectLexicon(" ".join(seq) for seq in seqs), tokens
 
@@ -119,8 +126,19 @@ def lexicon_and_tokens(draw):
           "the stock stock market stock market sto stockmarket stock".split()))
 def test_indexed_matching_equals_the_full_scan(case):
     lexicon, tokens = case
+    assert any(len(entries) > 1 for entries in lexicon.by_first_token.values())
     assert find_aspect_occurrences(tokens, lexicon) == aspect_occurrences_bruteforce(
         tokens, lexicon)
+
+
+@given(st.lists(st.sampled_from(["up", "down", "both", "x"]), max_size=16),
+       st.integers(0, 16), st.integers(0, 3), st.integers(0, 7))
+def test_window_label_equals_the_index_by_index_vote(tokens, start, width, window):
+    # "both" is in both sets, which only a lexicon built by hand allows.
+    lexicon = PolarityLexicon(positive=["up", "both"], negative=["down", "both"])
+    occurrence = AspectOccurrence("x", start, start + width)
+    assert lexicon_window_label(tokens, occurrence, lexicon, window) is (
+        window_label_index_by_index(tokens, occurrence, lexicon, window))
 
 
 class TestLexiconWindowLabel:
