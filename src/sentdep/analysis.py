@@ -9,27 +9,48 @@ This module and the statistics it calls import numpy when they load, so
 :func:`sentdep.pipeline.stage_analyze` imports it when it runs, and the
 text stages and the CLI start without the numerical stack.
 
-No cell depends on another aspect's cells, and the one-series parts that
-cells share (:class:`SeriesParts`) are kept per aspect. So
-:func:`analyze_cells` over any subset of the aspects returns exactly
-those aspects' cells. It iterates its aspects once, one after the other,
-so :func:`sentdep.pipeline.stage_analyze` calls it in two processes,
-each given a generator that claims the next aspects from one shared pipe
-only when the last are done, and merges the cells by aspect.
+The cells of one (aspect, kind) are computed together (:func:`kind_cells`),
+from the sentiment's calendar array and the run's price matrix, one row of
+closes per ticker (:func:`price_matrix`). One array operation gives every
+ticker's mask of lagged pairs and its mask of common days, and the tickers
+with equal masks form a group. A group computes the parts that depend on
+the sentiment alone once: its Pearson deviations, its entropy and, for the
+reverse Granger direction, its restricted regression. Each cell keeps only
+what is its own: the cross-sum of r, the joint entropy and one
+unrestricted regression on a design filled in place. The parts of a
+ticker's closes (its Pearson deviations, its entropy and, for the forward
+direction, its restricted regression) are kept per set of days for the
+four kinds of one aspect, which often share their days. Every part is
+the same float operations on the same values as in a cell computed on
+its own, so the cells are too, bit for bit.
+
+No cell depends on another aspect's cells, and the parts of the closes
+are dropped when the next aspect begins. So :func:`analyze_cells` over
+any subset of the aspects returns exactly those aspects' cells. It
+iterates its aspects once, one after the other, so
+:func:`sentdep.pipeline.stage_analyze` calls it in two processes, each
+given a generator that claims the next aspects from one shared pipe only
+when the last are done, and merges the cells by aspect.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ScoreKind, TradingCalendar, align_lagged, on_calendar, paired_on_common_days
+from .core import AlignedPairs, ScoreKind, TradingCalendar, on_calendar
 from .entropy import marginal_entropy, uncertainty_coefficient
-from .errors import EmptyAlignment, InsufficientData, SentdepError
-from .granger import granger_causes, restricted_fit
+from .errors import InsufficientData, SentdepError
+from .granger import (
+    check_effective_sample,
+    f_statistic,
+    lagged_design,
+    restricted_fit,
+    upper_tail,
+)
 from .pearson import centered, pearson_of_sides
 from .report import DependenceCell
 
@@ -37,158 +58,211 @@ if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
 
-def _failure_reason(exc: SentdepError) -> str:
-    """Reason code stored in null cells: the failure's name.
+def _outcome(compute: Callable, *args):
+    """``compute(*args)``, or the reason code stored in null cells: the
+    name of the SentdepError it raised.
 
-    An empty lag alignment is just the zero-observation flavor of too few
-    observations, so it shares the InsufficientData code. A series part
-    that failed before fails again with the code it stored.
+    The code is kept rather than the exception, whose traceback would
+    keep the frames of the computation, and with them their arrays, alive.
     """
-    if isinstance(exc, _PartFailed):
-        return exc.reason
-    if isinstance(exc, (EmptyAlignment, InsufficientData)):
-        return "InsufficientData"
-    return type(exc).__name__
+    try:
+        return compute(*args)
+    except SentdepError as exc:
+        return type(exc).__name__
 
 
-class _PartFailed(SentdepError):
-    """A series part whose computation failed earlier, with its reason code."""
+def _kept_part(parts: dict, key: tuple, compute: Callable, values: Callable[[], np.ndarray]):
+    """``parts[key]``, or the outcome of ``compute(values())`` stored there."""
+    part = parts.get(key)
+    if part is None:
+        part = parts[key] = _outcome(compute, values())
+    return part
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+
+def _mask_groups(masks: np.ndarray) -> dict[bytes, list[int]]:
+    """The row indices of a boolean matrix, grouped by the row's value."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(masks):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return groups
 
 
-class SeriesParts:
-    """The parts of the cell statistics that depend on one series only.
+def price_matrix(prices: Mapping[str, Mapping[date, float]],
+                 calendar: TradingCalendar) -> np.ndarray:
+    """Each ticker's closes on the calendar (see :func:`~sentdep.core.on_calendar`),
+    one row per ticker in the mapping's order."""
+    return np.array([on_calendar(closes, calendar) for closes in prices.values()])
 
-    Within one aspect a ticker's closes meet every sentiment array, and a
-    sentiment array meets every ticker's closes. A cell's statistics keep
-    only the days where both sides are observed, so a part such as a
-    series' entropy or its Pearson deviations holds for every cell that
-    keeps the same days of that series. :meth:`get` computes each part
-    once per key: the part's name, the series' name and the mask of the
-    days kept. A part that fails is stored as its reason code, which
-    later lookups raise again; an exception object would keep the frames
-    of its traceback, and with them their arrays, alive.
+
+def _lagged_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
+                       config: PipelineConfig, close_parts: dict, tally: Counter) -> None:
+    """r and u of each cell: the close on trading day t against the
+    sentiment ``config.lag`` trading days earlier, on the days both hold.
+
+    Ĥ(sentiment) is estimated before Ĥ(close): both have the same n, so a
+    failure of either gives the same reason code, and a sentiment that
+    fails spares the entropy of every close it meets.
     """
+    lag, k = config.lag, config.entropy_k
 
-    def __init__(self) -> None:
-        self._parts: dict[tuple, object] = {}
+    def entropy(values):
+        tally["entropies"] += 1
+        return marginal_entropy(values, k)
 
-    def get(self, key: tuple, compute: Callable, *args):
-        """The part stored under ``key``, or ``compute(*args)`` stored there."""
-        part = self._parts.get(key)
-        if part is None:
-            try:
-                part = compute(*args)
-            except SentdepError as exc:
-                self._parts[key] = _failure_reason(exc)
-                raise
-            self._parts[key] = part
-        elif isinstance(part, str):
-            raise _PartFailed(part)
-        return part
+    x_lagged, y_lagged = x[:-lag], closes[:, lag:]
+    kept = np.isfinite(x_lagged) & np.isfinite(y_lagged)
+    for days, members in _mask_groups(kept).items():
+        mask = kept[members[0]]
+        xs = x_lagged[mask]
+        x_side = _outcome(centered, xs)
+        h_x = _outcome(entropy, xs)
+        for i in members:
+            cell = cells[i]
+            cell["n"] = xs.shape[0]
+            ys = (lambda i=i: y_lagged[i][mask])
+            if isinstance(x_side, str):
+                cell["r_reason"] = x_side
+            else:
+                y_side = _kept_part(close_parts, ("r", i, days), centered, ys)
+                if isinstance(y_side, str):
+                    cell["r_reason"] = y_side
+                else:
+                    r = pearson_of_sides(x_side, y_side)
+                    cell["r"] = r
+                    cell["r_significant"] = abs(r) > config.pearson_threshold
+            if isinstance(h_x, str):
+                cell["u_reason"] = h_x
+                continue
+            h_y = _kept_part(close_parts, ("h", i, days), entropy, ys)
+            if isinstance(h_y, str):
+                cell["u_reason"] = h_y
+                continue
+            tally["entropies"] += 1
+            pairs = AlignedPairs(np.column_stack([xs, ys()]), lag)
+            uc = _outcome(uncertainty_coefficient, pairs, k, h_y, h_x)
+            if isinstance(uc, str):
+                cell["u_reason"] = uc
+            else:
+                cell["u"] = uc.u
+                cell["u_valid"] = uc.valid
+                cell["u_mi"] = uc.mi
 
 
-def compute_cell(
+def _granger_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
+                        config: PipelineConfig, close_parts: dict, tally: Counter) -> None:
+    """The Granger test of each cell, on the trading days both series hold,
+    with the gaps closed up; the p-values of all cells come from one
+    evaluation of the F upper tail."""
+    lag, difference = config.granger_lag, config.granger_difference
+
+    def series(values, mask):
+        return np.diff(values[mask]) if difference else values[mask]
+
+    def restricted(response):
+        tally["fits"] += 1
+        return restricted_fit(response, lag)
+
+    tested, f_stats, df_dens, exact = [], [], [], []
+    common = np.isfinite(x) & np.isfinite(closes)
+    for days, members in _mask_groups(common).items():
+        mask = common[members[0]]
+        xs = series(x, mask)
+        try:
+            check_effective_sample(xs.shape[0], lag)
+        except InsufficientData as exc:
+            for i in members:
+                cells[i]["granger_reason"] = type(exc).__name__
+            continue
+        n_eff = xs.shape[0] - lag
+        design = lagged_design(n_eff, lag)
+        if config.granger_reverse:
+            shared = _outcome(restricted, xs)
+        for i in members:
+            ys = (lambda i=i: series(closes[i], mask))
+            if config.granger_reverse:
+                fit, cross = shared, ys()
+            else:
+                fit, cross = _kept_part(close_parts, ("g", i, days), restricted, ys), xs
+            if isinstance(fit, str):
+                cells[i]["granger_reason"] = fit
+                continue
+            tally["fits"] += 1
+            outcome = _outcome(f_statistic, fit, cross, design)
+            if isinstance(outcome, str):
+                cells[i]["granger_reason"] = outcome
+                continue
+            tested.append(cells[i])
+            f_stats.append(outcome[0])
+            exact.append(outcome[1])
+            df_dens.append(n_eff - 2 * lag - 1)
+    if not tested:
+        return
+    p_values = upper_tail(lag, np.array(df_dens), np.array(f_stats)).tolist()
+    for cell, f_stat, p_value, perfect in zip(tested, f_stats, p_values, exact):
+        cell["granger_f"] = f_stat
+        cell["granger_p"] = p_value
+        cell["granger_causal"] = p_value < config.granger_alpha
+        cell["granger_perfect_fit"] = perfect
+
+
+def kind_cells(
     aspect: str,
     kind: ScoreKind,
-    ticker: str,
-    sentiment: np.ndarray,
-    price: np.ndarray,
+    x: np.ndarray,
+    tickers: Sequence[str],
+    closes: np.ndarray,
     config: PipelineConfig,
-    parts: SeriesParts,
-) -> DependenceCell:
-    """All three dependence statistics for one (aspect, kind, ticker).
+    close_parts: dict | None = None,
+    tally: Counter | None = None,
+) -> list[DependenceCell]:
+    """All three dependence statistics of (aspect, kind) against each ticker.
 
-    ``sentiment`` and ``price`` are calendar arrays (see
-    :func:`~sentdep.core.on_calendar`). Statistic failures never abort the
-    run; the failing statistic is nulled with a reason code and the others
-    still computed. The Pearson and uncertainty statistics consume
-    pre-lagged pairs; the Granger test consumes same-date pairs and
-    applies its own lag internally. ``parts`` holds the one-series parts
-    of the statistics (see :class:`SeriesParts`) that this cell shares
-    with the other cells of the same config; each part names its series
-    by ``ticker`` or by ``(aspect, kind)``.
+    ``x`` is the sentiment's calendar array (see
+    :func:`~sentdep.core.on_calendar`) and ``closes`` the price matrix,
+    one row per name in ``tickers`` (see :func:`price_matrix`). Statistic
+    failures never abort the run; the failing statistic is nulled with a
+    reason code and the others still computed. Pearson and the
+    uncertainty coefficient consume pre-lagged pairs; the Granger test
+    consumes same-date pairs and applies its own lag internally.
+    ``close_parts`` keeps the parts of the closes (see the module
+    docstring) for other kinds of the same aspect, and ``tally`` counts
+    the least-squares fits (``fits``) and entropy estimates
+    (``entropies``) made here.
     """
-    sentiment_name = (aspect, kind)
-    cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
-    aligned = None
-    try:
-        aligned = align_lagged(sentiment, price, config.lag)
-        cell["n"] = aligned.n
-    except EmptyAlignment as exc:
-        reason = _failure_reason(exc)
-        cell["r_reason"] = reason
-        cell["u_reason"] = reason
-
-    if aligned is not None:
-        kept = aligned.kept.tobytes()
-        xs, ys = aligned.xs(), aligned.ys()
-        try:
-            sides = (parts.get(("r", sentiment_name, kept), centered, xs),
-                     parts.get(("r", ticker, kept), centered, ys))
-            r = pearson_of_sides(*sides)
-            cell["r"] = r
-            cell["r_significant"] = abs(r) > config.pearson_threshold
-        except SentdepError as exc:
-            cell["r_reason"] = _failure_reason(exc)
-        try:
-            k = config.entropy_k
-            h_y = parts.get(("h", ticker, kept), marginal_entropy, ys, k)
-            h_x = parts.get(("h", sentiment_name, kept), marginal_entropy, xs, k)
-            uc = uncertainty_coefficient(aligned, k, h_y, h_x)
-            cell["u"] = uc.u
-            cell["u_valid"] = uc.valid
-            cell["u_mi"] = uc.mi
-        except SentdepError as exc:
-            cell["u_reason"] = _failure_reason(exc)
-
-    try:
-        xs, ys, common = paired_on_common_days(sentiment, price)
-        if config.granger_difference:
-            xs, ys = np.diff(xs), np.diff(ys)
-        response_name = ticker
-        if config.granger_reverse:
-            xs, ys = ys, xs
-            response_name = sentiment_name
-        restricted = partial(parts.get, ("granger", response_name, common.tobytes()),
-                             restricted_fit)
-        g = granger_causes(xs, ys, lag=config.granger_lag, alpha=config.granger_alpha,
-                           fit_restricted=restricted)
-        cell["granger_f"] = g.f_stat
-        cell["granger_p"] = g.p_value
-        cell["granger_causal"] = g.causal
-        cell["granger_perfect_fit"] = g.perfect_fit
-    except SentdepError as exc:
-        cell["granger_reason"] = _failure_reason(exc)
-    return DependenceCell(**cell)
+    close_parts = {} if close_parts is None else close_parts
+    tally = Counter() if tally is None else tally
+    cells = [dict(aspect=aspect, kind=kind, ticker=ticker, n=0) for ticker in tickers]
+    _lagged_statistics(cells, x, closes, config, close_parts, tally)
+    _granger_statistics(cells, x, closes, config, close_parts, tally)
+    return [DependenceCell(**cell) for cell in cells]
 
 
 def analyze_cells(
     config: PipelineConfig,
     aspects: Iterable[str],
     series: Mapping[tuple[str, ScoreKind], Mapping[date, float]],
-    prices: Mapping[str, Mapping[date, float]],
+    tickers: Sequence[str],
+    closes: np.ndarray,
     calendar: TradingCalendar,
+    tally: Counter | None = None,
 ) -> list[DependenceCell]:
     """One cell per (aspect x 4 kinds x ticker), in that nesting order.
 
-    ``aspects`` is iterated once, and the next aspect is taken only when
-    the cells of the last are done. Every series is put on the calendar
-    once; with ``absent_as_zero`` the missing days of the absolute kinds
-    read 0. The cells of one aspect share their one-series parts (see
-    :class:`SeriesParts`), which are dropped when the next aspect begins.
+    ``closes`` is the price matrix of ``tickers`` on ``calendar`` (see
+    :func:`price_matrix`). ``aspects`` is iterated once, and the next
+    aspect is taken only when the cells of the last are done. Every
+    series is put on the calendar once; with ``absent_as_zero`` the
+    missing days of the absolute kinds read 0. The four kinds of one
+    aspect share the parts of the closes (see :func:`kind_cells`), which
+    are dropped when the next aspect begins. ``tally``, when given,
+    counts the fits and entropy estimates made.
     """
-    price_arrays = {t: on_calendar(p, calendar) for t, p in prices.items()}
     cells: list[DependenceCell] = []
     for aspect in aspects:
-        parts = SeriesParts()
+        close_parts: dict = {}
         for kind in ScoreKind:
             x = on_calendar(series.get((aspect, kind), {}), calendar)
             if config.absent_as_zero and kind.is_absolute:
                 x[np.isnan(x)] = 0.0
-            for ticker, y in price_arrays.items():
-                cells.append(compute_cell(aspect, kind, ticker, x, y, config, parts))
+            cells += kind_cells(aspect, kind, x, tickers, closes, config, close_parts, tally)
     return cells

@@ -52,6 +52,7 @@ import logging
 import os
 import select
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, make_dataclass
 from datetime import date
 from functools import partial
@@ -438,16 +439,16 @@ def stage_analyze(
     order (see :func:`~sentdep.analysis.analyze_cells`). numpy, the
     statistics and ``scipy.special`` are imported here, on the first call,
     with this thread pinned to one CPU (see :func:`sentdep.fork.lowest_cpu`),
-    so their thread pools start no worker thread before the fork. A
-    forked worker claims aspects beside this process (see
-    :func:`_analyze_beside`).
+    so their thread pools start no worker thread before the fork. The
+    price matrix is built once, before the fork, and a forked worker
+    claims aspects beside this process (see :func:`_analyze_beside`).
     """
     if "sentdep.analysis" not in sys.modules:
         from .fork import lowest_cpu
 
         with lowest_cpu():
             _import_analysis()
-    from .analysis import analyze_cells
+    from .analysis import analyze_cells, price_matrix
 
     aspect_lexicon = load_aspects(config.aspects)
     series, totals = read_scores(scores_path) if scores is None else scores
@@ -455,7 +456,8 @@ def stage_analyze(
     calendar = build_calendar(config, prices)
     top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
     cells = _analyze_beside(
-        partial(analyze_cells, config, series=series, prices=prices, calendar=calendar), top)
+        partial(analyze_cells, config, series=series, tickers=list(prices),
+                closes=price_matrix(prices, calendar), calendar=calendar), top)
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")
@@ -576,6 +578,13 @@ def _claimed(read_fd: int, blocks: Sequence[Sequence[str]]) -> Iterator[str]:
         yield from blocks[int.from_bytes(record, "little")]
 
 
+def _tallied(analyze: Callable[..., list[DependenceCell]],
+             aspects: Iterable[str]) -> tuple[list[DependenceCell], Counter]:
+    """(``analyze(aspects)``, the fits and entropy estimates it counted)."""
+    tally: Counter = Counter()
+    return analyze(aspects, tally=tally), tally
+
+
 def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
                     aspects: list[str]) -> list[DependenceCell]:
     """``analyze(aspects)``, shared with a forked worker by claims on one pipe.
@@ -592,8 +601,9 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
     RuntimeError. The cells are merged by aspect in presentation order.
     One aspect, one allowed CPU, a refused pin or no ``os.fork`` leaves
     every claim to this process. One ``-v`` line tells, for each process,
-    its aspects and cells and what it spent; how many aspects each took
-    may differ between runs.
+    its aspects and cells, what it spent, and how many least-squares fits
+    and entropy estimates it made; how many aspects each took may differ
+    between runs.
     """
     from .fork import beside, measured
 
@@ -603,23 +613,25 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
     os.write(write_fd, b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(count)))
     os.close(write_fd)
     try:
-        here = partial(measured, analyze, _claimed(read_fd, blocks))
+        here = partial(measured, _tallied, analyze, _claimed(read_fd, blocks))
         if n < 2:
             runs = [here()]
         else:
-            worker, own = beside(partial(measured, analyze, _claimed(read_fd, blocks)),
-                                 here, alone=here)
+            worker, own = beside(
+                partial(measured, _tallied, analyze, _claimed(read_fd, blocks)),
+                here, alone=here)
             runs = [own] if worker is None else [own, worker]
     finally:
         os.close(read_fd)
     by_aspect: dict[str, list[DependenceCell]] = {}
-    for cells, _ in runs:
+    for (cells, _), _ in runs:
         for cell in cells:
             by_aspect.setdefault(cell.aspect, []).append(cell)
     logger.info("analysis: %s", "; ".join(
         f"{len({c.aspect for c in cells})} aspects, {len(cells)} cells in "
-        f"{'this process' if usage.pid == os.getpid() else 'a worker'} {usage}"
-        for cells, usage in runs))
+        f"{'this process' if usage.pid == os.getpid() else 'a worker'} {usage}, "
+        f"{tally['fits']} least-squares fits, {tally['entropies']} entropy estimates"
+        for (cells, tally), usage in runs))
     return [cell for aspect in aspects for cell in by_aspect.get(aspect, ())]
 
 

@@ -11,7 +11,7 @@ from ast import literal_eval
 import pytest
 
 import sentdep.analysis
-from sentdep.analysis import analyze_cells
+from sentdep.analysis import analyze_cells, price_matrix
 from sentdep.cli import main
 from sentdep.errors import FormatError
 from sentdep.ingest import load_aspects, parse_prices
@@ -65,7 +65,9 @@ def inline_cells(config):
     series, totals = read_scores(config.output_dir / "scores.csv")
     prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
     top = select_top_aspects(load_aspects(config.aspects), totals, config.top_n_aspects)
-    return top, analyze_cells(config, top, series, prices, build_calendar(config, prices))
+    calendar = build_calendar(config, prices)
+    return top, analyze_cells(config, top, series, list(prices),
+                              price_matrix(prices, calendar), calendar)
 
 
 def same_cells(cells, inline):

@@ -16,7 +16,6 @@ from ast import literal_eval
 
 import pytest
 
-import sentdep.analysis
 import sentdep.pipeline
 from sentdep import errors
 from sentdep.cli import main
@@ -63,7 +62,6 @@ ERROR_CASES = {
     errors.FormatError: errors.FormatError("bad date", "labels.csv", 7),
     errors.HeaderMismatch: errors.HeaderMismatch("wrong header", "cells.csv", 1),
     errors.OutputError: errors.OutputError("cannot write file: x", "out/s.csv"),
-    sentdep.analysis._PartFailed: sentdep.analysis._PartFailed("DegenerateSample"),
 }
 
 

@@ -12,10 +12,17 @@ from sentdep.granger import granger_causes, ols
 from sentdep.pipeline import check_values
 
 
+def with_intercept(regressors):
+    """The design of an intercept and ``regressors`` (a vector or columns)."""
+    X = np.asarray(regressors, dtype=float)
+    X = X[:, np.newaxis] if X.ndim == 1 else X
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
 class TestOls:
     def test_recovers_exact_line(self):
         t = np.arange(61, dtype=float)
-        fit = ols(t, 2.0 + 3.0 * t)
+        fit = ols(with_intercept(t), 2.0 + 3.0 * t)
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-9)
         assert fit.coefficients[1] == pytest.approx(3.0, abs=1e-9)
         assert fit.rss <= 1e-9
@@ -25,18 +32,18 @@ class TestOls:
         t = np.arange(20, dtype=float)
         X = np.column_stack([t, np.full(20, 5.0)])
         with pytest.raises(RankDeficient):
-            ols(X, 2.0 * t)
+            ols(with_intercept(X), 2.0 * t)
 
     def test_duplicated_column_is_rank_deficient(self):
         t = np.arange(20, dtype=float)
         with pytest.raises(RankDeficient):
-            ols(np.column_stack([t, t]), 2.0 * t)
+            ols(with_intercept(np.column_stack([t, t])), 2.0 * t)
 
     def test_matches_rational_normal_equations(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(61, 3))
         y = 1.5 + X @ np.array([0.5, -2.0, 0.25]) + rng.normal(size=61)
-        fit = ols(X, y)
+        fit = ols(with_intercept(X), y)
         beta_exact, rss_exact = ols_exact([list(row) for row in X], list(y))
         for got, want in zip(fit.coefficients, beta_exact):
             assert got == pytest.approx(float(want), abs=1e-8)
@@ -45,8 +52,8 @@ class TestOls:
     def test_requires_residual_degree_of_freedom(self):
         # 2 parameters (intercept + slope) need at least 3 rows
         with pytest.raises(InsufficientData):
-            ols([1.0, 2.0], [1.0, 2.0])
-        fit = ols([1.0, 2.0, 3.0], [1.0, 2.0, 3.1])
+            ols(with_intercept([1.0, 2.0]), np.array([1.0, 2.0]))
+        fit = ols(with_intercept([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.1]))
         assert fit.n_obs == 3
 
 
@@ -148,8 +155,8 @@ class TestGrangerCauses:
             x = rng.normal(size=30)
             y = rng.normal(size=30)
             resp = y[1:]
-            restricted = ols(y[:-1], resp)
-            unrestricted = ols(np.column_stack([y[:-1], x[:-1]]), resp)
+            restricted = ols(with_intercept(y[:-1]), resp)
+            unrestricted = ols(with_intercept(np.column_stack([y[:-1], x[:-1]])), resp)
             assert unrestricted.rss <= restricted.rss + 1e-9 * max(1.0, restricted.rss)
 
 

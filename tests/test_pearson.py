@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import pearson_exact, pearson_float_lists
-from sentdep.analysis import SeriesParts, compute_cell
+from sentdep.analysis import kind_cells
 from sentdep.core import (
     DEFAULT_THRESHOLD,
     ScoreKind,
@@ -73,14 +73,14 @@ class TestPearson:
 
 
 def lagged_cell(xs, ys, config):
-    """compute_cell for (tax, fp, AAA), ys[i] being the close one day after
+    """The cell of (tax, fp, AAA), ys[i] being the close one day after
     sentiment xs[i]."""
     days = [date(2022, 10, 3) + timedelta(days=i) for i in range(len(xs) + 1)]
     cal = TradingCalendar(days)
     sent = on_calendar(dict(zip(days, xs)), cal)
     price = on_calendar(dict(zip(days[1:], ys)), cal)
-    return compute_cell("tax", ScoreKind.ABS_POSITIVE, "AAA", sent, price, config,
-                        SeriesParts())
+    [cell] = kind_cells("tax", ScoreKind.ABS_POSITIVE, sent, ["AAA"], price[np.newaxis], config)
+    return cell
 
 
 class TestClassify:

@@ -5,12 +5,16 @@ import json
 import logging
 import os
 import sys
+import tempfile
+from collections import Counter
 from dataclasses import astuple
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sentdep.analysis
 import sentdep.entropy
@@ -20,9 +24,9 @@ import sentdep.labeler
 import sentdep.pipeline
 from sentdep.core import ScoreKind, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
-from sentdep.ingest import AspectLexicon
-from oracles import unshared_cells
-from sentdep.analysis import SeriesParts, compute_cell
+from sentdep.ingest import AspectLexicon, parse_prices
+from oracles import unshared_cell, unshared_cells
+from sentdep.analysis import analyze_cells, kind_cells, price_matrix
 from sentdep.pipeline import (
     PipelineConfig,
     build_calendar,
@@ -243,9 +247,10 @@ def planted_inputs():
 
 
 def cell_of(sent, price, cal, config):
-    """compute_cell for (tax, fp, AAA) on the calendar arrays of two series."""
-    return compute_cell("tax", FP, "AAA",
-                        on_calendar(sent, cal), on_calendar(price, cal), config, SeriesParts())
+    """The cell of (tax, fp, AAA) on the calendar arrays of two series."""
+    [cell] = kind_cells("tax", FP, on_calendar(sent, cal), ["AAA"],
+                        on_calendar(price, cal)[np.newaxis], config)
+    return cell
 
 
 class TestComputeCell:
@@ -305,28 +310,58 @@ class TestComputeCell:
         assert not (level.granger_perfect_fit or diffed.granger_perfect_fit)
 
     def test_difference_needs_two_common_days(self, monkeypatch):
-        seen = []
-        granger_causes = sentdep.analysis.granger_causes
+        # The group checks the differenced length of its common days before
+        # it fits anything; a longer series shows what the fits then get.
+        seen, tested = [], []
+        check = sentdep.analysis.check_effective_sample
+        restricted_fit = sentdep.analysis.restricted_fit
+        f_statistic = sentdep.analysis.f_statistic
 
-        def spy(x, y, **kwargs):
-            seen.append((x.tolist(), y.tolist()))
-            return granger_causes(x, y, **kwargs)
+        def check_spy(n, lag):
+            seen.append(n)
+            return check(n, lag)
 
-        monkeypatch.setattr(sentdep.analysis, "granger_causes", spy)
+        def fit_spy(response, lag):
+            tested.append(("response", response.tolist()))
+            return restricted_fit(response, lag)
+
+        def f_spy(restricted, x, design):
+            tested.append(("cross", x.tolist()))
+            return f_statistic(restricted, x, design)
+
+        monkeypatch.setattr(sentdep.analysis, "check_effective_sample", check_spy)
+        monkeypatch.setattr(sentdep.analysis, "restricted_fit", fit_spy)
+        monkeypatch.setattr(sentdep.analysis, "f_statistic", f_spy)
         cal = TradingCalendar(DAYS)
         config = PipelineConfig(granger_difference=True)
         sent = dict(zip(DAYS, (1.0, 3.0, 6.0, 10.0)))
         price = dict(zip(DAYS, (10.0, 12.0, 15.0, 19.0)))
         cell = cell_of(sent, price, cal, config)
-        assert seen == [([2.0, 3.0, 4.0], [2.0, 3.0, 4.0])]
+        assert seen == [3] and tested == []
         assert cell.granger_reason == "InsufficientData"
         # a single common day differences to nothing; the lagged pairs of
         # the other statistics are untouched
         seen.clear()
         cell = cell_of({DAYS[0]: 1.0, DAYS[1]: 2.0}, {DAYS[1]: 10.0, DAYS[2]: 11.0}, cal, config)
-        assert seen == [([], [])]
+        assert seen == [0] and tested == []
         assert cell.granger_f is None and cell.granger_reason == "InsufficientData"
         assert cell.n == 2
+        # Both series are differenced before either fit, in each direction.
+        seen.clear()
+        sent = {d: float(i * i % 7) for i, d in enumerate(DAYS) if i != 5}
+        price = {d: 10.0 + i % 4 + 0.1 * i for i, d in enumerate(DAYS)}
+        days = [d for d in DAYS if d in sent]
+        sent_diff = np.diff([sent[d] for d in days]).tolist()
+        price_diff = np.diff([price[d] for d in days]).tolist()
+        cell = cell_of(sent, price, cal, config)
+        assert cell.granger_f is not None
+        assert seen == [len(DAYS) - 2]
+        assert tested == [("response", price_diff), ("cross", sent_diff)]
+        tested.clear()
+        cell = cell_of(sent, price, cal, PipelineConfig(granger_difference=True,
+                                                        granger_reverse=True))
+        assert cell.granger_f is not None
+        assert tested == [("response", sent_diff), ("cross", price_diff)]
 
 
 # --- file-level stages -------------------------------------------------------
@@ -399,13 +434,13 @@ class TestStageAnalyze:
         scores = tmp_path / "scores.csv"
         stage_score(cfg.labels, scores)
         seen = {}
-        compute = sentdep.analysis.compute_cell
+        compute = sentdep.analysis.kind_cells
 
-        def spy(aspect, kind, ticker, sentiment, price, config, parts):
+        def spy(aspect, kind, sentiment, *args):
             seen[(aspect, kind)] = sentiment.copy()
-            return compute(aspect, kind, ticker, sentiment, price, config, parts)
+            return compute(aspect, kind, sentiment, *args)
 
-        monkeypatch.setattr(sentdep.analysis, "compute_cell", spy)
+        monkeypatch.setattr(sentdep.analysis, "kind_cells", spy)
         # The spy sees only this process's cells, so no worker may take bank.
         monkeypatch.delattr(os, "fork")
         stage_analyze(cfg, scores, tmp_path / "cells.csv")
@@ -510,44 +545,157 @@ class TestSharedSeriesParts:
             assert any(c.u is not None for c in cells)
             assert any(c.granger_f is not None for c in cells)
 
-    def test_each_part_is_computed_once(self, monkeypatch):
-        """kl_entropy and ols calls: one per distinct part, plus the joint
-        entropy and the unrestricted fit of each cell."""
-        calls = {"kl_entropy": 0, "ols": 0}
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_fits_and_entropies_are_counted_once_per_part(self, monkeypatch, reverse):
+        """One restricted fit per (response series, common mask) and one
+        unrestricted fit per cell; one marginal entropy per (series, kept
+        mask), none for a close whose sentiment side failed, and one joint
+        entropy per cell that reaches it."""
+        widths, samples = [], []
+        ols, kl_entropy = sentdep.granger.ols, sentdep.entropy.kl_entropy
 
-        def counted(module, name):
-            fn = getattr(module, name)
+        def fit(design, response):
+            widths.append(design.shape[1])
+            return ols(design, response)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+        def estimate(points, k):
+            samples.append(np.array(points))
+            return kl_entropy(points, k)
 
-        counted(sentdep.entropy, "kl_entropy")
-        counted(sentdep.granger, "ols")
+        monkeypatch.setattr(sentdep.granger, "ols", fit)
+        monkeypatch.setattr(sentdep.entropy, "kl_entropy", estimate)
         rng = np.random.default_rng(5)
         n = 40
         nan_at = lambda *i: np.isin(np.arange(n), i)  # noqa: E731
         sentiment = {kind: rng.normal(size=n) for kind in ScoreKind}
-        for kind, gaps in zip(ScoreKind, (nan_at(2), nan_at(2), nan_at(2, 30), nan_at())):
+        # Two values only: its entropy is degenerate, on days no other kind keeps.
+        sentiment[NFN] = rng.integers(0, 2, size=n).astype(float)
+        for kind, gaps in zip(ScoreKind, (nan_at(2), nan_at(2), nan_at(2, 30), nan_at(12))):
             sentiment[kind][gaps] = np.nan
-        prices = {t: 10 + rng.normal(size=n) for t in ("AAA", "BBB", "CCC")}
-        prices["BBB"][nan_at(7)] = np.nan
-        config, parts = PipelineConfig(), SeriesParts()
-        cells = [compute_cell("tax", kind, ticker, x, y, config, parts)
-                 for kind, x in sentiment.items() for ticker, y in prices.items()]
-        assert all(c.r is not None and c.u is not None and c.granger_f is not None
-                   for c in cells)
+        tickers = ["AAA", "BBB", "CCC"]
+        closes = 10 + rng.normal(size=(len(tickers), n))
+        closes[1, 7] = np.nan
+        config = PipelineConfig(granger_reverse=reverse)
+        close_parts, tally = {}, Counter()
+        cells = [cell for kind, x in sentiment.items()
+                 for cell in kind_cells("tax", kind, x, tickers, closes, config, close_parts,
+                                        tally)]
+        assert all(c.r is not None and c.granger_f is not None for c in cells)
+        assert all((c.u is None) == (c.kind is NFN) for c in cells)
+        assert {c.u_reason for c in cells if c.kind is NFN} == {"DegenerateSample"}
 
-        lagged, common = set(), set()
+        responses, marginals, failed = set(), set(), []
         for kind, x in sentiment.items():
-            for ticker, y in prices.items():
-                kept = (np.isfinite(x[:-1]) & np.isfinite(y[1:])).tobytes()
-                lagged |= {(ticker, kept), (kind, kept)}
-                common.add((ticker, (np.isfinite(x) & np.isfinite(y)).tobytes()))
-        assert len(lagged) < 2 * len(cells) and len(common) < len(cells)
-        assert calls == {"kl_entropy": len(lagged) + len(cells),
-                         "ols": len(common) + len(cells)}
+            for ticker, y in zip(tickers, closes):
+                kept = np.isfinite(x[:-1]) & np.isfinite(y[1:])
+                marginals.add((kind, kept.tobytes()))
+                if kind is NFN:
+                    failed.append(y[1:][kept])
+                else:
+                    marginals.add((ticker, kept.tobytes()))
+                common = (np.isfinite(x) & np.isfinite(y)).tobytes()
+                responses.add((kind if reverse else ticker, common))
+        assert len(responses) < len(cells) and len(marginals) < 2 * len(cells)
+        assert widths.count(2) == len(responses)
+        assert widths.count(3) == len(cells)
+        one_dim = [s for s in samples if s.ndim == 1]
+        assert len(one_dim) == len(marginals)
+        assert not any(np.array_equal(s, y) for s in one_dim for y in failed)
+        assert len(samples) - len(one_dim) == sum(c.u is not None for c in cells)
+        assert tally == {"fits": len(widths), "entropies": len(samples)}
+        expected = [unshared_cell("tax", kind, ticker, x, y, config)
+                    for kind, x in sentiment.items() for ticker, y in zip(tickers, closes)]
+        assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
+
+
+#: One calendar day per index of a drawn series.
+PROPERTY_DAYS = weekdays(date(2023, 1, 2), 40)
+
+
+@st.composite
+def analysis_cases(draw):
+    """A config, sentiment arrays by kind and closes by ticker, drawn so that
+    mask groups split and every reason code and exact fit can occur."""
+    n = draw(st.integers(8, len(PROPERTY_DAYS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = st.sets(st.integers(0, n - 1), max_size=4)
+
+    def series(shape):
+        if shape == "noise":
+            values = rng.normal(size=n)
+        elif shape == "ties":
+            values = rng.integers(0, 3, size=n).astype(float)
+        elif shape == "sparse":
+            values = np.full(n, np.nan)
+            values[rng.choice(n, size=3, replace=False)] = rng.normal(size=3)
+        else:
+            values = np.full(n, 2.0)
+        values[sorted(draw(gaps))] = np.nan
+        return values
+
+    sentiment = {kind: series(draw(st.sampled_from(["noise", "ties", "sparse", "constant"])))
+                 for kind in ScoreKind}
+    closes = {}
+    for i in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["walk", "constant", "exact", "exact, no gaps"]))
+        if shape == "walk":
+            values = 20.0 + np.cumsum(rng.normal(size=n))
+        elif shape == "constant":
+            values = np.full(n, 30.0)
+        else:
+            # The lagged fp values plus 10: where neither side has a gap,
+            # the unrestricted Granger fit is exact.
+            values = 10.0 + np.concatenate([[1.0], np.nan_to_num(sentiment[FP][:-1])])
+        if shape != "exact, no gaps":
+            values[sorted(draw(gaps))] = np.nan
+        closes[f"T{i}"] = values
+    config = PipelineConfig(
+        lag=draw(st.integers(1, 2)), granger_lag=draw(st.integers(1, 2)),
+        granger_reverse=draw(st.booleans()), granger_difference=draw(st.booleans()),
+        absent_as_zero=draw(st.booleans()), entropy_k=draw(st.integers(1, 5)),
+        top_n_aspects=1)
+    return config, sentiment, closes
+
+
+def planted_case():
+    """Counts that set one close exactly, beside a constant close and a
+    walk with a gap: a perfect fit, RankDeficient and a split mask group."""
+    n = len(PROPERTY_DAYS)
+    rng = np.random.default_rng(3)
+    counts = np.arange(n) % 5 + 1.0
+    sentiment = {kind: rng.normal(size=n) for kind in ScoreKind}
+    sentiment[FP] = counts
+    walk = 20.0 + np.cumsum(rng.normal(size=n))
+    walk[[4, 9]] = np.nan
+    closes = {"T0": 10.0 + np.concatenate([[1.0], counts[:-1]]), "T1": walk,
+              "T2": np.full(n, 30.0), "T3": 20.0 + np.cumsum(rng.normal(size=n))}
+    return PipelineConfig(top_n_aspects=1), sentiment, closes
+
+
+@settings(max_examples=60, deadline=None)
+@given(analysis_cases())
+@example(planted_case())
+def test_grouped_cells_equal_the_unshared_oracle(case):
+    config, sentiment, closes = case
+    days = PROPERTY_DAYS
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "aspects.txt").write_text("tax\n", encoding="utf-8")
+        config.aspects = root / "aspects.txt"
+        config.prices = {}
+        for ticker, values in closes.items():
+            config.prices[ticker] = root / f"{ticker}.csv"
+            config.prices[ticker].write_text("Date,Close\n" + "".join(
+                f"{d.isoformat()},{'null' if np.isnan(v) else repr(float(v))}\n"
+                for d, v in zip(days, values)), encoding="utf-8")
+        series = {("tax", kind): {d: float(v) for d, v in zip(days, x) if not np.isnan(v)}
+                  for kind, x in sentiment.items()}
+        expected = unshared_cells(config, series, {"tax": 1})
+        prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
+    calendar = build_calendar(config, prices)
+    cells = analyze_cells(config, ["tax"], series, list(prices),
+                          price_matrix(prices, calendar), calendar)
+    assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
 
 
 # --- full pipeline -----------------------------------------------------------
