@@ -11,7 +11,9 @@ text stages and the CLI start without the numerical stack.
 
 The cells of one (aspect, kind) are computed together (:func:`kind_cells`),
 from the sentiment's calendar array and the run's price matrix, one row of
-closes per ticker (:func:`price_matrix`). One array operation gives every
+closes per ticker (:func:`price_matrix`). Both come from the calendar
+rows that :func:`sentdep.prepare.prepare_analysis` makes without numpy,
+so this module never sees a date. One array operation gives every
 ticker's mask of lagged pairs and its mask of common days, and the tickers
 with equal masks form a group. A group computes the parts that depend on
 the sentiment alone once: its Pearson deviations, its entropy and, for the
@@ -36,12 +38,11 @@ when the last are done, and merges the cells by aspect.
 from __future__ import annotations
 
 from collections import Counter
-from datetime import date
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AlignedPairs, ScoreKind, TradingCalendar, on_calendar
+from .core import AlignedPairs, ScoreKind
 from .entropy import marginal_entropy, uncertainty_coefficient
 from .errors import InsufficientData, SentdepError
 from .granger import (
@@ -87,11 +88,10 @@ def _mask_groups(masks: np.ndarray) -> dict[bytes, list[int]]:
     return groups
 
 
-def price_matrix(prices: Mapping[str, Mapping[date, float]],
-                 calendar: TradingCalendar) -> np.ndarray:
-    """Each ticker's closes on the calendar (see :func:`~sentdep.core.on_calendar`),
-    one row per ticker in the mapping's order."""
-    return np.array([on_calendar(closes, calendar) for closes in prices.values()])
+def price_matrix(closes: Sequence[Sequence[float]]) -> np.ndarray:
+    """The tickers' calendar rows of closes (see :func:`~sentdep.core.on_calendar`),
+    stacked into one float64 matrix, one row per ticker."""
+    return np.array(closes, dtype=float)
 
 
 def _lagged_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
@@ -240,28 +240,29 @@ def kind_cells(
 def analyze_cells(
     config: PipelineConfig,
     aspects: Iterable[str],
-    series: Mapping[tuple[str, ScoreKind], Mapping[date, float]],
+    series: Mapping[tuple[str, ScoreKind], Sequence[float]],
     tickers: Sequence[str],
     closes: np.ndarray,
-    calendar: TradingCalendar,
     tally: Counter | None = None,
 ) -> list[DependenceCell]:
     """One cell per (aspect x 4 kinds x ticker), in that nesting order.
 
-    ``closes`` is the price matrix of ``tickers`` on ``calendar`` (see
-    :func:`price_matrix`). ``aspects`` is iterated once, and the next
-    aspect is taken only when the cells of the last are done. Every
-    series is put on the calendar once; with ``absent_as_zero`` the
-    missing days of the absolute kinds read 0. The four kinds of one
-    aspect share the parts of the closes (see :func:`kind_cells`), which
-    are dropped when the next aspect begins. ``tally``, when given,
-    counts the fits and entropy estimates made.
+    ``series`` holds the calendar row of each (aspect, kind) (see
+    :func:`~sentdep.core.on_calendar`) and ``closes`` is the price matrix
+    of ``tickers`` on the same calendar (see :func:`price_matrix`).
+    ``aspects`` is iterated once, and the next aspect is taken only when
+    the cells of the last are done. Each row is copied into a float64
+    array; with ``absent_as_zero`` the missing days of the absolute kinds
+    read 0. The four kinds of one aspect share the parts of the closes
+    (see :func:`kind_cells`), which are dropped when the next aspect
+    begins. ``tally``, when given, counts the fits and entropy estimates
+    made.
     """
     cells: list[DependenceCell] = []
     for aspect in aspects:
         close_parts: dict = {}
         for kind in ScoreKind:
-            x = on_calendar(series.get((aspect, kind), {}), calendar)
+            x = np.array(series[(aspect, kind)], dtype=float)
             if config.absent_as_zero and kind.is_absolute:
                 x[np.isnan(x)] = 0.0
             cells += kind_cells(aspect, kind, x, tickers, closes, config, close_parts, tally)

@@ -1,18 +1,19 @@
-"""Domain types, trading calendar, and lag alignment.
+"""Domain types and the trading calendar.
 
 Dates are plain ``datetime.date`` values interpreted as UTC calendar days.
 A trading day is a date on which the exchange published a closing price;
 the calendar is always supplied (parsed from price files or an explicit
 list), never inferred from holiday rules, and holds each listed day once,
 in increasing order. Readers return a daily series as a date -> value
-dict; for analysis it becomes one float array indexed by trading day,
-NaN marking a missing day, so a lag of L trading days is a shift by L
-elements.
+dict; for analysis it becomes one row of floats indexed by trading day
+(:func:`on_calendar`), NaN marking a missing day, so a lag of L trading
+days is a shift by L elements.
 
-The text stages never touch those arrays, so numpy is imported only by
-the functions that build or align them: a process that only reads,
-labels and scores text does not load it. The defaults of the statistics
-live here too, where the config table and the statistics both read them.
+Nothing here imports numpy when it loads: the rows are ``array('d')``,
+so the process that reads the inputs can put them on the calendar
+without the numerical stack, and the analysis wraps them in arrays. The
+defaults of the statistics live here too, where the config table and the
+statistics both read them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-from .errors import EmptyAlignment
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 #: Default neighbor order of the entropy estimates: a common bias/variance
@@ -39,6 +40,9 @@ DEFAULT_ALPHA = 0.05
 
 #: |r| must strictly exceed this to be called significant.
 DEFAULT_THRESHOLD = 0.4
+
+#: The one element of a calendar row before its observations are placed.
+_NAN = (float("nan"),)
 
 
 class PolarityLabel(Enum):
@@ -117,16 +121,18 @@ class TradingCalendar:
         return f"TradingCalendar({self._days[0]}..{self._days[-1]}, {len(self._days)} days)"
 
 
-def on_calendar(values: Mapping[date, float], calendar: TradingCalendar) -> np.ndarray:
-    """A daily series as a float64 array indexed by trading day.
+def on_calendar(values: Mapping[date, float], calendar: TradingCalendar) -> array:
+    """A daily series as a row of floats indexed by trading day.
 
     Element i holds the value on ``calendar.days[i]`` and NaN where the
     series has no observation; values on dates off the calendar are
-    dropped.
+    dropped. The row is an ``array('d')``: it needs no numpy, pickles as
+    its raw bytes, and the analysis wraps it in a float64 array without
+    changing a bit.
     """
-    import numpy as np
+    from array import array
 
-    out = np.full(len(calendar), np.nan)
+    out = array("d", _NAN) * len(calendar)
     index = calendar._index
     for d, v in values.items():
         i = index.get(d)
@@ -141,14 +147,11 @@ class AlignedPairs:
 
     ``pairs`` is an (n, 2) float64 array (any sequence of pairs is
     converted); row i holds the sentiment observed ``lag_days`` trading
-    days before the trading day of its price value. ``kept``, when set,
-    is the boolean mask over the price days ``lag_days`` onwards of the
-    calendar that marks the days the pairs come from.
+    days before the trading day of its price value.
     """
 
     pairs: np.ndarray
     lag_days: int
-    kept: np.ndarray | None = None
 
     def __post_init__(self):
         import numpy as np
@@ -167,41 +170,17 @@ class AlignedPairs:
         return self.pairs[:, 1]
 
 
-def align_lagged(x: np.ndarray, y: np.ndarray, lag: int = 1) -> AlignedPairs:
-    """Pair each price with the sentiment ``lag`` trading days earlier.
+class AnalysisInputs(NamedTuple):
+    """What the analysis reads, on the trading calendar (see
+    :func:`sentdep.prepare.prepare_analysis`).
 
-    ``x`` and ``y`` are calendar arrays (see :func:`on_calendar`): the
-    price on trading day t pairs with the sentiment on trading day t − lag,
-    i.e. ``x[:-lag]`` with ``y[lag:]``, and pairs with either side missing
-    are skipped (pairwise deletion). Output is in calendar order, with the
-    mask of the days kept.
-    Sentiment on non-trading days never reaches the array, so it is never
-    consulted.
-
-    Raises EmptyAlignment when no pair survives.
+    ``aspects`` are the top aspects in presentation order, ``tickers``
+    the price files' tickers in config order, ``closes`` one calendar row
+    per ticker, and ``series`` one calendar row per (top aspect, kind).
+    Every row is an ``array('d')`` (see :func:`on_calendar`).
     """
-    import numpy as np
 
-    xs, ys = x[:-lag], y[lag:]
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    if not keep.any():
-        raise EmptyAlignment(f"no (sentiment, price) pairs at lag {lag}")
-    return AlignedPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag,
-                        kept=keep)
-
-
-def paired_on_common_days(
-    x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Same-date (sentiment, price) arrays over the trading days both cover.
-
-    ``x`` and ``y`` are calendar arrays; the third array returned is the
-    boolean calendar mask of those common days. This is the input shape
-    for the Granger test, whose own lag terms supply the time shift;
-    contrast with :func:`align_lagged`, which bakes the shift into the
-    pairs for the symmetric statistics.
-    """
-    import numpy as np
-
-    keep = np.isfinite(x) & np.isfinite(y)
-    return x[keep], y[keep], keep
+    aspects: list[str]
+    tickers: list[str]
+    closes: list[array]
+    series: dict[tuple[str, ScoreKind], array]

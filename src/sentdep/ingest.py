@@ -335,7 +335,8 @@ def _tweet_from_json(line: str) -> TweetRecord | None:
         return None
 
 
-def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator[TweetRecord]:
+def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
+                 digest=None) -> Iterator[TweetRecord]:
     """Stream the English posts of a JSONL tweet file, in file order.
 
     Records with ``lang != "en"`` are excluded. A line is malformed when
@@ -352,6 +353,10 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator
     record, and should write nothing before it has read the stream to the
     end. Blank lines are ignored entirely. Lines end at a line feed, as
     JSON Lines prescribes; a carriage return before it is whitespace.
+
+    ``digest``, a :mod:`hashlib` object, is fed every byte of the file as
+    its lines are read, so a consumer that reads the stream to the end
+    holds the file's hash without reading the file again.
     """
     path = Path(path)
     total = 0
@@ -359,6 +364,8 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP) -> Iterator
     # Decoded line by line, so one undecodable line is one malformed line.
     with open_input(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:

@@ -18,10 +18,13 @@ keywords, so the tweet file is read and tokenized once.
 Nothing in the pipeline draws random numbers, so identical inputs and
 configuration always produce identical outputs.
 
-The two halves of a run share nothing but the scores. Only the analysis
-needs numpy and SciPy; its cell code lives in :mod:`sentdep.analysis`,
-which :func:`stage_analyze` imports when it runs, so this module and the
-text stages load neither.
+The two halves of a run share nothing but the analysis inputs. Only the
+analysis needs numpy and SciPy; its cell code lives in
+:mod:`sentdep.analysis`, which :func:`stage_analyze` imports when it
+runs, so this module and the text stages load neither. What the analysis
+reads besides the scores (the aspect lexicon, the price files and the
+calendar) is put on the trading calendar as rows of floats without numpy,
+by :func:`sentdep.prepare.prepare_analysis`.
 
 A run uses two processes twice, through one helper,
 :func:`sentdep.fork.beside`, which :func:`run_pipeline` and
@@ -29,9 +32,12 @@ A run uses two processes twice, through one helper,
 two or more allowed CPUs, keeps the lowest for the parent and gives the
 child the rest, because a cpuset without load balancing never moves a
 forked child off its parent's CPU. First, before the numerical stack is
-loaded, a child runs the keyword, label and score stages while the
-parent imports numpy, the statistics and ``scipy.special`` (see
-:func:`_ingest_beside_import`). Then :func:`stage_analyze` shares the
+loaded, a child runs the keyword, label and score stages, reads the
+price files and the calendar, prepares the analysis inputs and hashes
+every input file for the manifest, while the parent imports numpy, the
+statistics and ``scipy.special`` (see :func:`_ingest_beside_import`). The
+parent then only stacks the rows it is sent; it never holds the price or
+score dicts. Then :func:`stage_analyze` shares the
 aspects with a forked worker: both processes claim them, one block at a
 time, from one pipe that the parent filled before the fork, so whichever
 process is free takes the next block (see :func:`_analyze_beside`).
@@ -58,28 +64,25 @@ from datetime import date
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DEFAULT_ALPHA,
     DEFAULT_K,
     DEFAULT_THRESHOLD,
     MAX_K,
+    AnalysisInputs,
     PolarityLabel,
     ScoreKind,
-    TradingCalendar,
 )
 from .errors import ConfigError, FormatError
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
-    AspectLexicon,
     KeywordCounts,
-    comment_lines,
     keyword_frequencies,
     load_aspects,
     make_output_dir,
     parse_labeled,
-    parse_prices,
     parse_tweets,
     read_lines,
     write_keyword_frequencies,
@@ -94,7 +97,7 @@ from .report import (
     write_cells,
     write_manifest,
 )
-from .scores import Scores, aggregate_daily, aspect_days, read_scores, write_scores
+from .scores import Scores, aggregate_daily, aspect_days, write_scores
 
 logger = logging.getLogger(__name__)
 
@@ -218,12 +221,12 @@ class PipelineConfig:
         for holds, message in _REQUIREMENTS:
             if not holds(self):
                 raise ConfigError(message)
-        for name, p in self._input_files():
+        for name, p in self.input_files():
             if not Path(p).is_file():
                 raise ConfigError(f"{name} file does not exist: {p}")
         check_values(**vars(self))
 
-    def _input_files(self) -> list[tuple[str, Path]]:
+    def input_files(self) -> list[tuple[str, Path]]:
         """(logical name, path) for every configured input file."""
         out: list[tuple[str, Path]] = []
         for key in CONFIG_KEYS:
@@ -318,51 +321,6 @@ def load_config(path) -> PipelineConfig:
     return config
 
 
-def load_calendar(path) -> TradingCalendar:
-    """Read an explicit trading calendar: one ISO date per line, '#' comments.
-
-    A line that is not an ISO date, or a file without any date, raises
-    FormatError.
-    """
-    days: list[date] = []
-    for lineno, line in comment_lines(path):
-        try:
-            days.append(date.fromisoformat(line))
-        except ValueError:
-            raise FormatError(f"not an ISO date: {line!r}",
-                              path=path, line_number=lineno) from None
-    if not days:
-        raise FormatError("calendar lists no trading day", path=path)
-    return TradingCalendar(days)
-
-
-def build_calendar(
-    config: PipelineConfig, prices: Mapping[str, Mapping[date, float]]
-) -> TradingCalendar:
-    """The run's trading calendar: explicit file, or union of price dates."""
-    if config.calendar is not None:
-        return load_calendar(config.calendar)
-    return TradingCalendar(day for closes in prices.values() for day in closes)
-
-
-def select_top_aspects(
-    lexicon: AspectLexicon, frequencies: Mapping[str, int], top_n: int
-) -> list[str]:
-    """The ``top_n`` most-mentioned aspects, in presentation order.
-
-    Candidates are the lexicon entries plus any aspect appearing in the
-    labels; ranking is by total label count descending, ties broken
-    lexicographically. The returned list is reordered for presentation:
-    lexicon order first, remaining aspects alphabetical.
-    """
-    candidates = set(lexicon.aspects) | set(frequencies)
-    ranked = sorted(candidates, key=lambda a: (-frequencies.get(a, 0), a))
-    chosen = set(ranked[:top_n])
-    ordered = [a for a in lexicon.aspects if a in chosen]
-    ordered.extend(sorted(chosen.difference(lexicon.aspects)))
-    return ordered
-
-
 # --- stages ---------------------------------------------------------------
 
 
@@ -371,9 +329,13 @@ def stage_keywords(
     out_path,
     min_count: int = PipelineConfig.min_keyword_count,
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
+    digest=None,
 ) -> int:
-    """tweets.jsonl -> keywords.csv; returns the number of keywords kept."""
-    tweets = parse_tweets(tweets_path, malformed_cap)
+    """tweets.jsonl -> keywords.csv; returns the number of keywords kept.
+
+    ``digest`` is fed the tweet file's bytes (see :func:`parse_tweets`).
+    """
+    tweets = parse_tweets(tweets_path, malformed_cap, digest)
     freqs = keyword_frequencies(tweets, min_count=min_count)
     write_keyword_frequencies(freqs, out_path)
     return len(freqs)
@@ -389,17 +351,19 @@ def stage_label(
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
     keywords_path=None,
     min_count: int = PipelineConfig.min_keyword_count,
+    digest=None,
 ) -> list[tuple[str, date, str, PolarityLabel]]:
     """tweets.jsonl -> labels.csv; returns the labels written.
 
     With ``keywords_path`` it also writes what :func:`stage_keywords` would
     write there, from the same single read of the tweets. Nothing is
     written before the whole tweet file has been read, so a file over the
-    malformed-line cap leaves neither output behind.
+    malformed-line cap leaves neither output behind. ``digest`` is fed
+    the tweet file's bytes (see :func:`parse_tweets`).
     """
     aspects = load_aspects(aspects_path)
     lexicon = PolarityLexicon.from_files(positive_path, negative_path)
-    tweets = parse_tweets(tweets_path, malformed_cap)
+    tweets = parse_tweets(tweets_path, malformed_cap, digest)
     keywords = None
     if keywords_path is not None:
         keywords = KeywordCounts()
@@ -426,13 +390,14 @@ def stage_score(labels_path, out_path, labels=None) -> Scores:
 
 
 def stage_analyze(
-    config: PipelineConfig, scores_path, cells_path, scores: Scores | None = None
+    config: PipelineConfig, scores_path, cells_path, inputs: AnalysisInputs | None = None
 ) -> list[DependenceCell]:
     """scores.csv + price files -> cells.csv; returns the cell list.
 
-    ``scores`` are the series and totals of ``scores_path`` when the caller
-    already holds them (as :func:`stage_score` returns them); otherwise
-    they are read from the file.
+    ``inputs`` are what :func:`sentdep.prepare.prepare_analysis` makes of
+    ``scores_path`` and the config's other inputs when the caller already
+    holds them; otherwise they are prepared here, before anything
+    numerical is loaded.
 
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
@@ -440,9 +405,13 @@ def stage_analyze(
     statistics and ``scipy.special`` are imported here, on the first call,
     with this thread pinned to one CPU (see :func:`sentdep.fork.lowest_cpu`),
     so their thread pools start no worker thread before the fork. The
-    price matrix is built once, before the fork, and a forked worker
-    claims aspects beside this process (see :func:`_analyze_beside`).
+    closes are stacked into one matrix before the fork, and a forked
+    worker claims aspects beside this process (see :func:`_analyze_beside`).
     """
+    if inputs is None:
+        from .prepare import prepare_analysis
+
+        inputs = prepare_analysis(config, scores_path)
     if "sentdep.analysis" not in sys.modules:
         from .fork import lowest_cpu
 
@@ -450,14 +419,9 @@ def stage_analyze(
             _import_analysis()
     from .analysis import analyze_cells, price_matrix
 
-    aspect_lexicon = load_aspects(config.aspects)
-    series, totals = read_scores(scores_path) if scores is None else scores
-    prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
-    calendar = build_calendar(config, prices)
-    top = select_top_aspects(aspect_lexicon, totals, config.top_n_aspects)
     cells = _analyze_beside(
-        partial(analyze_cells, config, series=series, tickers=list(prices),
-                closes=price_matrix(prices, calendar), calendar=calendar), top)
+        partial(analyze_cells, config, series=inputs.series, tickers=inputs.tickers,
+                closes=price_matrix(inputs.closes)), inputs.aspects)
     write_cells(cells, cells_path)
     if cells and all(c.r is None and c.granger_f is None and c.u is None for c in cells):
         logger.warning("no cell produced any statistic (no usable label/price overlap)")
@@ -479,8 +443,18 @@ def stage_report(cells: Sequence[DependenceCell], output_dir) -> list[Path]:
     return written
 
 
-def _ingest(config: PipelineConfig, out: Path) -> Scores:
-    """The text half of a run: keywords.csv, labels.csv and scores.csv."""
+def _ingest(config: PipelineConfig, out: Path) -> tuple[AnalysisInputs, dict[str, str]]:
+    """The text half of a run and the analysis inputs.
+
+    Writes keywords.csv, labels.csv and scores.csv, then prepares what the
+    analysis reads (see :func:`sentdep.prepare.prepare_analysis`) and the
+    manifest's input digests; the tweet file is hashed as it is read.
+    """
+    import hashlib
+
+    from .prepare import input_digests, prepare_analysis
+
+    tweets_hash = None if config.tweets is None else hashlib.sha256()
     labels = None
     if config.labels is not None:
         labels_path = config.labels
@@ -488,7 +462,7 @@ def _ingest(config: PipelineConfig, out: Path) -> Scores:
             n_keywords = stage_keywords(
                 config.tweets, out / "keywords.csv",
                 min_count=config.min_keyword_count,
-                malformed_cap=config.max_malformed_fraction,
+                malformed_cap=config.max_malformed_fraction, digest=tweets_hash,
             )
             logger.info("keywords: %d kept", n_keywords)
     else:
@@ -498,12 +472,16 @@ def _ingest(config: PipelineConfig, out: Path) -> Scores:
             config.negative_terms, labels_path,
             window=config.window, malformed_cap=config.max_malformed_fraction,
             keywords_path=out / "keywords.csv", min_count=config.min_keyword_count,
+            digest=tweets_hash,
         )
         logger.info("labels: %d occurrences", len(labels))
 
     scores = stage_score(labels_path, out / "scores.csv", labels)
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
-    return scores
+    del labels  # counted into the scores; not held while the prices are read
+    inputs = prepare_analysis(config, out / "scores.csv", scores)
+    tweets_sha256 = None if tweets_hash is None else tweets_hash.hexdigest()
+    return inputs, input_digests(config, tweets_sha256)
 
 
 def _import_analysis() -> int:
@@ -538,10 +516,14 @@ def _import_analysis() -> int:
             gc.enable()
 
 
-def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
+def _ingest_beside_import(
+    ingest: Callable[[], tuple[AnalysisInputs, dict[str, str]]]
+) -> tuple[AnalysisInputs, dict[str, str]]:
     """``ingest()``, run in a forked child while this process imports the analysis.
 
-    The child writes keywords.csv, labels.csv and scores.csv (see
+    The child writes keywords.csv, labels.csv and scores.csv, reads the
+    price files and the calendar, and sends back the analysis inputs and
+    the input digests (see :func:`_ingest` and
     :func:`sentdep.fork.beside`). Nothing numerical is loaded before the
     fork, so the process forks with one thread and the child never loads
     it. numpy and SciPy first loaded here see the one CPU this thread is
@@ -553,15 +535,18 @@ def _ingest_beside_import(ingest: Callable[[], Scores]) -> Scores:
     from .fork import beside, measured
 
     start = perf_counter()
-    (scores, child), (frozen, parent) = beside(partial(measured, ingest),
-                                               partial(measured, _import_analysis))
+    (prepared, child), (frozen, parent) = beside(partial(measured, ingest),
+                                                 partial(measured, _import_analysis))
     if child.pid != parent.pid:  # an ingest run inline overlapped nothing
-        logger.info("ingest %.3f s in a child process on CPUs %s; numpy, statistics "
-                    "and scipy.special import %.3f s meanwhile on CPUs %s; then waited "
+        inputs, _ = prepared
+        logger.info("ingest and analysis inputs (%d price files, %d trading days) "
+                    "%.3f s in a child process on CPUs %s; numpy, statistics and "
+                    "scipy.special import %.3f s meanwhile on CPUs %s; then waited "
                     "%.3f s; froze %d objects",
-                    child.wall_s, child.cpus, parent.wall_s, parent.cpus,
+                    len(inputs.tickers), len(inputs.closes[0]), child.wall_s, child.cpus,
+                    parent.wall_s, parent.cpus,
                     perf_counter() - start - parent.wall_s, frozen)
-    return scores
+    return prepared
 
 
 #: Bytes of one claim record: a block index, little-endian.
@@ -640,23 +625,24 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
 
     Artifacts: keywords.csv (when tweets are configured), labels.csv
     (when labeled internally), scores.csv, cells.csv, eight heatmaps,
-    granger.csv, run_manifest.json. The keyword, label and score stages
-    run in a forked child while this process imports numpy and the
-    statistics (see :func:`_ingest_beside_import`); the analysis shares
-    its aspects with a forked worker (see :func:`_analyze_beside`).
+    granger.csv, run_manifest.json. The keyword, label and score stages,
+    the reading of the price files and the calendar, and the hashing of
+    the inputs run in a forked child while this process imports numpy and
+    the statistics (see :func:`_ingest_beside_import`); the analysis
+    shares its aspects with a forked worker (see :func:`_analyze_beside`).
     """
     config.validate()
     out = make_output_dir(config.output_dir)
-    scores = _ingest_beside_import(partial(_ingest, config, out))
+    inputs, digests = _ingest_beside_import(partial(_ingest, config, out))
 
-    cells = stage_analyze(config, out / "scores.csv", out / "cells.csv", scores)
+    cells = stage_analyze(config, out / "scores.csv", out / "cells.csv", inputs)
     logger.info("analysis: %d dependence cells", len(cells))
 
     stage_report(cells, out)
     write_manifest(
         out / "run_manifest.json",
         config_echo=config.manifest_echo(),
-        input_paths=config._input_files(),
+        digests=digests,
         seed=config.seed,
     )
     return cells

@@ -21,11 +21,9 @@ Artifacts:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import platform
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import ScoreKind
 from .errors import FormatError
@@ -180,36 +178,30 @@ def emit_granger_table(cells: Sequence[DependenceCell], path) -> None:
                                key=lambda c: (c.granger_p, c.aspect, c.kind.code))))
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(
     path,
     config_echo: Mapping[str, object],
-    input_paths: Iterable[tuple[str, object]],
+    digests: Mapping[str, str],
     seed: int,
 ) -> None:
     """Write the reproducibility manifest.
 
     Contains the effective configuration (paths normalized to names, no
-    output directory), SHA-256 digests of every input file, library
-    versions, and the seed. Deliberately timestamp-free: reruns with the
-    same inputs and config must produce identical bytes.
+    output directory), the SHA-256 digest of every input file (``digests``,
+    by name; see :func:`sentdep.prepare.input_digests`), library versions,
+    and the seed. Deliberately timestamp-free: reruns with the same inputs
+    and config must produce identical bytes.
     """
+    import platform
+
     import numpy
     import scipy
 
     from . import __version__
 
-    digests = {name: sha256_file(p) for name, p in input_paths}
     manifest = {
         "config": dict(config_echo),
-        "inputs_sha256": digests,
+        "inputs_sha256": dict(digests),
         "seed": seed,
         "versions": {
             "python": platform.python_version(),

@@ -12,7 +12,9 @@ tuple at a time instead of in one pass over memoised fields, price
 files read with every field of every row stripped first instead of only
 the two fields used, tweet text tokenized with the URL pattern run on
 every text and every token stripped one character at a time, and window
-votes counted index by index instead of over slices.
+votes counted index by index instead of over slices, series put on the
+calendar in a numpy array instead of an ``array('d')`` row, and each
+cell's pairs aligned on its own masks instead of one mask per ticker.
 """
 
 from __future__ import annotations
@@ -20,19 +22,19 @@ from __future__ import annotations
 import logging
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from datetime import date
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from sentdep.core import (
+    AlignedPairs,
     AspectDayCount,
     PolarityLabel,
     ScoreKind,
-    align_lagged,
-    on_calendar,
-    paired_on_common_days,
+    TradingCalendar,
 )
 from sentdep.entropy import uncertainty_coefficient
 from sentdep.errors import (
@@ -53,7 +55,7 @@ from sentdep.ingest import (
 )
 from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import pearson
-from sentdep.pipeline import build_calendar, select_top_aspects
+from sentdep.prepare import build_calendar, select_top_aspects
 from sentdep.report import DependenceCell
 from sentdep.scores import aggregate_daily
 
@@ -303,6 +305,54 @@ def prices_row_by_row(path, ticker: str) -> dict[date, float]:
     return values
 
 
+def on_calendar_numpy(values: Mapping[date, float], calendar: TradingCalendar) -> np.ndarray:
+    """A daily series as a float64 array indexed by trading day, NaN where
+    it has no observation, filled element by element into ``np.full``."""
+    out = np.full(len(calendar), np.nan)
+    index = {d: i for i, d in enumerate(calendar.days)}
+    for d, v in values.items():
+        i = index.get(d)
+        if i is not None:
+            out[i] = v
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class KeptPairs(AlignedPairs):
+    """Lag-aligned pairs with ``kept``, the boolean mask over the price
+    days ``lag_days`` onwards of the calendar that marks the days the
+    pairs come from."""
+
+    kept: np.ndarray | None = None
+
+
+def align_lagged(x, y, lag: int = 1) -> KeptPairs:
+    """Pair each price with the sentiment ``lag`` trading days earlier.
+
+    ``x`` and ``y`` are calendar rows (see
+    :func:`sentdep.core.on_calendar`): the price on trading day t pairs
+    with the sentiment on trading day t − lag, i.e. ``x[:-lag]`` with
+    ``y[lag:]``, and pairs with either side missing are skipped (pairwise
+    deletion). Output is in calendar order, with the mask of the days
+    kept. Raises EmptyAlignment when no pair survives.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xs, ys = x[:-lag], y[lag:]
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if not keep.any():
+        raise EmptyAlignment(f"no (sentiment, price) pairs at lag {lag}")
+    return KeptPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag, kept=keep)
+
+
+def paired_on_common_days(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Same-date (sentiment, price) arrays over the trading days both cover,
+    and the boolean calendar mask of those days: the Granger test's input,
+    whose own lag terms supply the time shift."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y)
+    return x[keep], y[keep], keep
+
+
 def _reason(exc: SentdepError) -> str:
     if isinstance(exc, (EmptyAlignment, InsufficientData)):
         return "InsufficientData"
@@ -351,10 +401,10 @@ def unshared_cells(config, series, totals) -> list[DependenceCell]:
     cells = []
     for aspect in top:
         for kind in ScoreKind:
-            x = on_calendar(series.get((aspect, kind), {}), calendar)
+            x = on_calendar_numpy(series.get((aspect, kind), {}), calendar)
             if config.absent_as_zero and kind.is_absolute:
                 x = np.where(np.isnan(x), 0.0, x)
             for ticker, closes in prices.items():
-                y = on_calendar(closes, calendar)
+                y = on_calendar_numpy(closes, calendar)
                 cells.append(unshared_cell(aspect, kind, ticker, x, y, config))
     return cells

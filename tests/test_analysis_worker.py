@@ -14,15 +14,8 @@ import sentdep.analysis
 from sentdep.analysis import analyze_cells, price_matrix
 from sentdep.cli import main
 from sentdep.errors import FormatError
-from sentdep.ingest import load_aspects, parse_prices
-from sentdep.pipeline import (
-    build_calendar,
-    load_config,
-    run_pipeline,
-    select_top_aspects,
-    stage_analyze,
-)
-from sentdep.scores import read_scores
+from sentdep.pipeline import load_config, run_pipeline, stage_analyze
+from sentdep.prepare import prepare_analysis
 from test_cli import run_python
 from test_forked_ingest import (  # noqa: F401  (hang_guard and placed_run are fixtures)
     OBSERVED_FORKS,
@@ -62,12 +55,9 @@ def fixture_scores(tmp_path_factory):
 
 def inline_cells(config):
     """(the top aspects, their cells computed in this process alone)."""
-    series, totals = read_scores(config.output_dir / "scores.csv")
-    prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
-    top = select_top_aspects(load_aspects(config.aspects), totals, config.top_n_aspects)
-    calendar = build_calendar(config, prices)
-    return top, analyze_cells(config, top, series, list(prices),
-                              price_matrix(prices, calendar), calendar)
+    inputs = prepare_analysis(config, config.output_dir / "scores.csv")
+    return inputs.aspects, analyze_cells(config, inputs.aspects, inputs.series,
+                                         inputs.tickers, price_matrix(inputs.closes))
 
 
 def same_cells(cells, inline):

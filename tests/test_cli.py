@@ -605,6 +605,15 @@ def test_cli_import_and_config_validation_load_no_numpy(tmp_path):
     assert run_python(VALIDATE_AND_LIST, ini, "numpy").strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["sentdep.prepare", "hashlib", "platform", "array"])
+def test_cli_import_and_config_validation_leave_the_run_inputs_unloaded(tmp_path, module):
+    # The analysis inputs are prepared, and the inputs hashed, in the ingest
+    # child of a run (or by `analyze`): the start of every command pays
+    # nothing for them.
+    ini = build_tweet_tree(tmp_path)
+    assert run_python(VALIDATE_AND_LIST, ini, module).strip() == "[]"
+
+
 @pytest.mark.parametrize("command", ["keywords", "label", "score", "report"])
 def test_text_commands_load_no_numpy_or_scipy(tmp_path, capsys, monkeypatch, command):
     clean_run_tree(tmp_path, capsys, monkeypatch)

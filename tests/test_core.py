@@ -1,5 +1,7 @@
-"""Trading calendar, domain types, and lag alignment."""
+"""Trading calendar, domain types, calendar rows, and the lag alignment
+of the oracle cells."""
 
+from array import array
 from datetime import date, timedelta
 
 import pytest
@@ -8,13 +10,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from oracles import align_lagged, on_calendar_numpy, paired_on_common_days
 from sentdep.core import (
     PolarityLabel,
     ScoreKind,
     TradingCalendar,
-    align_lagged,
     on_calendar,
-    paired_on_common_days,
 )
 from sentdep.errors import ConfigError, EmptyAlignment, FormatError
 from sentdep.ingest import parse_labeled, write_labeled
@@ -82,18 +83,41 @@ class TestDomainTypes:
 
 
 def on_cal(cal, x, y):
-    """The calendar arrays of a sentiment and a price series."""
+    """The calendar rows of a sentiment and a price series."""
     return on_calendar(x, cal), on_calendar(y, cal)
 
 
 class TestOnCalendar:
     def test_indexes_by_trading_day_with_nan_for_missing(self):
         cal = TradingCalendar(WEEK)
-        arr = on_calendar({WEEK[1]: 2.0, WEEK[5]: 7.0, date(2022, 10, 8): 9.0}, cal)
-        assert arr.dtype == np.float64 and arr.shape == (6,)
-        assert arr[1] == 2.0 and arr[5] == 7.0
+        row = on_calendar({WEEK[1]: 2.0, WEEK[5]: 7.0, date(2022, 10, 8): 9.0}, cal)
+        assert isinstance(row, array) and row.typecode == "d" and len(row) == 6
+        assert row[1] == 2.0 and row[5] == 7.0
         # the Saturday is off the calendar and dropped; other days are missing
-        assert np.isnan(arr[[0, 2, 3, 4]]).all()
+        assert np.isnan(np.array(row)[[0, 2, 3, 4]]).all()
+
+
+#: Values of a daily series: both zeros, and every other float a score or
+#: a close can hold (no NaN, which no reader returns).
+series_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=True))
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=60), min_size=1),
+    st.dictionaries(st.integers(min_value=-5, max_value=65), series_values),
+)
+@example(calendar_days={0, 1, 2, 4}, values={1: -0.0, 2: 0.0, 3: 9.0, -1: 1.0, 70: 2.0})
+def test_calendar_row_equals_the_numpy_array_bit_for_bit(calendar_days, values):
+    """The numpy-free row holds the bytes of a float64 array filled by numpy,
+    with days off the calendar dropped and days without a value NaN."""
+    base = date(2022, 10, 3)
+    cal = TradingCalendar(base + timedelta(days=o) for o in calendar_days)
+    series = {base + timedelta(days=o): v for o, v in values.items()}
+    row = on_calendar(series, cal)
+    expected = on_calendar_numpy(series, cal)
+    assert row.tobytes() == expected.tobytes()
+    assert np.array(row).tobytes() == expected.tobytes()
 
 
 class TestAlignLagged:

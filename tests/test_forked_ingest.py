@@ -20,8 +20,8 @@ import sentdep.pipeline
 from sentdep import errors
 from sentdep.cli import main
 from sentdep.pipeline import load_config, run_pipeline
-from test_cli import run_python
-from test_pipeline import EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
+from test_cli import add_calendar, run_python
+from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -159,6 +159,40 @@ def forks_seen(root):
     return [literal_eval(line) for line in (root / "fork.seen").read_text().splitlines()]
 
 
+#: ``sentdep run`` of the config argv[1], then ``sentdep analyze`` of its
+#: scores into ``analyzed.csv``, with spies on the price and score readers
+#: that write the pid of each call as a line of ``<reader>.pids``; prints
+#: this process's pid and whether the run loaded ``sentdep.prepare`` here.
+SPIED_READERS = (
+    "import os, sys\n"
+    "import sentdep.ingest, sentdep.scores\n"
+    "from sentdep.cli import main\n"
+    "def spy(module, name):\n"
+    "    real = getattr(module, name)\n"
+    "    def spied(*args, **kwargs):\n"
+    "        with open(name + '.pids', 'a') as fh:\n"
+    "            fh.write(f'{os.getpid()}\\n')\n"
+    "        return real(*args, **kwargs)\n"
+    "    setattr(module, name, spied)\n"
+    "spy(sentdep.ingest, 'parse_prices')\n"
+    "spy(sentdep.scores, 'read_scores')\n"
+    "assert main(['run', '--config', sys.argv[1], '--output-dir', 'out']) == 0\n"
+    "loaded = 'sentdep.prepare' in sys.modules\n"
+    "assert main(['analyze', '--config', sys.argv[1], '--scores', 'out/scores.csv',\n"
+    "             '--out', 'analyzed.csv']) == 0\n"
+    "print(os.getpid(), loaded)\n"
+)
+
+
+#: A fault that ``sentdep run`` now meets in its ingest child: the file it
+#: is in, and the line appended to it (or, for ``days.txt``, its lines).
+ANALYSIS_INPUT_FAULTS = {
+    "broken price file": ("AAA.csv", b"\xff\xfe"),
+    "repeated price Date": ("AAA.csv", f"{DAYS[3].isoformat()},12.5".encode()),
+    "bad calendar file": ("days.txt", f"{DAYS[0].isoformat()}\nnot-a-date".encode()),
+}
+
+
 @pytest.fixture(scope="module")
 def placed_run(tmp_path_factory):
     """(input tree, log lines but the timing lines) of a run into ``placed``."""
@@ -214,6 +248,51 @@ class TestForkedIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'out' / 'scores.csv'}: cannot write file")
         assert_no_child_left()
+
+    def test_the_parent_reads_no_price_or_score_file(self, tmp_path):
+        # The ingest child reads every price file and hands over the rows;
+        # the parent of a run calls neither reader and never loads the
+        # module that prepares them. `analyze` prepares the same inputs
+        # inline and writes the same cells.
+        assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        pid, loaded = run_python(SPIED_READERS, "config.ini", cwd=tmp_path).split()[-2:]
+        prices = (tmp_path / "parse_prices.pids").read_text().split()
+        tickers = len(load_config(tmp_path / "config.ini").prices)
+        assert len(prices) == 2 * tickers
+        assert pid not in prices[:tickers] and prices[tickers:] == [pid] * tickers
+        assert (tmp_path / "read_scores.pids").read_text().split() == [pid]
+        assert loaded == "False"
+        assert ((tmp_path / "analyzed.csv").read_bytes()
+                == (tmp_path / "out" / "cells.csv").read_bytes())
+
+    @pytest.mark.parametrize("fault", sorted(ANALYSIS_INPUT_FAULTS))
+    def test_bad_analysis_input_exits_two_like_analyze(self, tmp_path, capsys,
+                                                       monkeypatch, fault):
+        name, data = ANALYSIS_INPUT_FAULTS[fault]
+        ini = build_tweet_tree(tmp_path)
+        if name == "days.txt":
+            add_calendar(ini, [d.isoformat() for d in DAYS])
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "config.ini", "--output-dir", "clean"]) == 0
+        with open(tmp_path / name, "wb" if name == "days.txt" else "ab") as fh:
+            fh.write(data + b"\n")
+        capsys.readouterr()
+
+        assert main(["run", "--config", "config.ini"]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {name}:\d+: [^\n]+\n", err)
+        assert_no_child_left()
+        # the text stages wrote what they write today, and nothing after them
+        written = {"keywords.csv", "labels.csv", "scores.csv"}
+        assert {p.name for p in (tmp_path / "out").iterdir()} == written
+        for produced in sorted(written):
+            assert ((tmp_path / "out" / produced).read_bytes()
+                    == (tmp_path / "clean" / produced).read_bytes()), produced
+
+        assert main(["analyze", "--config", "config.ini", "--scores", "out/scores.csv",
+                     "--out", "cells.csv"]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "cells.csv").exists()
 
     def test_no_child_is_left_after_a_run(self, tmp_path):
         run_pipeline(load_config(build_tweet_tree(tmp_path)))

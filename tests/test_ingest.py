@@ -1,5 +1,6 @@
 """Parsers, tokenizer, and keyword counting."""
 
+import hashlib
 import json
 import logging
 import re
@@ -24,6 +25,7 @@ from sentdep.ingest import (
     write_labeled,
 )
 from sentdep.core import PolarityLabel
+from sentdep.prepare import sha256_file
 from sentdep.scores import aggregate_daily
 
 from oracles import (
@@ -32,6 +34,11 @@ from oracles import (
     prices_row_by_row,
     tokens_char_by_char,
 )
+
+
+#: One well-formed English tweet line, without its line end.
+GOOD_LINE = (b'{"id": "t1", "created_at": "2022-10-03T12:00:00Z", "text": "rates up", '
+             b'"lang": "en"}')
 
 
 def write_jsonl(path, records):
@@ -250,6 +257,23 @@ class TestParseTweets:
             json.dumps(tweet_obj(i, "ok")).encode() + b"\r\n" for i in range(3)
         ) + b"\r\n")
         assert [r.id for r in parse_tweets(p)] == ["t0", "t1", "t2"]
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"\n\n  \n" + GOOD_LINE + b"\n\n" + GOOD_LINE + b"\n\t\n",
+        GOOD_LINE + b"\n{broken\n\xff\xfe\n[1, 2]\n" + GOOD_LINE + b"\n",
+        GOOD_LINE + b"\r\n\r\n" + GOOD_LINE + b"\r\n",
+        GOOD_LINE + b"\n" + GOOD_LINE,
+        b"\n{broken\r\n" + GOOD_LINE + b"\r",
+    ], ids=["empty", "blank lines", "malformed lines", "crlf", "no final newline",
+            "all of them"])
+    def test_digest_is_the_files_sha256(self, tmp_path, content):
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(content)
+        digest = hashlib.sha256()
+        records = list(parse_tweets(p, malformed_cap=1.0, digest=digest))
+        assert len(records) == content.count(GOOD_LINE)
+        assert digest.hexdigest() == sha256_file(p)
 
 
 class TestParsePrices:

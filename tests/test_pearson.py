@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pearson_exact, pearson_float_lists
+from oracles import align_lagged, pearson_exact, pearson_float_lists
 from sentdep.analysis import kind_cells
 from sentdep.core import (
     DEFAULT_THRESHOLD,
     ScoreKind,
     TradingCalendar,
-    align_lagged,
     on_calendar,
 )
 from sentdep.errors import ConfigError, DegenerateSeries, InsufficientData
@@ -77,9 +76,9 @@ def lagged_cell(xs, ys, config):
     sentiment xs[i]."""
     days = [date(2022, 10, 3) + timedelta(days=i) for i in range(len(xs) + 1)]
     cal = TradingCalendar(days)
-    sent = on_calendar(dict(zip(days, xs)), cal)
-    price = on_calendar(dict(zip(days[1:], ys)), cal)
-    [cell] = kind_cells("tax", ScoreKind.ABS_POSITIVE, sent, ["AAA"], price[np.newaxis], config)
+    sent = np.array(on_calendar(dict(zip(days, xs)), cal))
+    price = np.array([on_calendar(dict(zip(days[1:], ys)), cal)])
+    [cell] = kind_cells("tax", ScoreKind.ABS_POSITIVE, sent, ["AAA"], price, config)
     return cell
 
 

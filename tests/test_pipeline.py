@@ -24,19 +24,17 @@ import sentdep.labeler
 import sentdep.pipeline
 from sentdep.core import ScoreKind, TradingCalendar, on_calendar
 from sentdep.errors import ConfigError, FormatError
-from sentdep.ingest import AspectLexicon, parse_prices
+from sentdep.ingest import AspectLexicon
 from oracles import unshared_cell, unshared_cells
 from sentdep.analysis import analyze_cells, kind_cells, price_matrix
 from sentdep.pipeline import (
     PipelineConfig,
-    build_calendar,
-    load_calendar,
     load_config,
     run_pipeline,
-    select_top_aspects,
     stage_analyze,
     stage_score,
 )
+from sentdep.prepare import build_calendar, load_calendar, prepare_analysis, select_top_aspects
 from sentdep.scores import read_scores
 
 FP, FN = ScoreKind.ABS_POSITIVE, ScoreKind.ABS_NEGATIVE
@@ -248,8 +246,8 @@ def planted_inputs():
 
 def cell_of(sent, price, cal, config):
     """The cell of (tax, fp, AAA) on the calendar arrays of two series."""
-    [cell] = kind_cells("tax", FP, on_calendar(sent, cal), ["AAA"],
-                        on_calendar(price, cal)[np.newaxis], config)
+    [cell] = kind_cells("tax", FP, np.array(on_calendar(sent, cal)), ["AAA"],
+                        price_matrix([on_calendar(price, cal)]), config)
     return cell
 
 
@@ -691,10 +689,10 @@ def test_grouped_cells_equal_the_unshared_oracle(case):
         series = {("tax", kind): {d: float(v) for d, v in zip(days, x) if not np.isnan(v)}
                   for kind, x in sentiment.items()}
         expected = unshared_cells(config, series, {"tax": 1})
-        prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
-    calendar = build_calendar(config, prices)
-    cells = analyze_cells(config, ["tax"], series, list(prices),
-                          price_matrix(prices, calendar), calendar)
+        inputs = prepare_analysis(config, None, (series, {"tax": 1}))
+    assert inputs.aspects == ["tax"]
+    cells = analyze_cells(config, inputs.aspects, inputs.series, inputs.tickers,
+                          price_matrix(inputs.closes))
     assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sentdep.errors import EmptySeries, FormatError
 from sentdep.ingest import comment_lines, csv_rows, load_aspects, parse_labeled, parse_prices
 from sentdep.labeler import PolarityLexicon
-from sentdep.pipeline import load_calendar
+from sentdep.prepare import load_calendar
 from sentdep.report import _CELL_COLUMNS, read_cells
 from sentdep.scores import read_scores
 

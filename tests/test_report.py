@@ -9,13 +9,13 @@ import pytest
 from sentdep.cli import main
 from sentdep.core import ScoreKind
 from sentdep.errors import FormatError, HeaderMismatch
+from sentdep.prepare import sha256_file
 from sentdep.report import (
     DependenceCell,
     emit_granger_table,
     emit_heatmap,
     heatmap_filename,
     read_cells,
-    sha256_file,
     write_cells,
     write_manifest,
 )
@@ -229,8 +229,9 @@ class TestManifest:
         inp.write_text("payload", encoding="utf-8")
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
         echo = {"lag": 1, "tickers": ["NEE"]}
-        write_manifest(m1, echo, [("tweets", inp)], seed=7)
-        write_manifest(m2, echo, [("tweets", inp)], seed=7)
+        digests = {"tweets": sha256_file(inp)}
+        write_manifest(m1, echo, digests, seed=7)
+        write_manifest(m2, echo, digests, seed=7)
         assert m1.read_bytes() == m2.read_bytes()
         doc = json.loads(m1.read_text(encoding="utf-8"))
         assert set(doc) == {"config", "inputs_sha256", "seed", "versions"}
