@@ -23,6 +23,7 @@ only for the rows that fail their quick checks.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -240,6 +241,14 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def csv_field(text: str) -> str:
+    """``text`` as :func:`write_csv` writes it as one field of a row:
+    quoted where it holds a comma, a quote or a line break."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
 
 
 def tokenize(text: str) -> list[str]:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind, sorted_day_counts
 from .errors import FormatError
-from .ingest import DayText, csv_rows, write_csv
+from .ingest import DayText, csv_field, csv_rows, open_output
 
 logger = logging.getLogger(__name__)
 
@@ -76,32 +76,37 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
     ``fs`` total row. Values use ``repr`` so floats round-trip exactly,
     and the returned series and totals equal what :func:`read_scores`
     reads back from the file.
+
+    The rows are formatted as text and written in one call, with the
+    bytes :func:`~sentdep.ingest.write_csv` would write: each aspect is
+    quoted once, as that writer quotes it (:func:`~sentdep.ingest.csv_field`),
+    and a day, a kind code or the ``repr`` of a finite float never needs
+    quoting.
     """
     series: dict[tuple[str, ScoreKind], dict[date, float]] = {}
     totals: dict[str, int] = {}
     fp_code, fn_code, nfp_code, nfn_code = (k.code for k in ScoreKind)
     day_text = DayText()
-
-    def rows():
-        aspect = None
-        for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-            if c.aspect != aspect:
-                aspect = c.aspect
-                fp, fn, nfp, nfn = (series.setdefault((aspect, k), {}) for k in ScoreKind)
-                totals.setdefault(aspect, 0)
-            d, day, total = c.day, day_text[c.day], c.total
-            fp[d] = v_fp = float(c.positive)
-            fn[d] = v_fn = float(c.negative)
-            nfp[d] = v_nfp = c.positive / total
-            nfn[d] = v_nfn = c.negative / total
-            totals[aspect] += total
-            yield aspect, day, fp_code, repr(v_fp)
-            yield aspect, day, fn_code, repr(v_fn)
-            yield aspect, day, TOTAL_KIND_CODE, repr(float(total))
-            yield aspect, day, nfp_code, repr(v_nfp)
-            yield aspect, day, nfn_code, repr(v_nfn)
-
-    write_csv(path, _SCORES_HEADER, rows())
+    lines = [",".join(_SCORES_HEADER) + "\n"]
+    aspect = None
+    for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
+        if c.aspect != aspect:
+            aspect = c.aspect
+            field = csv_field(aspect)
+            fp, fn, nfp, nfn = (series.setdefault((aspect, k), {}) for k in ScoreKind)
+            totals.setdefault(aspect, 0)
+        d, total = c.day, c.total
+        fp[d] = v_fp = float(c.positive)
+        fn[d] = v_fn = float(c.negative)
+        nfp[d] = v_nfp = c.positive / total
+        nfn[d] = v_nfn = c.negative / total
+        totals[aspect] += total
+        row = f"{field},{day_text[d]},"
+        lines.append(f"{row}{fp_code},{v_fp!r}\n{row}{fn_code},{v_fn!r}\n"
+                     f"{row}{TOTAL_KIND_CODE},{float(total)!r}\n"
+                     f"{row}{nfp_code},{v_nfp!r}\n{row}{nfn_code},{v_nfn!r}\n")
+    with open_output(path, newline="") as fh:
+        fh.write("".join(lines))
     return series, totals
 
 

@@ -10,7 +10,8 @@ every part of their statistics themselves instead of sharing the parts
 that depend on one series, label files checked and counted one row
 tuple at a time instead of in one pass over memoised fields, price
 files read with every field of every row stripped first instead of only
-the two fields used, tweet text tokenized with the URL pattern run on
+the two fields used, score files written by the CSV writer row by row
+instead of formatted as text with each aspect quoted once, tweet text tokenized with the URL pattern run on
 every text and every token stripped one character at a time, and window
 votes counted index by index instead of over slices, series put on the
 calendar in a numpy array instead of an ``array('d')`` row, and each
@@ -52,6 +53,7 @@ from sentdep.ingest import (
     csv_rows,
     load_aspects,
     parse_prices,
+    write_csv,
 )
 from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import pearson
@@ -254,6 +256,21 @@ def labels_row_by_row(path) -> list[AspectDayCount]:
             yield tweet_id, day, aspect, polarity
 
     return aggregate_daily(labels())
+
+
+def scores_row_by_row(counts: Sequence[AspectDayCount], path) -> None:
+    """A score file written one row tuple at a time by
+    :func:`sentdep.ingest.write_csv`, which quotes every field itself."""
+    def rows():
+        for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
+            day = c.day.isoformat()
+            yield c.aspect, day, "fp", repr(float(c.positive))
+            yield c.aspect, day, "fn", repr(float(c.negative))
+            yield c.aspect, day, "fs", repr(float(c.total))
+            yield c.aspect, day, "nfp", repr(c.positive / c.total)
+            yield c.aspect, day, "nfn", repr(c.negative / c.total)
+
+    write_csv(path, ("aspect", "date", "kind", "value"), rows())
 
 
 def prices_row_by_row(path, ticker: str) -> dict[date, float]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import scores_row_by_row
 from sentdep.core import PolarityLabel, ScoreKind
 from sentdep.errors import FormatError
 from sentdep.scores import AspectDayCount, aggregate_daily, read_scores, write_scores
@@ -217,3 +218,26 @@ def test_written_scores_equal_what_is_read_back(tmp_path_factory, raw):
     for (aspect, kind), days in series.items():
         assert all(type(v) is float for v in days.values()), (aspect, kind)
     assert all(type(v) is int for v in totals.values())
+
+
+#: Aspects as external label files can spell them: with the characters a
+#: CSV writer quotes (comma, quote, line breaks), spaces and any letters.
+csv_aspects = st.one_of(
+    st.sampled_from(["tax", "stock market", "a,b", 'say "hi"', "two\nlines", "cr\rx", "ß"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(
+    st.tuples(csv_aspects, st.integers(min_value=0, max_value=6),
+              st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9),
+              st.integers(min_value=0, max_value=9)).filter(lambda t: sum(t[2:]) > 0),
+    max_size=20, unique_by=lambda t: t[:2]))
+@example([("a,b", 0, 1, 2, 0), ('say "hi"', 1, 0, 0, 3), ("two\nlines", 0, 5, 0, 0)])
+def test_written_scores_are_the_csv_writers_bytes(tmp_path_factory, raw):
+    counts = [AspectDayCount(a, D0 + timedelta(days=o), p, n, u) for a, o, p, n, u in raw]
+    root = tmp_path_factory.mktemp("scores")
+    write_scores(counts, root / "scores.csv")
+    scores_row_by_row(counts, root / "oracle.csv")
+    assert (root / "scores.csv").read_bytes() == (root / "oracle.csv").read_bytes()
