@@ -23,10 +23,6 @@ class SentdepError(Exception):
         return _rebuilt, (type(self), self.args), self.__dict__
 
 
-class EmptyAlignment(SentdepError):
-    """Lag-aligning two series produced zero usable pairs."""
-
-
 class FormatError(SentdepError):
     """An input file violates its documented format.
 

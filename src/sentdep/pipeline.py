@@ -43,7 +43,9 @@ time, from one pipe that the parent filled before the fork, so whichever
 process is free takes the next block (see :func:`_analyze_beside`).
 
 The numerical stack is loaded once per process, by
-:func:`_import_analysis`, with the cyclic garbage collector disabled,
+:func:`_import_analysis`, without the numpy submodules that SciPy's
+array-API layer would load and no run uses (see
+:func:`_import_scipy_special`), with the cyclic garbage collector disabled,
 and the objects it leaves are then frozen (:func:`gc.freeze`) before the
 analysis worker is forked. They live until the process ends, so no
 collection needs to walk them: not the parent's, not the worker's after
@@ -490,7 +492,7 @@ def _import_analysis() -> int:
     Returns how many objects this call froze. The call that first loads
     :mod:`sentdep.analysis` imports with the cyclic garbage collector
     disabled, then moves every object the collector tracks into its
-    permanent generation (:func:`gc.freeze`): about 63,000 objects of
+    permanent generation (:func:`gc.freeze`): about 42,000 objects of
     numpy, the statistics and ``scipy.special``, which live until the
     process ends. No collection walks them again: not the import's own,
     not those of an analysis worker forked afterwards, and not the full
@@ -498,14 +500,22 @@ def _import_analysis() -> int:
     saves). The caller's collector state is restored however the import
     ends. Later calls find the modules loaded, freeze nothing and
     return 0.
+
+    ``scipy.special`` is loaded by :func:`_import_scipy_special` with
+    numpy's star-export and ``dir()`` narrowed, because SciPy's array-API
+    compat layer star-imports numpy and so would load numpy's lazy
+    submodules (``f2py``, ``testing``, ``random``, ``ma``, ...): about 210
+    modules and 21,000 objects that no process of a run uses. numpy's
+    ``__all__`` and ``__dir__`` are the same objects again however that
+    import ends, and ``digamma`` and ``fdtrc`` are the same ufuncs.
     """
     first = "sentdep.analysis" not in sys.modules
     enabled = gc.isenabled()
     gc.disable()
     try:
         from . import analysis  # noqa: F401
-        import scipy.special  # noqa: F401
 
+        _import_scipy_special()
         if not first:
             return 0
         before = gc.get_freeze_count()
@@ -514,6 +524,36 @@ def _import_analysis() -> int:
     finally:
         if enabled:
             gc.enable()
+
+
+def _import_scipy_special() -> None:
+    """``import scipy.special``, with numpy's star-export and ``dir()``
+    narrowed to the names numpy has already loaded.
+
+    SciPy's vendored array-API compat layer, which ``scipy.special``
+    loads, clones the numpy namespace with ``from numpy import *`` and a
+    ``hasattr`` over ``dir(numpy)``; both reach the submodules numpy loads
+    lazily on first access. During this one import ``numpy.__all__`` and
+    ``numpy.__dir__`` list only names that already are attributes of
+    numpy, so the clone takes only those; both are restored to the same
+    objects in a ``finally``. A skipped submodule still loads on its first
+    use, as ``numpy.random`` does for ``sentdep fixture``. Where
+    ``scipy.special`` is already loaded, or numpy has no ``__all__`` or
+    ``__dir__`` of its own, it is imported as is.
+    """
+    import numpy
+
+    loaded = vars(numpy)
+    exported, listed = loaded.get("__all__"), loaded.get("__dir__")
+    if sys.modules.get("scipy.special") is not None or exported is None or listed is None:
+        import scipy.special  # noqa: F401
+        return
+    numpy.__all__ = [name for name in exported if name in loaded]
+    numpy.__dir__ = lambda: [name for name in listed() if name in loaded]
+    try:
+        import scipy.special  # noqa: F401
+    finally:
+        numpy.__all__, numpy.__dir__ = exported, listed
 
 
 def _ingest_beside_import(

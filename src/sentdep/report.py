@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .core import ScoreKind
 from .errors import FormatError
-from .ingest import csv_rows, open_output, write_csv
+from .ingest import csv_field, csv_rows, open_output, write_csv
 
 
 @dataclass(frozen=True)
@@ -59,30 +60,49 @@ class DependenceCell:
 
 
 _CELL_COLUMNS = [f.name for f in fields(DependenceCell)]
+_cell_values = attrgetter(*_CELL_COLUMNS)
 _BOOL_FIELDS = {"r_significant", "granger_causal", "granger_perfect_fit", "u_valid"}
-_FLOAT_FIELDS = {"r", "granger_f", "granger_p", "u", "u_mi"}
 _STR_FIELDS = {"aspect", "ticker", "r_reason", "granger_reason", "u_reason"}
 _KEY_FIELDS = {"aspect", "ticker"}  # str fields that may not be empty
 _BOOL_WORDS = {"true": True, "false": False}
+_BOOL_TEXT = {None: "", True: "true", False: "false"}
 
 
-def _cell_value_to_text(name: str, value) -> str:
-    if value is None:
-        return ""
-    if name in _BOOL_FIELDS:
-        return "true" if value else "false"
-    if name == "kind":
-        return value.code
-    if name in _FLOAT_FIELDS:
-        return repr(value)
-    return str(value)
+class _Quoted(dict):
+    """Text field -> the field as :func:`~sentdep.ingest.write_csv` writes it
+    (None -> empty), each computed once."""
+
+    def __missing__(self, text):
+        self[text] = field = csv_field(text)
+        return field
 
 
 def write_cells(cells: Sequence[DependenceCell], path) -> None:
-    """Write the full cell set as CSV, one row per cell, in input order."""
-    write_csv(path, _CELL_COLUMNS,
-              ([_cell_value_to_text(name, getattr(cell, name)) for name in _CELL_COLUMNS]
-               for cell in cells))
+    """Write the full cell set as CSV, one row per cell, in input order.
+
+    The rows are formatted as text and written in one call, with the
+    bytes :func:`~sentdep.ingest.write_csv` would write: each text field
+    is quoted as that writer quotes it (:func:`~sentdep.ingest.csv_field`),
+    once per distinct text; a null is empty, a flag is ``true`` or
+    ``false``, a float is its ``repr``, and none of those, a kind code or
+    a count ever needs quoting.
+    """
+    quoted = _Quoted()
+    lines = [",".join(_CELL_COLUMNS) + "\n"]
+    for cell in cells:
+        (aspect, kind, ticker, n, r, r_significant, r_reason, granger_f, granger_p,
+         granger_causal, granger_perfect_fit, granger_reason, u, u_valid, u_mi,
+         u_reason) = _cell_values(cell)
+        lines.append(
+            f"{quoted[aspect]},{kind.code},{quoted[ticker]},{n},"
+            f"{'' if r is None else repr(r)},{_BOOL_TEXT[r_significant]},{quoted[r_reason]},"
+            f"{'' if granger_f is None else repr(granger_f)},"
+            f"{'' if granger_p is None else repr(granger_p)},"
+            f"{_BOOL_TEXT[granger_causal]},{_BOOL_TEXT[granger_perfect_fit]},"
+            f"{quoted[granger_reason]},{'' if u is None else repr(u)},"
+            f"{_BOOL_TEXT[u_valid]},{'' if u_mi is None else repr(u_mi)},{quoted[u_reason]}\n")
+    with open_output(path, newline="") as fh:
+        fh.write("".join(lines))
 
 
 def read_cells(path) -> list[DependenceCell]:

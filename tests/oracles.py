@@ -10,8 +10,9 @@ every part of their statistics themselves instead of sharing the parts
 that depend on one series, label files checked and counted one row
 tuple at a time instead of in one pass over memoised fields, price
 files read with every field of every row stripped first instead of only
-the two fields used, score files written by the CSV writer row by row
-instead of formatted as text with each aspect quoted once, tweet text tokenized with the URL pattern run on
+the two fields used, score and cell files written by the CSV writer row
+by row instead of formatted as text with each text quoted once, tweet
+text tokenized with the URL pattern run on
 every text and every token stripped one character at a time, and window
 votes counted index by index instead of over slices, series put on the
 calendar in a numpy array instead of an ``array('d')`` row, and each
@@ -23,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from datetime import date
 from typing import Mapping, Sequence
@@ -39,7 +40,6 @@ from sentdep.core import (
 )
 from sentdep.entropy import uncertainty_coefficient
 from sentdep.errors import (
-    EmptyAlignment,
     EmptySeries,
     FormatError,
     HeaderMismatch,
@@ -273,6 +273,24 @@ def scores_row_by_row(counts: Sequence[AspectDayCount], path) -> None:
     write_csv(path, ("aspect", "date", "kind", "value"), rows())
 
 
+def cells_row_by_row(cells: Sequence[DependenceCell], path) -> None:
+    """A cell file written one row list at a time by
+    :func:`sentdep.ingest.write_csv`, each field rendered by its type."""
+    def text(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, ScoreKind):
+            return value.code
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    columns = [f.name for f in fields(DependenceCell)]
+    write_csv(path, columns, ([text(getattr(c, name)) for name in columns] for c in cells))
+
+
 def prices_row_by_row(path, ticker: str) -> dict[date, float]:
     """The closes of a price file, every row stripped and checked in turn.
 
@@ -343,6 +361,10 @@ class KeptPairs(AlignedPairs):
     kept: np.ndarray | None = None
 
 
+class NoPairs(Exception):
+    """Lag-aligning two series produced zero usable pairs."""
+
+
 def align_lagged(x, y, lag: int = 1) -> KeptPairs:
     """Pair each price with the sentiment ``lag`` trading days earlier.
 
@@ -351,13 +373,13 @@ def align_lagged(x, y, lag: int = 1) -> KeptPairs:
     with the sentiment on trading day t − lag, i.e. ``x[:-lag]`` with
     ``y[lag:]``, and pairs with either side missing are skipped (pairwise
     deletion). Output is in calendar order, with the mask of the days
-    kept. Raises EmptyAlignment when no pair survives.
+    kept. Raises NoPairs when no pair survives.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     xs, ys = x[:-lag], y[lag:]
     keep = np.isfinite(xs) & np.isfinite(ys)
     if not keep.any():
-        raise EmptyAlignment(f"no (sentiment, price) pairs at lag {lag}")
+        raise NoPairs(f"no (sentiment, price) pairs at lag {lag}")
     return KeptPairs(pairs=np.column_stack([xs[keep], ys[keep]]), lag_days=lag, kept=keep)
 
 
@@ -370,8 +392,8 @@ def paired_on_common_days(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x[keep], y[keep], keep
 
 
-def _reason(exc: SentdepError) -> str:
-    if isinstance(exc, (EmptyAlignment, InsufficientData)):
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, (NoPairs, InsufficientData)):
         return "InsufficientData"
     return type(exc).__name__
 
@@ -381,7 +403,7 @@ def unshared_cell(aspect, kind, ticker, sentiment, price, config) -> DependenceC
     cell = dict(aspect=aspect, kind=kind, ticker=ticker, n=0)
     try:
         aligned = align_lagged(sentiment, price, config.lag)
-    except EmptyAlignment as exc:
+    except NoPairs as exc:
         aligned = None
         cell["r_reason"] = cell["u_reason"] = _reason(exc)
     if aligned is not None:

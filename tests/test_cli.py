@@ -1,5 +1,7 @@
 """Exit codes, stage composition, and override flags of the `sentdep` CLI."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -496,6 +498,70 @@ def test_any_tweet_lines_end_in_exit_zero_or_two(tmp_path_factory):
     check()
 
 
+def csv_line(fields) -> bytes:
+    """One row as the CSV writer writes it, quoting line breaks."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue().encode()
+
+
+LABEL_HEADER = b"tweet_id,date,aspect,polarity"
+
+#: Date and polarity fields that a label row may not hold.
+BAD_LABEL_DATES = ["", "2022-13-01", "10/03/2022", "2022-10-03T12:00", "0000-01-01", "٣"]
+BAD_POLARITIES = ["", "Positive", "pos", "1", "neutral\n"]
+
+
+@st.composite
+def label_lines(draw) -> bytes:
+    """A label file: valid rows among random bytes, short and long rows,
+    quoted line breaks, blank rows, bad dates and bad polarities."""
+    tweet_id = st.from_regex(r"t[0-9]{1,4}", fullmatch=True)
+    aspect = st.sampled_from(["inflation", "energy", " energy ", "not listed", 'a "q"',
+                              "two\nlines", "a,b"])
+    polarity = st.sampled_from(["positive", "negative", "neutral", " neutral "])
+    day = FUZZ_DAYS | st.sampled_from(["0001-01-01", "9999-12-31", " 2022-10-03 ", "20221003"])
+    valid = st.tuples(tweet_id, day, aspect, polarity)
+    field = st.one_of(tweet_id, day, aspect, polarity, st.sampled_from(BAD_LABEL_DATES),
+                      st.sampled_from(BAD_POLARITIES), st.text(max_size=12))
+    row = st.one_of(st.tuples(tweet_id, st.sampled_from(BAD_LABEL_DATES), aspect, polarity),
+                    st.tuples(tweet_id, day, aspect, st.sampled_from(BAD_POLARITIES)),
+                    st.tuples(st.sampled_from(["", " "]), day, aspect, polarity),
+                    st.tuples(tweet_id, day, st.sampled_from(["", " "]), polarity),
+                    st.lists(field, max_size=7))
+    line = st.one_of(row.map(csv_line), st.binary(max_size=40),
+                     st.sampled_from([b"\n", b"  \n", b",,,\n", b'"open quote\n']))
+    header = draw(st.sampled_from([LABEL_HEADER + b"\n"] * 4
+                                  + [b"", b"\n", b"tweet_id,date,aspect\n",
+                                     b" tweet_id , date , aspect , polarity \r\n"]))
+    lines = [csv_line(v) for v in draw(st.lists(valid, max_size=40))]
+    lines += draw(st.lists(line, max_size=4))
+    return header + b"".join(draw(st.permutations(lines)))
+
+
+def test_any_label_rows_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of an external label file, through ``score`` and ``run``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["fixture", "--out-dir", str(root), "--seed", "0"]) == 0
+    labels = root / "labels.csv"
+    config = root / "labels.ini"
+    config.write_text((root / "config.ini").read_text(encoding="utf-8").replace(
+        "tweets = tweets.jsonl\n", "labels = labels.csv\n"), encoding="utf-8")
+    score = ["score", "--labels", str(labels), "--out", str(root / "scores.csv")]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(label_lines())
+    @example(LABEL_HEADER + b"\n" + csv_line(["t1", "2022-10-03", "inflation", "positive"]))
+    @example(LABEL_HEADER + b"\n" + csv_line(["t1", "2022-10-03", "two\nlines", "positive"])
+             + b't2,2022-10-04,"open quote\n')
+    def check(data):
+        labels.write_bytes(data)
+        assert main(score) in (0, 2)
+        assert main(["run", "--config", str(config)]) in (0, 2)
+
+    check()
+
+
 @pytest.mark.parametrize("broken", BROKEN_TWEET_LINES,
                          ids=["year_0", "year_10000", "nesting", "surrogate_id",
                               "surrogate_text"])
@@ -551,11 +617,20 @@ def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
     assert run_python(VALIDATE_AND_LIST, ini, "scipy").strip() == "[]"
 
 
+#: numpy submodules that SciPy's array-API layer would load and no
+#: process of a run uses (see ``pipeline._import_scipy_special``).
+UNUSED_NUMPY_SUBMODULES = ("numpy.f2py", "numpy.testing", "numpy.random", "numpy.ma",
+                           "numpy.polynomial")
+
+
 def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
     # -X importtime logs each module a process loads to stderr, which the
-    # forked ingest child and analysis worker inherit.
+    # forked ingest child and analysis worker inherit. Nor does any of
+    # them load numpy's unused submodules.
     assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
     ini = tmp_path / "config.ini"
+    unused = ("scipy.spatial", *UNUSED_NUMPY_SUBMODULES)
+    below_unused = tuple(f"{top}." for top in unused)
     for argv in (["run", "--config", ini],
                  ["analyze", "--config", ini, "--scores", tmp_path / "out" / "scores.csv",
                   "--out", tmp_path / "cells.csv"]):
@@ -564,11 +639,45 @@ def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
         modules = [line.split("|")[-1].strip() for line in log.splitlines()
                    if line.startswith("import time:")]
         assert "scipy.special" in modules
-        assert not [m for m in modules if m.startswith("scipy.spatial")]
+        assert not [m for m in modules if m in unused or m.startswith(below_unused)]
     package = Path(sentdep.__file__).parent
     assert not [path for path in package.rglob("*.py")
                 if "scipy.spatial" in (text := path.read_text(encoding="utf-8"))
                 or "cKDTree" in text]
+
+
+#: In a fresh process: loads numpy, blocks ``scipy.special`` when argv[1]
+#: is "failing", calls ``_import_analysis`` and prints whether it raised
+#: ImportError; then whether numpy's ``__all__`` and ``__dir__`` are the
+#: same objects and lists as before, numpy's unused submodules that are
+#: loaded, and a draw from ``numpy.random.default_rng``.
+NARROWED_IMPORT = (
+    "import sys, numpy\n"
+    "exported, listed = numpy.__all__, numpy.__dir__\n"
+    "names, everything = dir(numpy), list(exported)\n"
+    "if sys.argv[1] == 'failing':\n"
+    "    sys.modules['scipy.special'] = None\n"
+    "import sentdep.pipeline\n"
+    "try:\n"
+    "    sentdep.pipeline._import_analysis()\n"
+    "    print('imported')\n"
+    "except ImportError:\n"
+    "    print('ImportError')\n"
+    "print(numpy.__all__ is exported, numpy.__dir__ is listed,\n"
+    "      numpy.__all__ == everything, dir(numpy) == names)\n"
+    "print(sorted(m for m in sys.argv[2:] if m in sys.modules))\n"
+    "print(numpy.random.default_rng(7).integers(1000))\n"
+)
+
+
+@pytest.mark.parametrize("load", ["imported", "ImportError"])
+def test_import_analysis_restores_numpys_exports(load):
+    case = "failing" if load == "ImportError" else "fresh"
+    out = run_python(NARROWED_IMPORT, case, *UNUSED_NUMPY_SUBMODULES).splitlines()
+    assert out[:3] == [load, "True True True True", "[]"]
+    import numpy
+
+    assert out[3] == str(numpy.random.default_rng(7).integers(1000))
 
 
 #: Runs ``sentdep.cli.main`` on argv[2:] and, at exit, prints whether the

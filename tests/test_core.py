@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from oracles import align_lagged, on_calendar_numpy, paired_on_common_days
+from oracles import NoPairs, align_lagged, on_calendar_numpy, paired_on_common_days
 from sentdep.core import (
     PolarityLabel,
     ScoreKind,
     TradingCalendar,
     on_calendar,
 )
-from sentdep.errors import ConfigError, EmptyAlignment, FormatError
+from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import parse_labeled, write_labeled
 from sentdep.pipeline import check_values
 from sentdep.scores import aggregate_daily, read_scores
@@ -169,7 +169,7 @@ class TestAlignLagged:
         cal = TradingCalendar(WEEK)
         x = {WEEK[5]: 1}  # only on the last day
         y = {WEEK[0]: 30.0}
-        with pytest.raises(EmptyAlignment):
+        with pytest.raises(NoPairs):
             align_lagged(*on_cal(cal, x, y))
 
     def test_lag_must_be_positive(self):
@@ -249,7 +249,7 @@ def test_array_alignment_matches_brute_force_over_dates(holidays, x_days, y_days
     if lagged:
         assert align_lagged(x, y, lag=lag).pairs.tolist() == lagged
     else:
-        with pytest.raises(EmptyAlignment):
+        with pytest.raises(NoPairs):
             align_lagged(x, y, lag=lag)
     xs, ys, _ = paired_on_common_days(x, y)
     assert (xs.tolist(), ys.tolist()) == (x_same, y_same)

@@ -5,7 +5,10 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import cells_row_by_row
 from sentdep.cli import main
 from sentdep.core import ScoreKind
 from sentdep.errors import FormatError, HeaderMismatch
@@ -40,6 +43,38 @@ def null_cell(aspect="tax", ticker="BP", kind=FP) -> DependenceCell:
         r_reason="InsufficientData", granger_reason="InsufficientData",
         u_reason="InsufficientData",
     )
+
+
+csv_texts = st.one_of(
+    st.sampled_from(["NEE", "stock market", "a,b", 'say "hi"', "two\nlines", "cr\rx", "ß", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+def optional(values):
+    return st.none() | values
+
+
+drawn_cells = st.lists(st.builds(
+    DependenceCell, aspect=csv_texts, kind=st.sampled_from(ScoreKind), ticker=csv_texts,
+    n=st.integers(min_value=0, max_value=10**6),
+    r=optional(st.floats()), r_significant=optional(st.booleans()),
+    r_reason=optional(csv_texts), granger_f=optional(st.floats()),
+    granger_p=optional(st.floats()), granger_causal=optional(st.booleans()),
+    granger_perfect_fit=optional(st.booleans()), granger_reason=optional(csv_texts),
+    u=optional(st.floats()), u_valid=optional(st.booleans()), u_mi=optional(st.floats()),
+    u_reason=optional(csv_texts),
+), max_size=12)
+
+
+@settings(max_examples=80)
+@given(drawn_cells)
+@example([full_cell(), null_cell(), full_cell(aspect="a,b", ticker='say "hi"', r=-0.0)])
+def test_written_cells_are_the_csv_writers_bytes(tmp_path_factory, cells):
+    root = tmp_path_factory.mktemp("cells")
+    write_cells(cells, root / "cells.csv")
+    cells_row_by_row(cells, root / "oracle.csv")
+    assert (root / "cells.csv").read_bytes() == (root / "oracle.csv").read_bytes()
 
 
 class TestCellsFile:
