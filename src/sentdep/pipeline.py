@@ -507,7 +507,12 @@ def _import_analysis() -> int:
     submodules (``f2py``, ``testing``, ``random``, ``ma``, ...): about 210
     modules and 21,000 objects that no process of a run uses. numpy's
     ``__all__`` and ``__dir__`` are the same objects again however that
-    import ends, and ``digamma`` and ``fdtrc`` are the same ufuncs.
+    import ends, and ``digamma`` and ``fdtrc`` are the same ufuncs. The
+    compat layer's clone of numpy, which SciPy's array-API routines use
+    for numpy arrays, lacks those submodules for the life of the process;
+    SciPy reads them there only for CuPy and PyTorch arrays, and a test
+    holds ``scipy.stats`` routines on numpy arrays to the results of a
+    plain import.
     """
     first = "sentdep.analysis" not in sys.modules
     enabled = gc.isenabled()
@@ -537,17 +542,14 @@ def _import_scipy_special() -> None:
     ``numpy.__dir__`` list only names that already are attributes of
     numpy, so the clone takes only those; both are restored to the same
     objects in a ``finally``. A skipped submodule still loads on its first
-    use, as ``numpy.random`` does for ``sentdep fixture``. Where
-    ``scipy.special`` is already loaded, or numpy has no ``__all__`` or
-    ``__dir__`` of its own, it is imported as is.
+    use, as ``numpy.random`` does for ``sentdep fixture``; the clone
+    keeps lacking it. Where ``scipy.special`` is already loaded, the
+    import does nothing.
     """
     import numpy
 
+    exported, listed = numpy.__all__, numpy.__dir__
     loaded = vars(numpy)
-    exported, listed = loaded.get("__all__"), loaded.get("__dir__")
-    if sys.modules.get("scipy.special") is not None or exported is None or listed is None:
-        import scipy.special  # noqa: F401
-        return
     numpy.__all__ = [name for name in exported if name in loaded]
     numpy.__dir__ = lambda: [name for name in listed() if name in loaded]
     try:

@@ -21,6 +21,7 @@ Artifacts:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -68,15 +69,6 @@ _BOOL_WORDS = {"true": True, "false": False}
 _BOOL_TEXT = {None: "", True: "true", False: "false"}
 
 
-class _Quoted(dict):
-    """Text field -> the field as :func:`~sentdep.ingest.write_csv` writes it
-    (None -> empty), each computed once."""
-
-    def __missing__(self, text):
-        self[text] = field = csv_field(text)
-        return field
-
-
 def write_cells(cells: Sequence[DependenceCell], path) -> None:
     """Write the full cell set as CSV, one row per cell, in input order.
 
@@ -87,20 +79,20 @@ def write_cells(cells: Sequence[DependenceCell], path) -> None:
     ``false``, a float is its ``repr``, and none of those, a kind code or
     a count ever needs quoting.
     """
-    quoted = _Quoted()
+    quoted = functools.cache(csv_field)
     lines = [",".join(_CELL_COLUMNS) + "\n"]
     for cell in cells:
         (aspect, kind, ticker, n, r, r_significant, r_reason, granger_f, granger_p,
          granger_causal, granger_perfect_fit, granger_reason, u, u_valid, u_mi,
          u_reason) = _cell_values(cell)
         lines.append(
-            f"{quoted[aspect]},{kind.code},{quoted[ticker]},{n},"
-            f"{'' if r is None else repr(r)},{_BOOL_TEXT[r_significant]},{quoted[r_reason]},"
+            f"{quoted(aspect)},{kind.code},{quoted(ticker)},{n},"
+            f"{'' if r is None else repr(r)},{_BOOL_TEXT[r_significant]},{quoted(r_reason)},"
             f"{'' if granger_f is None else repr(granger_f)},"
             f"{'' if granger_p is None else repr(granger_p)},"
             f"{_BOOL_TEXT[granger_causal]},{_BOOL_TEXT[granger_perfect_fit]},"
-            f"{quoted[granger_reason]},{'' if u is None else repr(u)},"
-            f"{_BOOL_TEXT[u_valid]},{'' if u_mi is None else repr(u_mi)},{quoted[u_reason]}\n")
+            f"{quoted(granger_reason)},{'' if u is None else repr(u)},"
+            f"{_BOOL_TEXT[u_valid]},{'' if u_mi is None else repr(u_mi)},{quoted(u_reason)}\n")
     with open_output(path, newline="") as fh:
         fh.write("".join(lines))
 

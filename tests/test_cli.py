@@ -647,16 +647,21 @@ def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
 
 
 #: In a fresh process: loads numpy, blocks ``scipy.special`` when argv[1]
-#: is "failing", calls ``_import_analysis`` and prints whether it raised
-#: ImportError; then whether numpy's ``__all__`` and ``__dir__`` are the
-#: same objects and lists as before, numpy's unused submodules that are
-#: loaded, and a draw from ``numpy.random.default_rng``.
+#: is "failing" or imports it plainly first when argv[1] is "plain", calls
+#: ``_import_analysis`` and prints whether it raised ImportError; then
+#: whether numpy's ``__all__`` and ``__dir__`` are the same objects and
+#: lists as before, numpy's unused submodules (argv[2:]) that are loaded,
+#: and a draw from ``numpy.random.default_rng``. Unless ``scipy.special``
+#: is blocked, it last prints the results of ``scipy.stats`` routines that
+#: reach numpy arrays through SciPy's array-API namespace.
 NARROWED_IMPORT = (
     "import sys, numpy\n"
     "exported, listed = numpy.__all__, numpy.__dir__\n"
     "names, everything = dir(numpy), list(exported)\n"
     "if sys.argv[1] == 'failing':\n"
     "    sys.modules['scipy.special'] = None\n"
+    "if sys.argv[1] == 'plain':\n"
+    "    import scipy.special\n"
     "import sentdep.pipeline\n"
     "try:\n"
     "    sentdep.pipeline._import_analysis()\n"
@@ -667,6 +672,13 @@ NARROWED_IMPORT = (
     "      numpy.__all__ == everything, dir(numpy) == names)\n"
     "print(sorted(m for m in sys.argv[2:] if m in sys.modules))\n"
     "print(numpy.random.default_rng(7).integers(1000))\n"
+    "if sys.argv[1] != 'failing':\n"
+    "    import scipy.special, scipy.stats\n"
+    "    x = numpy.array([0.5, 1.5, 2.0, 3.25, 4.0, 4.5])\n"
+    "    y = numpy.array([1.0, 1.25, 2.5, 2.0, 5.0, 4.75])\n"
+    "    print(scipy.stats.pearsonr(x, y), scipy.stats.ttest_ind(x, y),\n"
+    "          scipy.stats.describe(x), scipy.stats.zscore(x).tolist(),\n"
+    "          scipy.special.logsumexp(x))\n"
 )
 
 
@@ -678,6 +690,13 @@ def test_import_analysis_restores_numpys_exports(load):
     import numpy
 
     assert out[3] == str(numpy.random.default_rng(7).integers(1000))
+    if load == "imported":
+        # SciPy's array-API clone of numpy lacks the skipped submodules for
+        # the life of the process; its routines on numpy arrays still give
+        # what they give after a plain import, which narrows nothing.
+        plain = run_python(NARROWED_IMPORT, "plain").splitlines()
+        assert plain[:4] == ["imported", "True True True True", "[]", out[3]]
+        assert len(out) == 5 and out[4] == plain[4]
 
 
 #: Runs ``sentdep.cli.main`` on argv[2:] and, at exit, prints whether the
