@@ -58,9 +58,12 @@ COUNT_INDEX = {PolarityLabel.POSITIVE: 0, PolarityLabel.NEGATIVE: 1,
                PolarityLabel.NEUTRAL: 2}
 
 
-@dataclass(frozen=True)
-class AspectDayCount:
-    """Polarity label counts for one aspect on one day."""
+class AspectDayCount(NamedTuple):
+    """Polarity label counts for one aspect on one day.
+
+    A named tuple, which is made about three times as fast as a frozen
+    dataclass: a label file yields one per aspect-day.
+    """
 
     aspect: str
     day: date

@@ -15,9 +15,11 @@ checks for an empty file and the header, and turns a decoding or CSV
 syntax error into a FormatError with its line; :func:`_row_fields` holds
 the rule for blank rows and field counts. :func:`csv_rows` yields checked
 rows of a file with a fixed header on top of them. :func:`parse_prices`
-and :func:`parse_labeled` each read their file in one loop over the
-reader, stripping only the fields they use, and use :func:`_row_fields`
-only for the rows that fail their quick checks.
+reads its file in one loop over the reader, stripping only the fields it
+uses, and uses :func:`_row_fields` only for the rows that fail its quick
+checks; :func:`parse_labeled` reads a label file so too, unless every
+row of the file splits at its commas as the reader would split it: such
+a file is counted in bulk, without the reader.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -288,7 +291,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _parse_timestamp(value: str) -> datetime:
-    # Twitter exports use a trailing 'Z'; fromisoformat on 3.10 does not.
+    # Twitter exports end in 'Z' for UTC; fromisoformat rejects a lowercase 'z'.
     if value.endswith(("Z", "z")):
         value = value[:-1] + "+00:00"
     ts = datetime.fromisoformat(value)
@@ -463,8 +466,88 @@ _LABEL_HEADER = ("tweet_id", "date", "aspect", "polarity")
 #: Position of each label-file polarity spelling in a count cell.
 _POLARITY_INDEX = {p.value: COUNT_INDEX[p] for p in PolarityLabel}
 
+#: The first line of a label file that the bulk counter reads.
+_LABEL_HEADER_LINE = (",".join(_LABEL_HEADER) + "\n").encode()
+#: Label-file bytes the bulk counter reads at a time, before the rest of
+#: the line they end in.
+_LABEL_BLOCK_BYTES = 1 << 20
+#: A line after the first of a block that starts with whitespace or a
+#: comma, or is empty.
+_LABEL_BLANK_START = re.compile(r"\n[\s,]")
+#: The text after the first comma of a line: its ``date,aspect,polarity``.
+_LABEL_TAIL = re.compile(",(.*)")
 
-def parse_labeled(path) -> list[AspectDayCount]:
+
+def _label_tails(fh, digest) -> Counter[str] | None:
+    """The ``date,aspect,polarity`` tail of each row of an open label
+    file, counted; None where :func:`csv.reader` could read a row
+    otherwise than a split at commas.
+
+    The file is read past its header in blocks of whole lines, and each
+    ``digest`` is fed the bytes read. A block is counted when it is UTF-8
+    without a ``"`` or a CR, and no line of it starts with whitespace or
+    a comma, lacks a comma, or is longer than :func:`csv.field_size_limit`:
+    then each line is one row whose fields are its text between commas,
+    with a tweet_id that is not blank. Blocks are read at most half that
+    limit at a time, so a block is normally no longer than the limit and
+    its lines need no measuring. The first other header or block ends the
+    count.
+    """
+    header = fh.readline()
+    if digest is not None:
+        digest.update(header)
+    if header != _LABEL_HEADER_LINE:
+        return None
+    limit = csv.field_size_limit()
+    size = max(1, min(_LABEL_BLOCK_BYTES, limit // 2))
+    tails: Counter[str] = Counter()
+    while block := fh.read(size):
+        block += fh.readline()
+        if digest is not None:
+            digest.update(block)
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if ('"' in text or "\r" in text or text[0].isspace() or text[0] == ","
+                or _LABEL_BLANK_START.search(text)
+                or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+            return None
+        found = _LABEL_TAIL.findall(text)
+        if len(found) != text.count("\n") + (not text.endswith("\n")):
+            return None  # a line without a comma has no tail
+        tails.update(found)
+    return tails
+
+
+def _tail_cells(tails: Counter[str]) -> dict[tuple[str, date], list[int]] | None:
+    """The count cells of counted ``date,aspect,polarity`` tails, by
+    stripped aspect and day; None when a tail is not a valid row's."""
+    days: dict[str, date] = {}
+    cells: dict[tuple[str, date], list[int]] = {}
+    for tail, n in tails.items():
+        fields = tail.split(",")
+        if len(fields) != 3:
+            return None
+        date_s, aspect, polarity_s = fields
+        day = days.get(date_s)
+        if day is None:
+            try:
+                day = days[date_s] = date.fromisoformat(date_s.strip())
+            except ValueError:
+                return None
+        index = _POLARITY_INDEX.get(polarity_s.strip())
+        aspect = aspect.strip()
+        if index is None or not aspect:
+            return None
+        cell = cells.get((aspect, day))
+        if cell is None:
+            cell = cells[(aspect, day)] = [0, 0, 0]
+        cell[index] += n
+    return cells
+
+
+def parse_labeled(path, digest=None) -> list[AspectDayCount]:
     """Count externally produced aspect labels per (aspect, day).
 
     CSV header ``tweet_id,date,aspect,polarity`` with polarity in
@@ -472,13 +555,46 @@ def parse_labeled(path) -> list[AspectDayCount]:
     :func:`sentdep.scores.aggregate_daily` returns for the file's rows:
     duplicate (tweet_id, aspect) rows are kept, because an aspect can
     occur several times in one tweet and counts are occurrence-based.
+    A bad row (a wrong field count, an empty tweet_id or aspect, a bad
+    date or an unknown polarity) raises FormatError; the first one in
+    file order is reported, with its line.
+
+    A file whose header is written exactly so and whose rows hold no
+    quote, CR, blank row, blank tweet_id or overlong field is counted in
+    bulk: each row's ``date,aspect,polarity`` tail is counted in C, and
+    each distinct tail is then checked and parsed once (see
+    :func:`_label_tails`). Any other file, or a tail that fails a check,
+    is counted row by row from the start by :func:`_label_cells`, which
+    reports the bad row. Both give the same counts.
+
+    ``digest``, a :mod:`hashlib` object, is fed every byte of the file,
+    so the caller holds its hash without reading the file again. One
+    ``-v`` line tells how the file was counted, its rows and its
+    distinct (day, aspect, polarity) keys.
+    """
+    path = Path(path)
+    with open_input(path, "rb") as fh:
+        tails = _label_tails(fh, digest)
+        if digest is not None:
+            while block := fh.read(_LABEL_BLOCK_BYTES):
+                digest.update(block)
+    cells = None if tails is None else _tail_cells(tails)
+    how = "in bulk"
+    if cells is None:
+        cells, how = _label_cells(path), "row by row"
+    tallies = list(chain.from_iterable(cells.values()))
+    logger.info("labels: %d rows counted %s, %d distinct (day, aspect, polarity) keys",
+                sum(tallies), how, len(tallies) - tallies.count(0))
+    return sorted_day_counts(cells)
+
+
+def _label_cells(path) -> dict[tuple[str, date], list[int]]:
+    """The count cells of a label file read row by row, by stripped
+    aspect and day; the first bad row raises FormatError with its line.
 
     The rows are counted in one pass with no row list: cells are keyed by
     the aspect as written and merged by stripped aspect at the end, and
-    each distinct date or polarity string is parsed once. A bad row (a
-    wrong field count, an empty tweet_id or aspect, a bad date or an
-    unknown polarity) raises FormatError; the first one in file order is
-    reported, with its line.
+    each distinct date or polarity string is parsed once.
     """
     days: dict[str, date] = {}
     polarities = dict(_POLARITY_INDEX)
@@ -518,7 +634,7 @@ def parse_labeled(path) -> list[AspectDayCount]:
         merged = cells.setdefault((aspect.strip(), day), [0, 0, 0])
         for i, n in enumerate(counts):
             merged[i] += n
-    return sorted_day_counts(cells)
+    return cells
 
 
 class DayText(dict):

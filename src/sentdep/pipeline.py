@@ -379,15 +379,17 @@ def stage_label(
     return labels
 
 
-def stage_score(labels_path, out_path, labels=None) -> Scores:
+def stage_score(labels_path, out_path, labels=None, digest=None) -> Scores:
     """labels.csv -> scores.csv; returns the series and totals written.
 
     ``labels`` are the rows of ``labels_path`` when the caller already
-    holds them; otherwise the file is counted in one pass by
-    :func:`parse_labeled`. Nothing is written before every row has been
-    counted, so a bad row leaves no ``scores.csv`` behind.
+    holds them; otherwise the file is counted by :func:`parse_labeled`,
+    which feeds ``digest`` the file's bytes. Nothing is written before
+    every row has been counted, so a bad row leaves no ``scores.csv``
+    behind.
     """
-    counts = parse_labeled(labels_path) if labels is None else aggregate_daily(labels)
+    counts = (parse_labeled(labels_path, digest) if labels is None
+              else aggregate_daily(labels))
     return write_scores(counts, out_path)
 
 
@@ -450,13 +452,16 @@ def _ingest(config: PipelineConfig, out: Path) -> tuple[AnalysisInputs, dict[str
 
     Writes keywords.csv, labels.csv and scores.csv, then prepares what the
     analysis reads (see :func:`sentdep.prepare.prepare_analysis`) and the
-    manifest's input digests; the tweet file is hashed as it is read.
+    manifest's input digests; the tweet file and an external label file
+    are hashed as they are read.
     """
     import hashlib
 
     from .prepare import input_digests, prepare_analysis
 
-    tweets_hash = None if config.tweets is None else hashlib.sha256()
+    hashes = {name: hashlib.sha256() for name in ("tweets", "labels")
+              if getattr(config, name) is not None}
+    tweets_hash = hashes.get("tweets")
     labels = None
     if config.labels is not None:
         labels_path = config.labels
@@ -478,12 +483,11 @@ def _ingest(config: PipelineConfig, out: Path) -> tuple[AnalysisInputs, dict[str
         )
         logger.info("labels: %d occurrences", len(labels))
 
-    scores = stage_score(labels_path, out / "scores.csv", labels)
+    scores = stage_score(labels_path, out / "scores.csv", labels, hashes.get("labels"))
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
     del labels  # counted into the scores; not held while the prices are read
     inputs = prepare_analysis(config, out / "scores.csv", scores)
-    tweets_sha256 = None if tweets_hash is None else tweets_hash.hexdigest()
-    return inputs, input_digests(config, tweets_sha256)
+    return inputs, input_digests(config, {name: h.hexdigest() for name, h in hashes.items()})
 
 
 def _import_analysis() -> int:

@@ -109,12 +109,12 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def input_digests(config: PipelineConfig, tweets_sha256: str | None = None) -> dict[str, str]:
+def input_digests(config: PipelineConfig, taken: Mapping[str, str]) -> dict[str, str]:
     """The SHA-256 of every configured input file, by its manifest name.
 
-    ``tweets_sha256`` is the tweet file's digest when it was taken while
-    the file was read (see :func:`sentdep.ingest.parse_tweets`); the
-    other files are read again here.
+    ``taken`` holds the digests, by manifest name, of the files hashed
+    while they were read (see :func:`sentdep.ingest.parse_tweets` and
+    :func:`sentdep.ingest.parse_labeled`); the other files are read again
+    here.
     """
-    return {name: tweets_sha256 if name == "tweets" and tweets_sha256 else sha256_file(p)
-            for name, p in config.input_files()}
+    return {name: taken.get(name) or sha256_file(p) for name, p in config.input_files()}

@@ -562,6 +562,132 @@ def test_any_label_rows_end_in_exit_zero_or_two(tmp_path_factory):
     check()
 
 
+@st.composite
+def mutated_csv(draw, path: Path, bad_fields: list[str]) -> bytes:
+    """A run of up to 150 rows of the CSV file at ``path``, which the
+    program wrote, with up to four of them mutated (a field set to a bad
+    value or any text, a field dropped or added, the row repeated, blanked
+    or replaced by random bytes), under a valid, missing, short or padded
+    CRLF header."""
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    start = draw(st.integers(0, len(lines) - 1))
+    rows = [next(csv.reader([line.decode()])) for line in lines[start:start + 150]]
+    out = [csv_line(row) for row in rows]
+    field = st.sampled_from(bad_fields) | st.text(max_size=10)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[i])
+        how = draw(st.sampled_from(["field", "field", "drop", "add", "repeat", "blank",
+                                    "bytes"]))
+        if how == "repeat":
+            out[i] *= 2
+            continue
+        if how == "blank":
+            out[i] = b"\n"
+            continue
+        if how == "bytes":
+            out[i] = draw(st.binary(max_size=40)) + b"\n"
+            continue
+        if how == "field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(field)
+        elif how == "drop":
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            row.append(draw(field))
+        out[i] = csv_line(row)
+    padded = b",".join(b" " + f + b" " for f in header.rstrip(b"\n").split(b",")) + b"\r\n"
+    return draw(st.sampled_from([header] * 4 + [b"", b"a,b\n", padded])) + b"".join(out)
+
+
+#: Score-file fields that a row may not hold, or that only some kinds may.
+BAD_SCORE_FIELDS = ["", " ", "fx", "FP", "fs", "nfp", "-1.0", "0.5", "1.5", "nan", "inf",
+                    "1e400", "-0.0", "2022-13-01", "20221003", "0001-01-01", "9999-12-31",
+                    "a,b", 'q"', "two\nlines", "new aspect"]
+
+#: Cell-file fields that a row may not hold, or that only some columns may.
+BAD_CELL_FIELDS = ["", " ", "-1", "1.5", "99999999999999999999", "nan", "inf", "-inf",
+                   "-0.0", "1e309", "0x1p-2", "true", "false", "True", "1", "fp", "fx",
+                   "InsufficientData", "Unknown", "a,b", 'q"', "two\nlines", "new"]
+
+
+@st.composite
+def calendar_lines(draw, days: list[str]) -> bytes:
+    """A calendar file: a run of the trading days among bad dates,
+    comments, blank lines, repeated days and random bytes, in any order."""
+    start = draw(st.integers(0, len(days) - 1))
+    lines = [d.encode() for d in days[start:start + draw(st.integers(0, len(days)))]]
+    extra = (st.sampled_from(["2022-13-01", "# note", "", "   ", "20221003", "0001-01-01",
+                              "9999-12-31", "2022-10-03 x", "2022-10-03", " 2022-10-04 "])
+             .map(str.encode) | st.binary(max_size=20))
+    lines += draw(st.lists(extra, max_size=4))
+    return b"\n".join(draw(st.permutations(lines))) + draw(st.sampled_from([b"\n", b""]))
+
+
+def fixture_run(root: Path) -> Path:
+    """A fixture run into ``root / "out"`` and a config of two tickers and
+    three top aspects over the same inputs, for quicker analyses."""
+    assert main(["fixture", "--out-dir", str(root), "--seed", "0"]) == 0
+    assert main(["run", "--config", str(root / "config.ini")]) == 0
+    small = root / "small.ini"
+    text = (root / "config.ini").read_text(encoding="utf-8")
+    text = text.replace("top_n_aspects = 20", "top_n_aspects = 3")
+    small.write_text("".join(line for line in text.splitlines(keepends=True)
+                             if not line.startswith(("XOM", "BEPC", "CWEN", "NEE"))),
+                     encoding="utf-8")
+    return small
+
+
+def test_any_score_or_calendar_rows_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of ``analyze``'s score file and trading calendar."""
+    root = tmp_path_factory.mktemp("fuzz")
+    small = fixture_run(root)
+    written = root / "out" / "scores.csv"
+    scores = root / "scores.csv"
+    analyze = ["analyze", "--config", str(small), "--scores", str(scores),
+               "--out", str(root / "cells.csv")]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mutated_csv(written, BAD_SCORE_FIELDS))
+    @example(written.read_bytes())
+    def check_scores(data):
+        scores.write_bytes(data)
+        assert main(analyze) in (0, 2)
+
+    check_scores()
+    scores.write_bytes(written.read_bytes())
+    days = [row[0] for row in csv.reader(io.StringIO(
+        (root / "prices_SHEL.csv").read_text(encoding="utf-8")))][1:]
+    calendar = add_calendar(small, days)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(calendar_lines(days))
+    @example(b"2022-10-03\n")
+    @example(b"# no day\n\n")
+    def check_calendar(data):
+        calendar.write_bytes(data)
+        assert main(analyze) in (0, 2)
+
+    check_calendar()
+
+
+def test_any_cell_rows_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of ``report``'s cell file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    fixture_run(root)
+    written = root / "out" / "cells.csv"
+    cells = root / "cells.csv"
+    report = ["report", "--cells", str(cells), "--out-dir", str(root / "report")]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mutated_csv(written, BAD_CELL_FIELDS))
+    @example(written.read_bytes())
+    def check(data):
+        cells.write_bytes(data)
+        assert main(report) in (0, 2)
+
+    check()
+
+
 @pytest.mark.parametrize("broken", BROKEN_TWEET_LINES,
                          ids=["year_0", "year_10000", "nesting", "surrogate_id",
                               "surrogate_text"])

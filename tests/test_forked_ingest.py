@@ -5,6 +5,7 @@ are in ``test_analysis_worker.py``.
 """
 
 import faulthandler
+import json
 import logging
 import os
 import pickle
@@ -20,6 +21,7 @@ import sentdep.pipeline
 from sentdep import errors
 from sentdep.cli import main
 from sentdep.pipeline import load_config, run_pipeline
+from sentdep.prepare import sha256_file
 from test_cli import add_calendar, run_python
 from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
 
@@ -227,6 +229,26 @@ class TestForkedIngest:
         # after the child's own lines, before the analysis
         assert messages.index(overlap[0]) == messages.index(
             next(m for m in messages if m.startswith("scores: "))) + 1
+
+    @pytest.mark.parametrize("labels, how", [
+        ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
+         "in bulk"),
+        ('t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\n"t3",2022-10-04,bank,negative\n',
+         "row by row"),
+    ])
+    def test_external_labels_are_counted_and_hashed_in_the_child(self, tmp_path, caplog,
+                                                                  labels, how):
+        ini = label_tree(tmp_path)
+        (tmp_path / "labels.csv").write_text("tweet_id,date,aspect,polarity\n" + labels,
+                                             encoding="utf-8")
+        config = load_config(ini)
+        with caplog.at_level(logging.INFO):
+            run_pipeline(config)
+        assert f"labels: 3 rows counted {how}, 3 distinct (day, aspect, polarity) keys" in (
+            caplog.messages)
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text("utf-8"))
+        assert manifest["inputs_sha256"] == {name: sha256_file(path)
+                                             for name, path in config.input_files()}
 
     def test_bad_label_row_exits_two_and_leaves_no_scores(self, tmp_path, capsys,
                                                           monkeypatch):

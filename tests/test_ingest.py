@@ -1,5 +1,6 @@
 """Parsers, tokenizer, and keyword counting."""
 
+import csv
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sentdep import ingest
 from sentdep.errors import EmptySeries, FormatError, HeaderMismatch
 from sentdep.ingest import (
     AspectLexicon,
@@ -434,6 +436,8 @@ def price_file_text(draw):
 LABEL_DAYS = [("2021-01-04", "20210104"), ("2021-01-05", "20210105"),
               ("2022-12-30", "20221230")]
 
+LABEL_HEADER = "tweet_id,date,aspect,polarity"
+
 #: One bad label row of each kind the label reader rejects, and its message.
 BAD_LABEL_ROWS = {
     "too few fields": ("t1,2021-01-04,tax", "expected 4 fields, got 3"),
@@ -449,13 +453,18 @@ BAD_LABEL_ROWS = {
 def label_file_text(draw):
     """A label file with stray spaces, blank rows, repeated rows, a quoted
     tweet_id that holds a newline, each day in two spellings, and at most
-    one bad row."""
+    one bad row; or, about half the time, a plain file as a CSV writer
+    writes one, which the bulk counter takes unless its bad row stops it."""
+    plain = draw(st.booleans())
+
     def padded(field):
+        if plain:
+            return field
         before = draw(st.sampled_from(["", " ", "  "]))
         return before + field + draw(st.sampled_from(["", " ", "\t"]))
 
     row = st.tuples(
-        st.sampled_from(["t1", "t2", "42", '"t\n3"']),
+        st.sampled_from(["t1", "t2", "42"] + ([] if plain else ['"t\n3"'])),
         st.sampled_from(LABEL_DAYS).flatmap(st.sampled_from),
         st.sampled_from(["tax", "stock market", "inflation"]),
         st.sampled_from([p.value for p in PolarityLabel]),
@@ -463,7 +472,8 @@ def label_file_text(draw):
     pool = draw(st.lists(row, min_size=1, max_size=6))
     blank = st.sampled_from(["", "   ", " , , , ", ",,,", "\t,"])
     lines = []
-    for item in draw(st.lists(st.sampled_from(pool) | blank, max_size=25)):
+    for item in draw(st.lists(st.sampled_from(pool) if plain else st.sampled_from(pool) | blank,
+                              max_size=25)):
         if isinstance(item, str):
             lines.append(item)
         else:
@@ -472,8 +482,54 @@ def label_file_text(draw):
     bad = draw(st.none() | st.sampled_from(sorted(BAD_LABEL_ROWS)))
     if bad is not None:
         lines.insert(draw(st.integers(0, len(lines))), BAD_LABEL_ROWS[bad][0])
+    if plain:
+        return "\n".join([LABEL_HEADER, *lines]) + draw(st.sampled_from(["\n", ""]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(["tweet_id, date ,aspect,polarity", *lines]) + end
+
+
+#: Two plain label rows, which the bulk counter takes.
+PLAIN_LABELS = f"{LABEL_HEADER}\nt1,2021-01-04,tax,positive\nt2,20210105,stock market,negative\n"
+
+
+def plain_label_rows(n: int) -> list[str]:
+    """``n`` plain label rows over two days, two aspects and every polarity."""
+    return [f"u{i:06d},2021-01-0{4 + i % 2},{'tax' if i % 3 else 'inflation'},"
+            f"{('positive', 'negative', 'neutral')[i % 3]}" for i in range(n)]
+
+
+#: Plain label rows over more than two blocks of the bulk counter.
+MANY_PLAIN_LABELS = "\n".join([LABEL_HEADER, *plain_label_rows(6000)]) + "\n"
+
+#: A row that makes the bulk counter hand the file to the row-by-row
+#: reader, for each reason it has; some are bad rows, some are not.
+ROW_BY_ROW_ROWS = {
+    "quote": 't3,2021-01-04,"tax",neutral',
+    "CR": "t3,2021-01-04,tax\r,neutral",
+    "leading space": " t3,2021-01-04,tax,neutral",
+    "leading comma": ",2021-01-04,tax,neutral",
+    "no comma": "t3",
+    "empty line": "",
+    "too few fields": "t3,2021-01-04,tax",
+    "too many fields": "t3,2021-01-04,tax,positive,x",
+    "bad date": "t3,2021-13-04,tax,neutral",
+    "unknown polarity": "t3,2021-01-04,tax,mixed",
+    "empty aspect": "t3,2021-01-04, ,neutral",
+}
+
+
+def row_by_row_reads(monkeypatch) -> list:
+    """The label files that :func:`parse_labeled` reads row by row from
+    now on, one entry per read; the others it counts in bulk."""
+    reads = []
+    read = ingest._label_cells
+
+    def spy(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(ingest, "_label_cells", spy)
+    return reads
 
 
 def counts_or_error(read, path):
@@ -533,18 +589,127 @@ class TestParseLabeled:
         with pytest.raises(FormatError, match=re.escape(f"labels.csv:3: {message}")):
             parse_labeled(p)
 
-    def test_counts_equal_the_row_by_row_reader(self, tmp_path_factory):
+    def test_counts_equal_the_row_by_row_reader(self, tmp_path_factory, monkeypatch):
         p = tmp_path_factory.mktemp("labels") / "labels.csv"
+        reads = row_by_row_reads(monkeypatch)
+        examples = 0
 
         @settings(max_examples=200, derandomize=True, deadline=None)
         @given(label_file_text())
         @example('tweet_id,date,aspect,polarity\n"t\n1", 2021-01-04,tax ,positive\n'
                  " , , , \nt2,20210104, tax,  positive\nt3,2021-01-04,,neutral\n")
+        @example(PLAIN_LABELS.replace(LABEL_HEADER, "tweet_id, date ,aspect,polarity"))
+        @example(PLAIN_LABELS.replace("\n", "\r\n"))
+        @example(PLAIN_LABELS + "t3, 2021-01-04 , tax ,positive \nt4,2021-01-04,tax,neutral")
+        @example(PLAIN_LABELS + "\n".join(ROW_BY_ROW_ROWS.values()) + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["quote"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["CR"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["leading space"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["leading comma"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["no comma"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["empty line"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["too few fields"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["too many fields"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["bad date"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["unknown polarity"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["empty aspect"] + "\n")
+        @example(PLAIN_LABELS + "\u3000t3,2021-01-04,tax,neutral\n\xa0,2021-01-04,tax,neutral\n")
+        @example(LABEL_HEADER + "\n")
+        @example(LABEL_HEADER)
+        @example("")
         def check(text):
+            nonlocal examples
+            examples += 1
             p.write_text(text, encoding="utf-8", newline="")
             assert counts_or_error(parse_labeled, p) == counts_or_error(labels_row_by_row, p)
 
         check()
+        # Both the bulk counter and the row-by-row reader ran, on many files each.
+        assert 40 <= len(reads) <= examples - 40
+
+    @pytest.mark.parametrize("defect, error", [
+        (b"t9,2021-01-04,tax,mixed", "unknown polarity 'mixed'"),
+        (b"t9,2021-01-04,tax", "expected 4 fields, got 3"),
+        (b"t\xff9,2021-01-04,tax,positive", "not valid UTF-8 text"),
+        (b" , , , ", None),
+        (b"", None),
+        (b't9,2021-01-04,"tax",positive', None),
+    ])
+    def test_a_row_after_the_first_block_keeps_its_file_wide_line(
+            self, tmp_path, monkeypatch, defect, error):
+        reads = row_by_row_reads(monkeypatch)
+        rows = [row.encode() for row in plain_label_rows(6000)]
+        rows.insert(4000, defect)  # past the first block of about 64 KiB
+        p = tmp_path / "labels.csv"
+        p.write_bytes(b"\n".join([LABEL_HEADER.encode(), *rows]) + b"\n")
+        if error is None:
+            assert parse_labeled(p) == labels_row_by_row(p)
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"labels.csv:4002: {error}")):
+                parse_labeled(p)
+            assert counts_or_error(parse_labeled, p) == counts_or_error(labels_row_by_row, p)
+        assert set(reads) == {p}
+
+    @pytest.mark.parametrize("limit", [None, 40])
+    def test_a_field_over_the_csv_field_size_limit(self, tmp_path, monkeypatch, limit):
+        # A field of the limit's length is read; one char more is a CSV
+        # error on its line, on both paths and with the limit lowered.
+        reads = row_by_row_reads(monkeypatch)
+        old = csv.field_size_limit()
+        if limit is not None:
+            csv.field_size_limit(limit)
+        try:
+            size = csv.field_size_limit()
+            p = tmp_path / "labels.csv"
+            for width, error in [(size, None), (size + 1, f"field larger than field limit ({size})")]:
+                p.write_text(f"{PLAIN_LABELS}{'x' * width},2021-01-04,tax,neutral\n"
+                             "t4,2021-01-04,tax,neutral\n", encoding="utf-8")
+                result = counts_or_error(parse_labeled, p)
+                assert result == counts_or_error(labels_row_by_row, p)
+                if error is None:
+                    assert sum(c.total for c in result) == 4
+                else:
+                    assert result == (FormatError, f"{p}:4: {error}", 4)
+            assert len(reads) == 2
+            # Rows shorter than the lowered limit are still counted in bulk.
+            p.write_text(PLAIN_LABELS, encoding="utf-8")
+            assert parse_labeled(p) == labels_row_by_row(p)
+            assert len(reads) == 2
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("content, bulk", [
+        (PLAIN_LABELS.encode(), True),
+        (MANY_PLAIN_LABELS.encode()[:-1], True),
+        (MANY_PLAIN_LABELS.encode(), True),
+        (MANY_PLAIN_LABELS.encode() + b't9,2021-01-04,"tax",positive\n', False),
+        (PLAIN_LABELS.replace("\n", "\r\n").encode(), False),
+        (PLAIN_LABELS.replace(LABEL_HEADER, "tweet_id, date ,aspect,polarity").encode(), False),
+        (PLAIN_LABELS.encode() + b"t3,2021-01-04, tax ,neutral\nt4,20210104,tax, neutral\n",
+         True),
+        (PLAIN_LABELS.encode() + b"\n\n", False),
+    ], ids=["plain", "no final line end", "many blocks", "quote after the first block",
+            "CRLF", "spaced header", "padded tail fields", "blank rows"])
+    def test_digest_is_the_files_sha256(self, tmp_path, monkeypatch, content, bulk):
+        reads = row_by_row_reads(monkeypatch)
+        p = tmp_path / "labels.csv"
+        p.write_bytes(content)
+        h = hashlib.sha256()
+        assert parse_labeled(p, h) == labels_row_by_row(p)
+        assert h.hexdigest() == sha256_file(p)
+        assert reads == ([] if bulk else [p])
+
+    def test_verbose_line_tells_the_rows_keys_and_path_taken(self, tmp_path, caplog):
+        p = tmp_path / "labels.csv"
+        p.write_text(PLAIN_LABELS + "t3,2021-01-04,tax,positive\nt3,2021-01-04,tax,neutral\n",
+                     encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="sentdep.ingest"):
+            parse_labeled(p)
+            p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+            parse_labeled(p)
+        assert caplog.messages == [
+            f"labels: 4 rows counted {how}, 3 distinct (day, aspect, polarity) keys"
+            for how in ("in bulk", "row by row")]
 
 
 class TestAspectLexicon:
