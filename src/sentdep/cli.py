@@ -40,7 +40,7 @@ from .pipeline import (
     stage_score,
 )
 from .report import read_cells
-from .scores import aspect_days
+from .scores import ROWS_PER_DAY, aspect_days
 
 logger = logging.getLogger(__name__)
 
@@ -100,16 +100,15 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     check_values(window=args.window, max_malformed_fraction=args.malformed_cap)
-    labels = stage_label(args.tweets, args.aspects, args.positive_terms,
-                         args.negative_terms, args.out,
-                         window=args.window, malformed_cap=args.malformed_cap)
-    print(f"{len(labels)} aspect labels -> {args.out}")
+    n = stage_label(args.tweets, args.aspects, args.positive_terms, args.negative_terms,
+                    args.out, window=args.window, malformed_cap=args.malformed_cap)
+    print(f"{n} aspect labels -> {args.out}")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    scores = stage_score(args.labels, args.out)
-    print(f"{aspect_days(scores)} aspect-day score rows -> {args.out}")
+    days = aspect_days(stage_score(args.labels, args.out))
+    print(f"{days * ROWS_PER_DAY} score rows ({days} aspect-days) -> {args.out}")
     return 0
 
 

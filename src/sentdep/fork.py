@@ -5,10 +5,12 @@ does the other, and places the two on different CPUs where it can: this
 thread on the lowest allowed CPU (see :func:`lowest_cpu`), the child on
 the rest. The child sends its log records and its result, or its error,
 back through a pipe as one pickled message; this process replays the
-records, then raises the error or returns both results. :func:`measured`
-records what a piece of work cost the process that ran it, so a child's
-costs can travel back with its result. Only the standard library is
-imported here.
+records, then raises the error or returns both results. :func:`claims`
+shares blocks of work between the two processes, one block at a time,
+and a :class:`Handoff` carries one value from this process to the child
+once the child runs. :func:`measured` records what a piece of work cost
+the process that ran it, so a child's costs can travel back with its
+result. Only the standard library is imported here.
 """
 
 from __future__ import annotations
@@ -127,20 +129,33 @@ def lowest_cpu() -> Iterator[set[int] | None]:
             _pin(allowed)
 
 
+class Overlap(NamedTuple):
+    """What :func:`beside` returns: both results, then the seconds this
+    process waited for the child's message once its own work was done, and
+    the seconds it took to take the message (read and unpickle it, replay
+    the child's records, reap the child); both 0.0 where no child ran."""
+
+    child: Any
+    parent: Any
+    wait_s: float = 0.0
+    take_s: float = 0.0
+
+
 def beside(
     child_work: Callable[[], Any],
     parent_work: Callable[[], Any],
     alone: Callable[[], Any] | None = None,
-) -> tuple[Any, Any]:
+) -> Overlap:
     """(``child_work()``, ``parent_work()``), the first run in a forked child.
 
     The two share nothing but what existed at the fork. The child sends
     back one pickled message (see :func:`_child_message`) while this
-    process runs ``parent_work``. The child's log records are then handed
-    to this process's loggers, its SentdepError is raised here with the
-    same class and message, and any other exception of the child becomes a
-    RuntimeError that carries its traceback. The child is always reaped,
-    and killed first when ``parent_work`` raises.
+    process runs ``parent_work``, and then waits for the message and takes
+    it (see :class:`Overlap`). The child's log records are handed to this
+    process's loggers while the child exits; its SentdepError is then
+    raised here with the same class and message, and any other exception
+    of the child becomes a RuntimeError that carries its traceback. The
+    child is always reaped, and killed first when ``parent_work`` raises.
 
     Where :func:`lowest_cpu` can pin, this thread keeps the lowest allowed
     CPU from before the fork and the child pins itself to the rest: a
@@ -153,10 +168,11 @@ def beside(
     instead).
     """
     if not hasattr(os, "fork"):
-        return (None, alone()) if alone is not None else (child_work(), parent_work())
+        return Overlap(None, alone()) if alone is not None else Overlap(child_work(),
+                                                                        parent_work())
     with lowest_cpu() as child_cpus:
         if alone is not None and child_cpus is None:
-            return None, alone()
+            return Overlap(None, alone())
         pid = message = None
         try:
             read_fd, write_fd = os.pipe()
@@ -175,7 +191,14 @@ def beside(
             os.close(write_fd)
             with os.fdopen(read_fd, "rb") as pipe:
                 parent_result = parent_work()
+                waited = perf_counter()
+                pipe.peek(1)
+                taken = perf_counter()
                 message = pipe.read()
+            if message:  # while the child exits
+                records, child_result, error = pickle.loads(message)
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
         finally:
             if pid:
                 if message is None:
@@ -186,15 +209,83 @@ def beside(
                 _, status = os.waitpid(pid, 0)
     if not message:
         raise RuntimeError(f"a forked process ended without a result: {_ended(status)}")
-
-    records, child_result, error = pickle.loads(message)
-    for record in records:
-        logging.getLogger(record.name).handle(record)
     if isinstance(error, SentdepError):
         raise error
     if error is not None:
         raise RuntimeError(f"a forked process failed:\n{error}")
-    return child_result, parent_result
+    return Overlap(child_result, parent_result, taken - waited, perf_counter() - taken)
+
+
+#: Bytes of one claim record of :func:`claims`: a block index, little-endian.
+CLAIM_BYTES = 4
+
+
+@contextmanager
+def claims(count: int) -> Iterator[Callable[[], Iterator[int]]]:
+    """Blocks ``0 .. count - 1`` of some work, each taken by one process:
+    this one or a child forked inside the ``with`` block.
+
+    One record per block is written into a pipe in one write, and the
+    write end closed. ``count`` records must fit in ``PIPE_BUF`` bytes: a
+    write of that size into an empty pipe never blocks. The block yields
+    ``claimed``; ``claimed()`` iterates the blocks whose records the
+    calling process reads, one at a time, until none is left, so the
+    process that is free takes the next block, and one that dies
+    mid-claim blocks no other. The read end is closed when the block ends.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in range(count)))
+        os.close(write_fd)
+
+        def claimed() -> Iterator[int]:
+            while record := os.read(read_fd, CLAIM_BYTES):
+                yield int.from_bytes(record, "little")
+
+        yield claimed
+    finally:
+        os.close(read_fd)
+
+
+class Handoff:
+    """A pipe for one value from this process to a child forked after it.
+
+    After the fork this process calls :meth:`send` once, and the child
+    :meth:`receive`, which waits for the value. A value sent to a child
+    that has ended is dropped; :func:`beside` reports how the child ended.
+    :meth:`close` closes what is left of the pipe in the calling process.
+    """
+
+    def __init__(self) -> None:
+        self._fds: list[int | None] = list(os.pipe())  # read end, write end
+
+    def send(self, value: Any) -> None:
+        # Without this process's read end, a write to an ended child fails
+        # instead of blocking.
+        self._close(0)
+        data = memoryview(pickle.dumps(value))
+        try:
+            while data:
+                data = data[os.write(self._fds[1], data):]
+        except BrokenPipeError:
+            pass
+        self._close(1)
+
+    def receive(self) -> Any:
+        # Without the child's copy of the write end, a sender that ended
+        # without sending leaves EOF, an EOFError here, instead of a hang.
+        self._close(1)
+        with os.fdopen(self._fds[0], "rb", closefd=False) as pipe:
+            return pickle.load(pipe)
+
+    def close(self) -> None:
+        self._close(0)
+        self._close(1)
+
+    def _close(self, end: int) -> None:
+        if self._fds[end] is not None:
+            os.close(self._fds[end])
+            self._fds[end] = None
 
 
 class Usage(NamedTuple):

@@ -34,7 +34,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -48,6 +47,19 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 
 #: Fraction of malformed tweet lines tolerated before the file is rejected.
 DEFAULT_MALFORMED_CAP = 0.10
+
+
+class _FirstTokens:
+    """``record.tokens``: the text's tokens, computed on first use and put
+    in the record's dict, where the next lookup finds them first: what
+    :func:`functools.cached_property` does, without the lock it takes
+    before Python 3.12 (about 1 µs a tweet)."""
+
+    def __get__(self, record: TweetRecord | None, owner=None):
+        if record is None:
+            return self
+        tokens = record.__dict__["tokens"] = tokenize(record.text)
+        return tokens
 
 
 @dataclass(frozen=True, init=False)
@@ -75,10 +87,7 @@ class TweetRecord:
         fields["lang"] = lang
         fields["utc_date"] = timestamp.astimezone(timezone.utc).date()
 
-    @cached_property
-    def tokens(self) -> list[str]:
-        """The text's tokens, computed on first use and kept for the next."""
-        return tokenize(self.text)
+    tokens = _FirstTokens()
 
 
 @dataclass(frozen=True)
@@ -239,10 +248,12 @@ def make_output_dir(path) -> Path:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a CSV artifact: UTF-8, ``\\n`` line endings, header then rows."""
+    """Write a CSV artifact: UTF-8, ``\\n`` line endings, header (unless
+    empty) then rows."""
     with open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        if header:
+            writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -347,8 +358,43 @@ def _tweet_from_json(line: str) -> TweetRecord | None:
         return None
 
 
+class LineTally:
+    """Line counts of a tweet file, or of a block of one: its lines, those
+    that count toward the malformed-line cap (every line but a blank one),
+    the malformed ones, and the first malformed line's number, counted from
+    1 at the block's start (0 for none)."""
+
+    __slots__ = ("lines", "total", "bad", "first_bad")
+
+    def __init__(self, lines: int = 0, total: int = 0, bad: int = 0,
+                 first_bad: int = 0) -> None:
+        self.lines, self.total, self.bad, self.first_bad = lines, total, bad, first_bad
+
+    def extend(self, block: LineTally) -> None:
+        """Add the counts of the block that follows these lines in the file."""
+        if block.bad and not self.bad:
+            self.first_bad = self.lines + block.first_bad
+        self.lines += block.lines
+        self.total += block.total
+        self.bad += block.bad
+
+    def check(self, path, malformed_cap: float) -> None:
+        """Raise FormatError when the malformed lines of the file ``path``
+        exceed ``malformed_cap``; otherwise log a warning if there are any."""
+        if self.total and self.bad / self.total > malformed_cap:
+            raise FormatError(
+                f"{self.bad} of {self.total} lines malformed "
+                f"(cap {malformed_cap:.0%}); first bad line {self.first_bad}",
+                path=Path(path),
+            )
+        if self.bad:
+            logger.warning("%s: skipped %d malformed line(s), first at line %d",
+                           Path(path), self.bad, self.first_bad)
+
+
 def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
-                 digest=None) -> Iterator[TweetRecord]:
+                 digest=None, span: tuple[int, int] | None = None,
+                 tally: LineTally | None = None) -> Iterator[TweetRecord]:
     """Stream the English posts of a JSONL tweet file, in file order.
 
     Records with ``lang != "en"`` are excluded. A line is malformed when
@@ -366,16 +412,26 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
     end. Blank lines are ignored entirely. Lines end at a line feed, as
     JSON Lines prescribes; a carriage return before it is whitespace.
 
-    ``digest``, a :mod:`hashlib` object, is fed every byte of the file as
-    its lines are read, so a consumer that reads the stream to the end
-    holds the file's hash without reading the file again.
+    ``span``, a byte range that starts and ends at a line start (see
+    :func:`sentdep.blocks.line_blocks`), reads only those bytes, by the
+    same rules. With ``tally``, the lines' counts are added to it
+    instead, numbered from the first line read, and the caller checks the
+    cap (:meth:`LineTally.check`), so that blocks read apart are checked
+    as one file.
+
+    ``digest``, a :mod:`hashlib` object, is fed every byte read, so a
+    consumer that reads the whole file to the end holds its hash without
+    reading the file again.
     """
     path = Path(path)
-    total = 0
-    bad_lines: list[int] = []
+    lineno = total = bad = first_bad = 0
     # Decoded line by line, so one undecodable line is one malformed line.
     with open_input(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = fh
+        if span is not None:
+            fh.seek(span[0])
+            lines = io.BytesIO(fh.read(span[1] - span[0]))
+        for lineno, raw in enumerate(lines, start=1):
             if digest is not None:
                 digest.update(raw)
             try:
@@ -388,21 +444,16 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
                 rec = _tweet_from_json(line)
             total += 1
             if rec is None:
-                bad_lines.append(lineno)
+                bad += 1
+                first_bad = first_bad or lineno
                 continue
             if rec.lang == "en":
                 yield rec
-    if total and len(bad_lines) / total > malformed_cap:
-        raise FormatError(
-            f"{len(bad_lines)} of {total} lines malformed "
-            f"(cap {malformed_cap:.0%}); first bad line {bad_lines[0]}",
-            path=path,
-        )
-    if bad_lines:
-        logger.warning(
-            "%s: skipped %d malformed line(s), first at line %d",
-            path, len(bad_lines), bad_lines[0],
-        )
+    counts = LineTally(lineno, total, bad, first_bad)
+    if tally is None:
+        counts.check(path, malformed_cap)
+    else:
+        tally.extend(counts)
 
 
 def parse_prices(path, ticker: str) -> dict[date, float]:
@@ -648,10 +699,12 @@ class DayText(dict):
         return text
 
 
-def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path) -> None:
-    """Serialize label tuples; :func:`parse_labeled` counts them back."""
+def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path,
+                  header: bool = True) -> None:
+    """Serialize label tuples, after the header unless ``header`` is false;
+    :func:`parse_labeled` counts them back."""
     day_text = DayText()
-    write_csv(path, _LABEL_HEADER,
+    write_csv(path, _LABEL_HEADER if header else (),
               ((tweet_id, day_text[d], aspect, pol.value)
                for tweet_id, d, aspect, pol in labels))
 
@@ -696,6 +749,10 @@ class KeywordCounts:
         for tweet in tweets:
             count(set(tweet.tokens))
             yield tweet
+
+    def add(self, other: KeywordCounts) -> None:
+        """Add the counts of ``other``, which counted other tweets."""
+        self._counts.update(other._counts)
 
     def frequencies(self, min_count: int = 100) -> list[KeywordFrequency]:
         """Tokens in at least ``min_count`` tweets, by count desc then keyword."""

@@ -11,9 +11,8 @@ reference implementation (and powers synthetic fixtures).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import PolarityLabel
 from .errors import FormatError
@@ -64,11 +63,12 @@ def _read_terms(path) -> dict[str, int]:
     return terms
 
 
-@dataclass(frozen=True)
-class AspectOccurrence:
+class AspectOccurrence(NamedTuple):
     """One contiguous match of an aspect's token sequence in a tweet.
 
     ``start`` indexes the first matched token; ``end`` is one past the last.
+    A named tuple, which is made about twice as fast as a frozen
+    dataclass: a tweet file yields one per label.
     """
 
     aspect: str
@@ -132,24 +132,22 @@ def label_corpus(
     aspects: AspectLexicon,
     lexicon: PolarityLexicon,
     window: int = DEFAULT_WINDOW,
-) -> list[tuple[str, date, str, PolarityLabel]]:
+) -> Iterator[tuple[str, date, str, PolarityLabel]]:
     """Detect and label every aspect occurrence in a tweet corpus.
 
     Each occurrence is labeled by :func:`lexicon_window_label` with
-    ``lexicon`` and ``window``. Emits one tuple per occurrence (not per
+    ``lexicon`` and ``window``. Yields one tuple per occurrence (not per
     distinct aspect), keyed by the tweet's UTC calendar day, in (corpus
     order, occurrence order). The output shape matches
     :func:`sentdep.ingest.parse_labeled`, so built-in and external labels
-    are interchangeable downstream. Tweets are read once, in order, so
-    ``tweets`` may be a stream.
+    are interchangeable downstream. Tweets are read once, in order, as the
+    labels are taken, so ``tweets`` may be a stream and no list is held.
     """
-    out: list[tuple[str, date, str, PolarityLabel]] = []
     for tweet in tweets:
         tokens = tweet.tokens
         if not tokens:
             continue
         day = tweet.utc_date
         for occ in find_aspect_occurrences(tokens, aspects):
-            out.append((tweet.id, day, occ.aspect,
-                        lexicon_window_label(tokens, occ, lexicon, window)))
-    return out
+            yield (tweet.id, day, occ.aspect,
+                   lexicon_window_label(tokens, occ, lexicon, window))

@@ -12,9 +12,10 @@ writes plain files so they can also be driven individually from the CLI:
 :func:`run_pipeline` writes what this composition writes, plus a
 reproducibility manifest; running the stages by hand yields
 byte-identical artifacts. It reads back nothing it has written: the
-label rows and the scores pass from one stage to the next in memory.
-When it labels the tweets itself, the label stage also counts the
-keywords, so the tweet file is read and tokenized once.
+label counts and the scores pass from one stage to the next in memory.
+When it labels the tweets itself, it counts the keywords in the same
+pass, so the tweet file is read and tokenized once, and it writes the
+label rows as they stream, so no list of them is held.
 Nothing in the pipeline draws random numbers, so identical inputs and
 configuration always produce identical outputs.
 
@@ -32,15 +33,19 @@ A run uses two processes twice, through one helper,
 two or more allowed CPUs, keeps the lowest for the parent and gives the
 child the rest, because a cpuset without load balancing never moves a
 forked child off its parent's CPU. First, before the numerical stack is
-loaded, a child runs the keyword, label and score stages, reads the
-price files and the calendar, prepares the analysis inputs and hashes
-every input file for the manifest, while the parent imports numpy, the
-statistics and ``scipy.special`` (see :func:`_ingest_beside_import`). The
-parent then only stacks the rows it is sent; it never holds the price or
-score dicts. Then :func:`stage_analyze` shares the
-aspects with a forked worker: both processes claim them, one block at a
-time, from one pipe that the parent filled before the fork, so whichever
-process is free takes the next block (see :func:`_analyze_beside`).
+loaded, a child starts the text half of the run while the parent imports
+numpy, the statistics and ``scipy.special``. Tweets to label are cut into
+blocks of whole lines, which the child and then, once its import is
+done, the parent claim from one pipe (:func:`sentdep.fork.claims`). The
+child merges the blocks, writes the keyword, label and score files,
+reads the price files and the calendar, prepares the analysis inputs and
+hashes every input file for the manifest (see
+:func:`_ingest_beside_import`). The parent then only stacks the rows it
+is sent; it never holds the price or score dicts. Then
+:func:`stage_analyze` shares the aspects with a forked worker the same
+way: both processes claim them, one block at a time, from one pipe that
+the parent filled before the fork, so whichever process is free takes
+the next block (see :func:`_analyze_beside`).
 
 The numerical stack is loaded once per process, by
 :func:`_import_analysis`, without the numpy submodules that SciPy's
@@ -62,10 +67,8 @@ import select
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, make_dataclass
-from datetime import date
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -74,23 +77,19 @@ from .core import (
     DEFAULT_THRESHOLD,
     MAX_K,
     AnalysisInputs,
-    PolarityLabel,
     ScoreKind,
 )
 from .errors import ConfigError, FormatError
 from .ingest import (
     DEFAULT_MALFORMED_CAP,
-    KeywordCounts,
     keyword_frequencies,
-    load_aspects,
     make_output_dir,
     parse_labeled,
     parse_tweets,
     read_lines,
     write_keyword_frequencies,
-    write_labeled,
 )
-from .labeler import DEFAULT_WINDOW, PolarityLexicon, label_corpus
+from .labeler import DEFAULT_WINDOW
 from .report import (
     DependenceCell,
     emit_granger_table,
@@ -99,7 +98,7 @@ from .report import (
     write_cells,
     write_manifest,
 )
-from .scores import Scores, aggregate_daily, aspect_days, write_scores
+from .scores import Scores, aspect_days, write_scores
 
 logger = logging.getLogger(__name__)
 
@@ -278,6 +277,8 @@ def _convert(section: str, key: str, kind: type, text: str, base: Path):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
         if kind is Path:
+            if "\0" in text:  # no file system takes it
+                raise ValueError("a path may not hold a NUL character")
             return base / text
         return kind(text)
     except ValueError as exc:
@@ -351,45 +352,38 @@ def stage_label(
     out_path,
     window: int = PipelineConfig.window,
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
-    keywords_path=None,
-    min_count: int = PipelineConfig.min_keyword_count,
-    digest=None,
-) -> list[tuple[str, date, str, PolarityLabel]]:
-    """tweets.jsonl -> labels.csv; returns the labels written.
+) -> int:
+    """tweets.jsonl -> labels.csv; returns the number of labels written.
 
-    With ``keywords_path`` it also writes what :func:`stage_keywords` would
-    write there, from the same single read of the tweets. Nothing is
-    written before the whole tweet file has been read, so a file over the
-    malformed-line cap leaves neither output behind. ``digest`` is fed
-    the tweet file's bytes (see :func:`parse_tweets`).
+    The file is labeled as :func:`run_pipeline` labels it, block by block
+    (see :class:`sentdep.blocks.TweetBlocks`), by this process alone.
     """
-    aspects = load_aspects(aspects_path)
-    lexicon = PolarityLexicon.from_files(positive_path, negative_path)
-    tweets = parse_tweets(tweets_path, malformed_cap, digest)
-    keywords = None
-    if keywords_path is not None:
-        keywords = KeywordCounts()
-        tweets = keywords.tap(tweets)
-    labels = label_corpus(tweets, aspects, lexicon, window)
-    if keywords is not None:
-        freqs = keywords.frequencies(min_count)
-        write_keyword_frequencies(freqs, keywords_path)
-        logger.info("keywords: %d kept", len(freqs))
-    write_labeled(labels, out_path)
-    return labels
+    from .blocks import Share, TweetBlocks
+
+    tweets = TweetBlocks(tweets_path, aspects_path, positive_path, negative_path, out_path,
+                         window, _MAX_CLAIMS)
+    try:
+        share = tweets.label(range(len(tweets.spans)), Share(keywords=False))
+        tweets.check(share, malformed_cap)
+        tweets.join()
+    except BaseException:
+        tweets.discard()
+        raise
+    return share.labels()
 
 
-def stage_score(labels_path, out_path, labels=None, digest=None) -> Scores:
+def stage_score(labels_path, out_path, counts=None, digest=None) -> Scores:
     """labels.csv -> scores.csv; returns the series and totals written.
 
-    ``labels`` are the rows of ``labels_path`` when the caller already
-    holds them; otherwise the file is counted by :func:`parse_labeled`,
-    which feeds ``digest`` the file's bytes. Nothing is written before
-    every row has been counted, so a bad row leaves no ``scores.csv``
-    behind.
+    ``counts`` are the per-(aspect, day) counts of ``labels_path`` when the
+    caller already holds them, as :func:`~sentdep.scores.write_scores`
+    takes them; otherwise the file is counted by
+    :func:`parse_labeled`, which feeds ``digest`` the file's bytes. Nothing
+    is written before every row has been counted, so a bad row leaves no
+    ``scores.csv`` behind.
     """
-    counts = (parse_labeled(labels_path, digest) if labels is None
-              else aggregate_daily(labels))
+    if counts is None:
+        counts = parse_labeled(labels_path, digest)
     return write_scores(counts, out_path)
 
 
@@ -447,47 +441,65 @@ def stage_report(cells: Sequence[DependenceCell], output_dir) -> list[Path]:
     return written
 
 
-def _ingest(config: PipelineConfig, out: Path) -> tuple[AnalysisInputs, dict[str, str]]:
+def _ingest(config: PipelineConfig, out: Path, tweets=None,
+            claimed: Callable[[], Iterable[int]] | None = None, handoff=None
+            ) -> tuple[AnalysisInputs, dict[str, str], tuple[int, int]]:
     """The text half of a run and the analysis inputs.
 
     Writes keywords.csv, labels.csv and scores.csv, then prepares what the
     analysis reads (see :func:`sentdep.prepare.prepare_analysis`) and the
-    manifest's input digests; the tweet file and an external label file
-    are hashed as they are read.
+    manifest's input digests. Returns them with how many tweet blocks and
+    lines this process labeled.
+
+    With ``tweets``, a :class:`sentdep.blocks.TweetBlocks`, this process
+    hashes the tweet file, labels the blocks it claims (``claimed()``, see
+    :func:`sentdep.fork.claims`) and, unless it labeled every block itself,
+    receives the other process's share from ``handoff`` (a
+    :class:`sentdep.fork.Handoff`); it then merges the shares, writes
+    keywords.csv and joins labels.csv. Otherwise the labels are an
+    external file, counted and hashed in one read; a tweet file beside it
+    feeds only keywords.csv and is hashed as it is read.
     """
     import hashlib
 
     from .prepare import input_digests, prepare_analysis
 
-    hashes = {name: hashlib.sha256() for name in ("tweets", "labels")
-              if getattr(config, name) is not None}
-    tweets_hash = hashes.get("tweets")
-    labels = None
-    if config.labels is not None:
+    counts, took = None, (0, 0)
+    if tweets is not None:
+        from .blocks import Share
+
+        with open(tweets.tweets, "rb") as fh:
+            hashes = {"tweets": hashlib.file_digest(fh, "sha256")}
+        share = tweets.label(claimed(), Share())
+        took = len(share.tallies), share.lines()
+        if len(share.tallies) < len(tweets.spans):
+            share.add(handoff.receive())
+        tweets.check(share, config.max_malformed_fraction)
+        freqs = share.keywords.frequencies(config.min_keyword_count)
+        write_keyword_frequencies(freqs, out / "keywords.csv")
+        logger.info("keywords: %d kept", len(freqs))
+        tweets.join()
+        logger.info("labels: %d occurrences", share.labels())
+        counts = [(aspect, day, *cell) for (aspect, day), cell in share.cells.items()]
+        labels_path = tweets.out
+    else:
         labels_path = config.labels
+        hashes = {name: hashlib.sha256() for name in ("tweets", "labels")
+                  if getattr(config, name) is not None}
         if config.tweets is not None:
             n_keywords = stage_keywords(
                 config.tweets, out / "keywords.csv",
                 min_count=config.min_keyword_count,
-                malformed_cap=config.max_malformed_fraction, digest=tweets_hash,
+                malformed_cap=config.max_malformed_fraction, digest=hashes["tweets"],
             )
             logger.info("keywords: %d kept", n_keywords)
-    else:
-        labels_path = out / "labels.csv"
-        labels = stage_label(
-            config.tweets, config.aspects, config.positive_terms,
-            config.negative_terms, labels_path,
-            window=config.window, malformed_cap=config.max_malformed_fraction,
-            keywords_path=out / "keywords.csv", min_count=config.min_keyword_count,
-            digest=tweets_hash,
-        )
-        logger.info("labels: %d occurrences", len(labels))
 
-    scores = stage_score(labels_path, out / "scores.csv", labels, hashes.get("labels"))
+    scores = stage_score(labels_path, out / "scores.csv", counts, hashes.get("labels"))
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
-    del labels  # counted into the scores; not held while the prices are read
+    del counts  # written into the scores; not held while the prices are read
     inputs = prepare_analysis(config, out / "scores.csv", scores)
-    return inputs, input_digests(config, {name: h.hexdigest() for name, h in hashes.items()})
+    digests = input_digests(config, {name: h.hexdigest() for name, h in hashes.items()})
+    return inputs, digests, took
 
 
 def _import_analysis() -> int:
@@ -562,51 +574,91 @@ def _import_scipy_special() -> None:
         numpy.__all__, numpy.__dir__ = exported, listed
 
 
-def _ingest_beside_import(
-    ingest: Callable[[], tuple[AnalysisInputs, dict[str, str]]]
-) -> tuple[AnalysisInputs, dict[str, str]]:
-    """``ingest()``, run in a forked child while this process imports the analysis.
+def _ingest_beside_import(config: PipelineConfig, out: Path
+                          ) -> tuple[AnalysisInputs, dict[str, str]]:
+    """:func:`_ingest`, run in a forked child while this process imports the
+    analysis and then labels tweet blocks beside it.
 
-    The child writes keywords.csv, labels.csv and scores.csv, reads the
-    price files and the calendar, and sends back the analysis inputs and
-    the input digests (see :func:`_ingest` and
-    :func:`sentdep.fork.beside`). Nothing numerical is loaded before the
-    fork, so the process forks with one thread and the child never loads
-    it. numpy and SciPy first loaded here see the one CPU this thread is
-    pinned to, so their OpenBLAS pools start no worker thread for the
-    life of the process. With one CPU, or where nothing can be pinned,
-    the child still runs beside the import; without ``os.fork`` the
-    ingest runs inline.
+    With tweets to label, this process first reads the aspect lexicon and
+    the term files, cuts the tweet file into blocks of whole lines (see
+    :class:`sentdep.blocks.TweetBlocks`) and puts one claim for each block
+    into a pipe (see :func:`sentdep.fork.claims`). The child claims blocks from
+    its start; this process claims the rest once its import is done, and
+    hands its share of the counts to the child, which merges the blocks
+    in block order and writes keywords.csv, labels.csv and scores.csv. The
+    child then reads the price files and the calendar, and sends back the
+    analysis inputs and the input digests (see :func:`sentdep.fork.beside`).
+    A run that fails leaves no part file behind.
+
+    Nothing numerical is loaded before the fork, so the process forks with
+    one thread and the child never loads it. numpy and SciPy first loaded
+    here see the one CPU this thread is pinned to, so their OpenBLAS pools
+    start no worker thread for the life of the process. With one CPU, or
+    where nothing can be pinned, the child still runs beside the import;
+    without ``os.fork`` the ingest runs inline and labels every block.
+    One ``-v`` line tells what each process did and how long this one then
+    waited for the child's message and took to take it.
     """
-    from .fork import beside, measured
+    from .fork import Handoff, beside, claims, measured
 
-    start = perf_counter()
-    (prepared, child), (frozen, parent) = beside(partial(measured, ingest),
-                                                 partial(measured, _import_analysis))
-    if child.pid != parent.pid:  # an ingest run inline overlapped nothing
-        inputs, _ = prepared
+    tweets = None
+    if config.labels is None:
+        from .blocks import TweetBlocks
+
+        tweets = TweetBlocks(config.tweets, config.aspects, config.positive_terms,
+                             config.negative_terms, out / "labels.csv", config.window,
+                             _MAX_CLAIMS)
+    handoff = Handoff()
+    with claims(len(tweets.spans) if tweets else 0) as claimed:
+        def import_then_label():
+            frozen, imported = measured(_import_analysis)
+            labeled = measured(_label_rest, tweets, claimed, handoff) if tweets else None
+            return frozen, imported, labeled
+
+        try:
+            (prepared, child), (frozen, imported, labeled), wait_s, take_s = beside(
+                partial(measured, _ingest, config, out, tweets, claimed, handoff),
+                import_then_label)
+        except BaseException:
+            if tweets is not None:
+                tweets.discard()
+            raise
+        finally:
+            handoff.close()
+    inputs, digests, (child_blocks, child_lines) = prepared
+    blocks = lines = label_s = 0
+    here = imported
+    if labeled is not None:
+        share, here = labeled
+        blocks, lines, label_s = len(share.tallies), share.lines(), here.wall_s
+    if child.pid != imported.pid:  # an ingest run inline overlapped nothing
         logger.info("ingest and analysis inputs (%d price files, %d trading days) "
                     "%.3f s in a child process on CPUs %s; numpy, statistics and "
-                    "scipy.special import %.3f s meanwhile on CPUs %s; then waited "
-                    "%.3f s; froze %d objects",
+                    "scipy.special import %.3f s meanwhile on CPUs %s; tweet blocks "
+                    "(lines): %d (%d) in the child, %d (%d) here in %.3f s; then waited "
+                    "%.3f s for the child's message and %.3f s to take it; "
+                    "froze %d objects; peak RSS %.1f MiB in the child, %.1f MiB here",
                     len(inputs.tickers), len(inputs.closes[0]), child.wall_s, child.cpus,
-                    parent.wall_s, parent.cpus,
-                    perf_counter() - start - parent.wall_s, frozen)
-    return prepared
+                    imported.wall_s, imported.cpus, child_blocks, child_lines,
+                    blocks, lines, label_s, wait_s, take_s, frozen, child.peak_mib,
+                    here.peak_mib)
+    return inputs, digests
 
 
-#: Bytes of one claim record: a block index, little-endian.
-_CLAIM_BYTES = 4
-#: Most claim records per run: a write of at most ``PIPE_BUF`` bytes (512
-#: or more by POSIX) into an empty pipe is atomic and never blocks.
-_MAX_CLAIMS = getattr(select, "PIPE_BUF", 512) // _CLAIM_BYTES
+def _label_rest(tweets, claimed: Callable[[], Iterable[int]], handoff):
+    """Label the tweet blocks left to claim and hand the share of them, if
+    any, to the process that merges the blocks; returns the share."""
+    from .blocks import Share
+
+    share = tweets.label(claimed(), Share())
+    if share.tallies:
+        handoff.send(share)
+    return share
 
 
-def _claimed(read_fd: int, blocks: Sequence[Sequence[str]]) -> Iterator[str]:
-    """The aspects of each block whose index this process reads from
-    ``read_fd``, one record at a time, until EOF."""
-    while record := os.read(read_fd, _CLAIM_BYTES):
-        yield from blocks[int.from_bytes(record, "little")]
+#: Most claim records per run: 4-byte records of :func:`sentdep.fork.claims`,
+#: which must fit in ``PIPE_BUF`` bytes (512 or more by POSIX).
+_MAX_CLAIMS = getattr(select, "PIPE_BUF", 512) // 4
 
 
 def _tallied(analyze: Callable[..., list[DependenceCell]],
@@ -636,24 +688,21 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
     and entropy estimates it made; how many aspects each took may differ
     between runs.
     """
-    from .fork import beside, measured
+    from .fork import beside, claims, measured
 
     n, count = len(aspects), min(len(aspects), _MAX_CLAIMS)
     blocks = [aspects[i * n // count:(i + 1) * n // count] for i in range(count)]
-    read_fd, write_fd = os.pipe()
-    os.write(write_fd, b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(count)))
-    os.close(write_fd)
-    try:
-        here = partial(measured, _tallied, analyze, _claimed(read_fd, blocks))
+    with claims(count) as claimed:
+        def claimed_aspects() -> Iterator[str]:
+            return (aspect for i in claimed() for aspect in blocks[i])
+
+        here = partial(measured, _tallied, analyze, claimed_aspects())
         if n < 2:
             runs = [here()]
         else:
-            worker, own = beside(
-                partial(measured, _tallied, analyze, _claimed(read_fd, blocks)),
-                here, alone=here)
+            worker, own, *_ = beside(
+                partial(measured, _tallied, analyze, claimed_aspects()), here, alone=here)
             runs = [own] if worker is None else [own, worker]
-    finally:
-        os.close(read_fd)
     by_aspect: dict[str, list[DependenceCell]] = {}
     for (cells, _), _ in runs:
         for cell in cells:
@@ -674,12 +723,14 @@ def run_pipeline(config: PipelineConfig) -> list[DependenceCell]:
     granger.csv, run_manifest.json. The keyword, label and score stages,
     the reading of the price files and the calendar, and the hashing of
     the inputs run in a forked child while this process imports numpy and
-    the statistics (see :func:`_ingest_beside_import`); the analysis
-    shares its aspects with a forked worker (see :func:`_analyze_beside`).
+    the statistics; the tweet file's blocks are labeled by both processes,
+    this one once its import is done, and no list of labels is held (see
+    :func:`_ingest_beside_import`). The analysis shares its aspects with a
+    forked worker (see :func:`_analyze_beside`).
     """
     config.validate()
     out = make_output_dir(config.output_dir)
-    inputs, digests = _ingest_beside_import(partial(_ingest, config, out))
+    inputs, digests = _ingest_beside_import(config, out)
 
     cells = stage_analyze(config, out / "scores.csv", out / "cells.csv", inputs)
     logger.info("analysis: %d dependence cells", len(cells))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind, sorted_day_counts
 from .errors import FormatError
@@ -37,13 +37,25 @@ def aggregate_daily(
     stream. :func:`sentdep.ingest.parse_labeled` gives the same counts
     for a label file.
     """
-    acc: dict[tuple[str, date], list[int]] = {}
-    for _tweet_id, day, aspect, polarity in labels:
-        cell = acc.get((aspect, day))
+    cells: dict[tuple[str, date], list[int]] = {}
+    for _ in counted(labels, cells):
+        pass
+    return sorted_day_counts(cells)
+
+
+def counted(
+    labels: Iterable[tuple[str, date, str, PolarityLabel]],
+    cells: dict[tuple[str, date], list[int]],
+) -> Iterator[tuple[str, date, str, PolarityLabel]]:
+    """Yield each label unchanged after counting it into ``cells``, its
+    ``(aspect, day) -> [positive, negative, neutral]`` counts."""
+    for label in labels:
+        _tweet_id, day, aspect, polarity = label
+        cell = cells.get((aspect, day))
         if cell is None:
-            cell = acc[(aspect, day)] = [0, 0, 0]
+            cell = cells[(aspect, day)] = [0, 0, 0]
         cell[COUNT_INDEX[polarity]] += 1
-    return sorted_day_counts(acc)
+        yield label
 
 
 _SCORES_HEADER = ("aspect", "date", "kind", "value")
@@ -52,6 +64,9 @@ _SCORES_HEADER = ("aspect", "date", "kind", "value")
 #: along in score files so a reader can rank aspects by total mentions
 #: without the original labels.
 TOTAL_KIND_CODE = "fs"
+
+#: Rows of a score file per (aspect, day): one per score kind, and the total.
+ROWS_PER_DAY = len(ScoreKind) + 1
 
 _KINDS_BY_CODE = {k.value: k for k in ScoreKind}
 _VALID_KIND_CODES = set(_KINDS_BY_CODE) | {TOTAL_KIND_CODE}
@@ -69,13 +84,16 @@ def aspect_days(scores: Scores) -> int:
                if kind is ScoreKind.ABS_POSITIVE)
 
 
-def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
+def write_scores(counts: Iterable[tuple[str, date, int, int, int]], path) -> Scores:
     """Write per-day scores for all aspects to CSV; returns what it wrote.
 
-    One row per (aspect, day, kind) for the four score kinds plus the
-    ``fs`` total row. Values use ``repr`` so floats round-trip exactly,
-    and the returned series and totals equal what :func:`read_scores`
-    reads back from the file.
+    ``counts`` are (aspect, day, positive, negative, neutral) tuples, such
+    as :class:`~sentdep.core.AspectDayCount`, each (aspect, day) once, in
+    any order. They are written in (aspect, day) order, one row per
+    (aspect, day, kind) for the four score kinds plus the ``fs`` total
+    row. Values use ``repr`` so floats round-trip exactly, and the
+    returned series and totals equal what :func:`read_scores` reads back
+    from the file.
 
     The rows are formatted as text and written in one call, with the
     bytes :func:`~sentdep.ingest.write_csv` would write: each aspect is
@@ -89,17 +107,17 @@ def write_scores(counts: Sequence[AspectDayCount], path) -> Scores:
     day_text = DayText()
     lines = [",".join(_SCORES_HEADER) + "\n"]
     aspect = None
-    for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-        if c.aspect != aspect:
-            aspect = c.aspect
+    for name, d, positive, negative, neutral in sorted(counts):
+        if name != aspect:
+            aspect = name
             field = csv_field(aspect)
             fp, fn, nfp, nfn = (series.setdefault((aspect, k), {}) for k in ScoreKind)
             totals.setdefault(aspect, 0)
-        d, total = c.day, c.total
-        fp[d] = v_fp = float(c.positive)
-        fn[d] = v_fn = float(c.negative)
-        nfp[d] = v_nfp = c.positive / total
-        nfn[d] = v_nfn = c.negative / total
+        total = positive + negative + neutral
+        fp[d] = v_fp = float(positive)
+        fn[d] = v_fn = float(negative)
+        nfp[d] = v_nfp = positive / total
+        nfn[d] = v_nfn = negative / total
         totals[aspect] += total
         row = f"{field},{day_text[d]},"
         lines.append(f"{row}{fp_code},{v_fp!r}\n{row}{fn_code},{v_fn!r}\n"

@@ -25,6 +25,7 @@ from test_forked_ingest import (  # noqa: F401  (hang_guard and placed_run are f
     needs_two_cpus,
     placed_run,
     verbose_run,
+    wait_for,
 )
 from test_pipeline import EXPECTED_ARTIFACTS, build_tweet_tree
 
@@ -119,14 +120,6 @@ def hook_claims(monkeypatch, in_worker=None, in_parent=None):
         return analyze(config, claims(), *args, **kwargs)
 
     monkeypatch.setattr(sentdep.analysis, "analyze_cells", hooked)
-
-
-def wait_for(path, timeout=60):
-    """Return once ``path`` exists; fail after ``timeout`` seconds."""
-    end = time.monotonic() + timeout
-    while not path.exists():
-        assert time.monotonic() < end, f"{path} never appeared"
-        time.sleep(0.01)
 
 
 @needs_two_cpus

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import date
@@ -688,6 +689,100 @@ def test_any_cell_rows_end_in_exit_zero_or_two(tmp_path_factory):
     check()
 
 
+#: Values a config key is set to in the fuzz: bad numbers and booleans,
+#: paths relative to the config file (to no file, a directory, an input of
+#: another kind), an embedded NUL, interpolation syntax and a line break.
+FUZZ_CONFIG_VALUES = [
+    "", "0", "-1", "1", "2", "20", "21", "0.5", "1.5", "1e3", "nan", "inf", "-0", "0x10",
+    "1_0", "\u0661\u0662", "9" * 30, "yes", "no", "On", "maybe", ".", "out", "nope.txt",
+    "tweets.jsonl", "AAA.csv", "aspects.txt", "days.txt", "labels.csv", "config.ini",
+    "a\x00b", "%(x)s", "x\n  y",
+]
+
+#: The paths of :func:`full_config`, relative to the config file.
+FULL_CONFIG_PATHS = {"aspects": "aspects.txt", "tweets": "tweets.jsonl",
+                     "positive_terms": "pos.txt", "negative_terms": "neg.txt",
+                     "calendar": "days.txt", "output_dir": "out"}
+
+
+def full_config() -> list[str]:
+    """The lines of a config of the tweet tree that sets every key, with a
+    calendar, each value its default."""
+    lines, section = [], None
+    for key in sentdep.pipeline.CONFIG_KEYS:
+        if key.section != section:
+            section = key.section
+            lines.append(f"[{section}]\n")
+        if key.kind is dict:
+            lines.append("AAA = AAA.csv\n")
+        elif key.name != "labels":
+            value = FULL_CONFIG_PATHS.get(key.name, key.default)
+            lines.append(f"{key.key} = {str(value).lower() if key.kind is bool else value}\n")
+    return lines
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """A full config with up to five mutations: a value, key or section
+    name replaced, a known key added, a line dropped or repeated, or a
+    line of random text or bytes inserted."""
+    lines = full_config()
+    # Without "/", "\\" or ".", a drawn path stays inside the config's directory.
+    text = st.text(st.characters(blacklist_characters="/\\.", blacklist_categories=("Cs",)),
+                   max_size=10)
+    value = st.sampled_from(FUZZ_CONFIG_VALUES) | text
+    keys = [key.key for key in sentdep.pipeline.CONFIG_KEYS] + ["AAA", "BBB"]
+    sections = sorted({key.section for key in sentdep.pipeline.CONFIG_KEYS}) + ["DEFAULT"]
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["value", "value", "key", "section", "add", "drop",
+                                    "repeat", "text", "bytes"]))
+        name, sep, old = lines[i].partition(" = ")
+        if how == "value" and sep:
+            lines[i] = f"{name} = {draw(value)}\n"
+        elif how == "key" and sep:
+            lines[i] = f"{draw(st.sampled_from(keys) | text)} = {old}"
+        elif how == "section":
+            lines[i] = f"[{draw(st.sampled_from(sections) | text)}]\n"
+        elif how == "add":
+            lines.insert(i, f"{draw(st.sampled_from(keys))} = {draw(value)}\n")
+        elif how == "drop":
+            del lines[i]
+        elif how == "repeat":
+            lines.insert(i, lines[i])
+        elif how == "text":
+            lines.insert(i, draw(text) + "\n")
+        elif how == "bytes":
+            lines.insert(i, draw(st.binary(max_size=20)).decode("utf-8", "surrogateescape")
+                         + "\n")
+    return "".join(lines).encode("utf-8", "surrogateescape")
+
+
+def test_any_config_file_ends_in_exit_zero_one_or_two(tmp_path_factory):
+    """Whole-program fuzz of the config file, through ``run`` and ``analyze``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ini = build_tweet_tree(root)
+    add_calendar(ini, [d.isoformat() for d in DAYS])
+    assert main(["run", "--config", str(ini)]) == 0
+    for produced in ("labels.csv", "scores.csv"):
+        (root / produced).write_bytes((root / "out" / produced).read_bytes())
+    config = root / "fuzzed.ini"
+    run = ["run", "--config", str(config)]
+    analyze = ["analyze", "--config", str(config), "--scores", str(root / "scores.csv"),
+               "--out", str(root / "cells.csv")]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config_files())
+    @example("".join(full_config()).encode())
+    @example("".join(full_config()).replace("dir = out", "dir = a\x00b").encode())
+    def check(data):
+        config.write_bytes(data)
+        assert main(run) in (0, 1, 2)
+        assert main(analyze) in (0, 1, 2)
+
+    check()
+
+
 @pytest.mark.parametrize("broken", BROKEN_TWEET_LINES,
                          ids=["year_0", "year_10000", "nesting", "surrogate_id",
                               "surrogate_text"])
@@ -938,6 +1033,23 @@ class TestStageComposition:
                     f"{name} differs between `run` and the manual composition "
                     f"(config {config.name}, flags {flags})"
                 )
+
+
+    @pytest.mark.parametrize("argv, printed", [
+        (STAGE_ARGV["score"], r"(\d+) score rows \((\d+) aspect-days\) -> new_scores\.csv"),
+        (STAGE_ARGV["label"], r"(\d+) aspect labels -> new_labels\.csv"),
+    ], ids=["score", "label"])
+    def test_printed_row_count_is_the_files(self, tmp_path, capsys, monkeypatch, argv,
+                                            printed):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        command = "score" if "--labels" in argv else "label"
+        assert main([command, *argv]) == 0
+        counts = re.fullmatch(printed + "\n", capsys.readouterr().out).groups()
+        header, *rows = (tmp_path / argv[-1]).read_text(encoding="utf-8").splitlines()
+        assert int(counts[0]) == len(rows) > 0
+        if command == "score":
+            days = {tuple(row.split(",")[:2]) for row in rows}
+            assert int(counts[1]) == len(days) < len(rows)
 
 
 class TestOverrides:

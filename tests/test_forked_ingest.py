@@ -17,9 +17,12 @@ from ast import literal_eval
 
 import pytest
 
+import sentdep.blocks
 import sentdep.pipeline
 from sentdep import errors
+from sentdep.blocks import line_blocks
 from sentdep.cli import main
+from sentdep.fork import Handoff
 from sentdep.pipeline import load_config, run_pipeline
 from sentdep.prepare import sha256_file
 from test_cli import add_calendar, run_python
@@ -34,6 +37,14 @@ def hang_guard(session_stderr):
     faulthandler.dump_traceback_later(300, exit=True, file=session_stderr)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+def wait_for(path, timeout=60):
+    """Return once ``path`` exists; fail after ``timeout`` seconds."""
+    end = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < end, f"{path} never appeared"
+        time.sleep(0.01)
 
 
 def label_tree(tmp_path):
@@ -226,6 +237,15 @@ class TestForkedIngest:
         messages = caplog.messages
         overlap = [m for m in messages if "scipy.special import" in m]
         assert len(overlap) == 1 and overlap[0].startswith("ingest ")
+        # One block of 19 lines, taken by one of the two processes, and the
+        # parent's wait split in two.
+        blocks = re.search(r"; tweet blocks \(lines\): (\d+) \((\d+)\) in the child, "
+                           r"(\d+) \((\d+)\) here in [\d.]+ s; then waited [\d.]+ s for "
+                           r"the child's message and [\d.]+ s to take it; froze \d+ objects; "
+                           r"peak RSS [\d.]+ MiB in the child, [\d.]+ MiB here$", overlap[0])
+        assert blocks is not None
+        child_blocks, child_lines, own_blocks, own_lines = map(int, blocks.groups())
+        assert (child_blocks + own_blocks, child_lines + own_lines) == (1, 19)
         # after the child's own lines, before the analysis
         assert messages.index(overlap[0]) == messages.index(
             next(m for m in messages if m.startswith("scores: "))) + 1
@@ -454,3 +474,188 @@ class TestForkedIngest:
         for name in sorted(EXPECTED_ARTIFACTS):
             assert ((tmp_path / "inline" / name).read_bytes()
                     == (tmp_path / "out" / name).read_bytes()), name
+
+
+def logged_run(config):
+    """(every log message of ``run_pipeline(config)`` but the timing lines,
+    the ingest overlap's line)."""
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    messages = []
+    root = logging.getLogger()
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        run_pipeline(config)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+    overlap = [m for m in messages if "scipy.special import" in m]
+    return [m for m in messages if not is_timing(m)], overlap
+
+
+def broken_fixture(root):
+    """Fixture seed 0, its tweet file with a line that is not JSON, a line
+    that is not UTF-8, blank lines and CRLF line ends inserted at file
+    positions far apart; returns its config path."""
+    assert main(["fixture", "--out-dir", str(root), "--seed", "0"]) == 0
+    tweets = root / "tweets.jsonl"
+    lines = tweets.read_bytes().splitlines(keepends=True)
+    lines[2000:2000] = [b"{broken\n", b"  \n"]
+    lines[5000] = lines[5000].replace(b"\n", b"\r\n")
+    lines[9000:9000] = [b"\xff\xfe\n", b"\n"]
+    tweets.write_bytes(b"".join(lines))
+    return root / "config.ini"
+
+
+def label_argv(root, out):
+    return ["label", "--tweets", str(root / "tweets.jsonl"),
+            "--aspects", str(root / "aspects.txt"),
+            "--positive-terms", str(root / "positive_terms.txt"),
+            "--negative-terms", str(root / "negative_terms.txt"), "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def one_block_run(tmp_path_factory):
+    """(config, log but the timing lines) of a :func:`broken_fixture` run
+    in one process, which reads its tweet file as one block."""
+    root = tmp_path_factory.mktemp("one_block")
+    config = load_config(broken_fixture(root))
+    config.output_dir = root / "one_block"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        patch.setattr(sentdep.blocks, "BLOCK_BYTES", 1 << 30)
+        log, overlap = logged_run(config)
+    assert not overlap
+    return config, log
+
+
+def hook_blocks(monkeypatch, in_child=None, in_parent=None):
+    """Have each process call its hook as ``hook(n)`` before it reads its
+    n-th tweet block."""
+    parent = os.getpid()
+    read = sentdep.blocks.parse_tweets
+    taken = []  # each process appends to its own copy
+
+    def hooked(*args, span=None, **kwargs):
+        if span is not None:
+            taken.append(span)
+            hook = in_parent if os.getpid() == parent else in_child
+            if hook is not None:
+                hook(len(taken))
+        return read(*args, span=span, **kwargs)
+
+    monkeypatch.setattr(sentdep.blocks, "parse_tweets", hooked)
+
+
+def parts_left(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("."))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestTweetBlocks:
+    def test_tiny_blocks_write_and_log_what_one_block_does(self, one_block_run, tmp_path,
+                                                           monkeypatch, capsys):
+        # A block of one byte ends after the line it starts in, so up to
+        # _MAX_CLAIMS blocks of a few lines each are shared by two processes;
+        # the parent waits for the child's first block before its own.
+        config, one_block_log = one_block_run
+        monkeypatch.setattr(sentdep.blocks, "BLOCK_BYTES", 1)
+        spans = line_blocks(config.tweets, 1, sentdep.pipeline._MAX_CLAIMS)
+        assert sentdep.pipeline._MAX_CLAIMS // 2 < len(spans) <= sentdep.pipeline._MAX_CLAIMS
+        started = tmp_path / "child.started"
+        hook_blocks(monkeypatch, in_child=lambda n: started.touch(),
+                    in_parent=lambda n: n == 1 and wait_for(started))
+        one_block = config.output_dir
+        config.output_dir = tmp_path / "tiny"
+        log, [overlap] = logged_run(config)
+        assert log == one_block_log
+        assert any("first at line 2001" in m for m in log)
+        for name in sorted(EXPECTED_ARTIFACTS):
+            assert ((tmp_path / "tiny" / name).read_bytes()
+                    == (one_block / name).read_bytes()), name
+        assert parts_left(tmp_path / "tiny") == []
+        child_blocks, child_lines, own_blocks, own_lines = map(int, re.search(
+            r"tweet blocks \(lines\): (\d+) \((\d+)\) in the child, (\d+) \((\d+)\) here",
+            overlap).groups())
+        assert child_blocks >= 1 and own_blocks >= 1
+        assert child_blocks + own_blocks == len(spans)
+        assert child_lines + own_lines == len(config.tweets.read_bytes().splitlines())
+
+        # `sentdep label` by hand reads the same blocks in one process.
+        assert main(label_argv(config.tweets.parent, tmp_path / "labels.csv")) == 0
+        assert ((tmp_path / "labels.csv").read_bytes()
+                == (one_block / "labels.csv").read_bytes())
+        assert parts_left(tmp_path) == []
+        capsys.readouterr()
+
+    def test_a_child_killed_mid_claim_leaves_the_rest_here(self, one_block_run, tmp_path,
+                                                           monkeypatch):
+        config, _ = one_block_run
+        monkeypatch.setattr(sentdep.blocks, "BLOCK_BYTES", 1)
+        claimed = tmp_path / "child.claimed"
+        taken = []
+
+        def die(n):
+            claimed.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def parent(n):
+            if n == 1:
+                wait_for(claimed)
+            taken.append(n)
+
+        hook_blocks(monkeypatch, in_child=die, in_parent=parent)
+        config.output_dir = tmp_path / "out"
+        before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="without a result: killed by signal SIGKILL$"):
+            run_pipeline(config)
+        assert time.monotonic() - start < 30
+        spans = line_blocks(config.tweets, 1, sentdep.pipeline._MAX_CLAIMS)
+        assert len(taken) == len(spans) - 1
+        assert_no_child_left()
+        if before is not None:
+            assert os.sched_getaffinity(0) == before
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 30], ids=["tiny blocks", "one block"])
+    def test_a_file_over_the_cap_leaves_no_output(self, tmp_path, monkeypatch, capsys,
+                                                  block_bytes):
+        ini = build_tweet_tree(tmp_path)
+        with open(tmp_path / "tweets.jsonl", "ab") as fh:
+            fh.write(b"{broken\n" * 2 + b"\xff\n" + b"[1]\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sentdep.blocks, "BLOCK_BYTES", block_bytes)
+        message = ("error: tweets.jsonl: 4 of 23 lines malformed (cap 10%); "
+                   "first bad line 20\n")
+        assert main(["run", "--config", "config.ini"]) == 2
+        assert capsys.readouterr().err == message
+        assert list((tmp_path / "out").iterdir()) == []
+        assert_no_child_left()
+        assert main(["label", "--tweets", "tweets.jsonl", "--aspects", "aspects.txt",
+                     "--positive-terms", "pos.txt", "--negative-terms", "neg.txt",
+                     "--out", "labels.csv"]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "labels.csv").exists()
+        assert parts_left(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_handoff_never_sent_ends_the_receiver():
+    # A child waiting for a value that its parent ends without sending must
+    # get an error, not wait forever.
+    handoff = Handoff()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            handoff.receive()
+        except EOFError:
+            code = 3
+        finally:
+            os._exit(code)
+    handoff.close()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 3

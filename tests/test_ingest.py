@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import re
@@ -12,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentdep import ingest
+from sentdep.blocks import line_blocks
 from sentdep.errors import EmptySeries, FormatError, HeaderMismatch
 from sentdep.ingest import (
     AspectLexicon,
     KeywordCounts,
     KeywordFrequency,
+    LineTally,
     TweetRecord,
     keyword_frequencies,
     load_aspects,
@@ -276,6 +279,89 @@ class TestParseTweets:
         records = list(parse_tweets(p, malformed_cap=1.0, digest=digest))
         assert len(records) == content.count(GOOD_LINE)
         assert digest.hexdigest() == sha256_file(p)
+
+
+#: Lines of a tweet file to be cut into blocks: English and French
+#: records, blank and whitespace-only lines, a line that is not JSON, bytes
+#: that are not UTF-8, a ``\\u`` escape of a lone surrogate, and a line
+#: longer than most blocks.
+BLOCK_LINES = [
+    GOOD_LINE,
+    GOOD_LINE.replace(b'"en"', b'"fr"'),
+    GOOD_LINE.replace(b'"t1"', b'"t2"'),
+    b"", b"   ", b"\t", b"\r",
+    b"{broken",
+    b"\xff\xfe",
+    GOOD_LINE.replace(b'"t1"', b'"t\\ud800"'),
+    GOOD_LINE.replace(b"rates up", b"rates up " * 40),
+]
+
+
+@st.composite
+def tweet_file(draw) -> bytes:
+    """Lines of :data:`BLOCK_LINES` and random bytes, each ended by LF or
+    CRLF, the last one maybe by nothing."""
+    lines = draw(st.lists(st.sampled_from(BLOCK_LINES) | st.binary(max_size=30), max_size=30))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    return data[:-1] if data and draw(st.booleans()) else data
+
+
+def outcome(read):
+    """The message of the FormatError ``read()`` raises, or None."""
+    try:
+        read()
+    except FormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_blocks_read_as_the_whole_file(tmp_path_factory):
+    """However a tweet file is cut, its blocks hold its lines in order, each
+    block's first line number is a prefix sum of the blocks' line counts,
+    and the blocks read apart give the whole file's records and counts."""
+    path = tmp_path_factory.mktemp("blocks") / "tweets.jsonl"
+    long_line = GOOD_LINE.replace(b"rates up", b"rates up " * 40)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tweet_file(), st.integers(1, 400), st.integers(1, 40))
+    @example(b"", 1, 1)
+    @example(GOOD_LINE + b"\n", 1, 40)
+    @example(b"\n".join([GOOD_LINE, long_line, GOOD_LINE]), 8, 40)
+    @example(GOOD_LINE + b"\n\xff\n{broken\n" + GOOD_LINE + b"\n" * 30, 1, 3)
+    def check(data, block_bytes, most):
+        path.write_bytes(data)
+        spans = line_blocks(path, block_bytes, most)
+        assert 1 <= len(spans) <= most
+        assert spans[0][0] == 0 and spans[-1][1] == len(data)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end == start and data[end - 1:end] == b"\n"
+        assert all(start < end for start, end in spans) or spans == [(0, 0)]
+        if len(data) <= block_bytes:
+            assert spans == [(0, len(data))]
+
+        lines = [line for start, end in spans
+                 for line in io.BytesIO(data[start:end]).readlines()]
+        assert lines == io.BytesIO(data).readlines()
+
+        whole = LineTally()
+        records = list(parse_tweets(path, tally=whole))
+        merged, block_records = LineTally(), []
+        for start, end in spans:
+            assert merged.lines + 1 == data.count(b"\n", 0, start) + 1
+            tally = LineTally()
+            block_records += parse_tweets(path, span=(start, end), tally=tally)
+            assert tally.lines == data.count(b"\n", start, end) + (
+                end > start and data[end - 1:end] != b"\n")
+            merged.extend(tally)
+        assert block_records == records
+        counts = lambda t: (t.lines, t.total, t.bad, t.first_bad)  # noqa: E731
+        assert counts(merged) == counts(whole)
+        assert (outcome(lambda: merged.check(path, 0.1))
+                == outcome(lambda: list(parse_tweets(path))))
+
+    check()
 
 
 class TestParsePrices:

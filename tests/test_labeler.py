@@ -204,7 +204,7 @@ class TestLabelCorpus:
             self.tweet(2, "tax tax"),
             self.tweet(3, "nothing relevant"),
         ]
-        labels = label_corpus(tweets, aspects, LEX)
+        labels = list(label_corpus(tweets, aspects, LEX))
         assert labels == [
             ("t1", date(2022, 10, 3), "inflation", PolarityLabel.POSITIVE),
             ("t1", date(2022, 10, 3), "tax", PolarityLabel.NEGATIVE),
@@ -214,7 +214,7 @@ class TestLabelCorpus:
 
     def test_output_interchangeable_with_parsed_labels(self, tmp_path):
         aspects = AspectLexicon(["inflation"])
-        labels = label_corpus([self.tweet(1, "inflation crash")], aspects, LEX)
+        labels = list(label_corpus([self.tweet(1, "inflation crash")], aspects, LEX))
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
         assert parse_labeled(p) == aggregate_daily(labels)

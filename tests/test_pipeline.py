@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sentdep.analysis
+import sentdep.blocks
 import sentdep.entropy
 import sentdep.granger
 import sentdep.ingest
@@ -804,7 +805,7 @@ class TestRunPipeline:
                                  "text": "el tax", "lang": "es"}) + "\n")
         lines = (tmp_path / "tweets.jsonl").read_text(encoding="utf-8").splitlines()
         english = sum(json.loads(line)["lang"] == "en" for line in lines)
-        # The stages run in a forked child, so the spies count in a file.
+        # The blocks are read in two processes, so the spies count in a file.
         log = tmp_path / "calls.txt"
         log.touch()
 
@@ -815,8 +816,8 @@ class TestRunPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sentdep.pipeline, "parse_tweets",
-                            counted("parse_tweets", sentdep.pipeline.parse_tweets))
+        monkeypatch.setattr(sentdep.blocks, "parse_tweets",
+                            counted("parse_tweets", sentdep.blocks.parse_tweets))
         tokenize = counted("tokenize", sentdep.ingest.tokenize)
         for module in (sentdep.ingest, sentdep.labeler):
             monkeypatch.setattr(module, "tokenize", tokenize, raising=False)
