@@ -559,14 +559,23 @@ class TestTweetBlocks:
                                                            monkeypatch, capsys):
         # A block of one byte ends after the line it starts in, so up to
         # _MAX_CLAIMS blocks of a few lines each are shared by two processes;
-        # the parent waits for the child's first block before its own.
+        # each process waits for the other's first block before its second.
         config, one_block_log = one_block_run
         monkeypatch.setattr(sentdep.blocks, "BLOCK_BYTES", 1)
         spans = line_blocks(config.tweets, 1, sentdep.pipeline._MAX_CLAIMS)
         assert sentdep.pipeline._MAX_CLAIMS // 2 < len(spans) <= sentdep.pipeline._MAX_CLAIMS
-        started = tmp_path / "child.started"
-        hook_blocks(monkeypatch, in_child=lambda n: started.touch(),
-                    in_parent=lambda n: n == 1 and wait_for(started))
+        started = {side: tmp_path / f"{side}.started" for side in ("child", "parent")}
+
+        def take_turns(side, other):
+            def hook(n):
+                if n == 1:
+                    started[side].touch()
+                elif n == 2:
+                    wait_for(started[other])
+            return hook
+
+        hook_blocks(monkeypatch, in_child=take_turns("child", "parent"),
+                    in_parent=take_turns("parent", "child"))
         one_block = config.output_dir
         config.output_dir = tmp_path / "tiny"
         log, [overlap] = logged_run(config)
