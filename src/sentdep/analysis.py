@@ -5,9 +5,11 @@ per (aspect, score kind, ticker) from the daily series. A correlation is
 flagged significant when its magnitude strictly exceeds
 ``pearson_threshold`` (default 0.4), the paper's rule.
 
-This module and the statistics it calls import numpy when they load, so
-:func:`sentdep.pipeline.stage_analyze` imports it when it runs, and the
-text stages and the CLI start without the numerical stack.
+This module and the statistics it calls import numpy when they load, and
+take the two special functions they need from SciPy's compiled ufunc
+module when they first compute, so :func:`sentdep.pipeline.stage_analyze`
+imports it when it runs (see :func:`sentdep.pipeline._import_analysis`),
+and the text stages and the CLI start without the numerical stack.
 
 The cells of one (aspect, kind) are computed together (:func:`kind_cells`),
 from the sentiment's calendar array and the run's price matrix, one row of

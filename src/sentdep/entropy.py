@@ -24,9 +24,11 @@ k + 1 consecutive places of the sorted sample. A higher-dimensional cloud
 is sorted on its last coordinate, and each point searches a strip of
 sorted places around it that widens until no point outside can be
 nearer. Both searches give exactly the distances of a brute-force
-max-norm search, bit for bit. ψ comes from ``scipy.special``, imported
-where it is used, so the stages that never estimate an entropy do not
-load SciPy.
+max-norm search, bit for bit. ψ is ``psi`` (``scipy.special.digamma``),
+taken from SciPy's compiled ufunc module ``scipy.special._ufuncs`` where
+it is used, so the stages that never estimate an entropy do not load
+SciPy, and a run never loads the ``scipy.special`` package (see
+:func:`sentdep.pipeline._import_scipy_special`).
 """
 
 from __future__ import annotations
@@ -188,10 +190,10 @@ def kl_entropy(samples, k: int = DEFAULT_K) -> EntropyEstimate:
             f"(duplicated points)"
         )
     eps = np.maximum(eps, EPSILON_FLOOR)
-    from scipy.special import digamma
+    from scipy.special._ufuncs import psi
 
     value = (
-        float(digamma(n)) - float(digamma(k)) + d * math.log(2.0)
+        float(psi(n)) - float(psi(k)) + d * math.log(2.0)
         + (d / n) * float(np.log(eps).sum())
     )
     return EntropyEstimate(value=value, k=k, n=n, dim=d)

@@ -21,9 +21,10 @@ it fills in place (see :func:`lagged_design`) and forms F, and
 :func:`upper_tail` turns any number of F values into p-values at once.
 :func:`granger_causes` is those three steps for one pair of series.
 
-The F upper tail comes from ``scipy.special.fdtrc``, imported on first
-use; linear algebra goes through an SVD-based least-squares solve for
-rank safety.
+The F upper tail is ``fdtrc``, taken on first use from SciPy's compiled
+ufunc module ``scipy.special._ufuncs`` (see
+:func:`sentdep.pipeline._import_scipy_special`); linear algebra goes
+through an SVD-based least-squares solve for rank safety.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def f_statistic(restricted: RestrictedFit, x: np.ndarray,
 def upper_tail(lag: int, df_den, f_stat):
     """P(F(lag, df_den) > f_stat), elementwise over arrays of ``df_den`` and
     ``f_stat``: 0 at F = inf and 1 at F = 0."""
-    from scipy.special import fdtrc
+    from scipy.special._ufuncs import fdtrc
 
     return fdtrc(lag, df_den, f_stat)
 

@@ -34,27 +34,28 @@ two or more allowed CPUs, keeps the lowest for the parent and gives the
 child the rest, because a cpuset without load balancing never moves a
 forked child off its parent's CPU. First, before the numerical stack is
 loaded, a child starts the text half of the run while the parent imports
-numpy, the statistics and ``scipy.special``. Tweets to label are cut into
-blocks of whole lines, which the child and then, once its import is
-done, the parent claim from one pipe (:func:`sentdep.fork.claims`). The
-child merges the blocks, writes the keyword, label and score files,
-reads the price files and the calendar, prepares the analysis inputs and
-hashes every input file for the manifest (see
-:func:`_ingest_beside_import`). The parent then only stacks the rows it
-is sent; it never holds the price or score dicts. Then
+numpy, the statistics and SciPy's special-function ufuncs. Tweets to
+label are cut into blocks of whole lines, which the child and then, once
+its import is done, the parent claim from one pipe
+(:func:`sentdep.fork.claims`). The child merges the blocks, writes the
+keyword, label and score files, reads the price files and the calendar,
+prepares the analysis inputs and hashes every input file for the
+manifest (see :func:`_ingest_beside_import`). The parent then only
+stacks the rows it is sent; it never holds the price or score dicts. Then
 :func:`stage_analyze` shares the aspects with a forked worker the same
 way: both processes claim them, one block at a time, from one pipe that
 the parent filled before the fork, so whichever process is free takes
 the next block (see :func:`_analyze_beside`).
 
 The numerical stack is loaded once per process, by
-:func:`_import_analysis`, without the numpy submodules that SciPy's
-array-API layer would load and no run uses (see
-:func:`_import_scipy_special`), with the cyclic garbage collector disabled,
-and the objects it leaves are then frozen (:func:`gc.freeze`) before the
-analysis worker is forked. They live until the process ends, so no
-collection needs to walk them: not the parent's, not the worker's after
-the fork, and not the full collections of the interpreter's exit.
+:func:`_import_analysis`: numpy, the statistics and, of SciPy, only the
+compiled module of its special functions, not the ``scipy.special``
+package with its array-API layer (see :func:`_import_scipy_special`). It
+is loaded with the cyclic garbage collector disabled, and the objects it
+leaves are then frozen (:func:`gc.freeze`) before the analysis worker is
+forked. They live until the process ends, so no collection needs to walk
+them: not the parent's, not the worker's after the fork, and not the full
+collections of the interpreter's exit.
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ def stage_analyze(
     Emits exactly one cell per (top-N aspect x 4 kinds x ticker), aspects
     in presentation order, kinds in fp/fn/nfp/nfn order, tickers in config
     order (see :func:`~sentdep.analysis.analyze_cells`). numpy, the
-    statistics and ``scipy.special`` are imported here, on the first call,
+    statistics and SciPy's ufuncs are imported here, on the first call,
     with this thread pinned to one CPU (see :func:`sentdep.fork.lowest_cpu`),
     so their thread pools start no worker thread before the fork. The
     closes are stacked into one matrix before the fork, and a forked
@@ -502,76 +503,63 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
     return inputs, digests, took
 
 
-def _import_analysis() -> int:
-    """Load numpy, the statistics and ``scipy.special``: what the analysis needs.
+def _import_analysis() -> tuple[int, float]:
+    """Load numpy, the statistics and SciPy's special-function ufuncs: what
+    the analysis needs.
 
-    Returns how many objects this call froze. The call that first loads
-    :mod:`sentdep.analysis` imports with the cyclic garbage collector
-    disabled, then moves every object the collector tracks into its
-    permanent generation (:func:`gc.freeze`): about 42,000 objects of
-    numpy, the statistics and ``scipy.special``, which live until the
+    Returns how many objects this call froze and how many seconds of it
+    the ufuncs took to load (see :func:`_import_scipy_special`). The call
+    that first loads :mod:`sentdep.analysis` imports with the cyclic
+    garbage collector disabled, then moves every object the collector
+    tracks into its permanent generation (:func:`gc.freeze`): about 35,000
+    objects of numpy, the statistics and the ufuncs, which live until the
     process ends. No collection walks them again: not the import's own,
     not those of an analysis worker forked afterwards, and not the full
     collections at the interpreter's exit (see the README for what that
     saves). The caller's collector state is restored however the import
-    ends. Later calls find the modules loaded, freeze nothing and
-    return 0.
-
-    ``scipy.special`` is loaded by :func:`_import_scipy_special` with
-    numpy's star-export and ``dir()`` narrowed, because SciPy's array-API
-    compat layer star-imports numpy and so would load numpy's lazy
-    submodules (``f2py``, ``testing``, ``random``, ``ma``, ...): about 210
-    modules and 21,000 objects that no process of a run uses. numpy's
-    ``__all__`` and ``__dir__`` are the same objects again however that
-    import ends, and ``digamma`` and ``fdtrc`` are the same ufuncs. The
-    compat layer's clone of numpy, which SciPy's array-API routines use
-    for numpy arrays, lacks those submodules for the life of the process;
-    SciPy reads them there only for CuPy and PyTorch arrays, and a test
-    holds ``scipy.stats`` routines on numpy arrays to the results of a
-    plain import.
+    ends. Later calls find the modules loaded and freeze nothing.
     """
     first = "sentdep.analysis" not in sys.modules
     enabled = gc.isenabled()
     gc.disable()
     try:
         from . import analysis  # noqa: F401
+        from .fork import measured
 
-        _import_scipy_special()
-        if not first:
-            return 0
+        ufuncs_s = measured(_import_scipy_special)[1].wall_s
         before = gc.get_freeze_count()
-        gc.freeze()
-        return gc.get_freeze_count() - before
+        if first:
+            gc.freeze()
+        return gc.get_freeze_count() - before, ufuncs_s
     finally:
         if enabled:
             gc.enable()
 
 
 def _import_scipy_special() -> None:
-    """``import scipy.special``, with numpy's star-export and ``dir()``
-    narrowed to the names numpy has already loaded.
+    """Load ``scipy.special._ufuncs``, SciPy's compiled special functions,
+    without running ``scipy.special`` itself.
 
-    SciPy's vendored array-API compat layer, which ``scipy.special``
-    loads, clones the numpy namespace with ``from numpy import *`` and a
-    ``hasattr`` over ``dir(numpy)``; both reach the submodules numpy loads
-    lazily on first access. During this one import ``numpy.__all__`` and
-    ``numpy.__dir__`` list only names that already are attributes of
-    numpy, so the clone takes only those; both are restored to the same
-    objects in a ``finally``. A skipped submodule still loads on its first
-    use, as ``numpy.random`` does for ``sentdep fixture``; the clone
-    keeps lacking it. Where ``scipy.special`` is already loaded, the
-    import does nothing.
+    The analysis needs two of those ufuncs, ``psi`` (which
+    ``scipy.special.digamma`` is) and ``fdtrc``. The package's
+    ``__init__`` would also load SciPy's array-API compat layer and parse
+    docstrings, which no run uses. So where no ``scipy.special`` is
+    loaded, a bare package of that name, whose path is SciPy's
+    ``special`` directory, stands in for it during this import and is
+    removed however the import ends. A later ``import scipy.special``
+    runs the real package, which takes the same ufunc objects from the
+    loaded module.
     """
-    import numpy
+    import scipy
 
-    exported, listed = numpy.__all__, numpy.__dir__
-    loaded = vars(numpy)
-    numpy.__all__ = [name for name in exported if name in loaded]
-    numpy.__dir__ = lambda: [name for name in listed() if name in loaded]
+    stub = type(scipy)("scipy.special")  # a bare module: no __init__ runs
+    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    placed = sys.modules.setdefault("scipy.special", stub) is stub
     try:
-        import scipy.special  # noqa: F401
+        import scipy.special._ufuncs  # noqa: F401
     finally:
-        numpy.__all__, numpy.__dir__ = exported, listed
+        if placed:
+            del sys.modules["scipy.special"]
 
 
 def _ingest_beside_import(config: PipelineConfig, out: Path
@@ -596,8 +584,9 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
     start no worker thread for the life of the process. With one CPU, or
     where nothing can be pinned, the child still runs beside the import;
     without ``os.fork`` the ingest runs inline and labels every block.
-    One ``-v`` line tells what each process did and how long this one then
-    waited for the child's message and took to take it.
+    One ``-v`` line tells what each process did, how long this one took to
+    import numpy with the statistics and then SciPy's ufuncs, and how long
+    it then waited for the child's message and took to take it.
     """
     from .fork import Handoff, beside, claims, measured
 
@@ -611,12 +600,12 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
     handoff = Handoff()
     with claims(len(tweets.spans) if tweets else 0) as claimed:
         def import_then_label():
-            frozen, imported = measured(_import_analysis)
+            (frozen, ufuncs_s), imported = measured(_import_analysis)
             labeled = measured(_label_rest, tweets, claimed, handoff) if tweets else None
-            return frozen, imported, labeled
+            return frozen, ufuncs_s, imported, labeled
 
         try:
-            (prepared, child), (frozen, imported, labeled), wait_s, take_s = beside(
+            (prepared, child), (frozen, ufuncs_s, imported, labeled), wait_s, take_s = beside(
                 partial(measured, _ingest, config, out, tweets, claimed, handoff),
                 import_then_label)
         except BaseException:
@@ -633,15 +622,15 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
         blocks, lines, label_s = len(share.tallies), share.lines(), here.wall_s
     if child.pid != imported.pid:  # an ingest run inline overlapped nothing
         logger.info("ingest and analysis inputs (%d price files, %d trading days) "
-                    "%.3f s in a child process on CPUs %s; numpy, statistics and "
-                    "scipy.special import %.3f s meanwhile on CPUs %s; tweet blocks "
+                    "%.3f s in a child process on CPUs %s; numpy and statistics import "
+                    "%.3f s and SciPy ufunc import %.3f s meanwhile on CPUs %s; tweet blocks "
                     "(lines): %d (%d) in the child, %d (%d) here in %.3f s; then waited "
                     "%.3f s for the child's message and %.3f s to take it; "
                     "froze %d objects; peak RSS %.1f MiB in the child, %.1f MiB here",
                     len(inputs.tickers), len(inputs.closes[0]), child.wall_s, child.cpus,
-                    imported.wall_s, imported.cpus, child_blocks, child_lines,
-                    blocks, lines, label_s, wait_s, take_s, frozen, child.peak_mib,
-                    here.peak_mib)
+                    imported.wall_s - ufuncs_s, ufuncs_s, imported.cpus, child_blocks,
+                    child_lines, blocks, lines, label_s, wait_s, take_s, frozen,
+                    child.peak_mib, here.peak_mib)
     return inputs, digests
 
 

@@ -333,7 +333,7 @@ def test_unplaced_analysis_stays_here_and_writes_the_same(placed_run, fallback):
     assert line.startswith("INFO sentdep.pipeline: analysis: "
                            "2 aspects, 8 cells in this process on CPUs ")
     assert ";" not in line
-    overlap = [m for m in timing if "scipy.special import" in m]
+    overlap = [m for m in timing if "SciPy ufunc import" in m]
     assert len(overlap) == (0 if fallback == "no_fork" else 1)
     assert len(timing) == len(overlap) + 1
     assert log == [line.replace("placed", fallback) for line in placed_log]

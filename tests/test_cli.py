@@ -838,19 +838,26 @@ def test_cli_import_and_config_validation_load_no_scipy(tmp_path):
     assert run_python(VALIDATE_AND_LIST, ini, "scipy").strip() == "[]"
 
 
-#: numpy submodules that SciPy's array-API layer would load and no
-#: process of a run uses (see ``pipeline._import_scipy_special``).
+#: numpy submodules that SciPy's array-API layer would load through its
+#: clone of numpy's namespace, and no process of a run uses.
 UNUSED_NUMPY_SUBMODULES = ("numpy.f2py", "numpy.testing", "numpy.random", "numpy.ma",
                            "numpy.polynomial")
+
+#: What ``import scipy.special`` runs besides the compiled ufuncs: the
+#: package itself, SciPy's array-API layer and its docstring parser. No
+#: process of a run loads them (see ``pipeline._import_scipy_special``).
+UNUSED_SCIPY_MODULES = ("scipy.special", "scipy.special._support_alternative_backends",
+                        "scipy._lib._array_api", "scipy._lib._docscrape")
 
 
 def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
     # -X importtime logs each module a process loads to stderr, which the
     # forked ingest child and analysis worker inherit. Nor does any of
-    # them load numpy's unused submodules.
+    # them load numpy's unused submodules, the scipy.special package or
+    # SciPy's array-API layer: only the package's compiled ufuncs.
     assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
     ini = tmp_path / "config.ini"
-    unused = ("scipy.spatial", *UNUSED_NUMPY_SUBMODULES)
+    unused = ("scipy.spatial", "scipy._lib.array_api_compat", *UNUSED_NUMPY_SUBMODULES)
     below_unused = tuple(f"{top}." for top in unused)
     for argv in (["run", "--config", ini],
                  ["analyze", "--config", ini, "--scores", tmp_path / "out" / "scores.csv",
@@ -859,28 +866,27 @@ def test_no_process_of_a_fixture_run_loads_scipy_spatial(tmp_path):
                               cwd=tmp_path).stderr
         modules = [line.split("|")[-1].strip() for line in log.splitlines()
                    if line.startswith("import time:")]
-        assert "scipy.special" in modules
+        assert "scipy.special._ufuncs" in modules
         assert not [m for m in modules if m in unused or m.startswith(below_unused)]
+        assert not [m for m in modules if m in UNUSED_SCIPY_MODULES]
     package = Path(sentdep.__file__).parent
     assert not [path for path in package.rglob("*.py")
                 if "scipy.spatial" in (text := path.read_text(encoding="utf-8"))
                 or "cKDTree" in text]
 
 
-#: In a fresh process: loads numpy, blocks ``scipy.special`` when argv[1]
-#: is "failing" or imports it plainly first when argv[1] is "plain", calls
-#: ``_import_analysis`` and prints whether it raised ImportError; then
-#: whether numpy's ``__all__`` and ``__dir__`` are the same objects and
-#: lists as before, numpy's unused submodules (argv[2:]) that are loaded,
-#: and a draw from ``numpy.random.default_rng``. Unless ``scipy.special``
-#: is blocked, it last prints the results of ``scipy.stats`` routines that
-#: reach numpy arrays through SciPy's array-API namespace.
-NARROWED_IMPORT = (
-    "import sys, numpy\n"
-    "exported, listed = numpy.__all__, numpy.__dir__\n"
-    "names, everything = dir(numpy), list(exported)\n"
-    "if sys.argv[1] == 'failing':\n"
-    "    sys.modules['scipy.special'] = None\n"
+#: In a fresh process: blocks ``scipy.special._ufuncs`` when argv[1] is
+#: "blocked" or imports ``scipy.special`` plainly first when it is
+#: "plain", calls ``_import_analysis`` and prints whether it raised
+#: ImportError; then whether ``scipy.special`` and its ufunc module are
+#: loaded, and which of the modules argv[2:] are. Unless the ufuncs are
+#: blocked, it then imports ``scipy.special`` plainly and prints whether
+#: its ``digamma`` and ``fdtrc`` are the loaded ufuncs, and last the
+#: results of ``scipy.stats`` and ``scipy.special`` routines.
+UFUNC_IMPORT = (
+    "import sys\n"
+    "if sys.argv[1] == 'blocked':\n"
+    "    sys.modules['scipy.special._ufuncs'] = None\n"
     "if sys.argv[1] == 'plain':\n"
     "    import scipy.special\n"
     "import sentdep.pipeline\n"
@@ -889,12 +895,13 @@ NARROWED_IMPORT = (
     "    print('imported')\n"
     "except ImportError:\n"
     "    print('ImportError')\n"
-    "print(numpy.__all__ is exported, numpy.__dir__ is listed,\n"
-    "      numpy.__all__ == everything, dir(numpy) == names)\n"
+    "print('scipy.special' in sys.modules,\n"
+    "      sys.modules.get('scipy.special._ufuncs') is not None)\n"
     "print(sorted(m for m in sys.argv[2:] if m in sys.modules))\n"
-    "print(numpy.random.default_rng(7).integers(1000))\n"
-    "if sys.argv[1] != 'failing':\n"
-    "    import scipy.special, scipy.stats\n"
+    "if sys.argv[1] != 'blocked':\n"
+    "    from scipy.special._ufuncs import fdtrc, psi\n"
+    "    import numpy, scipy.special, scipy.stats\n"
+    "    print(scipy.special.digamma is psi, scipy.special.fdtrc is fdtrc)\n"
     "    x = numpy.array([0.5, 1.5, 2.0, 3.25, 4.0, 4.5])\n"
     "    y = numpy.array([1.0, 1.25, 2.5, 2.0, 5.0, 4.75])\n"
     "    print(scipy.stats.pearsonr(x, y), scipy.stats.ttest_ind(x, y),\n"
@@ -904,20 +911,19 @@ NARROWED_IMPORT = (
 
 
 @pytest.mark.parametrize("load", ["imported", "ImportError"])
-def test_import_analysis_restores_numpys_exports(load):
-    case = "failing" if load == "ImportError" else "fresh"
-    out = run_python(NARROWED_IMPORT, case, *UNUSED_NUMPY_SUBMODULES).splitlines()
-    assert out[:3] == [load, "True True True True", "[]"]
-    import numpy
-
-    assert out[3] == str(numpy.random.default_rng(7).integers(1000))
+def test_import_analysis_loads_only_scipys_ufuncs(load):
+    case = "blocked" if load == "ImportError" else "fresh"
+    out = run_python(UFUNC_IMPORT, case, *UNUSED_NUMPY_SUBMODULES,
+                     *UNUSED_SCIPY_MODULES).splitlines()
+    # No stand-in for scipy.special is left, also where the import fails.
+    assert out[:3] == [load, f"False {load == 'imported'}", "[]"]
     if load == "imported":
-        # SciPy's array-API clone of numpy lacks the skipped submodules for
-        # the life of the process; its routines on numpy arrays still give
-        # what they give after a plain import, which narrows nothing.
-        plain = run_python(NARROWED_IMPORT, "plain").splitlines()
-        assert plain[:4] == ["imported", "True True True True", "[]", out[3]]
-        assert len(out) == 5 and out[4] == plain[4]
+        # A later plain import runs the real package around the same
+        # ufuncs, and SciPy's routines give what they give in a process
+        # that imported scipy.special plainly first.
+        plain = run_python(UFUNC_IMPORT, "plain").splitlines()
+        assert plain[:4] == ["imported", "True True", "[]", "True True"]
+        assert out[3:] == plain[3:] and len(out) == 5
 
 
 #: Runs ``sentdep.cli.main`` on argv[2:] and, at exit, prints whether the

@@ -99,7 +99,7 @@ needs_two_cpus = pytest.mark.skipif(
 def is_timing(line):
     """Whether a log line is one of the two that hold timings: the ingest
     overlap's and the analysis's."""
-    return "scipy.special import" in line or " s wall, " in line
+    return "SciPy ufunc import" in line or " s wall, " in line
 
 
 #: ``sentdep -v run`` of the config argv[1] into the directory argv[2], whose
@@ -133,7 +133,7 @@ def verbose_run(root, name):
 
 def overlap_cpus(timing):
     """The CPU sets that the ingest overlap's timing line names."""
-    overlap = [line for line in timing if "scipy.special import" in line]
+    overlap = [line for line in timing if "SciPy ufunc import" in line]
     assert len(overlap) == 1
     cpus = re.findall(r" on CPUs (\S+);", overlap[0])
     assert len(cpus) == 2
@@ -235,11 +235,13 @@ class TestForkedIngest:
         with caplog.at_level(logging.INFO, logger="sentdep.pipeline"):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
         messages = caplog.messages
-        overlap = [m for m in messages if "scipy.special import" in m]
+        overlap = [m for m in messages if "SciPy ufunc import" in m]
         assert len(overlap) == 1 and overlap[0].startswith("ingest ")
-        # One block of 19 lines, taken by one of the two processes, and the
-        # parent's wait split in two.
-        blocks = re.search(r"; tweet blocks \(lines\): (\d+) \((\d+)\) in the child, "
+        # The parent's import split in two, one block of 19 lines, taken by
+        # one of the two processes, and the parent's wait split in two.
+        blocks = re.search(r"; numpy and statistics import [\d.]+ s and SciPy ufunc import "
+                           r"[\d.]+ s meanwhile on CPUs \S+; "
+                           r"tweet blocks \(lines\): (\d+) \((\d+)\) in the child, "
                            r"(\d+) \((\d+)\) here in [\d.]+ s; then waited [\d.]+ s for "
                            r"the child's message and [\d.]+ s to take it; froze \d+ objects; "
                            r"peak RSS [\d.]+ MiB in the child, [\d.]+ MiB here$", overlap[0])
@@ -344,7 +346,7 @@ class TestForkedIngest:
         # The parent's import fails while the child is still scoring; the
         # parent must kill the child, not wait the minute out.
         monkeypatch.setattr(sentdep.pipeline, "stage_score", lambda *a, **k: time.sleep(60))
-        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
         start = time.monotonic()
         with pytest.raises(ImportError):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
@@ -419,7 +421,7 @@ class TestForkedIngest:
             "    return stage_score(*args, **kwargs)\n"
             "pipeline.stage_score = observed_score\n"
             "if case == 'parent_raises':\n"
-            "    sys.modules['scipy.special'] = None\n"
+            "    sys.modules['scipy.special._ufuncs'] = None\n"
             "before = os.sched_getaffinity(0)\n"
             "try:\n"
             "    code = main(['run', '--config', sys.argv[1]])\n"
@@ -491,7 +493,7 @@ def logged_run(config):
     finally:
         root.removeHandler(handler)
         root.setLevel(level)
-    overlap = [m for m in messages if "scipy.special import" in m]
+    overlap = [m for m in messages if "SciPy ufunc import" in m]
     return [m for m in messages if not is_timing(m)], overlap
 
 
