@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from array import array
@@ -59,10 +59,11 @@ COUNT_INDEX = {PolarityLabel.POSITIVE: 0, PolarityLabel.NEGATIVE: 1,
 
 
 class AspectDayCount(NamedTuple):
-    """Polarity label counts for one aspect on one day.
+    """Polarity label counts for one aspect on one day, as
+    :func:`sentdep.scores.aggregate_daily` returns them.
 
-    A named tuple, which is made about three times as fast as a frozen
-    dataclass: a label file yields one per aspect-day.
+    The readers and the score writer carry the same counts as one
+    ``(aspect, day) -> [positive, negative, neutral]`` dict instead.
     """
 
     aspect: str
@@ -74,14 +75,6 @@ class AspectDayCount(NamedTuple):
     @property
     def total(self) -> int:
         return self.positive + self.negative + self.neutral
-
-
-def sorted_day_counts(
-    cells: Mapping[tuple[str, date], Sequence[int]]
-) -> list[AspectDayCount]:
-    """``(aspect, day) -> [positive, negative, neutral]`` counts as
-    AspectDayCount rows, sorted by (aspect, day)."""
-    return [AspectDayCount(a, d, *c) for (a, d), c in sorted(cells.items())]
 
 
 class ScoreKind(Enum):

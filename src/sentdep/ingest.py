@@ -38,7 +38,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, sorted_day_counts
+from .core import COUNT_INDEX, PolarityLabel
 from .errors import EmptySeries, FormatError, HeaderMismatch, OutputError
 
 logger = logging.getLogger(__name__)
@@ -393,7 +393,7 @@ class LineTally:
 
 
 def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
-                 digest=None, span: tuple[int, int] | None = None,
+                 span: tuple[int, int] | None = None,
                  tally: LineTally | None = None) -> Iterator[TweetRecord]:
     """Stream the English posts of a JSONL tweet file, in file order.
 
@@ -418,10 +418,6 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
     instead, numbered from the first line read, and the caller checks the
     cap (:meth:`LineTally.check`), so that blocks read apart are checked
     as one file.
-
-    ``digest``, a :mod:`hashlib` object, is fed every byte read, so a
-    consumer that reads the whole file to the end holds its hash without
-    reading the file again.
     """
     path = Path(path)
     lineno = total = bad = first_bad = 0
@@ -432,8 +428,6 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
             fh.seek(span[0])
             lines = io.BytesIO(fh.read(span[1] - span[0]))
         for lineno, raw in enumerate(lines, start=1):
-            if digest is not None:
-                digest.update(raw)
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
@@ -571,41 +565,53 @@ def _label_tails(fh, digest) -> Counter[str] | None:
     return tails
 
 
+def _label_key(date_s: str, aspect: str, polarity_s: str) -> tuple[tuple[str, date], int]:
+    """The ``(stripped aspect, day)`` cell and the count index of a label
+    row's ``date``, ``aspect`` and ``polarity`` fields.
+
+    A bad date, an unknown polarity or an empty aspect, checked in that
+    order, raises ValueError with the message of the row's FormatError.
+    """
+    date_s = date_s.strip()
+    try:
+        day = date.fromisoformat(date_s)
+    except ValueError:
+        raise ValueError(f"bad date {date_s!r}") from None
+    polarity_s = polarity_s.strip()
+    index = _POLARITY_INDEX.get(polarity_s)
+    if index is None:
+        raise ValueError(f"unknown polarity {polarity_s!r}")
+    aspect = aspect.strip()
+    if not aspect:
+        raise ValueError("empty aspect")
+    return (aspect, day), index
+
+
 def _tail_cells(tails: Counter[str]) -> dict[tuple[str, date], list[int]] | None:
     """The count cells of counted ``date,aspect,polarity`` tails, by
     stripped aspect and day; None when a tail is not a valid row's."""
-    days: dict[str, date] = {}
     cells: dict[tuple[str, date], list[int]] = {}
     for tail, n in tails.items():
         fields = tail.split(",")
         if len(fields) != 3:
             return None
-        date_s, aspect, polarity_s = fields
-        day = days.get(date_s)
-        if day is None:
-            try:
-                day = days[date_s] = date.fromisoformat(date_s.strip())
-            except ValueError:
-                return None
-        index = _POLARITY_INDEX.get(polarity_s.strip())
-        aspect = aspect.strip()
-        if index is None or not aspect:
+        try:
+            key, index = _label_key(*fields)
+        except ValueError:
             return None
-        cell = cells.get((aspect, day))
-        if cell is None:
-            cell = cells[(aspect, day)] = [0, 0, 0]
-        cell[index] += n
+        cells.setdefault(key, [0, 0, 0])[index] += n
     return cells
 
 
-def parse_labeled(path, digest=None) -> list[AspectDayCount]:
+def parse_labeled(path, digest=None) -> dict[tuple[str, date], list[int]]:
     """Count externally produced aspect labels per (aspect, day).
 
     CSV header ``tweet_id,date,aspect,polarity`` with polarity in
-    {positive, neutral, negative}. Returns what
-    :func:`sentdep.scores.aggregate_daily` returns for the file's rows:
-    duplicate (tweet_id, aspect) rows are kept, because an aspect can
-    occur several times in one tweet and counts are occurrence-based.
+    {positive, neutral, negative}. Returns the ``(aspect, day) ->
+    [positive, negative, neutral]`` counts of the file's rows, the
+    stripped aspect as key, which :func:`sentdep.scores.write_scores`
+    takes: duplicate (tweet_id, aspect) rows are kept, because an aspect
+    can occur several times in one tweet and counts are occurrence-based.
     A bad row (a wrong field count, an empty tweet_id or aspect, a bad
     date or an unknown polarity) raises FormatError; the first one in
     file order is reported, with its line.
@@ -614,9 +620,10 @@ def parse_labeled(path, digest=None) -> list[AspectDayCount]:
     quote, CR, blank row, blank tweet_id or overlong field is counted in
     bulk: each row's ``date,aspect,polarity`` tail is counted in C, and
     each distinct tail is then checked and parsed once (see
-    :func:`_label_tails`). Any other file, or a tail that fails a check,
-    is counted row by row from the start by :func:`_label_cells`, which
-    reports the bad row. Both give the same counts.
+    :func:`_label_tails` and :func:`_label_key`). Any other file, or a
+    tail that fails a check, is counted row by row from the start by
+    :func:`_label_cells`, which reports the bad row. Both give the same
+    counts.
 
     ``digest``, a :mod:`hashlib` object, is fed every byte of the file,
     so the caller holds its hash without reading the file again. One
@@ -636,20 +643,19 @@ def parse_labeled(path, digest=None) -> list[AspectDayCount]:
     tallies = list(chain.from_iterable(cells.values()))
     logger.info("labels: %d rows counted %s, %d distinct (day, aspect, polarity) keys",
                 sum(tallies), how, len(tallies) - tallies.count(0))
-    return sorted_day_counts(cells)
+    return cells
 
 
 def _label_cells(path) -> dict[tuple[str, date], list[int]]:
     """The count cells of a label file read row by row, by stripped
     aspect and day; the first bad row raises FormatError with its line.
 
-    The rows are counted in one pass with no row list: cells are keyed by
-    the aspect as written and merged by stripped aspect at the end, and
-    each distinct date or polarity string is parsed once.
+    The rows are counted in one pass with no row list. Each distinct raw
+    ``(date, aspect, polarity)`` triple is checked and parsed once (see
+    :func:`_label_key`) and mapped to its cell and count index.
     """
-    days: dict[str, date] = {}
-    polarities = dict(_POLARITY_INDEX)
-    raw_cells: dict[tuple[str, date], list[int]] = {}
+    counts: dict[tuple[str, str, str], tuple[list[int], int]] = {}
+    cells: dict[tuple[str, date], list[int]] = {}
     width = len(_LABEL_HEADER)
     with csv_reader(path, "label", _LABEL_HEADER) as (reader, _):
         for row in reader:
@@ -658,33 +664,17 @@ def _label_cells(path) -> dict[tuple[str, date], list[int]]:
                     continue
                 raise FormatError("empty tweet_id", path=path,
                                   line_number=reader.line_num)
-            _, date_s, aspect, polarity_s = row
-            day = days.get(date_s)
-            if day is None:
+            raw = row[1], row[2], row[3]
+            count = counts.get(raw)
+            if count is None:
                 try:
-                    day = days[date_s] = date.fromisoformat(date_s.strip())
-                except ValueError:
-                    raise FormatError(f"bad date {date_s.strip()!r}", path=path,
+                    key, index = _label_key(*raw)
+                except ValueError as exc:
+                    raise FormatError(str(exc), path=path,
                                       line_number=reader.line_num) from None
-            index = polarities.get(polarity_s)
-            if index is None:
-                index = _POLARITY_INDEX.get(polarity_s.strip())
-                if index is None:
-                    raise FormatError(f"unknown polarity {polarity_s.strip()!r}",
-                                      path=path, line_number=reader.line_num)
-                polarities[polarity_s] = index
-            cell = raw_cells.get((aspect, day))
-            if cell is None:
-                if not aspect.strip():
-                    raise FormatError("empty aspect", path=path,
-                                      line_number=reader.line_num)
-                cell = raw_cells[(aspect, day)] = [0, 0, 0]
+                count = counts[raw] = cells.setdefault(key, [0, 0, 0]), index
+            cell, index = count
             cell[index] += 1
-    cells: dict[tuple[str, date], list[int]] = {}
-    for (aspect, day), counts in raw_cells.items():
-        merged = cells.setdefault((aspect.strip(), day), [0, 0, 0])
-        for i, n in enumerate(counts):
-            merged[i] += n
     return cells
 
 

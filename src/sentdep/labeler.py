@@ -138,9 +138,10 @@ def label_corpus(
     Each occurrence is labeled by :func:`lexicon_window_label` with
     ``lexicon`` and ``window``. Yields one tuple per occurrence (not per
     distinct aspect), keyed by the tweet's UTC calendar day, in (corpus
-    order, occurrence order). The output shape matches
-    :func:`sentdep.ingest.parse_labeled`, so built-in and external labels
-    are interchangeable downstream. Tweets are read once, in order, as the
+    order, occurrence order). Counted by :func:`sentdep.scores.counted`,
+    they give the counts that :func:`sentdep.ingest.parse_labeled` gives
+    for a label file of them, so built-in and external labels are
+    interchangeable downstream. Tweets are read once, in order, as the
     labels are taken, so ``tweets`` may be a stream and no list is held.
     """
     for tweet in tweets:

@@ -12,7 +12,9 @@ writes plain files so they can also be driven individually from the CLI:
 :func:`run_pipeline` writes what this composition writes, plus a
 reproducibility manifest; running the stages by hand yields
 byte-identical artifacts. It reads back nothing it has written: the
-label counts and the scores pass from one stage to the next in memory.
+label counts, one ``(aspect, day) -> [positive, negative, neutral]``
+dict from whichever reader made them, and the scores pass from one
+stage to the next in memory.
 When it labels the tweets itself, it counts the keywords in the same
 pass, so the tweet file is read and tokenized once, and it writes the
 label rows as they stream, so no list of them is held.
@@ -40,8 +42,9 @@ its import is done, the parent claim from one pipe
 (:func:`sentdep.fork.claims`). The child merges the blocks, writes the
 keyword, label and score files, reads the price files and the calendar,
 prepares the analysis inputs and hashes every input file for the
-manifest (see :func:`_ingest_beside_import`). The parent then only
-stacks the rows it is sent; it never holds the price or score dicts. Then
+manifest, reading the tweet file once more for it (see
+:func:`_ingest_beside_import`). The parent then only stacks the rows it
+is sent; it never holds the price or score dicts. Then
 :func:`stage_analyze` shares the aspects with a forked worker the same
 way: both processes claim them, one block at a time, from one pipe that
 the parent filled before the fork, so whichever process is free takes
@@ -333,13 +336,9 @@ def stage_keywords(
     out_path,
     min_count: int = PipelineConfig.min_keyword_count,
     malformed_cap: float = PipelineConfig.max_malformed_fraction,
-    digest=None,
 ) -> int:
-    """tweets.jsonl -> keywords.csv; returns the number of keywords kept.
-
-    ``digest`` is fed the tweet file's bytes (see :func:`parse_tweets`).
-    """
-    tweets = parse_tweets(tweets_path, malformed_cap, digest)
+    """tweets.jsonl -> keywords.csv; returns the number of keywords kept."""
+    tweets = parse_tweets(tweets_path, malformed_cap)
     freqs = keyword_frequencies(tweets, min_count=min_count)
     write_keyword_frequencies(freqs, out_path)
     return len(freqs)
@@ -373,19 +372,13 @@ def stage_label(
     return share.labels()
 
 
-def stage_score(labels_path, out_path, counts=None, digest=None) -> Scores:
+def stage_score(labels_path, out_path) -> Scores:
     """labels.csv -> scores.csv; returns the series and totals written.
 
-    ``counts`` are the per-(aspect, day) counts of ``labels_path`` when the
-    caller already holds them, as :func:`~sentdep.scores.write_scores`
-    takes them; otherwise the file is counted by
-    :func:`parse_labeled`, which feeds ``digest`` the file's bytes. Nothing
-    is written before every row has been counted, so a bad row leaves no
-    ``scores.csv`` behind.
+    Nothing is written before every row has been counted, so a bad row
+    leaves no ``scores.csv`` behind.
     """
-    if counts is None:
-        counts = parse_labeled(labels_path, digest)
-    return write_scores(counts, out_path)
+    return write_scores(parse_labeled(labels_path), out_path)
 
 
 def stage_analyze(
@@ -450,27 +443,29 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
     Writes keywords.csv, labels.csv and scores.csv, then prepares what the
     analysis reads (see :func:`sentdep.prepare.prepare_analysis`) and the
     manifest's input digests. Returns them with how many tweet blocks and
-    lines this process labeled.
+    lines this process labeled. Either way the label counts reach
+    :func:`~sentdep.scores.write_scores` as the one ``(aspect, day) ->
+    [positive, negative, neutral]`` dict they are counted into.
 
     With ``tweets``, a :class:`sentdep.blocks.TweetBlocks`, this process
-    hashes the tweet file, labels the blocks it claims (``claimed()``, see
-    :func:`sentdep.fork.claims`) and, unless it labeled every block itself,
-    receives the other process's share from ``handoff`` (a
+    labels the blocks it claims (``claimed()``, see
+    :func:`sentdep.fork.claims`) and, unless it labeled every block
+    itself, receives the other process's share from ``handoff`` (a
     :class:`sentdep.fork.Handoff`); it then merges the shares, writes
     keywords.csv and joins labels.csv. Otherwise the labels are an
-    external file, counted and hashed in one read; a tweet file beside it
-    feeds only keywords.csv and is hashed as it is read.
+    external file, counted and hashed in one read (see
+    :func:`parse_labeled`); a tweet file beside it feeds only
+    keywords.csv. The tweet file, like every input but an external label
+    file, is hashed at the end by :func:`sentdep.prepare.input_digests`.
     """
     import hashlib
 
     from .prepare import input_digests, prepare_analysis
 
-    counts, took = None, (0, 0)
+    took, taken = (0, 0), {}
     if tweets is not None:
         from .blocks import Share
 
-        with open(tweets.tweets, "rb") as fh:
-            hashes = {"tweets": hashlib.file_digest(fh, "sha256")}
         share = tweets.label(claimed(), Share())
         took = len(share.tallies), share.lines()
         if len(share.tallies) < len(tweets.spans):
@@ -481,26 +476,25 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
         logger.info("keywords: %d kept", len(freqs))
         tweets.join()
         logger.info("labels: %d occurrences", share.labels())
-        counts = [(aspect, day, *cell) for (aspect, day), cell in share.cells.items()]
-        labels_path = tweets.out
+        cells = share.cells
+        del share  # of what it counted, only the cells are still needed
     else:
-        labels_path = config.labels
-        hashes = {name: hashlib.sha256() for name in ("tweets", "labels")
-                  if getattr(config, name) is not None}
         if config.tweets is not None:
             n_keywords = stage_keywords(
                 config.tweets, out / "keywords.csv",
                 min_count=config.min_keyword_count,
-                malformed_cap=config.max_malformed_fraction, digest=hashes["tweets"],
+                malformed_cap=config.max_malformed_fraction,
             )
             logger.info("keywords: %d kept", n_keywords)
+        digest = hashlib.sha256()
+        cells = parse_labeled(config.labels, digest)
+        taken["labels"] = digest.hexdigest()
 
-    scores = stage_score(labels_path, out / "scores.csv", counts, hashes.get("labels"))
+    scores = write_scores(cells, out / "scores.csv")
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
-    del counts  # written into the scores; not held while the prices are read
+    del cells  # written into the scores; not held while the prices are read
     inputs = prepare_analysis(config, out / "scores.csv", scores)
-    digests = input_digests(config, {name: h.hexdigest() for name, h in hashes.items()})
-    return inputs, digests, took
+    return inputs, input_digests(config, taken), took
 
 
 def _import_analysis() -> tuple[int, float]:

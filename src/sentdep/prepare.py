@@ -102,19 +102,16 @@ def prepare_analysis(
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def input_digests(config: PipelineConfig, taken: Mapping[str, str]) -> dict[str, str]:
     """The SHA-256 of every configured input file, by its manifest name.
 
     ``taken`` holds the digests, by manifest name, of the files hashed
-    while they were read (see :func:`sentdep.ingest.parse_tweets` and
-    :func:`sentdep.ingest.parse_labeled`); the other files are read again
-    here.
+    while they were read: an external label file is hashed as
+    :func:`sentdep.ingest.parse_labeled` counts it. Every other file,
+    the tweet file included, is read again here.
     """
     return {name: taken.get(name) or sha256_file(p) for name, p in config.input_files()}

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import logging
 from datetime import date
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind, sorted_day_counts
+from .core import COUNT_INDEX, AspectDayCount, PolarityLabel, ScoreKind
 from .errors import FormatError
 from .ingest import DayText, csv_field, csv_rows, open_output
 
@@ -35,12 +35,13 @@ def aggregate_daily(
     Every input tuple contributes to exactly one count cell; output is
     sorted by (aspect, day). ``labels`` is read once, so it may be a
     stream. :func:`sentdep.ingest.parse_labeled` gives the same counts
-    for a label file.
+    for a label file, as the ``(aspect, day) -> [positive, negative,
+    neutral]`` dict that :func:`counted` fills.
     """
     cells: dict[tuple[str, date], list[int]] = {}
     for _ in counted(labels, cells):
         pass
-    return sorted_day_counts(cells)
+    return [AspectDayCount(a, d, *c) for (a, d), c in sorted(cells.items())]
 
 
 def counted(
@@ -84,16 +85,16 @@ def aspect_days(scores: Scores) -> int:
                if kind is ScoreKind.ABS_POSITIVE)
 
 
-def write_scores(counts: Iterable[tuple[str, date, int, int, int]], path) -> Scores:
+def write_scores(cells: Mapping[tuple[str, date], Sequence[int]], path) -> Scores:
     """Write per-day scores for all aspects to CSV; returns what it wrote.
 
-    ``counts`` are (aspect, day, positive, negative, neutral) tuples, such
-    as :class:`~sentdep.core.AspectDayCount`, each (aspect, day) once, in
-    any order. They are written in (aspect, day) order, one row per
-    (aspect, day, kind) for the four score kinds plus the ``fs`` total
-    row. Values use ``repr`` so floats round-trip exactly, and the
-    returned series and totals equal what :func:`read_scores` reads back
-    from the file.
+    ``cells`` are ``(aspect, day) -> [positive, negative, neutral]``
+    label counts, as :func:`sentdep.ingest.parse_labeled` and the
+    built-in labeler (:func:`counted`) make them. Their items are sorted
+    once and written in (aspect, day) order, one row per (aspect, day,
+    kind) for the four score kinds plus the ``fs`` total row. Values use
+    ``repr`` so floats round-trip exactly, and the returned series and
+    totals equal what :func:`read_scores` reads back from the file.
 
     The rows are formatted as text and written in one call, with the
     bytes :func:`~sentdep.ingest.write_csv` would write: each aspect is
@@ -107,7 +108,7 @@ def write_scores(counts: Iterable[tuple[str, date, int, int, int]], path) -> Sco
     day_text = DayText()
     lines = [",".join(_SCORES_HEADER) + "\n"]
     aspect = None
-    for name, d, positive, negative, neutral in sorted(counts):
+    for (name, d), (positive, negative, neutral) in sorted(cells.items()):
         if name != aspect:
             aspect = name
             field = csv_field(aspect)

@@ -8,10 +8,11 @@ scans instead of a single counting pass, a scan of every aspect at
 every position instead of a first-token index, cells that compute
 every part of their statistics themselves instead of sharing the parts
 that depend on one series, label files checked and counted one row
-tuple at a time instead of in one pass over memoised fields, price
-files read with every field of every row stripped first instead of only
-the two fields used, score and cell files written by the CSV writer row
-by row instead of formatted as text with each text quoted once, tweet
+tuple at a time, without the package's counting code, instead of in
+one pass over memoised fields, price files read with every field of
+every row stripped first instead of only the two fields used, score
+and cell files written by the CSV writer row by row instead of
+formatted as text with each text quoted once, tweet
 text tokenized with the URL pattern run on
 every text and every token stripped one character at a time, and window
 votes counted index by index instead of over slices, series put on the
@@ -27,13 +28,12 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from sentdep.core import (
     AlignedPairs,
-    AspectDayCount,
     PolarityLabel,
     ScoreKind,
     TradingCalendar,
@@ -59,7 +59,6 @@ from sentdep.labeler import AspectOccurrence
 from sentdep.pearson import pearson
 from sentdep.prepare import build_calendar, select_top_aspects
 from sentdep.report import DependenceCell
-from sentdep.scores import aggregate_daily
 
 
 def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -228,12 +227,30 @@ def window_label_index_by_index(
     return PolarityLabel.POSITIVE if pos > neg else PolarityLabel.NEGATIVE
 
 
-def labels_row_by_row(path) -> list[AspectDayCount]:
+#: Column of each polarity in a ``[positive, negative, neutral]`` count.
+_COUNT_COLUMN = {PolarityLabel.POSITIVE: 0, PolarityLabel.NEGATIVE: 1,
+                 PolarityLabel.NEUTRAL: 2}
+
+
+def label_cells(
+    labels: Iterable[tuple[str, date, str, PolarityLabel]]
+) -> dict[tuple[str, date], list[int]]:
+    """The ``(aspect, day) -> [positive, negative, neutral]`` counts of
+    label tuples, counted one tuple at a time."""
+    cells: dict[tuple[str, date], list[int]] = {}
+    for _tweet_id, day, aspect, polarity in labels:
+        cells.setdefault((aspect, day), [0, 0, 0])[_COUNT_COLUMN[polarity]] += 1
+    return cells
+
+
+def labels_row_by_row(path) -> dict[tuple[str, date], list[int]]:
     """The counts of a label file, read one checked row at a time.
 
     Each row from :func:`sentdep.ingest.csv_rows` becomes a label tuple
     after its checks (tweet_id, date, polarity, aspect, in that order),
-    and :func:`sentdep.scores.aggregate_daily` counts the tuples.
+    and :func:`label_cells` counts the tuples into the ``(aspect, day) ->
+    [positive, negative, neutral]`` dict that
+    :func:`sentdep.ingest.parse_labeled` returns.
     """
     def labels():
         for lineno, (tweet_id, date_s, aspect, polarity_s) in csv_rows(
@@ -255,20 +272,23 @@ def labels_row_by_row(path) -> list[AspectDayCount]:
                 raise FormatError("empty aspect", path=path, line_number=lineno)
             yield tweet_id, day, aspect, polarity
 
-    return aggregate_daily(labels())
+    return label_cells(labels())
 
 
-def scores_row_by_row(counts: Sequence[AspectDayCount], path) -> None:
-    """A score file written one row tuple at a time by
+def scores_row_by_row(cells: Mapping[tuple[str, date], Sequence[int]], path) -> None:
+    """A score file of ``(aspect, day) -> [positive, negative, neutral]``
+    counts, written one row tuple at a time by
     :func:`sentdep.ingest.write_csv`, which quotes every field itself."""
     def rows():
-        for c in sorted(counts, key=lambda c: (c.aspect, c.day)):
-            day = c.day.isoformat()
-            yield c.aspect, day, "fp", repr(float(c.positive))
-            yield c.aspect, day, "fn", repr(float(c.negative))
-            yield c.aspect, day, "fs", repr(float(c.total))
-            yield c.aspect, day, "nfp", repr(c.positive / c.total)
-            yield c.aspect, day, "nfn", repr(c.negative / c.total)
+        for (aspect, day), (positive, negative, neutral) in sorted(
+                cells.items(), key=lambda item: item[0]):
+            total = positive + negative + neutral
+            day = day.isoformat()
+            yield aspect, day, "fp", repr(float(positive))
+            yield aspect, day, "fn", repr(float(negative))
+            yield aspect, day, "fs", repr(float(total))
+            yield aspect, day, "nfp", repr(positive / total)
+            yield aspect, day, "nfn", repr(negative / total)
 
     write_csv(path, ("aspect", "date", "kind", "value"), rows())
 

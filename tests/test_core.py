@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from oracles import NoPairs, align_lagged, on_calendar_numpy, paired_on_common_days
+from oracles import NoPairs, align_lagged, label_cells, on_calendar_numpy, paired_on_common_days
 from sentdep.core import (
     PolarityLabel,
     ScoreKind,
@@ -20,7 +20,7 @@ from sentdep.core import (
 from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import parse_labeled, write_labeled
 from sentdep.pipeline import check_values
-from sentdep.scores import aggregate_daily, read_scores
+from sentdep.scores import read_scores
 
 # A small October-2022 trading week fixture: Mon 3rd .. Fri 7th, then
 # Mon 10th (weekend 8th/9th absent).
@@ -53,9 +53,9 @@ class TestDomainTypes:
         # One aspect per polarity, so each count must land in its own column.
         labels = [("t1", WEEK[0], label.value, label) for label in PolarityLabel]
         write_labeled(labels, p)
-        counts = parse_labeled(p)
-        assert counts == aggregate_daily(labels)
-        assert {c.aspect: (c.positive, c.negative, c.neutral) for c in counts} == {
+        cells = parse_labeled(p)
+        assert cells == label_cells(labels)
+        assert {aspect: tuple(cell) for (aspect, _), cell in cells.items()} == {
             "positive": (1, 0, 0), "negative": (0, 1, 0), "neutral": (0, 0, 1)}
         p.write_text("tweet_id,date,aspect,polarity\nt1,2022-10-03,tax,mixed\n",
                      encoding="utf-8")

@@ -5,6 +5,7 @@ are in ``test_analysis_worker.py``.
 """
 
 import faulthandler
+import hashlib
 import json
 import logging
 import os
@@ -24,7 +25,6 @@ from sentdep.blocks import line_blocks
 from sentdep.cli import main
 from sentdep.fork import Handoff
 from sentdep.pipeline import load_config, run_pipeline
-from sentdep.prepare import sha256_file
 from test_cli import add_calendar, run_python
 from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree, write_min_inputs
 
@@ -143,7 +143,7 @@ def overlap_cpus(timing):
 #: ``sentdep`` with the arguments argv[1:] in a fresh process that records,
 #: at each fork, whether numpy is loaded and its thread count (a line of
 #: ``fork.seen`` each), and whether the ingest child loaded numpy by the end
-#: of ``stage_score`` (``child.seen``); prints whether numpy ended up loaded.
+#: of ``write_scores`` (``child.seen``); prints whether numpy ended up loaded.
 OBSERVED_FORKS = (
     "import os, sys\n"
     "import sentdep.pipeline as pipeline\n"
@@ -153,15 +153,15 @@ OBSERVED_FORKS = (
     "    threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
     "    with open(name, 'a') as fh:\n"
     "        fh.write(repr(('numpy' in sys.modules, threads)) + '\\n')\n"
-    "fork, stage_score = os.fork, pipeline.stage_score\n"
+    "fork, write_scores = os.fork, pipeline.write_scores\n"
     "def observed_fork():\n"
     "    observe('fork.seen')\n"
     "    return fork()\n"
     "def observed_score(*args, **kwargs):\n"
-    "    scores = stage_score(*args, **kwargs)\n"
+    "    scores = write_scores(*args, **kwargs)\n"
     "    observe('child.seen')\n"
     "    return scores\n"
-    "os.fork, pipeline.stage_score = observed_fork, observed_score\n"
+    "os.fork, pipeline.write_scores = observed_fork, observed_score\n"
     "assert main(sys.argv[1:]) == 0\n"
     "print('numpy' in sys.modules)\n"
 )
@@ -252,25 +252,38 @@ class TestForkedIngest:
         assert messages.index(overlap[0]) == messages.index(
             next(m for m in messages if m.startswith("scores: "))) + 1
 
-    @pytest.mark.parametrize("labels, how", [
+    @pytest.mark.parametrize("labels, how, tweets", [
         ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
-         "in bulk"),
+         "in bulk", False),
         ('t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\n"t3",2022-10-04,bank,negative\n',
-         "row by row"),
-    ])
+         "row by row", False),
+        ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
+         "in bulk", True),
+    ], ids=["in bulk", "row by row", "in bulk beside tweets"])
     def test_external_labels_are_counted_and_hashed_in_the_child(self, tmp_path, caplog,
-                                                                  labels, how):
+                                                                  labels, how, tweets):
         ini = label_tree(tmp_path)
         (tmp_path / "labels.csv").write_text("tweet_id,date,aspect,polarity\n" + labels,
                                              encoding="utf-8")
+        if tweets:
+            # A tweet file beside the labels feeds only keywords.csv, and
+            # its digest is the manifest's too.
+            (tmp_path / "tweets.jsonl").write_text(
+                '{"id": "t1", "created_at": "2022-10-03T12:00:00Z", "text": "tax up", '
+                '"lang": "en"}\n', encoding="utf-8")
+            ini.write_text(ini.read_text("utf-8").replace(
+                "[inputs]\n", "[inputs]\ntweets = tweets.jsonl\n"), encoding="utf-8")
         config = load_config(ini)
         with caplog.at_level(logging.INFO):
             run_pipeline(config)
         assert f"labels: 3 rows counted {how}, 3 distinct (day, aspect, polarity) keys" in (
             caplog.messages)
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text("utf-8"))
-        assert manifest["inputs_sha256"] == {name: sha256_file(path)
-                                             for name, path in config.input_files()}
+        assert manifest["inputs_sha256"] == {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in config.input_files()}
+        assert ("tweets" in manifest["inputs_sha256"]) == tweets
+        assert (tmp_path / "out" / "keywords.csv").exists() == tweets
 
     def test_bad_label_row_exits_two_and_leaves_no_scores(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -345,7 +358,7 @@ class TestForkedIngest:
     def test_child_is_killed_when_the_parent_raises(self, tmp_path, monkeypatch):
         # The parent's import fails while the child is still scoring; the
         # parent must kill the child, not wait the minute out.
-        monkeypatch.setattr(sentdep.pipeline, "stage_score", lambda *a, **k: time.sleep(60))
+        monkeypatch.setattr(sentdep.pipeline, "write_scores", lambda *a, **k: time.sleep(60))
         monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
         start = time.monotonic()
         with pytest.raises(ImportError):
@@ -357,7 +370,7 @@ class TestForkedIngest:
         def broken(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(sentdep.pipeline, "stage_score", broken)
+        monkeypatch.setattr(sentdep.pipeline, "write_scores", broken)
         with pytest.raises(RuntimeError, match=r"(?s)Traceback.*ValueError: boom"):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
         assert_no_child_left()
@@ -368,7 +381,7 @@ class TestForkedIngest:
     ], ids=["exit", "signal"])
     def test_child_ending_without_a_message_is_named(self, tmp_path, monkeypatch,
                                                      end, words):
-        monkeypatch.setattr(sentdep.pipeline, "stage_score", lambda *a, **k: end())
+        monkeypatch.setattr(sentdep.pipeline, "write_scores", lambda *a, **k: end())
         with pytest.raises(RuntimeError, match=f"without a result: {words}$"):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
         assert_no_child_left()
@@ -398,8 +411,9 @@ class TestForkedIngest:
     @needs_two_cpus
     @pytest.mark.parametrize("case", ["clean", "bad_label", "parent_raises"])
     def test_child_and_parent_run_on_different_cpus(self, tmp_path, case):
-        # The child's set is seen in stage_score, the parent's while it
-        # imports the analysis; the parent's own set is back after main.
+        # The child's set is seen as it counts external labels or writes
+        # the scores, the parent's while it imports the analysis; the
+        # parent's own set is back after main.
         code = (
             "import os, sys, time\n"
             "import sentdep.pipeline as pipeline\n"
@@ -413,13 +427,15 @@ class TestForkedIngest:
             "        if name == 'sentdep.analysis':\n"
             "            observe('parent.seen')\n"
             "sys.meta_path.insert(0, ImportObserver())\n"
-            "stage_score = pipeline.stage_score\n"
-            "def observed_score(*args, **kwargs):\n"
-            "    observe('child.seen')\n"
-            "    if case == 'parent_raises':\n"
-            "        time.sleep(60)\n"
-            "    return stage_score(*args, **kwargs)\n"
-            "pipeline.stage_score = observed_score\n"
+            "def observed(stage):\n"
+            "    def call(*args, **kwargs):\n"
+            "        observe('child.seen')\n"
+            "        if case == 'parent_raises':\n"
+            "            time.sleep(60)\n"
+            "        return stage(*args, **kwargs)\n"
+            "    return call\n"
+            "pipeline.parse_labeled = observed(pipeline.parse_labeled)\n"
+            "pipeline.write_scores = observed(pipeline.write_scores)\n"
             "if case == 'parent_raises':\n"
             "    sys.modules['scipy.special._ufuncs'] = None\n"
             "before = os.sched_getaffinity(0)\n"

@@ -31,10 +31,10 @@ from sentdep.ingest import (
 )
 from sentdep.core import PolarityLabel
 from sentdep.prepare import sha256_file
-from sentdep.scores import aggregate_daily
 
 from oracles import (
     keyword_counts_bruteforce,
+    label_cells,
     labels_row_by_row,
     prices_row_by_row,
     tokens_char_by_char,
@@ -262,23 +262,6 @@ class TestParseTweets:
             json.dumps(tweet_obj(i, "ok")).encode() + b"\r\n" for i in range(3)
         ) + b"\r\n")
         assert [r.id for r in parse_tweets(p)] == ["t0", "t1", "t2"]
-
-    @pytest.mark.parametrize("content", [
-        b"",
-        b"\n\n  \n" + GOOD_LINE + b"\n\n" + GOOD_LINE + b"\n\t\n",
-        GOOD_LINE + b"\n{broken\n\xff\xfe\n[1, 2]\n" + GOOD_LINE + b"\n",
-        GOOD_LINE + b"\r\n\r\n" + GOOD_LINE + b"\r\n",
-        GOOD_LINE + b"\n" + GOOD_LINE,
-        b"\n{broken\r\n" + GOOD_LINE + b"\r",
-    ], ids=["empty", "blank lines", "malformed lines", "crlf", "no final newline",
-            "all of them"])
-    def test_digest_is_the_files_sha256(self, tmp_path, content):
-        p = tmp_path / "t.jsonl"
-        p.write_bytes(content)
-        digest = hashlib.sha256()
-        records = list(parse_tweets(p, malformed_cap=1.0, digest=digest))
-        assert len(records) == content.count(GOOD_LINE)
-        assert digest.hexdigest() == sha256_file(p)
 
 
 #: Lines of a tweet file to be cut into blocks: English and French
@@ -601,6 +584,10 @@ ROW_BY_ROW_ROWS = {
     "bad date": "t3,2021-13-04,tax,neutral",
     "unknown polarity": "t3,2021-01-04,tax,mixed",
     "empty aspect": "t3,2021-01-04, ,neutral",
+    # several faults in one row: the first rule in date, polarity, aspect
+    # order is reported
+    "bad date, polarity and aspect": "t3,2021-13-04, ,mixed",
+    "bad polarity and aspect": "t3,2021-01-04, ,mixed",
 }
 
 
@@ -635,7 +622,7 @@ class TestParseLabeled:
         ]
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert parse_labeled(p) == aggregate_daily(labels)
+        assert parse_labeled(p) == label_cells(labels)
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "labels.csv"
@@ -699,6 +686,8 @@ class TestParseLabeled:
         @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["bad date"] + "\n")
         @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["unknown polarity"] + "\n")
         @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["empty aspect"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["bad date, polarity and aspect"] + "\n")
+        @example(PLAIN_LABELS + ROW_BY_ROW_ROWS["bad polarity and aspect"] + "\n")
         @example(PLAIN_LABELS + "\u3000t3,2021-01-04,tax,neutral\n\xa0,2021-01-04,tax,neutral\n")
         @example(LABEL_HEADER + "\n")
         @example(LABEL_HEADER)
@@ -753,7 +742,7 @@ class TestParseLabeled:
                 result = counts_or_error(parse_labeled, p)
                 assert result == counts_or_error(labels_row_by_row, p)
                 if error is None:
-                    assert sum(c.total for c in result) == 4
+                    assert sum(map(sum, result.values())) == 4
                 else:
                     assert result == (FormatError, f"{p}:4: {error}", 4)
             assert len(reads) == 2

@@ -17,7 +17,7 @@ from sentdep.labeler import (
     lexicon_window_label,
 )
 from sentdep.pipeline import check_values
-from sentdep.scores import aggregate_daily
+from sentdep.scores import counted
 
 from oracles import aspect_occurrences_bruteforce, window_label_index_by_index
 
@@ -217,7 +217,9 @@ class TestLabelCorpus:
         labels = list(label_corpus([self.tweet(1, "inflation crash")], aspects, LEX))
         p = tmp_path / "labels.csv"
         write_labeled(labels, p)
-        assert parse_labeled(p) == aggregate_daily(labels)
+        cells = {}
+        assert list(counted(labels, cells)) == labels
+        assert parse_labeled(p) == cells
 
     def test_uses_utc_day(self):
         aspects = AspectLexicon(["inflation"])

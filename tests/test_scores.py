@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import scores_row_by_row
+from oracles import label_cells, scores_row_by_row
 from sentdep.core import PolarityLabel, ScoreKind
 from sentdep.errors import FormatError
 from sentdep.scores import AspectDayCount, aggregate_daily, read_scores, write_scores
@@ -56,11 +56,11 @@ class TestAggregateDaily:
 class TestScoreSeries:
     """The four score formulas, as written by write_scores and read back."""
 
-    COUNTS = [
-        AspectDayCount("tax", D0, 2, 1, 1),
-        AspectDayCount("tax", D0 + timedelta(days=1), 0, 3, 0),
-        AspectDayCount("inflation", D0, 5, 0, 0),
-    ]
+    COUNTS = {
+        ("tax", D0): [2, 1, 1],
+        ("tax", D0 + timedelta(days=1)): [0, 3, 0],
+        ("inflation", D0): [5, 0, 0],
+    }
 
     def series(self, tmp_path, aspect, kind):
         p = tmp_path / "scores.csv"
@@ -101,16 +101,16 @@ class TestScoreSeries:
 def test_aspect_frequencies_counts_occurrences(tmp_path):
     labels = [lab("t1", 0, "tax", POS), lab("t1", 0, "tax", NEG), lab("t2", 1, "bank", NEU)]
     p = tmp_path / "scores.csv"
-    write_scores(aggregate_daily(labels), p)
+    write_scores(label_cells(labels), p)
     assert read_scores(p)[1] == {"tax": 2, "bank": 1}
 
 
 class TestScoresFile:
     def test_round_trip_exact(self, tmp_path):
-        counts = [
-            AspectDayCount("tax", D0, 2, 1, 4),  # nfp = 2/7, not a nice decimal
-            AspectDayCount("inflation", D0, 1, 0, 0),
-        ]
+        counts = {
+            ("tax", D0): [2, 1, 4],  # nfp = 2/7, not a nice decimal
+            ("inflation", D0): [1, 0, 0],
+        }
         p = tmp_path / "scores.csv"
         write_scores(counts, p)
         series, totals = read_scores(p)
@@ -131,7 +131,7 @@ class TestScoresFile:
     ])
     def test_bad_value_names_file_and_line(self, tmp_path, kind, value):
         p = tmp_path / "scores.csv"
-        write_scores([AspectDayCount("tax", D0, 2, 1, 1)], p)
+        write_scores({("tax", D0): [2, 1, 1]}, p)
         lines = p.read_text(encoding="utf-8").splitlines()
         (lineno,) = [i for i, line in enumerate(lines, start=1) if f",{kind}," in line]
         lines[lineno - 1] = f"tax,{D0.isoformat()},{kind},{value}"
@@ -211,7 +211,7 @@ day_counts = st.lists(
 @given(day_counts)
 @example([("tax", 0, 1, 1, 1), ("bank", 2, 2, 4, 1)])  # shares 1/3 and 2/7
 def test_written_scores_equal_what_is_read_back(tmp_path_factory, raw):
-    counts = [AspectDayCount(a, D0 + timedelta(days=o), p, n, u) for a, o, p, n, u in raw]
+    counts = {(a, D0 + timedelta(days=o)): [p, n, u] for a, o, p, n, u in raw}
     p = tmp_path_factory.mktemp("scores") / "scores.csv"
     series, totals = write_scores(counts, p)
     assert (series, totals) == read_scores(p)
@@ -236,7 +236,7 @@ csv_aspects = st.one_of(
     max_size=20, unique_by=lambda t: t[:2]))
 @example([("a,b", 0, 1, 2, 0), ('say "hi"', 1, 0, 0, 3), ("two\nlines", 0, 5, 0, 0)])
 def test_written_scores_are_the_csv_writers_bytes(tmp_path_factory, raw):
-    counts = [AspectDayCount(a, D0 + timedelta(days=o), p, n, u) for a, o, p, n, u in raw]
+    counts = {(a, D0 + timedelta(days=o)): [p, n, u] for a, o, p, n, u in raw}
     root = tmp_path_factory.mktemp("scores")
     write_scores(counts, root / "scores.csv")
     scores_row_by_row(counts, root / "oracle.csv")
