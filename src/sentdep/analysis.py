@@ -175,8 +175,7 @@ def _granger_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
             for i in members:
                 cells[i]["granger_reason"] = type(exc).__name__
             continue
-        n_eff = xs.shape[0] - lag
-        design = lagged_design(n_eff, lag)
+        design = lagged_design(xs.shape[0] - lag, lag)
         if config.granger_reverse:
             shared = _outcome(restricted, xs)
         for i in members:
@@ -196,7 +195,7 @@ def _granger_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
             tested.append(cells[i])
             f_stats.append(outcome[0])
             exact.append(outcome[1])
-            df_dens.append(n_eff - 2 * lag - 1)
+            df_dens.append(outcome[2])
     if not tested:
         return
     p_values = upper_tail(lag, np.array(df_dens), np.array(f_stats)).tolist()

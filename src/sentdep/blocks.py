@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import OutputError
+from .fork import MAX_CLAIMS
 from .ingest import (
     KeywordCounts,
     LineTally,
@@ -31,7 +32,7 @@ from .labeler import PolarityLexicon, label_corpus
 from .scores import counted
 
 #: Bytes of a block before its end moves to the next line feed; a file of
-#: more blocks than its labeling allows is cut into that many.
+#: more blocks than :data:`sentdep.fork.MAX_CLAIMS` is cut into that many.
 BLOCK_BYTES = 1 << 16
 
 
@@ -91,20 +92,21 @@ class TweetBlocks:
     """The labeling of one tweet file into ``out``, block by block.
 
     Made by reading the aspect lexicon and the term files, in that order,
-    and cutting the tweet file into at most ``most`` blocks (``spans``).
-    Any process may then label any block (:meth:`label`): the block's
-    label rows are written as they stream to a part file of their own
-    beside ``out`` (block 0's after the CSV header), and its keywords,
-    labels and lines are counted into the process's :class:`Share`. No
-    list of labels is held.
+    and cutting the tweet file into blocks (``spans``): at most
+    :data:`sentdep.fork.MAX_CLAIMS`, so that :func:`sentdep.fork.claims`
+    can share them. Any process may then label any block (:meth:`label`):
+    the block's label rows are written as they stream to a part file of
+    their own beside ``out`` (block 0's after the CSV header), and its
+    keywords, labels and lines are counted into the process's
+    :class:`Share`. No list of labels is held.
     """
 
     def __init__(self, tweets_path, aspects_path, positive_path, negative_path, out_path,
-                 window: int, most: int) -> None:
+                 window: int) -> None:
         self.aspects = load_aspects(aspects_path)
         self.lexicon = PolarityLexicon.from_files(positive_path, negative_path)
         self.tweets, self.out, self.window = Path(tweets_path), Path(out_path), window
-        self.spans = line_blocks(self.tweets, BLOCK_BYTES, most)
+        self.spans = line_blocks(self.tweets, BLOCK_BYTES, MAX_CLAIMS)
 
     def part(self, index: int) -> Path:
         return self.out.with_name(f".{self.out.name}.{index}")

@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, FormatError, SentdepError
-from .ingest import make_output_dir
+from .ingest import make_output_dir, packaged_data
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
@@ -60,10 +59,6 @@ def _config_help() -> str:
             notes.append(f"default {default}")
         lines.append(f"  {label:<10} {key.key:<28} ({', '.join(notes)})")
     return "\n".join(lines) + "\n"
-
-
-def _packaged_data(name: str) -> Path:
-    return Path(str(resources.files("sentdep").joinpath("data", name)))
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -171,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="detect and label aspect occurrences")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--aspects", default=_packaged_data("aspects_default.txt"),
+    p.add_argument("--aspects", default=packaged_data("aspects_default.txt"),
                    help="aspect lexicon (default: bundled top-20 financial aspects)")
-    p.add_argument("--positive-terms", default=_packaged_data("positive_terms.txt"))
-    p.add_argument("--negative-terms", default=_packaged_data("negative_terms.txt"))
+    p.add_argument("--positive-terms", default=packaged_data("positive_terms.txt"))
+    p.add_argument("--negative-terms", default=packaged_data("negative_terms.txt"))
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=PipelineConfig.window)
     p.add_argument("--malformed-cap", type=float,

@@ -12,8 +12,8 @@ days is a shift by L elements.
 Nothing here imports numpy when it loads: the rows are ``array('d')``,
 so the process that reads the inputs can put them on the calendar
 without the numerical stack, and the analysis wraps them in arrays. The
-defaults of the statistics live here too, where the config table and the
-statistics both read them.
+defaults that the config table shares with the readers, the labeler and
+the statistics live here too, so each is written once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ DEFAULT_ALPHA = 0.05
 
 #: |r| must strictly exceed this to be called significant.
 DEFAULT_THRESHOLD = 0.4
+
+#: Tokens inspected on each side of an aspect occurrence by the labeler.
+DEFAULT_WINDOW = 5
+
+#: Fraction of malformed tweet lines tolerated before the file is rejected.
+DEFAULT_MALFORMED_CAP = 0.10
+
+#: Tweets a token must appear in to be kept as a keyword.
+DEFAULT_MIN_KEYWORD_COUNT = 100
 
 #: The one element of a calendar row before its observations are placed.
 _NAN = (float("nan"),)

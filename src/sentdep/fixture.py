@@ -18,18 +18,24 @@ Tweets are built token-by-token around the aspect word so the window
 labeler reproduces the drawn counts exactly; the corpus also sprinkles in
 non-English decoys, URL-bearing posts, and aspect-free chatter, and one
 price row carries Yahoo's literal "null" close.
+
+The lexicons are the package's own data files, copied into the tree and
+read back by the readers a run uses (:func:`sentdep.ingest.load_aspects`
+and :meth:`sentdep.labeler.PolarityLexicon.from_files`), so the tweets
+are built from the vocabulary that labels them.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from datetime import date, datetime, timedelta, timezone
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import make_output_dir
+from .ingest import load_aspects, make_output_dir, packaged_data
+from .labeler import PolarityLexicon
 
 PLANTED_ASPECT = "inflation"
 PLANTED_TICKER = "NEE"
@@ -82,16 +88,8 @@ def _calendar_days() -> list[date]:
     return days
 
 
-def _packaged_text(name: str) -> str:
-    return resources.files("sentdep").joinpath("data", name).read_text(encoding="utf-8")
-
-
-def _lexicon_entries(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")]
-
-
-def _check_vocabulary(aspects: list[str], positive: set[str], negative: set[str]) -> None:
+def _check_vocabulary(aspects: list[str], positive: frozenset[str],
+                      negative: frozenset[str]) -> None:
     """The templates only work if the word classes never collide."""
     aspect_tokens = {tok for a in aspects for tok in a.split()}
     for word in _TEMPLATE_POSITIVE:
@@ -173,17 +171,12 @@ def generate_fixture(out_dir, seed: int = 0) -> Path:
     out = make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
 
-    aspects_text = _packaged_text("aspects_default.txt")
-    positive_text = _packaged_text("positive_terms.txt")
-    negative_text = _packaged_text("negative_terms.txt")
-    (out / "aspects.txt").write_text(aspects_text, encoding="utf-8")
-    (out / "positive_terms.txt").write_text(positive_text, encoding="utf-8")
-    (out / "negative_terms.txt").write_text(negative_text, encoding="utf-8")
-
-    aspects = _lexicon_entries(aspects_text)
-    positive = set(_lexicon_entries(positive_text))
-    negative = set(_lexicon_entries(negative_text))
-    _check_vocabulary(aspects, positive, negative)
+    shutil.copyfile(packaged_data("aspects_default.txt"), out / "aspects.txt")
+    for name in ("positive_terms.txt", "negative_terms.txt"):
+        shutil.copyfile(packaged_data(name), out / name)
+    aspects = list(load_aspects(out / "aspects.txt").aspects)
+    lexicon = PolarityLexicon.from_files(out / "positive_terms.txt", out / "negative_terms.txt")
+    _check_vocabulary(aspects, lexicon.positive, lexicon.negative)
 
     trading_days = fixture_trading_days()
     planted_positive: dict[date, int] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import select
 import signal
 import sys
 import traceback
@@ -219,6 +220,10 @@ def beside(
 #: Bytes of one claim record of :func:`claims`: a block index, little-endian.
 CLAIM_BYTES = 4
 
+#: Most blocks one :func:`claims` can share: their records must fit in
+#: ``PIPE_BUF`` bytes (512 or more by POSIX).
+MAX_CLAIMS = getattr(select, "PIPE_BUF", 512) // CLAIM_BYTES
+
 
 @contextmanager
 def claims(count: int) -> Iterator[Callable[[], Iterator[int]]]:
@@ -226,12 +231,12 @@ def claims(count: int) -> Iterator[Callable[[], Iterator[int]]]:
     this one or a child forked inside the ``with`` block.
 
     One record per block is written into a pipe in one write, and the
-    write end closed. ``count`` records must fit in ``PIPE_BUF`` bytes: a
-    write of that size into an empty pipe never blocks. The block yields
-    ``claimed``; ``claimed()`` iterates the blocks whose records the
-    calling process reads, one at a time, until none is left, so the
-    process that is free takes the next block, and one that dies
-    mid-claim blocks no other. The read end is closed when the block ends.
+    write end closed. ``count`` may be at most :data:`MAX_CLAIMS`, so the
+    records fit in ``PIPE_BUF`` bytes: a write of that size into an empty
+    pipe never blocks. The block yields ``claimed``; ``claimed()``
+    iterates the blocks whose records the calling process reads, one at a
+    time, until none is left, so the process that is free takes the next
+    block, and one that dies mid-claim blocks no other. The read end is closed when the block ends.
     """
     read_fd, write_fd = os.pipe()
     try:

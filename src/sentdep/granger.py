@@ -149,24 +149,27 @@ def restricted_fit(y: Sequence[float], lag: int = 1) -> RestrictedFit:
 
 
 def f_statistic(restricted: RestrictedFit, x: np.ndarray,
-                design: np.ndarray) -> tuple[float, bool]:
-    """(F, exact fit) of whether x's lags improve ``restricted``'s regression.
+                design: np.ndarray) -> tuple[float, bool, int]:
+    """(F, exact fit, denominator degrees of freedom) of whether x's lags
+    improve ``restricted``'s regression.
 
     ``x`` has the length of the restricted fit's series, and ``design`` is
     an unrestricted :func:`lagged_design` over its effective sample; the
     lag columns are overwritten here, so one design serves any number of
-    tests of that shape. An unrestricted RSS of zero cannot feed the F
-    ratio; such an exact fit returns F = inf when the cross terms produced
-    it and F = 0 when y's own history already fit exactly.
+    tests of that shape. The degrees of freedom are n_eff − 2·lag − 1, the
+    unrestricted fit's residual ones, which :func:`upper_tail` takes. An
+    unrestricted RSS of zero cannot feed the F ratio; such an exact fit
+    returns F = inf when the cross terms produced it and F = 0 when y's
+    own history already fit exactly.
     """
     lag = (design.shape[1] - 1) // 2
+    df_den = design.shape[0] - 2 * lag - 1
     _fill_lags(design, 1, restricted.series, lag)
     _fill_lags(design, 1 + lag, x, lag)
     rss = ols(design, restricted.series[lag:]).rss
     if rss <= restricted.zero_tol:
-        return (0.0 if restricted.rss <= restricted.zero_tol else math.inf), True
-    df_den = design.shape[0] - 2 * lag - 1
-    return max(0.0, restricted.rss - rss) / lag / (rss / df_den), False
+        return (0.0 if restricted.rss <= restricted.zero_tol else math.inf), True, df_den
+    return max(0.0, restricted.rss - rss) / lag / (rss / df_den), False, df_den
 
 
 def upper_tail(lag: int, df_den, f_stat):
@@ -195,9 +198,8 @@ def granger_causes(
     """
     restricted = restricted_fit(y, lag)
     n_eff = restricted.series.shape[0] - lag
-    f_stat, perfect = f_statistic(restricted, np.asarray(x, dtype=float),
-                                  lagged_design(n_eff, lag))
-    df_den = n_eff - 2 * lag - 1
+    f_stat, perfect, df_den = f_statistic(restricted, np.asarray(x, dtype=float),
+                                          lagged_design(n_eff, lag))
     p_value = float(upper_tail(lag, df_den, f_stat))
     return GrangerResult(
         f_stat=f_stat,

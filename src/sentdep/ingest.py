@@ -34,19 +34,17 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import COUNT_INDEX, PolarityLabel
+from .core import COUNT_INDEX, DEFAULT_MALFORMED_CAP, DEFAULT_MIN_KEYWORD_COUNT, PolarityLabel
 from .errors import EmptySeries, FormatError, HeaderMismatch, OutputError
 
 logger = logging.getLogger(__name__)
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-
-#: Fraction of malformed tweet lines tolerated before the file is rejected.
-DEFAULT_MALFORMED_CAP = 0.10
 
 
 class _FirstTokens:
@@ -125,6 +123,12 @@ class AspectLexicon:
     @property
     def by_first_token(self) -> dict[str, tuple[tuple[str, tuple[str, ...]], ...]]:
         return self._by_first_token
+
+
+def packaged_data(name: str) -> Path:
+    """The path of a data file shipped in the package: the default aspect
+    lexicon ``aspects_default.txt`` and the term files."""
+    return Path(str(resources.files("sentdep").joinpath("data", name)))
 
 
 def open_input(path, mode: str = "r", **kwargs):
@@ -523,33 +527,28 @@ _LABEL_BLANK_START = re.compile(r"\n[\s,]")
 _LABEL_TAIL = re.compile(",(.*)")
 
 
-def _label_tails(fh, digest) -> Counter[str] | None:
+def _label_tails(fh) -> Counter[str] | None:
     """The ``date,aspect,polarity`` tail of each row of an open label
     file, counted; None where :func:`csv.reader` could read a row
     otherwise than a split at commas.
 
-    The file is read past its header in blocks of whole lines, and each
-    ``digest`` is fed the bytes read. A block is counted when it is UTF-8
-    without a ``"`` or a CR, and no line of it starts with whitespace or
-    a comma, lacks a comma, or is longer than :func:`csv.field_size_limit`:
-    then each line is one row whose fields are its text between commas,
-    with a tweet_id that is not blank. Blocks are read at most half that
-    limit at a time, so a block is normally no longer than the limit and
-    its lines need no measuring. The first other header or block ends the
-    count.
+    The file is read past its header in blocks of whole lines. A block is
+    counted when it is UTF-8 without a ``"`` or a CR, and no line of it
+    starts with whitespace or a comma, lacks a comma, or is longer than
+    :func:`csv.field_size_limit`: then each line is one row whose fields
+    are its text between commas, with a tweet_id that is not blank.
+    Blocks are read at most half that limit at a time, so a block is
+    normally no longer than the limit and its lines need no measuring.
+    The first other header or block ends the count, and the rest of the
+    file is not read.
     """
-    header = fh.readline()
-    if digest is not None:
-        digest.update(header)
-    if header != _LABEL_HEADER_LINE:
+    if fh.readline() != _LABEL_HEADER_LINE:
         return None
     limit = csv.field_size_limit()
     size = max(1, min(_LABEL_BLOCK_BYTES, limit // 2))
     tails: Counter[str] = Counter()
     while block := fh.read(size):
         block += fh.readline()
-        if digest is not None:
-            digest.update(block)
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError:
@@ -603,7 +602,7 @@ def _tail_cells(tails: Counter[str]) -> dict[tuple[str, date], list[int]] | None
     return cells
 
 
-def parse_labeled(path, digest=None) -> dict[tuple[str, date], list[int]]:
+def parse_labeled(path) -> dict[tuple[str, date], list[int]]:
     """Count externally produced aspect labels per (aspect, day).
 
     CSV header ``tweet_id,date,aspect,polarity`` with polarity in
@@ -623,19 +622,12 @@ def parse_labeled(path, digest=None) -> dict[tuple[str, date], list[int]]:
     :func:`_label_tails` and :func:`_label_key`). Any other file, or a
     tail that fails a check, is counted row by row from the start by
     :func:`_label_cells`, which reports the bad row. Both give the same
-    counts.
-
-    ``digest``, a :mod:`hashlib` object, is fed every byte of the file,
-    so the caller holds its hash without reading the file again. One
-    ``-v`` line tells how the file was counted, its rows and its
-    distinct (day, aspect, polarity) keys.
+    counts. One ``-v`` line tells how the file was counted, its rows and
+    its distinct (day, aspect, polarity) keys.
     """
     path = Path(path)
     with open_input(path, "rb") as fh:
-        tails = _label_tails(fh, digest)
-        if digest is not None:
-            while block := fh.read(_LABEL_BLOCK_BYTES):
-                digest.update(block)
+        tails = _label_tails(fh)
     cells = None if tails is None else _tail_cells(tails)
     how = "in bulk"
     if cells is None:
@@ -744,7 +736,7 @@ class KeywordCounts:
         """Add the counts of ``other``, which counted other tweets."""
         self._counts.update(other._counts)
 
-    def frequencies(self, min_count: int = 100) -> list[KeywordFrequency]:
+    def frequencies(self, min_count: int = DEFAULT_MIN_KEYWORD_COUNT) -> list[KeywordFrequency]:
         """Tokens in at least ``min_count`` tweets, by count desc then keyword."""
         kept = [
             KeywordFrequency(keyword=k, tweet_count=c)
@@ -756,7 +748,7 @@ class KeywordCounts:
 
 
 def keyword_frequencies(
-    tweets: Iterable[TweetRecord], min_count: int = 100
+    tweets: Iterable[TweetRecord], min_count: int = DEFAULT_MIN_KEYWORD_COUNT
 ) -> list[KeywordFrequency]:
     """Count, for each token, the tweets containing it at least once.
 

@@ -14,14 +14,11 @@ import logging
 from datetime import date
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import PolarityLabel
+from .core import DEFAULT_WINDOW, PolarityLabel
 from .errors import FormatError
 from .ingest import AspectLexicon, TweetRecord, comment_lines
 
 logger = logging.getLogger(__name__)
-
-#: Tokens inspected on each side of an aspect occurrence.
-DEFAULT_WINDOW = 5
 
 
 class PolarityLexicon:

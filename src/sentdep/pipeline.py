@@ -42,7 +42,7 @@ its import is done, the parent claim from one pipe
 (:func:`sentdep.fork.claims`). The child merges the blocks, writes the
 keyword, label and score files, reads the price files and the calendar,
 prepares the analysis inputs and hashes every input file for the
-manifest, reading the tweet file once more for it (see
+manifest, reading each once more for it (see
 :func:`_ingest_beside_import`). The parent then only stacks the rows it
 is sent; it never holds the price or score dicts. Then
 :func:`stage_analyze` shares the aspects with a forked worker the same
@@ -67,7 +67,6 @@ import configparser
 import gc
 import logging
 import os
-import select
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, make_dataclass
@@ -78,14 +77,16 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .core import (
     DEFAULT_ALPHA,
     DEFAULT_K,
+    DEFAULT_MALFORMED_CAP,
+    DEFAULT_MIN_KEYWORD_COUNT,
     DEFAULT_THRESHOLD,
+    DEFAULT_WINDOW,
     MAX_K,
     AnalysisInputs,
     ScoreKind,
 )
 from .errors import ConfigError, FormatError
 from .ingest import (
-    DEFAULT_MALFORMED_CAP,
     keyword_frequencies,
     make_output_dir,
     parse_labeled,
@@ -93,7 +94,6 @@ from .ingest import (
     read_lines,
     write_keyword_frequencies,
 )
-from .labeler import DEFAULT_WINDOW
 from .report import (
     DependenceCell,
     emit_granger_table,
@@ -148,8 +148,8 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
               doc="one `TICKER = path.csv` per stock (order = report column order)"),
     ConfigKey("window", "label", int, DEFAULT_WINDOW, lambda v: v >= 0, "must be >= 0",
               doc="tokens each side"),
-    ConfigKey("min_keyword_count", "ingest", int, 100, lambda v: v >= 1, "must be >= 1",
-              doc="tweets a keyword needs"),
+    ConfigKey("min_keyword_count", "ingest", int, DEFAULT_MIN_KEYWORD_COUNT,
+              lambda v: v >= 1, "must be >= 1", doc="tweets a keyword needs"),
     ConfigKey("max_malformed_fraction", "ingest", float, DEFAULT_MALFORMED_CAP,
               lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
               doc="malformed tweet lines tolerated"),
@@ -266,20 +266,15 @@ class PipelineConfig:
 _INI_KEYS = {(key.section, key.key): key for key in CONFIG_KEYS}
 _FREE_FORM_SECTIONS = {key.section: key for key in CONFIG_KEYS if key.kind is dict}
 
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
-
 
 def _convert(section: str, key: str, kind: type, text: str, base: Path):
     text = text.strip()
     try:
         if kind is bool:
-            low = text.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
+            state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+            if state is None:
+                raise ValueError(f"not a boolean: {text!r}")
+            return state
         if kind is Path:
             if "\0" in text:  # no file system takes it
                 raise ValueError("a path may not hold a NUL character")
@@ -361,7 +356,7 @@ def stage_label(
     from .blocks import Share, TweetBlocks
 
     tweets = TweetBlocks(tweets_path, aspects_path, positive_path, negative_path, out_path,
-                         window, _MAX_CLAIMS)
+                         window)
     try:
         share = tweets.label(range(len(tweets.spans)), Share(keywords=False))
         tweets.check(share, malformed_cap)
@@ -453,16 +448,14 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
     itself, receives the other process's share from ``handoff`` (a
     :class:`sentdep.fork.Handoff`); it then merges the shares, writes
     keywords.csv and joins labels.csv. Otherwise the labels are an
-    external file, counted and hashed in one read (see
-    :func:`parse_labeled`); a tweet file beside it feeds only
-    keywords.csv. The tweet file, like every input but an external label
-    file, is hashed at the end by :func:`sentdep.prepare.input_digests`.
+    external file, counted by :func:`parse_labeled`; a tweet file beside
+    it feeds only keywords.csv. Every input file is hashed at the end, by
+    :func:`sentdep.prepare.input_digests`, in the process that calls
+    this: in a run, the ingest child.
     """
-    import hashlib
-
     from .prepare import input_digests, prepare_analysis
 
-    took, taken = (0, 0), {}
+    took = 0, 0
     if tweets is not None:
         from .blocks import Share
 
@@ -486,15 +479,13 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
                 malformed_cap=config.max_malformed_fraction,
             )
             logger.info("keywords: %d kept", n_keywords)
-        digest = hashlib.sha256()
-        cells = parse_labeled(config.labels, digest)
-        taken["labels"] = digest.hexdigest()
+        cells = parse_labeled(config.labels)
 
     scores = write_scores(cells, out / "scores.csv")
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
     del cells  # written into the scores; not held while the prices are read
     inputs = prepare_analysis(config, out / "scores.csv", scores)
-    return inputs, input_digests(config, taken), took
+    return inputs, input_digests(config), took
 
 
 def _import_analysis() -> tuple[int, float]:
@@ -589,8 +580,7 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
         from .blocks import TweetBlocks
 
         tweets = TweetBlocks(config.tweets, config.aspects, config.positive_terms,
-                             config.negative_terms, out / "labels.csv", config.window,
-                             _MAX_CLAIMS)
+                             config.negative_terms, out / "labels.csv", config.window)
     handoff = Handoff()
     with claims(len(tweets.spans) if tweets else 0) as claimed:
         def import_then_label():
@@ -639,11 +629,6 @@ def _label_rest(tweets, claimed: Callable[[], Iterable[int]], handoff):
     return share
 
 
-#: Most claim records per run: 4-byte records of :func:`sentdep.fork.claims`,
-#: which must fit in ``PIPE_BUF`` bytes (512 or more by POSIX).
-_MAX_CLAIMS = getattr(select, "PIPE_BUF", 512) // 4
-
-
 def _tallied(analyze: Callable[..., list[DependenceCell]],
              aspects: Iterable[str]) -> tuple[list[DependenceCell], Counter]:
     """(``analyze(aspects)``, the fits and entropy estimates it counted)."""
@@ -657,23 +642,23 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
 
     No cell depends on another aspect's cells. Before the fork this
     process writes one record per block of consecutive aspects (one block
-    per aspect, unless there are more than ``_MAX_CLAIMS``) into a pipe in
-    one write, and closes its write end. The worker and this process, each
-    on its own CPU (see :func:`sentdep.fork.beside`), then read one record
-    at a time and compute that block, until EOF; so the process that is
-    free takes the next block, and an aspect with heavier cells does not
-    hold up the other process. A worker that dies mid-claim cannot block
-    this process, which takes what is left and then raises ``beside``'s
-    RuntimeError. The cells are merged by aspect in presentation order.
-    One aspect, one allowed CPU, a refused pin or no ``os.fork`` leaves
-    every claim to this process. One ``-v`` line tells, for each process,
+    per aspect, unless there are more than :data:`sentdep.fork.MAX_CLAIMS`)
+    into a pipe in one write, and closes its write end. The worker and this
+    process, each on its own CPU (see :func:`sentdep.fork.beside`), then
+    read one record at a time and compute that block, until EOF; so the
+    process that is free takes the next block, and an aspect with heavier
+    cells does not hold up the other process. A worker that dies mid-claim
+    cannot block this process, which takes what is left and then raises
+    ``beside``'s RuntimeError. The cells are merged by aspect in
+    presentation order. One aspect, one allowed CPU, a refused pin or no
+    ``os.fork`` leaves every claim to this process. One ``-v`` line tells, for each process,
     its aspects and cells, what it spent, and how many least-squares fits
     and entropy estimates it made; how many aspects each took may differ
     between runs.
     """
-    from .fork import beside, claims, measured
+    from .fork import MAX_CLAIMS, beside, claims, measured
 
-    n, count = len(aspects), min(len(aspects), _MAX_CLAIMS)
+    n, count = len(aspects), min(len(aspects), MAX_CLAIMS)
     blocks = [aspects[i * n // count:(i + 1) * n // count] for i in range(count)]
     with claims(count) as claimed:
         def claimed_aspects() -> Iterator[str]:

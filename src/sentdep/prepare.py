@@ -106,12 +106,12 @@ def sha256_file(path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def input_digests(config: PipelineConfig, taken: Mapping[str, str]) -> dict[str, str]:
+def input_digests(config: PipelineConfig) -> dict[str, str]:
     """The SHA-256 of every configured input file, by its manifest name.
 
-    ``taken`` holds the digests, by manifest name, of the files hashed
-    while they were read: an external label file is hashed as
-    :func:`sentdep.ingest.parse_labeled` counts it. Every other file,
-    the tweet file included, is read again here.
+    Each file is read again here, once its reader is done with it. A run
+    calls this in its ingest child, which alone loads this module and so
+    :mod:`hashlib`: the OpenSSL library it maps would add about 3.7 MiB
+    to the parent, which holds numpy and the analysis.
     """
-    return {name: taken.get(name) or sha256_file(p) for name, p in config.input_files()}
+    return {name: sha256_file(p) for name, p in config.input_files()}

@@ -132,18 +132,8 @@ def _presentation_orders(
     cells: Sequence[DependenceCell],
 ) -> tuple[list[str], list[str]]:
     """Aspect and ticker orders as first seen in the cell sequence."""
-    aspects: list[str] = []
-    tickers: list[str] = []
-    seen_a: set[str] = set()
-    seen_t: set[str] = set()
-    for c in cells:
-        if c.aspect not in seen_a:
-            seen_a.add(c.aspect)
-            aspects.append(c.aspect)
-        if c.ticker not in seen_t:
-            seen_t.add(c.ticker)
-            tickers.append(c.ticker)
-    return aspects, tickers
+    return (list(dict.fromkeys(c.aspect for c in cells)),
+            list(dict.fromkeys(c.ticker for c in cells)))
 
 
 def emit_heatmap(

@@ -11,6 +11,7 @@ from ast import literal_eval
 import pytest
 
 import sentdep.analysis
+import sentdep.fork
 from sentdep.analysis import analyze_cells, price_matrix
 from sentdep.cli import main
 from sentdep.errors import FormatError
@@ -179,7 +180,7 @@ def test_a_worker_killed_mid_claim_leaves_the_rest_here(fixture_scores, tmp_path
 def test_blocks_of_aspects_are_each_claimed_once(fixture_scores, tmp_path, monkeypatch,
                                                  top_n):
     # With room for three records, each names a block of consecutive aspects.
-    monkeypatch.setattr(sentdep.pipeline, "_MAX_CLAIMS", 3)
+    monkeypatch.setattr(sentdep.fork, "MAX_CLAIMS", 3)
     config = load_config(fixture_scores)
     config.top_n_aspects = top_n
     top, inline = inline_cells(config)

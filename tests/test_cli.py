@@ -960,7 +960,8 @@ def test_cli_import_and_config_validation_load_no_numpy(tmp_path):
     assert run_python(VALIDATE_AND_LIST, ini, "numpy").strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["sentdep.prepare", "hashlib", "platform", "array"])
+@pytest.mark.parametrize("module", ["sentdep.prepare", "sentdep.labeler", "hashlib", "platform",
+                                    "array"])
 def test_cli_import_and_config_validation_leave_the_run_inputs_unloaded(tmp_path, module):
     # The analysis inputs are prepared, and the inputs hashed, in the ingest
     # child of a run (or by `analyze`): the start of every command pays

@@ -19,6 +19,7 @@ from ast import literal_eval
 import pytest
 
 import sentdep.blocks
+import sentdep.fork
 import sentdep.pipeline
 from sentdep import errors
 from sentdep.blocks import line_blocks
@@ -197,6 +198,16 @@ SPIED_READERS = (
 )
 
 
+#: ``sentdep run`` of the config argv[1]; prints which of hashlib and its
+#: OpenSSL module this process loaded.
+RUN_AND_LIST = (
+    "import sys\n"
+    "from sentdep.cli import main\n"
+    "assert main(['run', '--config', sys.argv[1]]) == 0\n"
+    "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+)
+
+
 #: A fault that ``sentdep run`` now meets in its ingest child: the file it
 #: is in, and the line appended to it (or, for ``days.txt``, its lines).
 ANALYSIS_INPUT_FAULTS = {
@@ -252,20 +263,28 @@ class TestForkedIngest:
         assert messages.index(overlap[0]) == messages.index(
             next(m for m in messages if m.startswith("scores: "))) + 1
 
-    @pytest.mark.parametrize("labels, how, tweets", [
+    @pytest.mark.parametrize("labels, how, tweets, calendar", [
         ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
-         "in bulk", False),
+         "in bulk", False, False),
         ('t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\n"t3",2022-10-04,bank,negative\n',
-         "row by row", False),
+         "row by row", False, False),
         ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
-         "in bulk", True),
-    ], ids=["in bulk", "row by row", "in bulk beside tweets"])
+         "in bulk", True, False),
+        (None, None, True, False),
+        ("t1,2022-10-03,tax,positive\nt2,2022-10-03,tax,neutral\nt3,2022-10-04,bank,negative\n",
+         "in bulk", False, True),
+    ], ids=["in bulk", "row by row", "in bulk beside tweets", "tweets only", "with a calendar"])
     def test_external_labels_are_counted_and_hashed_in_the_child(self, tmp_path, caplog,
-                                                                  labels, how, tweets):
-        ini = label_tree(tmp_path)
-        (tmp_path / "labels.csv").write_text("tweet_id,date,aspect,polarity\n" + labels,
-                                             encoding="utf-8")
-        if tweets:
+                                                                  labels, how, tweets, calendar):
+        # Every input file is hashed in the ingest child, whichever reader
+        # took it, and the manifest holds each file's SHA-256.
+        if labels is None:
+            ini = build_tweet_tree(tmp_path)
+        else:
+            ini = label_tree(tmp_path)
+            (tmp_path / "labels.csv").write_text("tweet_id,date,aspect,polarity\n" + labels,
+                                                 encoding="utf-8")
+        if tweets and labels is not None:
             # A tweet file beside the labels feeds only keywords.csv, and
             # its digest is the manifest's too.
             (tmp_path / "tweets.jsonl").write_text(
@@ -273,16 +292,21 @@ class TestForkedIngest:
                 '"lang": "en"}\n', encoding="utf-8")
             ini.write_text(ini.read_text("utf-8").replace(
                 "[inputs]\n", "[inputs]\ntweets = tweets.jsonl\n"), encoding="utf-8")
+        if calendar:
+            add_calendar(ini, [d.isoformat() for d in DAYS])
         config = load_config(ini)
         with caplog.at_level(logging.INFO):
             run_pipeline(config)
-        assert f"labels: 3 rows counted {how}, 3 distinct (day, aspect, polarity) keys" in (
-            caplog.messages)
+        if labels is not None:
+            assert f"labels: 3 rows counted {how}, 3 distinct (day, aspect, polarity) keys" in (
+                caplog.messages)
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text("utf-8"))
         assert manifest["inputs_sha256"] == {
             name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in config.input_files()}
         assert ("tweets" in manifest["inputs_sha256"]) == tweets
+        assert ("labels" in manifest["inputs_sha256"]) == (labels is not None)
+        assert ("calendar" in manifest["inputs_sha256"]) == calendar
         assert (tmp_path / "out" / "keywords.csv").exists() == tweets
 
     def test_bad_label_row_exits_two_and_leaves_no_scores(self, tmp_path, capsys,
@@ -305,6 +329,15 @@ class TestForkedIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'out' / 'scores.csv'}: cannot write file")
         assert_no_child_left()
+
+    @pytest.mark.parametrize("tree", [build_tweet_tree, label_tree],
+                             ids=["tweets", "labels"])
+    def test_the_parent_never_imports_hashlib(self, tmp_path, tree):
+        # hashlib loads OpenSSL, which adds about 3.7 MiB to a process that
+        # holds numpy; the inputs are hashed in the ingest child, so the
+        # parent, whose peak is the run's, never maps it.
+        ini = tree(tmp_path)
+        assert run_python(RUN_AND_LIST, ini, cwd=tmp_path).splitlines()[-1] == "[]"
 
     def test_the_parent_reads_no_price_or_score_file(self, tmp_path):
         # The ingest child reads every price file and hands over the rows;
@@ -576,12 +609,12 @@ class TestTweetBlocks:
     def test_tiny_blocks_write_and_log_what_one_block_does(self, one_block_run, tmp_path,
                                                            monkeypatch, capsys):
         # A block of one byte ends after the line it starts in, so up to
-        # _MAX_CLAIMS blocks of a few lines each are shared by two processes;
+        # MAX_CLAIMS blocks of a few lines each are shared by two processes;
         # each process waits for the other's first block before its second.
         config, one_block_log = one_block_run
         monkeypatch.setattr(sentdep.blocks, "BLOCK_BYTES", 1)
-        spans = line_blocks(config.tweets, 1, sentdep.pipeline._MAX_CLAIMS)
-        assert sentdep.pipeline._MAX_CLAIMS // 2 < len(spans) <= sentdep.pipeline._MAX_CLAIMS
+        spans = line_blocks(config.tweets, 1, sentdep.fork.MAX_CLAIMS)
+        assert sentdep.fork.MAX_CLAIMS // 2 < len(spans) <= sentdep.fork.MAX_CLAIMS
         started = {side: tmp_path / f"{side}.started" for side in ("child", "parent")}
 
         def take_turns(side, other):
@@ -640,7 +673,7 @@ class TestTweetBlocks:
         with pytest.raises(RuntimeError, match="without a result: killed by signal SIGKILL$"):
             run_pipeline(config)
         assert time.monotonic() - start < 30
-        spans = line_blocks(config.tweets, 1, sentdep.pipeline._MAX_CLAIMS)
+        spans = line_blocks(config.tweets, 1, sentdep.fork.MAX_CLAIMS)
         assert len(taken) == len(spans) - 1
         assert_no_child_left()
         if before is not None:
