@@ -763,8 +763,7 @@ class TestParseLabeled:
         (PLAIN_LABELS.encode() + b"\n\n", False),
     ], ids=["plain", "no final line end", "many blocks", "quote after the first block",
             "CRLF", "spaced header", "padded tail fields", "blank rows"])
-    def test_each_file_is_counted_by_the_read_it_allows(self, tmp_path, monkeypatch, content,
-                                                        bulk):
+    def test_counts_by_the_read_it_allows(self, tmp_path, monkeypatch, content, bulk):
         reads = row_by_row_reads(monkeypatch)
         p = tmp_path / "labels.csv"
         p.write_bytes(content)
