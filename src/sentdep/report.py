@@ -7,6 +7,11 @@ that could not be computed are explicit nulls tagged with a reason code
 ``RankDeficient``, ``DegenerateSample``) — coverage is total, a triple is
 never silently absent.
 
+Each field of :class:`DependenceCell` is one ``cells.csv`` column, and
+:data:`CELL_COLUMNS` is their table: each column's text kind, statistic
+group and one-line doc. The writer, the reader and the README's column
+table follow it.
+
 Artifacts:
 
 * ``cells.csv`` — every cell field; floats serialized with ``repr`` so
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import product
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -32,100 +38,123 @@ from .errors import FormatError
 from .ingest import csv_field, csv_rows, open_output, write_csv
 
 
+def _column(kind: str, doc: str, group: str | None = None):
+    """A cell field that is one ``cells.csv`` column: its text kind, its
+    one-line doc and its statistic group. The identity columns have no
+    group and every cell sets them; a statistic is null unless set."""
+    return field(default=None if group else MISSING, metadata=dict(kind=kind, group=group, doc=doc))
+
+
 @dataclass(frozen=True)
 class DependenceCell:
     """All dependence statistics for one (aspect, kind, ticker) triple.
 
-    ``n`` is the number of lag-aligned pairs (0 when alignment failed).
-    Each statistic group is either fully populated or null with its
-    ``*_reason`` set; ``granger_perfect_fit`` marks F values coming from
-    an exact fit rather than the F ratio.
+    The fields are the ``cells.csv`` columns, in file order. Each
+    statistic group (``r``, ``granger``, ``u``) either sets every value and
+    no reason, or only its ``*_reason``: :func:`read_cells` rejects any
+    other row.
     """
 
-    aspect: str
-    kind: ScoreKind
-    ticker: str
-    n: int
-    r: float | None = None
-    r_significant: bool | None = None
-    r_reason: str | None = None
-    granger_f: float | None = None
-    granger_p: float | None = None
-    granger_causal: bool | None = None
-    granger_perfect_fit: bool | None = None
-    granger_reason: str | None = None
-    u: float | None = None
-    u_valid: bool | None = None
-    u_mi: float | None = None
-    u_reason: str | None = None
+    aspect: str = _column("key", "the aspect, as the lexicon or a label names it")
+    kind: ScoreKind = _column("kind", "the score kind: fp, fn, nfp or nfn")
+    ticker: str = _column("key", "the ticker, as config.ini names it")
+    n: int = _column("count", "lag-aligned (sentiment, close) pairs; 0 when none align")
+    r: float | None = _column("float", "Pearson r of the lagged sentiment and the close", "r")
+    r_significant: bool | None = _column("flag", "abs(r) > pearson_threshold", "r")
+    r_reason: str | None = _column("reason", "why r is null", "r")
+    granger_f: float | None = _column("float", "F statistic of the Granger test", "granger")
+    granger_p: float | None = _column("float", "p-value of that F", "granger")
+    granger_causal: bool | None = _column("flag", "granger_p < granger_alpha", "granger")
+    granger_perfect_fit: bool | None = _column("flag", "an exact fit; p is 0 or 1", "granger")
+    granger_reason: str | None = _column("reason", "why the Granger test is null", "granger")
+    u: float | None = _column("float", "uncertainty coefficient u_mi / H(close)", "u")
+    u_valid: bool | None = _column("flag", "H(close) is at least 1e-6 nats", "u")
+    u_mi: float | None = _column("float", "mutual information of the two series, in nats", "u")
+    u_reason: str | None = _column("reason", "why u is null", "u")
 
 
-_CELL_COLUMNS = [f.name for f in fields(DependenceCell)]
-_cell_values = attrgetter(*_CELL_COLUMNS)
-_BOOL_FIELDS = {"r_significant", "granger_causal", "granger_perfect_fit", "u_valid"}
-_STR_FIELDS = {"aspect", "ticker", "r_reason", "granger_reason", "u_reason"}
-_KEY_FIELDS = {"aspect", "ticker"}  # str fields that may not be empty
-_BOOL_WORDS = {"true": True, "false": False}
-_BOOL_TEXT = {None: "", True: "true", False: "false"}
+#: The ``cells.csv`` columns, in file order: :class:`DependenceCell`'s
+#: fields, each with ``metadata`` ``kind``, ``group`` and ``doc``.
+CELL_COLUMNS = fields(DependenceCell)
+_NAMES = [column.name for column in CELL_COLUMNS]
+
+#: Text kind -> the parser of a non-empty field; an empty field is null.
+_PARSERS = {"key": str, "kind": {k.code: k for k in ScoreKind}.__getitem__, "count": int,
+            "float": float, "flag": {"true": True, "false": False}.__getitem__, "reason": str}
+_ROW_PARSERS = [_PARSERS[column.metadata["kind"]] for column in CELL_COLUMNS]
+
+#: Each statistic group -> the index of its reason column.
+_REASONS = {c.metadata["group"]: i for i, c in enumerate(CELL_COLUMNS)
+            if c.metadata["kind"] == "reason"}
+#: Every pattern of non-empty fields a row may have: the identity columns
+#: set, and each statistic group either every value and no reason, or
+#: only the reason.
+_ROW_SHAPES = {tuple(dict(zip(_REASONS, filled)).get(c.metadata["group"], True)
+                     != (c.metadata["kind"] == "reason") for c in CELL_COLUMNS)
+               for filled in product((True, False), repeat=len(_REASONS))}
 
 
 def write_cells(cells: Sequence[DependenceCell], path) -> None:
     """Write the full cell set as CSV, one row per cell, in input order.
 
-    The rows are formatted as text and written in one call, with the
-    bytes :func:`~sentdep.ingest.write_csv` would write: each text field
-    is quoted as that writer quotes it (:func:`~sentdep.ingest.csv_field`),
-    once per distinct text; a null is empty, a flag is ``true`` or
-    ``false``, a float is its ``repr``, and none of those, a kind code or
-    a count ever needs quoting.
+    Each column is formatted as text by its kind in :data:`CELL_COLUMNS`,
+    lazily, so only the joined rows are held at once. They are written in
+    one call, with the bytes :func:`~sentdep.ingest.write_csv` would
+    write: a key or reason is quoted as that writer quotes it
+    (:func:`~sentdep.ingest.csv_field`), once per distinct text; a null is
+    empty, a flag is ``true`` or ``false``, a float is its ``repr``, and
+    none of those, a kind code or a count ever needs quoting.
     """
     quoted = functools.cache(csv_field)
-    lines = [",".join(_CELL_COLUMNS) + "\n"]
-    for cell in cells:
-        (aspect, kind, ticker, n, r, r_significant, r_reason, granger_f, granger_p,
-         granger_causal, granger_perfect_fit, granger_reason, u, u_valid, u_mi,
-         u_reason) = _cell_values(cell)
-        lines.append(
-            f"{quoted(aspect)},{kind.code},{quoted(ticker)},{n},"
-            f"{'' if r is None else repr(r)},{_BOOL_TEXT[r_significant]},{quoted(r_reason)},"
-            f"{'' if granger_f is None else repr(granger_f)},"
-            f"{'' if granger_p is None else repr(granger_p)},"
-            f"{_BOOL_TEXT[granger_causal]},{_BOOL_TEXT[granger_perfect_fit]},"
-            f"{quoted(granger_reason)},{'' if u is None else repr(u)},"
-            f"{_BOOL_TEXT[u_valid]},{'' if u_mi is None else repr(u_mi)},{quoted(u_reason)}\n")
+    texts = {"key": quoted, "reason": quoted, "kind": attrgetter("code"), "count": str,
+             "flag": {None: "", True: "true", False: "false"}.__getitem__}
+    columns = []
+    for column in CELL_COLUMNS:
+        values, kind = map(attrgetter(column.name), cells), column.metadata["kind"]
+        columns.append(("" if v is None else repr(v) for v in values) if kind == "float"
+                       else map(texts[kind], values))
     with open_output(path, newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("\n".join([",".join(_NAMES), *map(",".join, zip(*columns))]) + "\n")
 
 
 def read_cells(path) -> list[DependenceCell]:
     """Inverse of :func:`write_cells` (exact float round-trip).
 
-    A row with an empty ``aspect`` or ``ticker`` raises FormatError.
+    Each field is parsed by its column's kind in :data:`CELL_COLUMNS`, and
+    an empty statistic field is null. A row with an empty ``aspect`` or
+    ``ticker``, a value its column's kind does not read, or a statistic
+    group that is neither every value without a reason nor only a reason,
+    raises FormatError naming the file and line.
     """
     out: list[DependenceCell] = []
-    for lineno, row in csv_rows(path, "cell", _CELL_COLUMNS):
-        kwargs = {}
-        for name, text in zip(_CELL_COLUMNS, row):
-            try:
-                if name == "kind":
-                    kwargs[name] = ScoreKind(text)
-                elif name == "n":
-                    kwargs[name] = int(text)
-                elif name in _STR_FIELDS:
-                    if not text and name in _KEY_FIELDS:
-                        raise FormatError(f"empty {name}", path=path, line_number=lineno)
-                    kwargs[name] = text if text else None
-                elif not text:
-                    kwargs[name] = None
-                elif name in _BOOL_FIELDS:
-                    kwargs[name] = _BOOL_WORDS[text]
-                else:
-                    kwargs[name] = float(text)
-            except (KeyError, ValueError):
-                raise FormatError(f"bad {name} {text!r}", path=path,
-                                  line_number=lineno) from None
-        out.append(DependenceCell(**kwargs))
+    for lineno, row in csv_rows(path, "cell", _NAMES):
+        try:
+            values = [parse(text) if text else None for parse, text in zip(_ROW_PARSERS, row)]
+        except (KeyError, ValueError):
+            values = None
+        if values is None or tuple(map(bool, row)) not in _ROW_SHAPES:
+            raise _row_error(row, path, lineno)
+        out.append(DependenceCell(*values))
     return out
+
+
+def _row_error(row: list[str], path, lineno: int) -> FormatError:
+    """The FormatError of a cell row that does not read: its first bad
+    field in column order, else its first statistic value that is empty
+    without a reason or set beside one."""
+    for column, parse, text in zip(CELL_COLUMNS, _ROW_PARSERS, row):
+        if not text and column.metadata["kind"] == "key":
+            return FormatError(f"empty {column.name}", path=path, line_number=lineno)
+        try:
+            if text or column.metadata["group"] is None:
+                parse(text)
+        except (KeyError, ValueError):
+            return FormatError(f"bad {column.name} {text!r}", path=path, line_number=lineno)
+    for i, column in enumerate(CELL_COLUMNS):
+        reason = _REASONS.get(column.metadata["group"], i)
+        if reason != i and bool(row[i]) == bool(row[reason]):
+            return FormatError(f"{column.name} {'set beside' if row[i] else 'empty without'} "
+                               f"{_NAMES[reason]}", path=path, line_number=lineno)
 
 
 def _presentation_orders(

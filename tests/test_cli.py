@@ -19,7 +19,7 @@ import sentdep
 import sentdep.pipeline
 from sentdep import errors
 from sentdep.cli import main
-from sentdep.report import read_cells
+from sentdep.report import CELL_COLUMNS, read_cells
 from test_pipeline import DAYS, EXPECTED_ARTIFACTS, build_tweet_tree
 
 
@@ -50,6 +50,12 @@ UNDECODABLE_CASES = {
 }
 
 CSV_INPUTS = ("AAA.csv", "labels.csv", "scores.csv", "cells.csv")
+
+CELL_HEADER = ",".join(column.name for column in CELL_COLUMNS) + "\n"
+#: A causal cell row, and one with no F, no p and no reason, and nothing
+#: in its u group.
+CAUSAL_ROW = "a,fp,T,30,0.5,true,,4.5,0.04,true,false,,,,,DegenerateSample\n"
+HALF_FILLED_ROW = "b,fp,T,30,0.5,true,,,,true,false,,,,,\n"
 
 #: Each stage subcommand with every input file flag set; the values are
 #: relative to the input tree of :func:`clean_run_tree`.
@@ -357,6 +363,20 @@ class TestExitCodes:
         assert "Traceback" not in out
         assert "RuntimeWarning" not in out
         assert len(read_cells(tmp_path / "out" / "cells.csv")) == 480
+
+    @pytest.mark.parametrize("rows", [[HALF_FILLED_ROW], [CAUSAL_ROW, HALF_FILLED_ROW]],
+                             ids=["alone", "after a causal row"])
+    def test_half_filled_statistic_group_returns_two(self, tmp_path, capsys, rows):
+        # A causal row with no F, p or reason: report once wrote it to
+        # granger.csv as None, and beside another causal row of its
+        # ticker broke the sort by p.
+        cells = tmp_path / "cells.csv"
+        cells.write_text(CELL_HEADER + "".join(rows), encoding="utf-8")
+        out_dir = tmp_path / "report"
+        assert main(["report", "--cells", str(cells), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cells}:{len(rows) + 1}: granger_f empty without granger_reason\n")
+        assert not out_dir.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -682,9 +702,53 @@ def test_any_cell_rows_end_in_exit_zero_or_two(tmp_path_factory):
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(mutated_csv(written, BAD_CELL_FIELDS))
     @example(written.read_bytes())
+    @example((CELL_HEADER + CAUSAL_ROW + HALF_FILLED_ROW).encode())
     def check(data):
         cells.write_bytes(data)
         assert main(report) in (0, 2)
+
+    check()
+
+
+#: Lines of an aspect or term file: the tweet tree's own terms, overlapping,
+#: repeated and cased ones, comments and blanks, punctuation, quotes,
+#: commas, a NUL, a byte-order mark and a 5,000-character term.
+LEXICON_LINES = ["tax", "bank", "good", "bad", "strong", "weak", "Tax", "TAX", "tax outlook",
+                 "the tax outlook", "outlook is", "today", "good bad", "", "   ", "# note",
+                 "tax # note", "!!!", "'", '"', '"tax"', ",", "tax,bank", "\x00", "ta\x00x",
+                 "\ufeff", "\ufefftax", "x" * 5000, "tax\tbank", "ß", "İ"]
+
+
+@st.composite
+def lexicon_file(draw, original: bytes) -> bytes:
+    """An aspect or term file: some of the lines of ``original`` among up
+    to three lines drawn from LEXICON_LINES, any text or random bytes, in
+    any order, joined by LF or CRLF."""
+    kept = [line for line in original.splitlines() if draw(st.integers(0, 4))]
+    line = st.one_of(st.sampled_from(LEXICON_LINES).map(str.encode),
+                     st.text(max_size=10).map(str.encode), st.binary(max_size=8))
+    lines = draw(st.permutations(kept + draw(st.lists(line, max_size=3))))
+    return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines) + draw(
+        st.sampled_from([b"\n", b""]))
+
+
+LEXICON_FILES = ("aspects.txt", "pos.txt", "neg.txt")
+
+
+def test_any_lexicon_and_term_files_end_in_exit_zero_or_two(tmp_path_factory):
+    """Whole-program fuzz of the aspect lexicon and the two term files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    argv = ["run", "--config", str(build_tweet_tree(root))]
+    originals = [(root / name).read_bytes() for name in LEXICON_FILES]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.tuples(*map(lexicon_file, originals)))
+    @example(originals)
+    @example([b"tax\nta\x00x\n", "\ufeffgood\nstrong\n".encode(), b"bad\n" + b"x" * 5000 + b"\n"])
+    def check(files):
+        for name, data in zip(LEXICON_FILES, files):
+            (root / name).write_bytes(data)
+        assert main(argv) in (0, 2)
 
     check()
 

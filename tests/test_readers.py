@@ -8,7 +8,7 @@ from sentdep.errors import EmptySeries, FormatError
 from sentdep.ingest import comment_lines, csv_rows, load_aspects, parse_labeled, parse_prices
 from sentdep.labeler import PolarityLexicon
 from sentdep.prepare import load_calendar
-from sentdep.report import _CELL_COLUMNS, read_cells
+from sentdep.report import CELL_COLUMNS, read_cells
 from sentdep.scores import read_scores
 
 #: Input name -> (its reader, the header a well-formed file starts with).
@@ -16,7 +16,7 @@ READERS = {
     "prices": (lambda p: parse_prices(p, "AAA"), b"Date,Close\n"),
     "labels": (parse_labeled, b"tweet_id,date,aspect,polarity\n"),
     "scores": (read_scores, b"aspect,date,kind,value\n"),
-    "cells": (read_cells, ",".join(_CELL_COLUMNS).encode() + b"\n"),
+    "cells": (read_cells, ",".join(c.name for c in CELL_COLUMNS).encode() + b"\n"),
     "calendar": (load_calendar, b""),
     "aspects": (load_aspects, b""),
     "positive terms": (lambda p: PolarityLexicon.from_files(p, p.parent / "neg.txt"), b""),

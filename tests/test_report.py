@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from sentdep.core import ScoreKind
 from sentdep.errors import FormatError, HeaderMismatch
 from sentdep.prepare import sha256_file
 from sentdep.report import (
+    CELL_COLUMNS,
     DependenceCell,
     emit_granger_table,
     emit_heatmap,
@@ -23,6 +26,7 @@ from sentdep.report import (
     write_manifest,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 FP = ScoreKind.ABS_POSITIVE
 NFP = ScoreKind.NORM_POSITIVE
 
@@ -75,6 +79,14 @@ def test_written_cells_are_the_csv_writers_bytes(tmp_path_factory, cells):
     write_cells(cells, root / "cells.csv")
     cells_row_by_row(cells, root / "oracle.csv")
     assert (root / "cells.csv").read_bytes() == (root / "oracle.csv").read_bytes()
+
+
+def test_readme_column_table_lists_exactly_the_cell_columns():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Reading `cells.csv`\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \| (\w+) \| (\w*) ?\| (.+) \|$", section, re.M)
+    assert listed == [(c.name, c.metadata["kind"], c.metadata["group"] or "", c.metadata["doc"])
+                      for c in CELL_COLUMNS]
 
 
 class TestCellsFile:
