@@ -28,6 +28,15 @@ four kinds of one aspect, which often share their days. Every part is
 the same float operations on the same values as in a cell computed on
 its own, so the cells are too, bit for bit.
 
+A statistic that cannot be computed raises a SentdepError. Each cell's
+three statistic groups (r, u and Granger) are each one ``try`` block,
+which sets either the group's values or its reason code, the error's
+class name. A part that fails keeps its error's class and raises it
+again for every cell that requests it (see :func:`_part`), so the reason
+is that of the first error met: the sentiment's part, then the close's,
+then the pair's statistic. Ĥ(sentiment) comes before Ĥ(close), and the
+effective-sample check before any fit.
+
 No cell depends on another aspect's cells, and the parts of the closes
 are dropped when the next aspect begins. So :func:`analyze_cells` over
 any subset of the aspects returns exactly those aspects' cells. It
@@ -46,7 +55,7 @@ import numpy as np
 
 from .core import AlignedPairs, ScoreKind
 from .entropy import marginal_entropy, uncertainty_coefficient
-from .errors import InsufficientData, SentdepError
+from .errors import SentdepError
 from .granger import (
     check_effective_sample,
     f_statistic,
@@ -61,24 +70,23 @@ if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
 
-def _outcome(compute: Callable, *args):
-    """``compute(*args)``, or the reason code stored in null cells: the
-    name of the SentdepError it raised.
+def _part(parts: dict, key, compute: Callable[[], object]):
+    """``parts[key]``, computed as ``compute()`` on the first request.
 
-    The code is kept rather than the exception, whose traceback would
-    keep the frames of the computation, and with them their arrays, alive.
+    When ``compute`` raises a SentdepError, its class is kept under
+    ``key`` and raised again on every later request. The class is kept
+    rather than the exception, whose traceback would keep the frames of
+    the computation, and with them their arrays, alive.
     """
-    try:
-        return compute(*args)
-    except SentdepError as exc:
-        return type(exc).__name__
-
-
-def _kept_part(parts: dict, key: tuple, compute: Callable, values: Callable[[], np.ndarray]):
-    """``parts[key]``, or the outcome of ``compute(values())`` stored there."""
-    part = parts.get(key)
-    if part is None:
-        part = parts[key] = _outcome(compute, values())
+    if key not in parts:
+        try:
+            parts[key] = compute()
+        except SentdepError as exc:
+            parts[key] = type(exc)
+            raise
+    part = parts[key]
+    if isinstance(part, type):
+        raise part()
     return part
 
 
@@ -116,38 +124,26 @@ def _lagged_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
     for days, members in _mask_groups(kept).items():
         mask = kept[members[0]]
         xs = x_lagged[mask]
-        x_side = _outcome(centered, xs)
-        h_x = _outcome(entropy, xs)
+        x_parts: dict = {}
         for i in members:
             cell = cells[i]
             cell["n"] = xs.shape[0]
-            ys = (lambda i=i: y_lagged[i][mask])
-            if isinstance(x_side, str):
-                cell["r_reason"] = x_side
-            else:
-                y_side = _kept_part(close_parts, ("r", i, days), centered, ys)
-                if isinstance(y_side, str):
-                    cell["r_reason"] = y_side
-                else:
-                    r = pearson_of_sides(x_side, y_side)
-                    cell["r"] = r
-                    cell["r_significant"] = abs(r) > config.pearson_threshold
-            if isinstance(h_x, str):
-                cell["u_reason"] = h_x
-                continue
-            h_y = _kept_part(close_parts, ("h", i, days), entropy, ys)
-            if isinstance(h_y, str):
-                cell["u_reason"] = h_y
-                continue
-            tally["entropies"] += 1
-            pairs = AlignedPairs(np.column_stack([xs, ys()]), lag)
-            uc = _outcome(uncertainty_coefficient, pairs, k, h_y, h_x)
-            if isinstance(uc, str):
-                cell["u_reason"] = uc
-            else:
-                cell["u"] = uc.u
-                cell["u_valid"] = uc.valid
-                cell["u_mi"] = uc.mi
+            ys = y_lagged[i][mask]
+            try:
+                r = pearson_of_sides(_part(x_parts, "r", lambda: centered(xs)),
+                                     _part(close_parts, ("r", i, days), lambda: centered(ys)))
+                cell.update(r=r, r_significant=abs(r) > config.pearson_threshold)
+            except SentdepError as exc:
+                cell["r_reason"] = type(exc).__name__
+            try:
+                h_x = _part(x_parts, "h", lambda: entropy(xs))
+                h_y = _part(close_parts, ("h", i, days), lambda: entropy(ys))
+                tally["entropies"] += 1
+                uc = uncertainty_coefficient(AlignedPairs(np.column_stack([xs, ys]), lag),
+                                             k, h_y, h_x)
+                cell.update(u=uc.u, u_valid=uc.valid, u_mi=uc.mi)
+            except SentdepError as exc:
+                cell["u_reason"] = type(exc).__name__
 
 
 def _granger_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
@@ -160,50 +156,39 @@ def _granger_statistics(cells: list[dict], x: np.ndarray, closes: np.ndarray,
     def series(values, mask):
         return np.diff(values[mask]) if difference else values[mask]
 
+    def checked_design(n):
+        check_effective_sample(n, lag)
+        return lagged_design(n - lag, lag)
+
     def restricted(response):
         tally["fits"] += 1
         return restricted_fit(response, lag)
 
-    tested, f_stats, df_dens, exact = [], [], [], []
+    tested = []
     common = np.isfinite(x) & np.isfinite(closes)
     for days, members in _mask_groups(common).items():
         mask = common[members[0]]
         xs = series(x, mask)
-        try:
-            check_effective_sample(xs.shape[0], lag)
-        except InsufficientData as exc:
-            for i in members:
-                cells[i]["granger_reason"] = type(exc).__name__
-            continue
-        design = lagged_design(xs.shape[0] - lag, lag)
-        if config.granger_reverse:
-            shared = _outcome(restricted, xs)
+        x_parts: dict = {}
         for i in members:
-            ys = (lambda i=i: series(closes[i], mask))
-            if config.granger_reverse:
-                fit, cross = shared, ys()
-            else:
-                fit, cross = _kept_part(close_parts, ("g", i, days), restricted, ys), xs
-            if isinstance(fit, str):
-                cells[i]["granger_reason"] = fit
-                continue
-            tally["fits"] += 1
-            outcome = _outcome(f_statistic, fit, cross, design)
-            if isinstance(outcome, str):
-                cells[i]["granger_reason"] = outcome
-                continue
-            tested.append(cells[i])
-            f_stats.append(outcome[0])
-            exact.append(outcome[1])
-            df_dens.append(outcome[2])
+            ys = series(closes[i], mask)
+            try:
+                design = _part(x_parts, "design", lambda: checked_design(xs.shape[0]))
+                if config.granger_reverse:
+                    fit, cross = _part(x_parts, "g", lambda: restricted(xs)), ys
+                else:
+                    fit, cross = _part(close_parts, ("g", i, days), lambda: restricted(ys)), xs
+                tally["fits"] += 1
+                tested.append((cells[i], *f_statistic(fit, cross, design)))
+            except SentdepError as exc:
+                cells[i]["granger_reason"] = type(exc).__name__
     if not tested:
         return
+    tested_cells, f_stats, exact, df_dens = zip(*tested)
     p_values = upper_tail(lag, np.array(df_dens), np.array(f_stats)).tolist()
-    for cell, f_stat, p_value, perfect in zip(tested, f_stats, p_values, exact):
-        cell["granger_f"] = f_stat
-        cell["granger_p"] = p_value
-        cell["granger_causal"] = p_value < config.granger_alpha
-        cell["granger_perfect_fit"] = perfect
+    for cell, f_stat, p_value, perfect in zip(tested_cells, f_stats, p_values, exact):
+        cell.update(granger_f=f_stat, granger_p=p_value, granger_perfect_fit=perfect,
+                    granger_causal=p_value < config.granger_alpha)
 
 
 def kind_cells(

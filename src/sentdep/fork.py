@@ -155,8 +155,11 @@ def beside(
     it (see :class:`Overlap`). The child's log records are handed to this
     process's loggers while the child exits; its SentdepError is then
     raised here with the same class and message, and any other exception
-    of the child becomes a RuntimeError that carries its traceback. The
-    child is always reaped, and killed first when ``parent_work`` raises.
+    of the child becomes a RuntimeError that carries its traceback. A
+    child that ends without a message, or dies while it writes one (the
+    bytes that reached the pipe do not unpickle), becomes a RuntimeError
+    that names its wait status. The child is always reaped, and killed
+    first when ``parent_work`` raises.
 
     Where :func:`lowest_cpu` can pin, this thread keeps the lowest allowed
     CPU from before the fork and the child pins itself to the rest: a
@@ -196,8 +199,11 @@ def beside(
                 pipe.peek(1)
                 taken = perf_counter()
                 message = pipe.read()
-            if message:  # while the child exits
+            try:  # while the child exits; a child that died writing left a cut pickle
                 records, child_result, error = pickle.loads(message)
+            except (pickle.UnpicklingError, EOFError):
+                message = b""
+            else:
                 for record in records:
                     logging.getLogger(record.name).handle(record)
         finally:

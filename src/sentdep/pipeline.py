@@ -503,6 +503,11 @@ def _import_analysis() -> tuple[int, float]:
     collections at the interpreter's exit (see the README for what that
     saves). The caller's collector state is restored however the import
     ends. Later calls find the modules loaded and freeze nothing.
+
+    The freeze reaches every object alive at that first call, the
+    caller's too, since Python cannot freeze only the import's objects: a
+    long-lived program that runs the analysis keeps its older cycles
+    uncollected unless it calls :func:`gc.unfreeze` afterwards.
     """
     first = "sentdep.analysis" not in sys.modules
     enabled = gc.isenabled()

@@ -122,11 +122,13 @@ def read_cells(path) -> list[DependenceCell]:
 
     Each field is parsed by its column's kind in :data:`CELL_COLUMNS`, and
     an empty statistic field is null. A row with an empty ``aspect`` or
-    ``ticker``, a value its column's kind does not read, or a statistic
+    ``ticker``, a value its column's kind does not read, a statistic
     group that is neither every value without a reason nor only a reason,
-    raises FormatError naming the file and line.
+    or a second row of one (aspect, kind, ticker) raises FormatError
+    naming the file and line.
     """
     out: list[DependenceCell] = []
+    seen: set[tuple[str, ...]] = set()
     for lineno, row in csv_rows(path, "cell", _NAMES):
         try:
             values = [parse(text) if text else None for parse, text in zip(_ROW_PARSERS, row)]
@@ -134,6 +136,10 @@ def read_cells(path) -> list[DependenceCell]:
             values = None
         if values is None or tuple(map(bool, row)) not in _ROW_SHAPES:
             raise _row_error(row, path, lineno)
+        if tuple(row[:3]) in seen:
+            raise FormatError(f"repeated cell ({', '.join(row[:3])})", path=path,
+                              line_number=lineno)
+        seen.add(tuple(row[:3]))
         out.append(DependenceCell(*values))
     return out
 

@@ -56,6 +56,9 @@ CELL_HEADER = ",".join(column.name for column in CELL_COLUMNS) + "\n"
 #: in its u group.
 CAUSAL_ROW = "a,fp,T,30,0.5,true,,4.5,0.04,true,false,,,,,DegenerateSample\n"
 HALF_FILLED_ROW = "b,fp,T,30,0.5,true,,,,true,false,,,,,\n"
+#: Two causal rows of one cell, with different r.
+REPEATED_CELL_ROWS = ("inflation,fp,NEE,30,0.9988,true,,4.5,0.04,true,false,,,,,DegenerateSample\n"
+                      "inflation,fp,NEE,30,0.5,true,,4.5,0.04,true,false,,,,,DegenerateSample\n")
 
 #: Each stage subcommand with every input file flag set; the values are
 #: relative to the input tree of :func:`clean_run_tree`.
@@ -376,6 +379,17 @@ class TestExitCodes:
         assert main(["report", "--cells", str(cells), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == (
             f"error: {cells}:{len(rows) + 1}: granger_f empty without granger_reason\n")
+        assert not out_dir.exists()
+
+    def test_repeated_cell_returns_two(self, tmp_path, capsys):
+        # report once took the last row's r into the heatmap and listed
+        # the pair twice in granger.csv.
+        cells = tmp_path / "cells.csv"
+        cells.write_text(CELL_HEADER + REPEATED_CELL_ROWS, encoding="utf-8")
+        out_dir = tmp_path / "report"
+        assert main(["report", "--cells", str(cells), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cells}:3: repeated cell (inflation, fp, NEE)\n")
         assert not out_dir.exists()
 
     def test_version_flag(self, capsys):
@@ -703,6 +717,7 @@ def test_any_cell_rows_end_in_exit_zero_or_two(tmp_path_factory):
     @given(mutated_csv(written, BAD_CELL_FIELDS))
     @example(written.read_bytes())
     @example((CELL_HEADER + CAUSAL_ROW + HALF_FILLED_ROW).encode())
+    @example((CELL_HEADER + REPEATED_CELL_ROWS).encode())
     def check(data):
         cells.write_bytes(data)
         assert main(report) in (0, 2)

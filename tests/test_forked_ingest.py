@@ -4,7 +4,9 @@ The same fork helper runs the analysis worker; tests of the worker itself
 are in ``test_analysis_worker.py``.
 """
 
+import array
 import faulthandler
+import fcntl
 import hashlib
 import json
 import logging
@@ -13,6 +15,7 @@ import pickle
 import re
 import signal
 import sys
+import termios
 import time
 from ast import literal_eval
 
@@ -417,6 +420,30 @@ class TestForkedIngest:
         monkeypatch.setattr(sentdep.pipeline, "write_scores", lambda *a, **k: end())
         with pytest.raises(RuntimeError, match=f"without a result: {words}$"):
             run_pipeline(load_config(build_tweet_tree(tmp_path)))
+        assert_no_child_left()
+
+    def test_child_killed_while_it_writes_its_message_is_named(self, monkeypatch):
+        # A 4 MiB message fills the pipe, which this process reads only once
+        # its own work is done; the child is killed in its blocked write,
+        # so the pipe holds a cut pickle. (The child's wchar counter does not
+        # move while a write blocks, so the pipe's fill level is watched.)
+        pipes, pids = [], []
+        pipe, fork = os.pipe, os.fork
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+
+        def kill_once_the_pipe_is_full():
+            read_fd = pipes[0][0]
+            held, capacity = array.array("i", [0]), fcntl.fcntl(read_fd, fcntl.F_GETPIPE_SZ)
+            end = time.monotonic() + 60
+            while held[0] < capacity:
+                assert time.monotonic() < end, "the pipe never filled"
+                time.sleep(0.001)
+                fcntl.ioctl(read_fd, termios.FIONREAD, held)
+            os.kill(pids[0], signal.SIGKILL)
+
+        with pytest.raises(RuntimeError, match="without a result: killed by signal SIGKILL$"):
+            sentdep.fork.beside(lambda: b"x" * (4 << 20), kill_once_the_pipe_is_full)
         assert_no_child_left()
 
     def test_forks_before_numpy_loads(self, tmp_path):
