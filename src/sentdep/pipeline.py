@@ -636,7 +636,8 @@ def _label_rest(tweets, claimed: Callable[[], Iterable[int]], handoff):
 
 def _tallied(analyze: Callable[..., list[DependenceCell]],
              aspects: Iterable[str]) -> tuple[list[DependenceCell], Counter]:
-    """(``analyze(aspects)``, the fits and entropy estimates it counted)."""
+    """(``analyze(aspects)``, the fits, stacked fit calls and entropy
+    estimates it counted)."""
     tally: Counter = Counter()
     return analyze(aspects, tally=tally), tally
 
@@ -657,9 +658,9 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
     ``beside``'s RuntimeError. The cells are merged by aspect in
     presentation order. One aspect, one allowed CPU, a refused pin or no
     ``os.fork`` leaves every claim to this process. One ``-v`` line tells, for each process,
-    its aspects and cells, what it spent, and how many least-squares fits
-    and entropy estimates it made; how many aspects each took may differ
-    between runs.
+    its aspects and cells, what it spent, how many least-squares fits it
+    made in how many stacked calls, and how many entropy estimates it
+    made; how many aspects each took may differ between runs.
     """
     from .fork import MAX_CLAIMS, beside, claims, measured
 
@@ -683,7 +684,8 @@ def _analyze_beside(analyze: Callable[[Iterable[str]], list[DependenceCell]],
     logger.info("analysis: %s", "; ".join(
         f"{len({c.aspect for c in cells})} aspects, {len(cells)} cells in "
         f"{'this process' if usage.pid == os.getpid() else 'a worker'} {usage}, "
-        f"{tally['fits']} least-squares fits, {tally['entropies']} entropy estimates"
+        f"{tally['fits']} least-squares fits in {tally['fit_stacks']} stacked calls, "
+        f"{tally['entropies']} entropy estimates"
         for (cells, tally), usage in runs))
     return [cell for aspect in aspects for cell in by_aspect.get(aspect, ())]
 

@@ -6,8 +6,9 @@ rationals, so Fraction conversion is lossless) instead of floating point,
 normal equations instead of orthogonal decompositions, per-keyword set
 scans instead of a single counting pass, a scan of every aspect at
 every position instead of a first-token index, cells that compute
-every part of their statistics themselves instead of sharing the parts
-that depend on one series, label files checked and counted one row
+every part of their statistics themselves, in one-row calls, instead of
+sharing the parts that depend on one series and stacking the rest across
+tickers, label files checked and counted one row
 tuple at a time, without the package's counting code, instead of in
 one pass over memoised fields, price files read with every field of
 every row stripped first instead of only the two fields used, score
@@ -78,31 +79,7 @@ def pearson_exact(xs: Sequence[float], ys: Sequence[float]) -> float:
     magnitude = math.sqrt(float((sxy * sxy) / (sxx * syy)))
     if sxy == 0:
         return 0.0
-    return math.copysign(magnitude, float(sxy))
-
-
-def _unit_scaled(values: Sequence[float]) -> list[float]:
-    """``values`` times the power of two that puts its largest magnitude in [0.5, 1)."""
-    exponent = math.frexp(max(abs(v) for v in values))[1]
-    return [math.ldexp(v, -exponent) for v in values]
-
-
-def pearson_float_lists(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Two-pass Pearson r over Python float lists, with compensated sums.
-
-    The same float operations as :func:`sentdep.pearson.pearson`, one
-    element at a time, so the two agree bit for bit.
-    """
-    n = len(xs)
-    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    sxx = math.fsum(a * a for a in dx)
-    syy = math.fsum(b * b for b in dy)
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    return magnitude if sxy > 0 else -magnitude
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

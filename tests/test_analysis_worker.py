@@ -99,6 +99,20 @@ def test_split_cells_equal_inline_cells(fixture_scores, tmp_path, caplog, flags,
         assert not own_cpus & worker_cpus
 
 
+def test_the_analysis_line_counts_the_stacked_fit_calls(fixture_scores, tmp_path, caplog):
+    """The fixture's six tickers share their mask groups, so each process
+    that fits makes its least-squares fits in fewer stacked calls."""
+    config = load_config(fixture_scores)
+    with caplog.at_level(logging.INFO, logger="sentdep.pipeline"):
+        stage_analyze(config, config.output_dir / "scores.csv", tmp_path / "cells.csv")
+    [line] = analysis_lines(caplog.messages)
+    counts = [(int(fits), int(calls)) for fits, calls in
+              re.findall(r"(\d+) least-squares fits in (\d+) stacked calls, ", line)]
+    assert len(counts) == len(shares(line))
+    assert sum(fits for fits, _ in counts) == 600
+    assert all(0 < calls < fits for fits, calls in counts if fits)
+
+
 def hook_claims(monkeypatch, in_worker=None, in_parent=None):
     """Have each process call its hook as ``hook(taken, finished)`` when it
     claims an aspect, before computing it, and once more, with ``finished``

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import granger_f_exact, ols_exact
 from sentdep.errors import ConfigError, InsufficientData, RankDeficient
-from sentdep.granger import granger_causes, ols
+from sentdep.granger import CONDITION_LIMIT, f_statistics, granger_causes, ols, restricted_fits
 from sentdep.pipeline import check_values
 
 
@@ -171,3 +173,107 @@ class TestFUpperTail:
                 res = granger_causes(x, y, lag=lag)
                 assert not res.perfect_fit
                 assert res.p_value == scipy.stats.f(res.df_num, res.df_den).sf(res.f_stat)
+
+
+# --- stacks -------------------------------------------------------------------
+
+
+@st.composite
+def stacked_tests(draw):
+    """A lag, and k ≤ 10 (x, y) pairs of one length whose tests may fail:
+    a constant y (a rank-deficient restricted design), a constant x (a
+    rank-deficient unrestricted one), a y that x's lags set exactly, a y
+    that follows its own lags exactly, and pairs that are power-of-two
+    multiples of another pair."""
+    lag = draw(st.integers(1, 3))
+    n = draw(st.integers(3 * lag + 10, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["noise", "walk", "constant y", "constant x", "exact cross",
+                                     "exact own", "scaled copy"]))
+        x, y = rng.normal(size=n), 30.0 + np.cumsum(rng.normal(size=n))
+        if kind == "noise":
+            y = rng.normal(size=n) * 10.0 ** draw(st.integers(-150, 150))
+        elif kind == "constant y":
+            y = np.full(n, 7.5)
+        elif kind == "constant x":
+            x = np.full(n, -2.0)
+        elif kind == "exact cross":
+            y = np.concatenate([rng.normal(size=lag), 3.0 - 2.0 * x[:-lag]])
+        elif kind == "exact own":
+            y = 0.9 ** np.arange(n, dtype=float)
+        elif kind == "scaled copy" and pairs:
+            x, y = (np.ldexp(v, draw(st.integers(-500, 500)) - np.frexp(np.abs(v).max())[1])
+                    for v in pairs[-1])
+        pairs.append((x, y))
+    return lag, pairs, draw(st.permutations(range(len(pairs))))
+
+
+def one_row_test(x, y, lag):
+    """granger_causes(x, y) as (F, exact fit), or the class of its error."""
+    try:
+        result = granger_causes(x, y, lag=lag)
+    except RankDeficient:
+        return RankDeficient
+    return result.f_stat, result.perfect_fit
+
+
+@settings(max_examples=60)
+@given(stacked_tests())
+def test_stacked_fits_equal_one_row_calls(case):
+    """Each row of a stack of restricted fits, unrestricted fits and F, in
+    any order and beside any other rows, equals the one-row call bit for
+    bit; a row that fails fails alone."""
+    lag, pairs, order = case
+    expected = [one_row_test(x, y, lag) for x, y in pairs]
+    for places in (range(len(pairs)), order):
+        xs = np.array([pairs[j][0] for j in places])
+        ys = np.array([pairs[j][1] for j in places])
+        restricted = restricted_fits(ys, lag)
+        f_stats, exact, _ = f_statistics(restricted, xs, lag)
+        for j, place in enumerate(places):
+            if np.isnan(restricted.rss[j]) or np.isnan(f_stats[j]):
+                assert expected[place] is RankDeficient
+            else:
+                assert (f_stats[j], exact[j]) == expected[place]
+        # the responses as the tests scale them
+        ys = restricted.series
+        designs = np.stack([np.column_stack([np.ones(len(x) - lag), x[:-lag], y[:-lag]])
+                            for x, y in zip(xs, ys)])
+        fits = ols(designs, ys[:, lag:])
+        for j, (design, y) in enumerate(zip(designs, ys)):
+            try:
+                one = ols(design, y[lag:])
+            except RankDeficient:
+                assert np.isnan(fits.rss[j])
+                continue
+            assert fits.rss[j] == one.rss
+
+
+def scaled_singular_values(design):
+    """The singular values of ``design`` with each column scaled as ols scales it."""
+    return np.linalg.svd(np.ldexp(design, -np.frexp(np.abs(design).max(axis=0))[1]),
+                         compute_uv=False)
+
+
+def test_condition_check_reads_each_rows_own_singular_values():
+    """A design just inside CONDITION_LIMIT still fits when it shares its
+    stack with a design whose largest singular value would put it outside."""
+    rng = np.random.default_rng(7)
+    n = 200
+    x, noise, y = rng.normal(size=(3, n))
+
+    def near(eps):
+        return np.column_stack([np.ones(n), x, x + eps * noise])
+
+    eps = 1e-8
+    for _ in range(3):
+        s = scaled_singular_values(near(eps))
+        eps *= s[0] / s[-1] / (0.8 * CONDITION_LIMIT)
+    wide = np.column_stack([np.ones(n), rng.uniform(0.5, 1.0, size=(n, 2))])
+    s, s_wide = scaled_singular_values(near(eps)), scaled_singular_values(wide)
+    assert s[0] / s[-1] < CONDITION_LIMIT < s_wide[0] / s[-1]
+    fits = ols(np.stack([near(eps), wide]), np.stack([y, y]))
+    assert fits.rss[0] == ols(near(eps), y).rss
+    assert fits.rss[1] == ols(wide, y).rss

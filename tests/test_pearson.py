@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import align_lagged, pearson_exact, pearson_float_lists
+from oracles import align_lagged, pearson_exact
 from sentdep.analysis import kind_cells
 from sentdep.core import (
     DEFAULT_THRESHOLD,
@@ -18,7 +18,7 @@ from sentdep.core import (
     on_calendar,
 )
 from sentdep.errors import ConfigError, DegenerateSeries, InsufficientData
-from sentdep.pearson import pearson
+from sentdep.pearson import MIN_PAIRS, centered, centered_rows, correlations, pearson
 from sentdep.pipeline import PipelineConfig, check_values
 
 
@@ -78,7 +78,7 @@ def lagged_cell(xs, ys, config):
     cal = TradingCalendar(days)
     sent = np.array(on_calendar(dict(zip(days, xs)), cal))
     price = np.array([on_calendar(dict(zip(days[1:], ys)), cal)])
-    [cell] = kind_cells("tax", ScoreKind.ABS_POSITIVE, sent, ["AAA"], price, config)
+    [cell] = kind_cells("tax", {ScoreKind.ABS_POSITIVE: sent}, ["AAA"], price, config)
     return cell
 
 
@@ -152,14 +152,12 @@ def test_r_is_bounded_and_symmetric(pair):
 
 
 def pearson_unless_degenerate(xs, ys):
-    """pearson(xs, ys), or None where the float oracle's variance is zero.
+    """pearson(xs, ys), or None where either side is constant.
 
     There the coefficient is undefined and pearson must raise
     DegenerateSeries.
     """
-    try:
-        pearson_float_lists(xs, ys)
-    except ZeroDivisionError:
+    if max(xs) == min(xs) or max(ys) == min(ys):
         with pytest.raises(DegenerateSeries):
             pearson(xs, ys)
         return None
@@ -190,7 +188,7 @@ def scaled_stays_normal(values, exponent):
 
 @settings(max_examples=60, derandomize=True)
 @given(varied_pair(), st.integers(-1000, 1000), st.integers(-1000, 1000))
-# Unscaled, the sums overflow: r reads 0 at 2^1012 and fsum raises at 2^1016.
+# Unscaled, the sums of squares overflow at both exponents.
 @example((COUNTS, PRICES), 0, 1012)
 @example((COUNTS, PRICES), 0, 1016)
 def test_power_of_two_scaling_keeps_every_bit(pair, a, b):
@@ -211,14 +209,109 @@ def test_agrees_with_rational_arithmetic(pair):
     assert math.isfinite(pearson(xs, ys))
 
 
-@given(varied_pair())
-def test_numpy_deviations_equal_python_floats_bit_for_bit(pair):
+#: The largest |r − exact r| of a series pair of n ≤ 1,260 values, each with
+#: its largest magnitude at most 1e6 root-mean-square deviations
+#: (:data:`MAX_SPREAD_RATIO`); derived in
+#: :func:`test_r_is_within_the_summation_bound_of_rational_arithmetic`.
+SUMMATION_BOUND = 1e-14
+
+MAX_SPREAD_RATIO = 1e6
+
+
+def spread_ratio(values: np.ndarray) -> float:
+    """The largest magnitude of ``values`` over their root-mean-square deviation."""
+    v = values / np.abs(values).max()
+    return float(1.0 / np.sqrt(((v - v.mean()) ** 2).mean()))
+
+
+@st.composite
+def long_series(draw, n):
+    """n values shaped like a sentiment or a close: noise, tie-heavy counts,
+    a random walk, or noise on an offset up to 1e5 times its spread."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["noise", "counts", "walk", "offset"]))
+    if shape == "noise":
+        return rng.normal(size=n) * 10.0 ** draw(st.integers(-300, 300))
+    if shape == "counts":
+        return rng.poisson(draw(st.floats(0.5, 20.0)), size=n).astype(float)
+    if shape == "walk":
+        return 30.0 + np.cumsum(rng.normal(size=n))
+    return 10.0 ** draw(st.integers(0, 5)) + rng.normal(size=n)
+
+
+@st.composite
+def long_pair(draw):
+    n = draw(st.integers(MIN_PAIRS, 1260))
+    return draw(long_series(n)), draw(long_series(n))
+
+
+@settings(max_examples=60)
+@given(long_pair())
+@example((np.arange(1260.0) % 7, 1e5 + np.cos(np.arange(1260.0))))
+def test_r_is_within_the_summation_bound_of_rational_arithmetic(pair):
+    """r lies within SUMMATION_BOUND = 1e-14 of the exact r.
+
+    With u = 2^-53, numpy's pairwise sum of n ≤ 1,260 terms passes each
+    term through at most m = 30 roundings: at most 4 halvings down to
+    blocks of at most 128 terms, 15 additions in one of 8 accumulators, 3
+    to join them, 7 for the leftover terms and 1 for the reduction's first
+    term. So a computed sum errs by at most γ_m·Σ|terms|, with
+    γ_m = m·u/(1 − m·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, §4.2). Each deviation fl(v − mean) adds one rounding
+    and each product one more, so a sum of products errs by at most
+    γ_{m+3} times the sum of the products' magnitudes: by Cauchy–Schwarz,
+    at most γ_{m+3}·sqrt(Sxx·Syy) for the cross-sum, and γ_{m+3}·S for a
+    sum of squares S. The product, square root and division of the last
+    step add 3 roundings. To first order, r then errs by at most
+    (2(m + 3) + 3)·u = 69·u < 7.7e-15 from the exact r of the deviations
+    from the computed means. A computed mean errs by δ ≤ γ_{m+1}·max|v|,
+    and the exact r of deviations from means that are off by δ_x and δ_y
+    differs from r by at most a² + b², with a = δ_x·sqrt(n/Sxx) ≤
+    γ_{m+1}·κ_x, b likewise, and κ the largest magnitude over the
+    root-mean-square deviation. For κ ≤ 1e6 that is below 2.4e-17.
+    """
     xs, ys = pair
-    try:
-        expected = pearson_float_lists(xs, ys)
-    except ZeroDivisionError:
-        with pytest.raises(DegenerateSeries):
-            pearson(xs, ys)
-        return
-    assert pearson(xs, ys) == expected
-    assert pearson(np.array(xs), np.array(ys)) == expected
+    assume(max(xs) != min(xs) and max(ys) != min(ys))
+    assume(spread_ratio(xs) <= MAX_SPREAD_RATIO and spread_ratio(ys) <= MAX_SPREAD_RATIO)
+    assert abs(pearson(xs, ys) - pearson_exact(xs, ys)) <= SUMMATION_BOUND
+
+
+@st.composite
+def stacked_rows(draw):
+    """A matrix of k ≤ 12 series of one length, among them constant rows
+    and rows that differ only by a power of two or by their order."""
+    n = draw(st.integers(MIN_PAIRS, 1300))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["series", "constant", "scaled copy"]))
+        if kind == "constant":
+            rows.append(np.full(n, draw(finite_floats)))
+        elif kind == "scaled copy" and rows:
+            top = np.frexp(np.abs(rows[-1]).max())[1]
+            rows.append(np.ldexp(rows[-1], draw(st.integers(-500, 500)) - top))
+        else:
+            rows.append(draw(long_series(n)))
+    return np.array(rows), draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=60)
+@given(stacked_rows())
+def test_stacked_sides_and_cross_sums_equal_one_row_calls(stack):
+    """Each row's side and r, computed with any other rows in any order,
+    equal the one-row calls bit for bit; a constant row fails alone."""
+    rows, order = stack
+    x = np.sin(np.arange(rows.shape[1]))
+    dx, sxx = centered(x)
+    for matrix, places in ((rows, range(len(rows))), (rows[order], order)):
+        dys, syys = centered_rows(matrix)
+        rs = correlations(dys, syys, dx, sxx)
+        for j, place in enumerate(places):
+            row = rows[place]
+            if row.max() == row.min():
+                assert np.isnan(syys[j]) and np.isnan(rs[j])
+                with pytest.raises(DegenerateSeries):
+                    centered(row)
+                continue
+            dy, syy = centered(row)
+            assert np.array_equal(dys[j], dy) and syys[j] == syy
+            assert rs[j] == pearson(x, row)

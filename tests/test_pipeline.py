@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -28,6 +29,7 @@ from sentdep.errors import ConfigError, FormatError
 from sentdep.ingest import AspectLexicon
 from oracles import unshared_cell, unshared_cells
 from sentdep.analysis import analyze_cells, kind_cells, price_matrix
+from sentdep.cli import main
 from sentdep.pipeline import (
     PipelineConfig,
     load_config,
@@ -247,7 +249,7 @@ def planted_inputs():
 
 def cell_of(sent, price, cal, config):
     """The cell of (tax, fp, AAA) on the calendar arrays of two series."""
-    [cell] = kind_cells("tax", FP, np.array(on_calendar(sent, cal)), ["AAA"],
+    [cell] = kind_cells("tax", {FP: np.array(on_calendar(sent, cal))}, ["AAA"],
                         price_matrix([on_calendar(price, cal)]), config)
     return cell
 
@@ -313,24 +315,24 @@ class TestComputeCell:
         # it fits anything; a longer series shows what the fits then get.
         seen, tested = [], []
         check = sentdep.analysis.check_effective_sample
-        restricted_fit = sentdep.analysis.restricted_fit
-        f_statistic = sentdep.analysis.f_statistic
+        restricted_fits = sentdep.analysis.restricted_fits
+        f_statistics = sentdep.analysis.f_statistics
 
         def check_spy(n, lag):
             seen.append(n)
             return check(n, lag)
 
-        def fit_spy(response, lag):
-            tested.append(("response", response.tolist()))
-            return restricted_fit(response, lag)
+        def fit_spy(responses, lag):
+            tested.extend(("response", row) for row in responses.tolist())
+            return restricted_fits(responses, lag)
 
-        def f_spy(restricted, x, design):
-            tested.append(("cross", x.tolist()))
-            return f_statistic(restricted, x, design)
+        def f_spy(restricted, xs, lag):
+            tested.extend(("cross", row) for row in xs.tolist())
+            return f_statistics(restricted, xs, lag)
 
         monkeypatch.setattr(sentdep.analysis, "check_effective_sample", check_spy)
-        monkeypatch.setattr(sentdep.analysis, "restricted_fit", fit_spy)
-        monkeypatch.setattr(sentdep.analysis, "f_statistic", f_spy)
+        monkeypatch.setattr(sentdep.analysis, "restricted_fits", fit_spy)
+        monkeypatch.setattr(sentdep.analysis, "f_statistics", f_spy)
         cal = TradingCalendar(DAYS)
         config = PipelineConfig(granger_difference=True)
         sent = dict(zip(DAYS, (1.0, 3.0, 6.0, 10.0)))
@@ -435,9 +437,9 @@ class TestStageAnalyze:
         seen = {}
         compute = sentdep.analysis.kind_cells
 
-        def spy(aspect, kind, sentiment, *args):
-            seen[(aspect, kind)] = sentiment.copy()
-            return compute(aspect, kind, sentiment, *args)
+        def spy(aspect, series, *args, **kwargs):
+            seen.update(((aspect, kind), x.copy()) for kind, x in series.items())
+            return compute(aspect, series, *args, **kwargs)
 
         monkeypatch.setattr(sentdep.analysis, "kind_cells", spy)
         # The spy sees only this process's cells, so no worker may take bank.
@@ -550,12 +552,13 @@ class TestSharedSeriesParts:
         unrestricted fit per cell; one marginal entropy per (series, kept
         mask), none for a close whose sentiment side failed, and one joint
         entropy per cell that reaches it."""
-        widths, samples = [], []
+        widths, stacks, samples = [], [], []
         ols, kl_entropy = sentdep.granger.ols, sentdep.entropy.kl_entropy
 
-        def fit(design, response):
-            widths.append(design.shape[1])
-            return ols(design, response)
+        def fit(designs, responses):
+            stacks.append(len(designs))
+            widths.extend([designs.shape[2]] * len(designs))
+            return ols(designs, responses)
 
         def estimate(points, k):
             samples.append(np.array(points))
@@ -576,9 +579,7 @@ class TestSharedSeriesParts:
         closes[1, 7] = np.nan
         config = PipelineConfig(granger_reverse=reverse)
         close_parts, tally = {}, Counter()
-        cells = [cell for kind, x in sentiment.items()
-                 for cell in kind_cells("tax", kind, x, tickers, closes, config, close_parts,
-                                        tally)]
+        cells = kind_cells("tax", sentiment, tickers, closes, config, close_parts, tally)
         assert all(c.r is not None and c.granger_f is not None for c in cells)
         assert all((c.u is None) == (c.kind is NFN) for c in cells)
         assert {c.u_reason for c in cells if c.kind is NFN} == {"DegenerateSample"}
@@ -601,7 +602,9 @@ class TestSharedSeriesParts:
         assert len(one_dim) == len(marginals)
         assert not any(np.array_equal(s, y) for s in one_dim for y in failed)
         assert len(samples) - len(one_dim) == sum(c.u is not None for c in cells)
-        assert tally == {"fits": len(widths), "entropies": len(samples)}
+        assert len(stacks) < len(widths)
+        assert tally == {"fits": len(widths), "fit_stacks": len(stacks),
+                         "entropies": len(samples)}
         expected = [unshared_cell("tax", kind, ticker, x, y, config)
                     for kind, x in sentiment.items() for ticker, y in zip(tickers, closes)]
         assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
@@ -695,6 +698,32 @@ def test_grouped_cells_equal_the_unshared_oracle(case):
     cells = analyze_cells(config, inputs.aspects, inputs.series, inputs.tickers,
                           price_matrix(inputs.closes))
     assert [repr(astuple(c)) for c in cells] == [repr(astuple(c)) for c in expected]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_huge_closes_leave_r_and_granger_unchanged(tmp_path, reverse):
+    """The fixture's NEE closes times 2^1012 (near 1e306) give every cell the
+    r and Granger results of the unscaled run, bit for bit: both statistics
+    scale each series, and Granger each design column, by a power of two.
+    Forward, the closes are the scaled response; in reverse, the cross
+    columns. Without the scaling, all 80 NEE cells read RankDeficient, and
+    22 (forward) or 26 (reverse) cells were causal instead of 29 or 31."""
+    assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+    config = load_config(tmp_path / "config.ini")
+    config.granger_reverse = reverse
+    plain = run_pipeline(config)
+    nee = config.prices["NEE"]
+    rows = [line.split(",") for line in nee.read_text(encoding="utf-8").splitlines()[1:]]
+    nee.write_text("Date,Close\n" + "".join(f"{row[0]},{math.ldexp(float(row[4]), 1012)!r}\n"
+                                            for row in rows), encoding="utf-8")
+    config.output_dir = tmp_path / "huge"
+    huge = run_pipeline(config)
+    same = ("r", "r_significant", "r_reason", "granger_f", "granger_p", "granger_causal",
+            "granger_perfect_fit", "granger_reason")
+    assert [[getattr(c, name) for name in same] for c in huge] == [
+        [getattr(c, name) for name in same] for c in plain]
+    assert sum(c.granger_causal is True for c in huge) == (31 if reverse else 29)
+    assert not any(c.granger_reason for c in huge if c.ticker == "NEE")
 
 
 # --- full pipeline -----------------------------------------------------------
