@@ -18,28 +18,33 @@ arrays and the run's price matrix, one row of closes per ticker
 :func:`sentdep.prepare.prepare_analysis` makes without numpy, so this
 module never sees a date. One array operation gives every ticker's mask
 of lagged pairs and its mask of common days, and the tickers with equal
-masks form a group. A group takes its closes at most one stack's rows at
-a time, so that no large group is held whole (see :func:`_closes`). The
-sentiment's parts are computed once per group: its Pearson side, its
-entropy and, for the reverse Granger direction, its restricted
-regression. The entropies and, for the forward direction, the restricted
-regressions of the closes are kept per ticker and set of days for the
+masks form a group. One generator walks each kind's groups for both
+statistics' families (:func:`_groups`); it yields a group's closes at
+most one stack's rows at a time, so that no large group is held whole.
+The parts of a group's sentiment (its Pearson side, its entropy and, in
+the reverse Granger direction, its restricted regression) are computed
+once per group, and those of the closes (their entropies and, forward,
+their restricted regressions) once per ticker and set of days for the
 four kinds of one aspect, which often share their days.
 
 The rest is stacked across tickers and kinds (see :class:`_Stacks`): the
 rows of all groups of the aspect whose series have the same length share
 stacked calls, each of at most :data:`STACK_ITEMS` values (or
-:data:`MIN_STACK_ROWS` rows), made as soon as a stack is full. For r,
-one call of :func:`~sentdep.pearson.centered_rows` gives the sides of the
-sentiments and closes and one of :func:`~sentdep.pearson.correlations`
-the cross-sums, each a row-wise product and sum. For Granger, one
-stacked least-squares fit (:func:`~sentdep.granger.restricted_fits`)
-makes the restricted regressions not yet made, and one
-(:func:`~sentdep.granger.f_statistics`) the unrestricted ones. Only the
-joint entropy is computed cell by cell. A row of a stacked call is the
-same float operations on the same values as the one-row case, whatever
-else the stack holds, so each cell equals, bit for bit, the cell
-computed on its own from :func:`~sentdep.pearson.pearson` and
+:data:`MIN_STACK_ROWS` rows) of its cells, made as soon as a stack is
+full. Each call first makes the shared parts its rows need that are not
+yet made, then its cells. For r, one call of
+:func:`~sentdep.pearson.centered_rows` gives the sides of the
+sentiments not yet made and of the closes, and one of
+:func:`~sentdep.pearson.correlations` the cross-sums, each a row-wise
+product and sum. For Granger, one stacked least-squares fit
+(:func:`~sentdep.granger.restricted_fits`) makes the restricted
+regressions not yet made, and one (:func:`~sentdep.granger.f_statistics`)
+the unrestricted ones; forward and reverse are one path, with the
+response and the cross series swapped. Only the joint entropy is
+computed cell by cell. A row of a stacked call is the same float
+operations on the same values as the one-row case, whatever else the
+stack holds, so each cell equals, bit for bit, the cell computed on its
+own from :func:`~sentdep.pearson.pearson` and
 :func:`~sentdep.granger.granger_causes`.
 
 A statistic that cannot be computed sets its group's reason code, the
@@ -154,131 +159,140 @@ class _Stacks:
             self.call(pending[:most])
             del pending[:most]
 
-    def flush(self, length: int | None = None) -> None:
-        """Make the calls of the rows left of ``length``, or of every length."""
-        for key in list(self.pending) if length is None else [length]:
-            rows = self.pending.pop(key, None)
+    def flush(self) -> None:
+        """Make the calls of the rows left."""
+        for rows in self.pending.values():
             if rows:
                 self.call(rows)
 
 
-def _closes(closes: np.ndarray, group: list[int], mask: np.ndarray, most: int):
-    """(members, their rows of ``closes`` on the days of ``mask``) for
-    consecutive slices of at most ``most`` of ``group``'s members, so that
-    no large group is held whole."""
-    for j in range(0, len(group), most):
-        members = group[j:j + most]
-        yield members, closes[members][:, mask]
+def _groups(grid: list[tuple[list[dict], np.ndarray]], closes: np.ndarray, stacks: _Stacks,
+            lag: int = 0, difference: bool = False):
+    """The mask groups of each kind of ``grid``, (the cells of a kind, its
+    sentiment) for each kind, as (the kind's cells, the group's key, the
+    sentiment, the group's members, their closes) for at most one of
+    ``stacks``' stacks of members at a time, so that no large group is
+    held whole.
+
+    The close on trading day t meets the sentiment ``lag`` trading days
+    earlier, on the days both hold, with the gaps closed up; with
+    ``difference`` both are then differenced. A group's key is (the kind's
+    place in ``grid``, its mask's bytes).
+    """
+    closes = closes[:, lag:]
+    for g, (cells, x) in enumerate(grid):
+        x = x[:len(x) - lag]
+        kept = np.isfinite(x) & np.isfinite(closes)
+        for days, group in _mask_groups(kept).items():
+            mask = kept[group[0]]
+            xs = np.diff(x[mask]) if difference else x[mask]
+            most = stacks.most(len(xs))
+            for j in range(0, len(group), most):
+                members = group[j:j + most]
+                ys = closes[members][:, mask]
+                yield cells, (g, days), xs, members, np.diff(ys) if difference else ys
 
 
 def _lagged_statistics(grid: list[tuple[list[dict], np.ndarray]], closes: np.ndarray,
-                       config: PipelineConfig, close_parts: dict, tally: Counter) -> None:
-    """r and u of each cell of ``grid``, (the cells of a kind, its
-    sentiment) for each kind: the close on trading day t against the
-    sentiment ``config.lag`` trading days earlier, on the days both hold.
+                       config: PipelineConfig, tally: Counter) -> None:
+    """r and u of each cell of ``grid``: the close on trading day t against
+    the sentiment ``config.lag`` trading days earlier, on the days both
+    hold (see :func:`_groups`).
 
-    The sides of r of each group's sentiment and of its closes, and the
-    cross-sums, share stacked calls with all groups of every kind whose
-    series have the same length (see :class:`_Stacks`). Ĥ(sentiment) is
-    estimated before Ĥ(close): both have the same n, so a failure of
-    either gives the same reason code, and a sentiment that fails spares
-    the entropy of every close it meets.
+    The rows of all groups of every kind whose series have the same length
+    share stacked calls (see :class:`_Stacks`). Each call first makes the
+    Pearson sides of its groups' sentiments not yet made, stacked with its
+    closes'. Ĥ(sentiment) is estimated before Ĥ(close): both have the same
+    n, so a failure of either gives the same reason code, and a sentiment
+    that fails spares the entropy of every close it meets.
     """
     lag, k = config.lag, config.entropy_k
+    # The side and the entropy of each group's sentiment, by its key, and
+    # the entropy of each close, by (ticker, days).
+    x_sides: dict[tuple, tuple] = {}
+    h_sentiments: dict = {}
+    h_closes: dict = {}
 
     def entropy(values):
         tally["entropies"] += 1
         return marginal_entropy(values, k)
 
     def correlate(rows):
-        """r of the cell of each row (cell, group, close); a row (None,
-        group, sentiment) gives the side of its group's sentiment."""
+        """r of the cell of each row (cell, group key, sentiment, close)."""
+        fresh = {key: xs for _, key, xs, _ in rows if key not in x_sides}
         try:
-            dvs, ss = centered_rows(np.array([values for *_, values in rows]))
+            dvs, ss = centered_rows(np.array([*fresh.values(), *(y for *_, y in rows)]))
         except SentdepError as exc:
             for cell, *_ in rows:
-                if cell is not None:
-                    cell["r_reason"] = type(exc).__name__
+                cell["r_reason"] = type(exc).__name__
             return
+        ss = ss.tolist()
+        # copies, so that the stack's other rows can be freed
+        x_sides.update((key, (dv.copy(), sv)) for key, dv, sv in zip(fresh, dvs, ss))
         live = []
-        for (cell, group, _), dv, sv in zip(rows, dvs, ss.tolist()):
-            if cell is None:
-                # a copy, so that the stack's other rows can be freed
-                x_sides[group] = dv.copy(), sv
-            elif math.isnan(x_sides[group][1]) or math.isnan(sv):
+        for (cell, key, *_), dv, sv in zip(rows, dvs[len(fresh):], ss[len(fresh):]):
+            if math.isnan(x_sides[key][1]) or math.isnan(sv):
                 cell["r_reason"] = DegenerateSeries.__name__
             else:
-                live.append((cell, dv, sv, *x_sides[group]))
+                live.append((cell, dv, sv, *x_sides[key]))
         if live:
             cells_, *sides = zip(*live)
             for cell, r in zip(cells_, correlations(*map(np.array, sides)).tolist()):
                 cell.update(r=r, r_significant=abs(r) > config.pearson_threshold)
 
-    # The side of each group's sentiment, by (kind, days).
-    x_sides: dict[tuple, tuple] = {}
     pearson = _Stacks(lambda n: n, correlate)
-    y_lagged = closes[:, lag:]
-    for g, (cells, x) in enumerate(grid):
-        x_lagged = x[:-lag]
-        kept = np.isfinite(x_lagged) & np.isfinite(y_lagged)
-        for days, group in _mask_groups(kept).items():
-            mask = kept[group[0]]
-            xs = x_lagged[mask]
-            pearson.add(len(xs), [(None, (g, days), xs)])
-            x_parts: dict = {}
-            for members, ys in _closes(y_lagged, group, mask, pearson.most(len(xs))):
-                pearson.add(len(xs), [(cells[i], (g, days), y) for i, y in zip(members, ys)])
-                for i, y in zip(members, ys):
-                    cell = cells[i]
-                    cell["n"] = xs.shape[0]
-                    try:
-                        h_x = _part(x_parts, "h", lambda: entropy(xs))
-                        h_y = _part(close_parts, ("h", i, days), lambda: entropy(y))
-                        tally["entropies"] += 1
-                        uc = uncertainty_coefficient(
-                            AlignedPairs(np.column_stack([xs, y]), lag), k, h_y, h_x)
-                        cell.update(u=uc.u, u_valid=uc.valid, u_mi=uc.mi)
-                    except SentdepError as exc:
-                        cell["u_reason"] = type(exc).__name__
+    for cells, key, xs, members, ys in _groups(grid, closes, pearson, lag):
+        pearson.add(len(xs), [(cells[i], key, xs, y) for i, y in zip(members, ys)])
+        for i, y in zip(members, ys):
+            cell = cells[i]
+            cell["n"] = len(xs)
+            try:
+                h_x = _part(h_sentiments, key, lambda: entropy(xs))
+                h_y = _part(h_closes, (i, key[1]), lambda: entropy(y))
+                tally["entropies"] += 1
+                uc = uncertainty_coefficient(
+                    AlignedPairs(np.column_stack([xs, y]), lag), k, h_y, h_x)
+                cell.update(u=uc.u, u_valid=uc.valid, u_mi=uc.mi)
+            except SentdepError as exc:
+                cell["u_reason"] = type(exc).__name__
     pearson.flush()
 
 
 def _granger_statistics(grid: list[tuple[list[dict], np.ndarray]], closes: np.ndarray,
-                        config: PipelineConfig, close_parts: dict, tally: Counter) -> None:
-    """The Granger test of each cell of ``grid`` (see
-    :func:`_lagged_statistics`), on the trading days both series hold,
-    with the gaps closed up.
+                        config: PipelineConfig, tally: Counter) -> None:
+    """The Granger test of each cell of ``grid``, on the trading days both
+    series hold, with the gaps closed up (see :func:`_groups`).
 
-    A cell's restricted fit is its close's, kept in ``close_parts`` by
-    (ticker, days), or in reverse its mask group's sentiment's. A stack
-    needs only designs of one shape, so the fits of all groups of every
-    kind whose series have the same length share their stacked calls (see
-    :class:`_Stacks`): those of the restricted fits not yet made, and
-    those of the unrestricted fits, each made once the restricted fits of
-    its length are. The p-values of all cells come from one evaluation of
-    the F upper tail.
+    The response is the close, or in reverse the sentiment, and the other
+    series is the cross series. The rows of all groups of every kind whose
+    series have the same length share stacked calls (see :class:`_Stacks`),
+    since a stack needs designs of one shape. Each call first makes the
+    restricted fits of its responses not yet made, kept by (ticker, days)
+    for a close and by the group's key for a sentiment, then the
+    unrestricted fits. The p-values of all cells come from one evaluation
+    of the F upper tail.
     """
     lag = config.granger_lag
-    parts = {} if config.granger_reverse else close_parts
+    restricted: dict[tuple, tuple] = {}
     tested = []
 
     def counted(rows: int) -> None:
         tally["fits"] += rows
         tally["fit_stacks"] += 1
 
-    def fit(rows):
-        counted(len(rows))
-        keys, series = zip(*rows)
-        parts.update(zip(keys, zip(*restricted_fits(np.array(series), lag))))
-
     def test(rows):
-        restricted.flush(len(rows[0][2]))
+        """The F of the cell of each row (cell, response key, response, cross)."""
+        fresh = {key: response for _, key, response, _ in rows if key not in restricted}
+        if fresh:
+            counted(len(fresh))
+            made = restricted_fits(np.array(list(fresh.values())), lag)
+            restricted.update(zip(fresh, zip(*made)))
         live = []
-        for cell, key, cross in rows:
-            if math.isnan(parts[key][1]):
+        for cell, key, _, cross in rows:
+            if math.isnan(restricted[key][1]):
                 cell["granger_reason"] = RankDeficient.__name__
             else:
-                live.append((cell, parts[key], cross))
+                live.append((cell, restricted[key], cross))
         if not live:
             return
         counted(len(live))
@@ -292,35 +306,19 @@ def _granger_statistics(grid: list[tuple[list[dict], np.ndarray]], closes: np.nd
                 tested.append((cell, f_stat, perfect, df_den))
 
     # A row holds its design's values and its response's.
-    restricted = _Stacks(lambda n: (2 + lag) * (n - lag), fit)
-    unrestricted = _Stacks(lambda n: (2 + 2 * lag) * (n - lag), test)
-    for g, (cells, x) in enumerate(grid):
-        common = np.isfinite(x) & np.isfinite(closes)
-        for days, group in _mask_groups(common).items():
-            mask = common[group[0]]
-            xs = np.diff(x[mask]) if config.granger_difference else x[mask]
-            try:
-                check_effective_sample(len(xs), lag)
-            except SentdepError as exc:
-                for i in group:
-                    cells[i]["granger_reason"] = type(exc).__name__
-                continue
-            if config.granger_reverse:
-                restricted.add(len(xs), [((g, days), xs)])
-            for members, ys in _closes(closes, group, mask, unrestricted.most(len(xs))):
-                if config.granger_difference:
-                    ys = np.diff(ys)
-                if config.granger_reverse:
-                    unrestricted.add(len(xs), [(cells[i], (g, days), y)
-                                               for i, y in zip(members, ys)])
-                    continue
-                keys = [("g", i, days) for i in members]
-                fresh = [(key, y) for key, y in zip(keys, ys) if key not in parts]
-                # a fit queued by one kind is not queued again by the next
-                parts.update((key, None) for key, _ in fresh)
-                restricted.add(len(xs), fresh)
-                unrestricted.add(len(xs), [(cells[i], key, xs) for i, key in zip(members, keys)])
-    unrestricted.flush()
+    tests = _Stacks(lambda n: (2 + 2 * lag) * (n - lag), test)
+    reverse = config.granger_reverse
+    for cells, key, xs, members, ys in _groups(grid, closes, tests,
+                                               difference=config.granger_difference):
+        try:
+            check_effective_sample(len(xs), lag)
+        except SentdepError as exc:
+            for i in members:
+                cells[i]["granger_reason"] = type(exc).__name__
+            continue
+        tests.add(len(xs), [(cells[i], key, xs, y) if reverse else (cells[i], (i, key[1]), y, xs)
+                            for i, y in zip(members, ys)])
+    tests.flush()
     if not tested:
         return
     tested_cells, f_stats, exact, df_dens = zip(*tested)
@@ -336,7 +334,6 @@ def kind_cells(
     tickers: Sequence[str],
     closes: np.ndarray,
     config: PipelineConfig,
-    close_parts: dict | None = None,
     tally: Counter | None = None,
 ) -> list[DependenceCell]:
     """All three dependence statistics of (aspect, kind) against each ticker,
@@ -345,21 +342,19 @@ def kind_cells(
     ``series`` holds the sentiment's calendar array of each kind (see
     :func:`~sentdep.core.on_calendar`) and ``closes`` is the price matrix,
     one row per name in ``tickers`` (see :func:`price_matrix`). The kinds
-    share their stacked calls. Statistic failures never abort the run; the
-    failing statistic is nulled with a reason code and the others still
-    computed. Pearson and the uncertainty coefficient consume pre-lagged
-    pairs; the Granger test consumes same-date pairs and applies its own
-    lag internally. ``close_parts`` keeps the parts of the closes (see the
-    module docstring), and ``tally`` counts the least-squares fits
-    (``fits``), the stacked calls that made them (``fit_stacks``) and the
-    entropy estimates (``entropies``) made here.
+    share their stacked calls and the parts of the closes. Statistic
+    failures never abort the run; the failing statistic is nulled with a
+    reason code and the others still computed. Pearson and the uncertainty
+    coefficient consume pre-lagged pairs; the Granger test consumes
+    same-date pairs and applies its own lag internally. ``tally`` counts
+    the least-squares fits (``fits``), the stacked calls that made them
+    (``fit_stacks``) and the entropy estimates (``entropies``) made here.
     """
-    close_parts = {} if close_parts is None else close_parts
     tally = Counter() if tally is None else tally
     grid = [([dict(aspect=aspect, kind=kind, ticker=ticker, n=0) for ticker in tickers], x)
             for kind, x in series.items()]
-    _lagged_statistics(grid, closes, config, close_parts, tally)
-    _granger_statistics(grid, closes, config, close_parts, tally)
+    _lagged_statistics(grid, closes, config, tally)
+    _granger_statistics(grid, closes, config, tally)
     return [DependenceCell(**cell) for cells, _ in grid for cell in cells]
 
 

@@ -21,8 +21,10 @@ fits each unrestricted regression and forms F, and :func:`upper_tail`
 turns any number of F values into p-values at once. Each fitting step
 makes one stacked least-squares call (:func:`ols`), and a row's result
 is the same float operations whatever else its stack holds, so
-:func:`restricted_fit` and :func:`granger_causes`, the one-row case,
-equal it bit for bit.
+:func:`granger_causes`, the three steps on a stack of one, equals it bit
+for bit. :func:`ols` gives only each fit's RSS, and NaN where the design
+is rank deficient, so a failing row fails alone; :func:`granger_causes`
+raises RankDeficient instead.
 
 Every series is scaled by a power of two before it is fitted: each y by
 the one that puts its largest magnitude in [0.5, 1), so that no sum of
@@ -56,18 +58,6 @@ CONDITION_LIMIT = 1e10
 #: squares is considered an exact fit (pure rounding residue).
 PERFECT_FIT_REL_TOL = 1e-12
 
-_DEFICIENT = f"design condition number exceeds {CONDITION_LIMIT:.0e}"
-
-
-class OlsFit(NamedTuple):
-    """Least-squares fits: the RSS of each design of a stack, their common
-    sample size and, for a single design, its coefficients (intercept
-    first) and its RSS as a float."""
-
-    coefficients: np.ndarray | None
-    rss: np.ndarray | float
-    n_obs: int
-
 
 class RestrictedFit(NamedTuple):
     """What the F ratio needs of each test's response y and its own-lag
@@ -92,8 +82,9 @@ class GrangerResult:
     perfect_fit: bool = False
 
 
-def ols(designs: np.ndarray, responses: np.ndarray) -> OlsFit:
-    """Least-squares fits of a stack of designs, with one QR and one SVD call.
+def ols(designs: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """The RSS of the least-squares fit of each design of a stack, with one
+    QR and one SVD call.
 
     ``designs`` is a (k, n, p) float64 stack whose first columns hold the
     intercept's ones, and ``responses`` is (k, n), or (1, n) for one
@@ -105,14 +96,9 @@ def ols(designs: np.ndarray, responses: np.ndarray) -> OlsFit:
     last diagonal entry of R is ± the residual's norm, so no orthogonal
     factor is ever formed. Near-collinearity is detected instead of
     silently amplified: a fit whose scaled design has a condition number
-    above ``CONDITION_LIMIT`` reads NaN. A single (n, p) design with its
-    (n,) response is a stack of one; its fit is returned unstacked, with
-    its coefficients, and raises RankDeficient instead. Requires at least
-    one more row than columns (one residual degree of freedom).
+    above ``CONDITION_LIMIT`` reads NaN. Requires at least one more row
+    than columns (one residual degree of freedom).
     """
-    single = designs.ndim == 2
-    if single:
-        designs, responses = designs[np.newaxis], responses[np.newaxis]
     k, n, p = designs.shape
     if n < p + 1:
         raise InsufficientData(f"need at least {p + 1} observations for {p} parameters, got {n}")
@@ -126,14 +112,8 @@ def ols(designs: np.ndarray, responses: np.ndarray) -> OlsFit:
     # The scaled columns have magnitudes below 1, so no product overflows.
     deficient = (s[:, -1] == 0.0) | (s[:, -1] * CONDITION_LIMIT < s[:, 0])
     rss = r[:, p, p] * r[:, p, p]
-    if not single:
-        rss[deficient] = np.nan
-        return OlsFit(None, rss, n)
-    if deficient[0]:
-        raise RankDeficient(_DEFICIENT)
-    # R β = R's last column, for the scaled columns
-    beta = np.linalg.solve(r[0, :p, :p], r[0, :p, p])
-    return OlsFit(np.ldexp(beta, -exponents[0]), float(rss[0]), n)
+    rss[deficient] = np.nan
+    return rss
 
 
 def _designs(lag: int, *series: np.ndarray) -> np.ndarray:
@@ -172,19 +152,10 @@ def restricted_fits(ys: np.ndarray, lag: int = 1) -> RestrictedFit:
     check_effective_sample(ys.shape[1], lag)
     ys = np.ldexp(ys, -np.frexp(np.maximum(ys.max(axis=1), -ys.min(axis=1)))[1][:, np.newaxis])
     response = ys[:, lag:]
-    rss = ols(_designs(lag, ys), response).rss
+    rss = ols(_designs(lag, ys), response)
     tss = ((response - response.mean(axis=1)[:, np.newaxis]) ** 2).sum(axis=1)
     scale = np.where(tss > 0.0, tss, (response * response).sum(axis=1))
     return RestrictedFit(ys, rss, PERFECT_FIT_REL_TOL * scale)
-
-
-def restricted_fit(y: Sequence[float], lag: int = 1) -> RestrictedFit:
-    """The one-row case of :func:`restricted_fits`, which raises
-    RankDeficient instead of reading NaN."""
-    fit = restricted_fits(np.asarray(y, dtype=float)[np.newaxis], lag)
-    if math.isnan(fit.rss[0]):
-        raise RankDeficient(_DEFICIENT)
-    return fit
 
 
 def f_statistics(restricted: RestrictedFit, xs: np.ndarray,
@@ -202,7 +173,7 @@ def f_statistics(restricted: RestrictedFit, xs: np.ndarray,
     """
     series = restricted.series
     df_den = (series.shape[1] - lag) - 2 * lag - 1
-    rss = ols(_designs(lag, series, xs), series[:, lag:]).rss
+    rss = ols(_designs(lag, series, xs), series[:, lag:])
     exact = rss <= restricted.zero_tol
     # An exact fit's RSS may be zero; its F is set below.
     f_stats = np.maximum(0.0, restricted.rss - rss) / lag / (np.where(exact, 1.0, rss) / df_den)
@@ -232,13 +203,14 @@ def granger_causes(
 
     Exact fits are reported with ``perfect_fit=True``: causal with p = 0
     when the cross terms produced the exact fit, non-causal with p = 1
-    when y's own history already fit exactly.
+    when y's own history already fit exactly. Raises RankDeficient where
+    either design is.
     """
-    restricted = restricted_fit(y, lag)
+    restricted = restricted_fits(np.asarray(y, dtype=float)[np.newaxis], lag)
     (f_stat,), (perfect,), df_den = f_statistics(
         restricted, np.asarray(x, dtype=float)[np.newaxis], lag)
-    if math.isnan(f_stat):
-        raise RankDeficient(_DEFICIENT)
+    if math.isnan(restricted.rss[0]) or math.isnan(f_stat):
+        raise RankDeficient(f"design condition number exceeds {CONDITION_LIMIT:.0e}")
     p_value = float(upper_tail(lag, df_den, f_stat))
     return GrangerResult(
         f_stat=float(f_stat),

@@ -14,10 +14,11 @@ more than about 1e6 (see ``tests/test_pearson.py``).
 Each series' deviations and sum of squares (its side of r) depend on that
 series alone. :func:`centered_rows` computes the sides of a matrix of
 series at once, and :func:`correlations` the r of each of its rows
-against one series' side, with one row-wise product and sum. A row's
-result is the same float operations whatever else its matrix holds, so
-:func:`centered` and :func:`pearson`, the one-row case, equal it bit for
-bit.
+against the matching row's side, or against one side for all rows, with
+one row-wise product and sum. A row's result is the same float
+operations whatever else its matrix holds, so :func:`pearson`, one
+:func:`centered_rows` call on the matrix of its two series, equals it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -57,18 +58,6 @@ def centered_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, ss
 
 
-def centered(values: Sequence[float]) -> tuple[np.ndarray, float]:
-    """One series' side of r, the one-row case of :func:`centered_rows`.
-
-    Raises InsufficientData for fewer than three values and
-    DegenerateSeries for a constant series.
-    """
-    (d,), (ss,) = centered_rows(np.asarray(values, dtype=np.float64)[np.newaxis])
-    if math.isnan(ss):
-        raise DegenerateSeries("series is constant")
-    return d, float(ss)
-
-
 def correlations(dys: np.ndarray, syys: np.ndarray, dxs: np.ndarray, sxxs) -> np.ndarray:
     """r of each row side (``dys[j]``, ``syys[j]``) of :func:`centered_rows`
     against the matching side (``dxs[j]``, ``sxxs[j]``), or against one
@@ -88,6 +77,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     Raises InsufficientData for fewer than three pairs and
     DegenerateSeries when either side is constant.
     """
-    dx, sxx = centered(xs)
-    dy, syy = centered(ys)
-    return float(correlations(dy[np.newaxis], np.array([syy]), dx, sxx)[0])
+    (dx, dy), (sxx, syy) = centered_rows(np.array([xs, ys], dtype=np.float64))
+    if math.isnan(sxx) or math.isnan(syy):
+        raise DegenerateSeries("series is constant")
+    return float(correlations(dy[np.newaxis], syy, dx, sxx)[0])

@@ -1,5 +1,6 @@
 """tools/cells_diff.py: the largest |Δ| of each numeric column, and every
-flipped flag, changed reason and unmatched cell, of two cells.csv files."""
+flipped flag, changed reason, non-finite change, unmatched and repeated
+cell, of two cells.csv files."""
 
 import subprocess
 import sys
@@ -9,6 +10,9 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "cells_diff.py"
 
 #: u is empty in every row, as in a run where no u is valid.
 HEADER = "aspect,kind,ticker,n,r,r_significant,r_reason,granger_f,u\n"
+
+SUMMARY = ("{} changes besides finite float values "
+           "(flags, reasons, empty or non-finite values, unmatched or repeated cells)")
 
 
 def run(tmp_path, a_rows, b_rows):
@@ -34,8 +38,7 @@ def test_float_changes_alone_exit_zero(tmp_path):
     [f] = [line.split() for line in lines if line.startswith("granger_f ")]
     assert f[1] == "0.5" and f[5] == "0.2"
     assert ["u", "0", "-", "0", "-"] in [line.split() for line in lines]
-    assert lines[-1] == ("0 changes besides float values "
-                         "(flags, reasons, empty values, unmatched cells)")
+    assert lines[-1] == SUMMARY.format(0)
 
 
 def test_flags_reasons_gaps_and_unmatched_cells_are_listed(tmp_path):
@@ -46,10 +49,36 @@ def test_flags_reasons_gaps_and_unmatched_cells_are_listed(tmp_path):
                        "tax,fp,DDD,9,0.1,false,,1.0"])
     assert code == 1
     assert lines[-6:] == [
-        "5 changes besides float values (flags, reasons, empty values, unmatched cells)",
+        SUMMARY.format(5),
         f"cell ('tax', 'fp', 'CCC') only in {tmp_path / 'a.csv'}",
         f"cell ('tax', 'fp', 'DDD') only in {tmp_path / 'b.csv'}",
         "granger_f ('tax', 'fp', 'AAA'): 2.0 -> empty",
         "r_significant ('tax', 'fp', 'AAA'): true -> false",
         "r_reason ('tax', 'fp', 'BBB'): InsufficientData -> DegenerateSeries",
     ]
+
+
+def test_changes_to_or_from_nan_or_inf_are_listed(tmp_path):
+    code, lines = run(tmp_path,
+                      ["tax,fp,AAA,9,0.3,false,,2.0", "tax,fp,BBB,9,nan,false,,inf",
+                       "tax,fp,CCC,9,NaN,false,,-inf", "tax,fp,DDD,9,0.1,false,,0.5"],
+                      ["tax,fp,AAA,9,nan,false,,inf", "tax,fp,BBB,9,nan,false,,inf",
+                       "tax,fp,CCC,9,nan,false,,inf", "tax,fp,DDD,9,0.1,false,,0.5"])
+    assert code == 1
+    # BBB's values and CCC's r are equal, NaN in either spelling included
+    assert lines[-4:] == [
+        SUMMARY.format(3),
+        "r ('tax', 'fp', 'AAA'): 0.3 -> nan",
+        "granger_f ('tax', 'fp', 'AAA'): 2.0 -> inf",
+        "granger_f ('tax', 'fp', 'CCC'): -inf -> inf",
+    ]
+    assert [["r", "0", "-", "0", "-"], ["granger_f", "0", "-", "0", "-"]] == [
+        line.split() for line in lines if line.startswith(("r ", "granger_f "))][:2]
+
+
+def test_repeated_cells_are_listed(tmp_path):
+    row = "tax,fp,AAA,9,0.5,true,,2.0"
+    code, lines = run(tmp_path, [row, row], [row])
+    assert code == 1
+    assert lines[-2:] == [SUMMARY.format(1),
+                          f"cell ('tax', 'fp', 'AAA') repeated in {tmp_path / 'a.csv'}"]

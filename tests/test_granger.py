@@ -21,42 +21,38 @@ def with_intercept(regressors):
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
+def ols_one(design, response) -> float:
+    """The RSS of one design's fit, as a stack of one."""
+    (rss,) = ols(design[np.newaxis], np.asarray(response, dtype=float)[np.newaxis])
+    return rss
+
+
 class TestOls:
     def test_recovers_exact_line(self):
         t = np.arange(61, dtype=float)
-        fit = ols(with_intercept(t), 2.0 + 3.0 * t)
-        assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-9)
-        assert fit.coefficients[1] == pytest.approx(3.0, abs=1e-9)
-        assert fit.rss <= 1e-9
-        assert fit.n_obs == 61
+        assert ols_one(with_intercept(t), 2.0 + 3.0 * t) <= 1e-9
 
     def test_constant_regressor_collides_with_intercept(self):
         t = np.arange(20, dtype=float)
         X = np.column_stack([t, np.full(20, 5.0)])
-        with pytest.raises(RankDeficient):
-            ols(with_intercept(X), 2.0 * t)
+        assert np.isnan(ols_one(with_intercept(X), 2.0 * t))
 
     def test_duplicated_column_is_rank_deficient(self):
         t = np.arange(20, dtype=float)
-        with pytest.raises(RankDeficient):
-            ols(with_intercept(np.column_stack([t, t])), 2.0 * t)
+        assert np.isnan(ols_one(with_intercept(np.column_stack([t, t])), 2.0 * t))
 
     def test_matches_rational_normal_equations(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(61, 3))
         y = 1.5 + X @ np.array([0.5, -2.0, 0.25]) + rng.normal(size=61)
-        fit = ols(with_intercept(X), y)
-        beta_exact, rss_exact = ols_exact([list(row) for row in X], list(y))
-        for got, want in zip(fit.coefficients, beta_exact):
-            assert got == pytest.approx(float(want), abs=1e-8)
-        assert fit.rss == pytest.approx(float(rss_exact), rel=1e-10)
+        _, rss_exact = ols_exact([list(row) for row in X], list(y))
+        assert ols_one(with_intercept(X), y) == pytest.approx(float(rss_exact), rel=1e-10)
 
     def test_requires_residual_degree_of_freedom(self):
         # 2 parameters (intercept + slope) need at least 3 rows
         with pytest.raises(InsufficientData):
-            ols(with_intercept([1.0, 2.0]), np.array([1.0, 2.0]))
-        fit = ols(with_intercept([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.1]))
-        assert fit.n_obs == 3
+            ols_one(with_intercept([1.0, 2.0]), [1.0, 2.0])
+        assert np.isfinite(ols_one(with_intercept([1.0, 2.0, 3.0]), [1.0, 2.0, 3.1]))
 
 
 class TestGrangerCauses:
@@ -157,9 +153,9 @@ class TestGrangerCauses:
             x = rng.normal(size=30)
             y = rng.normal(size=30)
             resp = y[1:]
-            restricted = ols(with_intercept(y[:-1]), resp)
-            unrestricted = ols(with_intercept(np.column_stack([y[:-1], x[:-1]])), resp)
-            assert unrestricted.rss <= restricted.rss + 1e-9 * max(1.0, restricted.rss)
+            restricted = ols_one(with_intercept(y[:-1]), resp)
+            unrestricted = ols_one(with_intercept(np.column_stack([y[:-1], x[:-1]])), resp)
+            assert unrestricted <= restricted + 1e-9 * max(1.0, restricted)
 
 
 class TestFUpperTail:
@@ -241,14 +237,9 @@ def test_stacked_fits_equal_one_row_calls(case):
         ys = restricted.series
         designs = np.stack([np.column_stack([np.ones(len(x) - lag), x[:-lag], y[:-lag]])
                             for x, y in zip(xs, ys)])
-        fits = ols(designs, ys[:, lag:])
+        rss = ols(designs, ys[:, lag:])
         for j, (design, y) in enumerate(zip(designs, ys)):
-            try:
-                one = ols(design, y[lag:])
-            except RankDeficient:
-                assert np.isnan(fits.rss[j])
-                continue
-            assert fits.rss[j] == one.rss
+            assert np.array_equal(rss[j], ols_one(design, y[lag:]), equal_nan=True)
 
 
 def scaled_singular_values(design):
@@ -274,6 +265,7 @@ def test_condition_check_reads_each_rows_own_singular_values():
     wide = np.column_stack([np.ones(n), rng.uniform(0.5, 1.0, size=(n, 2))])
     s, s_wide = scaled_singular_values(near(eps)), scaled_singular_values(wide)
     assert s[0] / s[-1] < CONDITION_LIMIT < s_wide[0] / s[-1]
-    fits = ols(np.stack([near(eps), wide]), np.stack([y, y]))
-    assert fits.rss[0] == ols(near(eps), y).rss
-    assert fits.rss[1] == ols(wide, y).rss
+    rss = ols(np.stack([near(eps), wide]), np.stack([y, y]))
+    # NaN equals nothing, so neither row may read rank deficient
+    assert rss[0] == ols_one(near(eps), y)
+    assert rss[1] == ols_one(wide, y)

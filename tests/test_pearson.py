@@ -18,7 +18,7 @@ from sentdep.core import (
     on_calendar,
 )
 from sentdep.errors import ConfigError, DegenerateSeries, InsufficientData
-from sentdep.pearson import MIN_PAIRS, centered, centered_rows, correlations, pearson
+from sentdep.pearson import MIN_PAIRS, centered_rows, correlations, pearson
 from sentdep.pipeline import PipelineConfig, check_values
 
 
@@ -301,17 +301,17 @@ def test_stacked_sides_and_cross_sums_equal_one_row_calls(stack):
     equal the one-row calls bit for bit; a constant row fails alone."""
     rows, order = stack
     x = np.sin(np.arange(rows.shape[1]))
-    dx, sxx = centered(x)
+    (dx,), (sxx,) = centered_rows(x[np.newaxis])
     for matrix, places in ((rows, range(len(rows))), (rows[order], order)):
         dys, syys = centered_rows(matrix)
         rs = correlations(dys, syys, dx, sxx)
         for j, place in enumerate(places):
             row = rows[place]
+            (dy,), (syy,) = centered_rows(row[np.newaxis])
             if row.max() == row.min():
-                assert np.isnan(syys[j]) and np.isnan(rs[j])
+                assert np.isnan(syys[j]) and np.isnan(syy) and np.isnan(rs[j])
                 with pytest.raises(DegenerateSeries):
-                    centered(row)
+                    pearson(x, row)
                 continue
-            dy, syy = centered(row)
             assert np.array_equal(dys[j], dy) and syys[j] == syy
             assert rs[j] == pearson(x, row)

@@ -578,8 +578,8 @@ class TestSharedSeriesParts:
         closes = 10 + rng.normal(size=(len(tickers), n))
         closes[1, 7] = np.nan
         config = PipelineConfig(granger_reverse=reverse)
-        close_parts, tally = {}, Counter()
-        cells = kind_cells("tax", sentiment, tickers, closes, config, close_parts, tally)
+        tally = Counter()
+        cells = kind_cells("tax", sentiment, tickers, closes, config, tally=tally)
         assert all(c.r is not None and c.granger_f is not None for c in cells)
         assert all((c.u is None) == (c.kind is NFN) for c in cells)
         assert {c.u_reason for c in cells if c.kind is NFN} == {"DegenerateSample"}

@@ -6,49 +6,60 @@ printed, with the cell where each is reached; the relative |Δ| of two
 values is |a − b| / max(|a|, |b|); a column empty in every cell is listed
 with them. Then every flag (a ``true``/``false`` column) that flipped,
 every reason (a ``*_reason`` column) that changed, every value present
-in one file and empty in the other, and every cell present in one file
-only, one line each. Only the standard library's
-``csv`` is used.
+in one file and empty in the other, every value that went between NaN
+and a number or to or from ±inf, every cell present in one file only,
+and every cell a file holds more than once, one line each. Only the
+standard library's ``csv`` and ``math`` are used.
 
 Usage: ``python3 tools/cells_diff.py A/cells.csv B/cells.csv``. Exits 0
-when no flag flipped, no reason changed, no value went missing and both
-files hold the same cells, and 1 otherwise.
+when only finite values changed and both files hold the same cells, each
+once, and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import sys
 
 KEY = ("aspect", "kind", "ticker")
 
 
-def read(path: str) -> tuple[list[str], dict[tuple[str, ...], dict[str, str]]]:
-    """(the columns, each cell's row by its key) of one cells.csv."""
+def read(path: str) -> tuple[list[str], dict[tuple[str, ...], dict[str, str]], list]:
+    """(the columns, each cell's last row by its key, the key of each row
+    that repeats an earlier row's) of one cells.csv."""
     with open(path, newline="", encoding="utf-8") as stream:
         reader = csv.DictReader(stream)
-        rows = {tuple(row[name] for name in KEY): row for row in reader}
-        return list(reader.fieldnames or ()), rows
+        rows, repeated = {}, []
+        for row in reader:
+            key = tuple(row[name] for name in KEY)
+            if key in rows:
+                repeated.append(key)
+            rows[key] = row
+        return list(reader.fieldnames or ()), rows, repeated
 
 
 def relative(a: float, b: float) -> float:
-    """|a − b| / max(|a|, |b|), 0 for equal values (infinities included)."""
+    """|a − b| / max(|a|, |b|) of two finite values, 0 for equal values."""
     if a == b:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b))
 
 
 def diff(a_path: str, b_path: str) -> tuple[list[str], bool]:
-    """(the report's lines, whether the files differ beyond float columns)."""
-    columns, a_rows = read(a_path)
-    b_columns, b_rows = read(b_path)
+    """(the report's lines, whether the files differ beyond finite float values)."""
+    columns, a_rows, a_repeated = read(a_path)
+    b_columns, b_rows, b_repeated = read(b_path)
     if b_columns != columns:
         return [f"columns differ: {columns} against {b_columns}"], True
     common = [key for key in a_rows if key in b_rows]
     lines = [f"{len(common)} cells in both files"]
-    changes = [f"cell {key} only in {path}"
-               for path, rows, other in ((a_path, a_rows, b_rows), (b_path, b_rows, a_rows))
-               for key in rows if key not in other]
+    changes = [f"cell {key} repeated in {path}"
+               for path, repeated in ((a_path, a_repeated), (b_path, b_repeated))
+               for key in repeated]
+    changes += [f"cell {key} only in {path}"
+                for path, rows, other in ((a_path, a_rows, b_rows), (b_path, b_rows, a_rows))
+                for key in rows if key not in other]
     values = [name for name in columns if name not in KEY]
     cells = [rows[key] for rows in (a_rows, b_rows) for key in common]
     flags = [name for name in values
@@ -66,8 +77,11 @@ def diff(a_path: str, b_path: str) -> tuple[list[str], bool]:
             if a == "" or b == "" or a == b:
                 continue
             x, y = float(a), float(b)
-            delta = 0.0 if x == y else abs(x - y)
-            largest = (max(largest[0], (delta, key), key=lambda t: t[0]),
+            if not (math.isfinite(x) and math.isfinite(y)):
+                if x != y and not (math.isnan(x) and math.isnan(y)):
+                    changes.append(f"{name} {key}: {a} -> {b}")
+                continue
+            largest = (max(largest[0], (abs(x - y), key), key=lambda t: t[0]),
                        max(largest[1], (relative(x, y), key), key=lambda t: t[0]))
         (delta, at), (rel, rel_at) = largest
         lines.append(f"{name:<12} {delta:>10.3g} {str(at or '-'):<32} {rel:>11.3g} "
@@ -76,8 +90,8 @@ def diff(a_path: str, b_path: str) -> tuple[list[str], bool]:
         changes += [f"{name} {key}: {a_rows[key][name] or 'empty'} -> "
                     f"{b_rows[key][name] or 'empty'}"
                     for key in common if a_rows[key][name] != b_rows[key][name]]
-    lines.append(f"{len(changes)} changes besides float values "
-                 f"(flags, reasons, empty values, unmatched cells)")
+    lines.append(f"{len(changes)} changes besides finite float values "
+                 f"(flags, reasons, empty or non-finite values, unmatched or repeated cells)")
     return lines + changes, bool(changes)
 
 
