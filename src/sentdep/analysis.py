@@ -175,13 +175,14 @@ def _groups(grid: list[tuple[list[dict], np.ndarray]], closes: np.ndarray, stack
     held whole.
 
     The close on trading day t meets the sentiment ``lag`` trading days
-    earlier, on the days both hold, with the gaps closed up; with
-    ``difference`` both are then differenced. A group's key is (the kind's
+    earlier, on the days both hold, with the gaps closed up (none where
+    ``lag`` is the calendar's length or more); with ``difference`` both
+    are then differenced. A group's key is (the kind's
     place in ``grid``, its mask's bytes).
     """
     closes = closes[:, lag:]
     for g, (cells, x) in enumerate(grid):
-        x = x[:len(x) - lag]
+        x = x[:closes.shape[1]]
         kept = np.isfinite(x) & np.isfinite(closes)
         for days, group in _mask_groups(kept).items():
             mask = kept[group[0]]

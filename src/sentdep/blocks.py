@@ -18,13 +18,13 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable
 
-from .errors import OutputError
 from .fork import MAX_CLAIMS
 from .ingest import (
     KeywordCounts,
     LineTally,
     load_aspects,
     open_input,
+    output_errors,
     parse_tweets,
     write_labeled,
 )
@@ -119,7 +119,8 @@ class TweetBlocks:
             if share.keywords is not None:
                 tweets = share.keywords.tap(tweets)
             labels = label_corpus(tweets, self.aspects, self.lexicon, self.window)
-            write_labeled(counted(labels, share.cells), self.part(index), header=not index)
+            write_labeled(counted(labels, share.cells), self.part(index), header=not index,
+                          shown=self.out)
         return share
 
     def check(self, share: Share, malformed_cap: float) -> None:
@@ -135,15 +136,13 @@ class TweetBlocks:
     def join(self) -> None:
         """Join the part files, in block order, into ``out``: they are
         written into block 0's part, which is then renamed, so ``out``
-        appears whole or not at all."""
-        with open(self.part(0), "ab") as joined:
-            for index in range(1, len(self.spans)):
-                with open(self.part(index), "rb") as part:
-                    shutil.copyfileobj(part, joined)
-        try:
+        appears whole or not at all. A failure names ``out``."""
+        with output_errors(self.out):
+            with open(self.part(0), "ab") as joined:
+                for index in range(1, len(self.spans)):
+                    with open(self.part(index), "rb") as part:
+                        shutil.copyfileobj(part, joined)
             os.replace(self.part(0), self.out)
-        except OSError as exc:
-            raise OutputError(f"cannot write file: {exc.strerror}", path=self.out) from None
         self.discard()
 
     def discard(self) -> None:

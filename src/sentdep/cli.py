@@ -10,6 +10,9 @@ Subcommands mirror the pipeline stages and compose through files::
     sentdep run      --config run.ini            # all of the above
     sentdep fixture  --out-dir demo/ --seed 7    # synthetic demo corpus
 
+Every option that sets a config key is built from the key's
+``CONFIG_KEYS`` row and checked before any file is read.
+
 ``run`` is byte-identical to executing the stages by hand. Exit codes:
 0 success (warnings possible), 1 configuration error, 2 fatal input-file
 error, an output path that cannot be written or any other error the
@@ -27,6 +30,7 @@ from . import __version__
 from .errors import ConfigError, FormatError, SentdepError
 from .ingest import make_output_dir, packaged_data
 from .pipeline import (
+    CONFIG_COMMANDS,
     CONFIG_KEYS,
     PipelineConfig,
     check_values,
@@ -61,42 +65,38 @@ def _config_help() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("config overrides")
+def _add_key_options(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Add to each command the options that set a config key, from the
+    key's ``CONFIG_KEYS`` row: a command that reads a config file defaults
+    them to None, which keeps the file's value."""
     for key in CONFIG_KEYS:
-        if not key.override:
-            continue
-        flag = "--" + key.name.replace("_", "-")
-        if key.kind is bool:
-            group.add_argument(flag, action=argparse.BooleanOptionalAction,
-                               default=None, help=key.doc)
-        else:
-            group.add_argument(flag, type=key.kind, default=None, help=key.doc)
+        for command in key.options:
+            kind = ({"action": argparse.BooleanOptionalAction} if key.kind is bool
+                    else {"type": key.kind})
+            parsers[command].add_argument(
+                key.flag or "--" + key.name.replace("_", "-"), dest=key.name, help=key.doc,
+                default=None if command in CONFIG_COMMANDS else key.default, **kind)
 
 
 def _load_config_with_overrides(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     for key in CONFIG_KEYS:
         value = getattr(args, key.name, None)
-        if key.override and value is not None:
+        if args.command in key.options and value is not None:
             setattr(config, key.name, value)
-    if getattr(args, "output_dir", None) is not None:
-        config.output_dir = Path(args.output_dir)
     return config
 
 
 def _cmd_keywords(args: argparse.Namespace) -> int:
-    check_values(min_keyword_count=args.min_count, max_malformed_fraction=args.malformed_cap)
-    n = stage_keywords(args.tweets, args.out,
-                       min_count=args.min_count, malformed_cap=args.malformed_cap)
-    print(f"{n} keywords with >= {args.min_count} tweets -> {args.out}")
+    n = stage_keywords(args.tweets, args.out, min_count=args.min_keyword_count,
+                       malformed_cap=args.max_malformed_fraction)
+    print(f"{n} keywords with >= {args.min_keyword_count} tweets -> {args.out}")
     return 0
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    check_values(window=args.window, max_malformed_fraction=args.malformed_cap)
     n = stage_label(args.tweets, args.aspects, args.positive_terms, args.negative_terms,
-                    args.out, window=args.window, malformed_cap=args.malformed_cap)
+                    args.out, window=args.window, malformed_cap=args.max_malformed_fraction)
     print(f"{n} aspect labels -> {args.out}")
     return 0
 
@@ -138,7 +138,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     from .fixture import generate_fixture
 
-    check_values(seed=args.seed)
     config_path = generate_fixture(args.out_dir, seed=args.seed)
     print(f"synthetic corpus -> {args.out_dir}")
     print(f"run it with: sentdep run --config {config_path}")
@@ -154,26 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log stage progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
 
-    p = sub.add_parser("keywords", help="count tweets per token (collection-query tuning)")
+    p = parsers["keywords"] = sub.add_parser(
+        "keywords", help="count tweets per token (collection-query tuning)")
     p.add_argument("--tweets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=PipelineConfig.min_keyword_count,
-                   help="keep tokens appearing in at least this many tweets")
-    p.add_argument("--malformed-cap", type=float,
-                   default=PipelineConfig.max_malformed_fraction)
     p.set_defaults(func=_cmd_keywords)
 
-    p = sub.add_parser("label", help="detect and label aspect occurrences")
+    p = parsers["label"] = sub.add_parser("label", help="detect and label aspect occurrences")
     p.add_argument("--tweets", required=True)
     p.add_argument("--aspects", default=packaged_data("aspects_default.txt"),
                    help="aspect lexicon (default: bundled top-20 financial aspects)")
     p.add_argument("--positive-terms", default=packaged_data("positive_terms.txt"))
     p.add_argument("--negative-terms", default=packaged_data("negative_terms.txt"))
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=PipelineConfig.window)
-    p.add_argument("--malformed-cap", type=float,
-                   default=PipelineConfig.max_malformed_fraction)
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("score", help="aggregate labels into daily score series")
@@ -181,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser(
+    p = parsers["analyze"] = sub.add_parser(
         "analyze", help="compute dependence cells from scores and prices",
         epilog=_config_help(), formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--config", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
-    _add_override_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("report", help="emit heatmaps and the causality table")
@@ -196,20 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser(
+    p = parsers["run"] = sub.add_parser(
         "run", help="run the whole pipeline from a config file",
         epilog=_config_help(), formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", default=None, help="override [output] dir")
-    _add_override_flags(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("fixture", help="write a seeded synthetic demo corpus")
+    p = parsers["fixture"] = sub.add_parser(
+        "fixture", help="write a seeded synthetic demo corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fixture)
 
+    _add_key_options(parsers)
     return parser
 
 
@@ -220,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        check_values(**{name: value for name, value in vars(args).items() if value is not None})
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

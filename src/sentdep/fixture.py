@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import load_aspects, make_output_dir, packaged_data
+from .ingest import load_aspects, make_output_dir, open_output, output_errors, packaged_data
 from .labeler import PolarityLexicon
 
 PLANTED_ASPECT = "inflation"
@@ -150,7 +150,7 @@ def _write_price_file(
     rng: np.random.Generator,
     null_index: int | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path, newline="\n") as fh:
         fh.write("Date,Open,High,Low,Close,Adj Close,Volume\n")
         for i, (d, close) in enumerate(zip(days, closes)):
             if i == null_index:
@@ -171,9 +171,10 @@ def generate_fixture(out_dir, seed: int = 0) -> Path:
     out = make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
 
-    shutil.copyfile(packaged_data("aspects_default.txt"), out / "aspects.txt")
-    for name in ("positive_terms.txt", "negative_terms.txt"):
-        shutil.copyfile(packaged_data(name), out / name)
+    for source, name in (("aspects_default.txt", "aspects.txt"),
+                         ("positive_terms.txt",) * 2, ("negative_terms.txt",) * 2):
+        with output_errors(out / name):
+            shutil.copyfile(packaged_data(source), out / name)
     aspects = list(load_aspects(out / "aspects.txt").aspects)
     lexicon = PolarityLexicon.from_files(out / "positive_terms.txt", out / "negative_terms.txt")
     _check_vocabulary(aspects, lexicon.positive, lexicon.negative)
@@ -181,7 +182,7 @@ def generate_fixture(out_dir, seed: int = 0) -> Path:
     trading_days = fixture_trading_days()
     planted_positive: dict[date, int] = {}
 
-    with open(out / "tweets.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(out / "tweets.jsonl", newline="\n") as fh:
         writer = _TweetWriter(fh, rng)
         for day in _calendar_days():
             for aspect in aspects:
@@ -238,22 +239,22 @@ def generate_fixture(out_dir, seed: int = 0) -> Path:
     price_lines = "\n".join(
         f"{ticker} = prices_{ticker}.csv" for ticker in (*TICKER_BASES, PLANTED_TICKER)
     )
-    config_path.write_text(
-        "[inputs]\n"
-        "aspects = aspects.txt\n"
-        "tweets = tweets.jsonl\n"
-        "positive_terms = positive_terms.txt\n"
-        "negative_terms = negative_terms.txt\n"
-        "\n"
-        "[prices]\n"
-        f"{price_lines}\n"
-        "\n"
-        "[analysis]\n"
-        "top_n_aspects = 20\n"
-        "\n"
-        "[output]\n"
-        "dir = out\n"
-        f"seed = {seed}\n",
-        encoding="utf-8",
-    )
+    with open_output(config_path) as fh:
+        fh.write(
+            "[inputs]\n"
+            "aspects = aspects.txt\n"
+            "tweets = tweets.jsonl\n"
+            "positive_terms = positive_terms.txt\n"
+            "negative_terms = negative_terms.txt\n"
+            "\n"
+            "[prices]\n"
+            f"{price_lines}\n"
+            "\n"
+            "[analysis]\n"
+            "top_n_aspects = 20\n"
+            "\n"
+            "[output]\n"
+            "dir = out\n"
+            f"seed = {seed}\n"
+        )
     return config_path

@@ -231,13 +231,40 @@ def csv_rows(path, what: str, header: Sequence[str]) -> Iterator[tuple[int, list
                 yield reader.line_num, fields
 
 
-def open_output(path, newline: str | None = None):
-    """:func:`open` for writing UTF-8 text; a path that cannot be written
-    raises OutputError naming it."""
+@contextmanager
+def output_errors(shown):
+    """Raise an OSError of the block as OutputError naming ``shown``."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        yield
     except OSError as exc:
-        raise OutputError(f"cannot write file: {exc.strerror}", path=path) from None
+        raise OutputError(f"cannot write file: {exc.strerror}", path=shown) from None
+
+
+class _OutputFile(io.FileIO):
+    """A file opened for writing: an OSError of its open, a write or its
+    close raises OutputError naming ``shown``."""
+
+    def __init__(self, path, mode: str, shown) -> None:
+        self.shown = shown
+        with output_errors(shown):
+            super().__init__(path, mode)
+
+    def write(self, data) -> int:
+        with output_errors(self.shown):
+            return super().write(data)
+
+    def close(self) -> None:
+        with output_errors(self.shown):
+            super().close()
+
+
+def open_output(path, newline: str | None = None, shown=None):
+    """:func:`open` for writing UTF-8 text. An OSError of its open, a
+    write or its close raises OutputError naming ``shown`` (by default
+    ``path``); one that reading an input raises while its rows stream
+    into the file stays itself."""
+    raw = _OutputFile(path, "w", shown or path)
+    return io.TextIOWrapper(io.BufferedWriter(raw), "utf-8", newline=newline)
 
 
 def make_output_dir(path) -> Path:
@@ -251,10 +278,11 @@ def make_output_dir(path) -> Path:
     return path
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]],
+              shown=None) -> None:
     """Write a CSV artifact: UTF-8, ``\\n`` line endings, header (unless
-    empty) then rows."""
-    with open_output(path, newline="") as fh:
+    empty) then rows; a failed write names ``shown`` (see :func:`open_output`)."""
+    with open_output(path, newline="", shown=shown) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(header)
@@ -682,13 +710,14 @@ class DayText(dict):
 
 
 def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path,
-                  header: bool = True) -> None:
+                  header: bool = True, shown=None) -> None:
     """Serialize label tuples, after the header unless ``header`` is false;
-    :func:`parse_labeled` counts them back."""
+    :func:`parse_labeled` counts them back. A failed write names ``shown``
+    (see :func:`open_output`)."""
     day_text = DayText()
     write_csv(path, _LABEL_HEADER if header else (),
               ((tweet_id, day_text[d], aspect, pol.value)
-               for tweet_id, d, aspect, pol in labels))
+               for tweet_id, d, aspect, pol in labels), shown)
 
 
 def load_aspects(path) -> AspectLexicon:

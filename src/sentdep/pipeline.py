@@ -107,16 +107,21 @@ from .scores import Scores, aspect_days, write_scores
 logger = logging.getLogger(__name__)
 
 
+#: The commands that read a config file: a key option of theirs overrides it.
+CONFIG_COMMANDS = ("run", "analyze")
+
+
 @dataclass(frozen=True)
 class ConfigKey:
-    """One config key: its INI place, type, default, rule and CLI exposure.
+    """One config key: its INI place, type, default, rule and CLI options.
 
     ``kind`` is the value's type: ``Path``, ``int``, ``float``, ``bool``, or
     ``dict`` for the free-form ``[prices]`` section (``TICKER = path``,
     kept in file order). A value for which ``check`` is False fails
-    validation with ``"<name> <rule>, got <value>"``. ``override`` adds a
-    ``--name-with-dashes`` flag to ``sentdep run`` and ``analyze``;
-    ``doc`` is its help text and the key's note in the config help.
+    validation with ``"<name> <rule>, got <value>"``. ``options`` names
+    the ``sentdep`` commands that take the key as an option, spelled
+    ``flag`` or ``--name-with-dashes``; ``doc`` is its help text and the
+    key's note in the config help.
     """
 
     name: str
@@ -125,9 +130,10 @@ class ConfigKey:
     default: object = None
     check: Callable[[Any], bool] | None = None
     rule: str = ""
-    override: bool = False
+    options: tuple[str, ...] = ()
     doc: str = ""
     ini_key: str | None = None  # when the INI key differs from ``name``
+    flag: str | None = None  # when the option differs from ``--name-with-dashes``
 
     @property
     def key(self) -> str:
@@ -135,8 +141,8 @@ class ConfigKey:
 
 
 #: Every pipeline config key, in field order. ``PipelineConfig``, the INI
-#: schema, validation, the manifest echo and the CLI overrides and help
-#: are all derived from this table.
+#: schema, validation, the manifest echo and the CLI options and help are
+#: all derived from this table.
 CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("aspects", "inputs", Path, doc="aspect lexicon, required"),
     ConfigKey("tweets", "inputs", Path, doc="JSON Lines posts; this or labels"),
@@ -147,36 +153,37 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("prices", "prices", dict,
               doc="one `TICKER = path.csv` per stock (order = report column order)"),
     ConfigKey("window", "label", int, DEFAULT_WINDOW, lambda v: v >= 0, "must be >= 0",
-              doc="tokens each side"),
+              ("label",), doc="tokens each side"),
     ConfigKey("min_keyword_count", "ingest", int, DEFAULT_MIN_KEYWORD_COUNT,
-              lambda v: v >= 1, "must be >= 1", doc="tweets a keyword needs"),
+              lambda v: v >= 1, "must be >= 1", ("keywords",), doc="tweets a keyword needs",
+              flag="--min-count"),
     ConfigKey("max_malformed_fraction", "ingest", float, DEFAULT_MALFORMED_CAP,
-              lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
-              doc="malformed tweet lines tolerated"),
-    ConfigKey("lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1", True,
+              lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]", ("keywords", "label"),
+              doc="malformed tweet lines tolerated", flag="--malformed-cap"),
+    ConfigKey("lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1", CONFIG_COMMANDS,
               doc="sentiment lag in trading days"),
     ConfigKey("pearson_threshold", "analysis", float, DEFAULT_THRESHOLD,
-              lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", True,
+              lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", CONFIG_COMMANDS,
               doc="|r| significance cut"),
     ConfigKey("granger_alpha", "analysis", float, DEFAULT_ALPHA,
-              lambda v: 0.0 < v < 1.0, "must lie in (0, 1)", True,
+              lambda v: 0.0 < v < 1.0, "must lie in (0, 1)", CONFIG_COMMANDS,
               doc="F-test significance level"),
-    ConfigKey("granger_lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1", True,
-              doc="lag order of the F-test"),
-    ConfigKey("granger_reverse", "analysis", bool, False, override=True,
+    ConfigKey("granger_lag", "analysis", int, 1, lambda v: v >= 1, "must be >= 1",
+              CONFIG_COMMANDS, doc="lag order of the F-test"),
+    ConfigKey("granger_reverse", "analysis", bool, False, options=CONFIG_COMMANDS,
               doc="test the price -> sentiment direction"),
-    ConfigKey("granger_difference", "analysis", bool, False, override=True,
+    ConfigKey("granger_difference", "analysis", bool, False, options=CONFIG_COMMANDS,
               doc="first-difference both series before testing"),
     ConfigKey("entropy_k", "analysis", int, DEFAULT_K, lambda v: 1 <= v <= MAX_K,
-              f"must lie in 1..{MAX_K}", True, doc=f"neighbor order 1..{MAX_K}"),
-    ConfigKey("top_n_aspects", "analysis", int, 20, lambda v: v >= 1, "must be >= 1", True,
-              doc="most-mentioned aspects reported"),
-    ConfigKey("absent_as_zero", "analysis", bool, False, override=True,
+              f"must lie in 1..{MAX_K}", CONFIG_COMMANDS, doc=f"neighbor order 1..{MAX_K}"),
+    ConfigKey("top_n_aspects", "analysis", int, 20, lambda v: v >= 1, "must be >= 1",
+              CONFIG_COMMANDS, doc="most-mentioned aspects reported"),
+    ConfigKey("absent_as_zero", "analysis", bool, False, options=CONFIG_COMMANDS,
               doc="treat days without labels as zero counts"),
-    ConfigKey("output_dir", "output", Path, Path("out"), ini_key="dir",
+    ConfigKey("output_dir", "output", Path, Path("out"), options=("run",), ini_key="dir",
               doc="artifact directory"),
-    ConfigKey("seed", "output", int, 0, lambda v: v >= 0, "must be >= 0", True,
-              doc="recorded in the manifest"),
+    ConfigKey("seed", "output", int, 0, lambda v: v >= 0, "must be >= 0",
+              (*CONFIG_COMMANDS, "fixture"), doc="recorded in the manifest"),
 )
 
 def check_values(**values) -> None:

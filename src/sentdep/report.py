@@ -78,8 +78,16 @@ class DependenceCell:
 CELL_COLUMNS = fields(DependenceCell)
 _NAMES = [column.name for column in CELL_COLUMNS]
 
+
+def _count(text: str) -> int:
+    """A count field: a whole number >= 0, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
 #: Text kind -> the parser of a non-empty field; an empty field is null.
-_PARSERS = {"key": str, "kind": {k.code: k for k in ScoreKind}.__getitem__, "count": int,
+_PARSERS = {"key": str, "kind": {k.code: k for k in ScoreKind}.__getitem__, "count": _count,
             "float": float, "flag": {"true": True, "false": False}.__getitem__, "reason": str}
 _ROW_PARSERS = [_PARSERS[column.metadata["kind"]] for column in CELL_COLUMNS]
 

@@ -82,3 +82,40 @@ def test_repeated_cells_are_listed(tmp_path):
     assert code == 1
     assert lines[-2:] == [SUMMARY.format(1),
                           f"cell ('tax', 'fp', 'AAA') repeated in {tmp_path / 'a.csv'}"]
+
+
+def run_on(tmp_path, a_text, b_text=None):
+    """(exit code, stdout, stderr) of the tool on a.csv holding ``a_text``
+    and b.csv holding ``b_text``, or no b.csv when it is None."""
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, text in zip(paths, (a_text, b_text)):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+    done = subprocess.run([sys.executable, str(TOOL), *map(str, paths)],
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_non_number_is_one_error_line(tmp_path):
+    code, out, err = run_on(tmp_path, HEADER + "tax,fp,AAA,9,0.5,true,,2.0,\n",
+                            HEADER + "tax,fp,AAA,9,0.5,true,,two,\n")
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'b.csv'}:2: column granger_f: not a number: 'two'\n"
+
+
+def test_a_row_shorter_than_the_header_is_one_error_line(tmp_path):
+    row = "tax,fp,AAA,9,0.5,true,,2.0,\n"
+    code, out, err = run_on(tmp_path, HEADER + row + "tax,fp,BBB,9,0.5\n", HEADER + row)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {tmp_path / 'a.csv'}:3: column r_significant: "
+                   "the row ends before it\n")
+
+
+def test_a_missing_or_undecodable_file_is_one_error_line(tmp_path):
+    code, out, err = run_on(tmp_path, HEADER)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'b.csv'}: No such file or directory\n"
+    (tmp_path / "b.csv").write_bytes(HEADER.encode() + b"tax,fp,\xff\n")
+    code, out, err = run_on(tmp_path, HEADER)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'b.csv'}: not UTF-8: invalid start byte\n"

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from datetime import date
@@ -391,6 +392,76 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {cells}:3: repeated cell (inflation, fp, NEE)\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["label", "--tweets", "t.jsonl", "--out", "l.csv", "--window", "-1"],
+         "window must be >= 0, got -1"),
+        (["keywords", "--tweets", "t.jsonl", "--out", "k.csv", "--malformed-cap", "-1"],
+         "max_malformed_fraction must lie in [0, 1], got -1.0"),
+        (["keywords", "--tweets", "t.jsonl", "--out", "k.csv", "--min-count", "-3"],
+         "min_keyword_count must be >= 1, got -3"),
+        (["fixture", "--out-dir", "demo", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--config", "c.ini", "--lag", "0"], "lag must be >= 1, got 0"),
+        (["analyze", "--config", "c.ini", "--scores", "s.csv", "--out", "c.csv",
+          "--entropy-k", "99"], "entropy_k must lie in 1..20, got 99"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_a_bad_key_option_returns_one_before_any_file_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # None of the named files exists: the option is checked first.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_pair_count_returns_two(self, tmp_path, capsys):
+        # report once wrote every file of a cell whose n was -3.
+        assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        assert main(["run", "--config", str(tmp_path / "config.ini")]) == 0
+        cells = tmp_path / "out" / "cells.csv"
+        header, first, *rest = cells.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = first.split(",")
+        row[[column.name for column in CELL_COLUMNS].index("n")] = "-3"
+        cells.write_text(header + ",".join(row) + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "report"
+        assert main(["report", "--cells", str(cells), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {cells}:2: bad n '-3'\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_a_write_that_fails_after_the_open_returns_two(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # The open of /dev/full succeeds and its first write fails; this
+        # once ended in an OSError traceback.
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        assert main(["score", "--labels", "labels.csv", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err == (
+            "error: /dev/full: cannot write file: No space left on device\n")
+
+    def test_a_run_past_the_file_size_limit_returns_two(self, tmp_path):
+        # The joined labels.csv is the first file past 20,000 bytes. Its
+        # write in the ingest child once ended in the parent's RuntimeError
+        # "a forked process failed".
+        resource = pytest.importorskip("resource")
+        if not (hasattr(signal, "SIGXFSZ") and hasattr(resource, "RLIMIT_FSIZE")):
+            pytest.skip("no file size limit")
+        assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+
+        def limited():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000))
+
+        src = str(Path(sentdep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "sentdep.cli", "run", "--config", "config.ini"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limited,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        errors_printed = [line for line in done.stderr.splitlines() if "error" in line.lower()]
+        assert errors_printed == [
+            f"error: {Path('out', 'labels.csv')}: cannot write file: File too large"]
+        assert "Traceback" not in done.stderr
+        assert not [p.name for p in (tmp_path / "out").iterdir() if p.name.startswith(".")]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -854,6 +925,9 @@ def test_any_config_file_ends_in_exit_zero_one_or_two(tmp_path_factory):
     @given(config_files())
     @example("".join(full_config()).encode())
     @example("".join(full_config()).replace("dir = out", "dir = a\x00b").encode())
+    # a lag longer than the calendar, but not twice as long
+    @example("".join(full_config()).replace("\nlag = 1\n", f"\nlag = {len(DAYS) + 1}\n")
+             .encode())
     def check(data):
         config.write_bytes(data)
         assert main(run) in (0, 1, 2)
@@ -1158,6 +1232,20 @@ class TestOverrides:
         target = tmp_path / "elsewhere"
         assert main(["run", "--config", str(ini), "--output-dir", str(target)]) == 0
         assert (target / "cells.csv").is_file()
+
+    def test_a_lag_past_the_calendar_leaves_every_pair_out(self, tmp_path):
+        # The fixture's calendar has 62 trading days; lags of 63 to 123
+        # once ended in a ValueError of mismatched shapes.
+        assert main(["fixture", "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        written = {}
+        for lag in (62, 63, 100):
+            out = tmp_path / f"lag{lag}"
+            assert main(["run", "--config", str(tmp_path / "config.ini"), "--lag", str(lag),
+                         "--output-dir", str(out)]) == 0
+            written[lag] = (out / "cells.csv").read_bytes()
+        assert written[63] == written[100] == written[62]
+        cells = read_cells(tmp_path / "lag62" / "cells.csv")
+        assert all(c.n == 0 and c.r is None and c.u is None for c in cells)
 
     def test_boolean_override_has_negative_form(self, tmp_path):
         ini = build_tweet_tree(tmp_path)

@@ -1,16 +1,18 @@
 """CONFIG_KEYS is the one definition of every config key.
 
-The INI loader, the dataclass fields, the manifest echo, the CLI help and
-the README's example config must all list exactly the table's keys.
+The INI loader, the dataclass fields, the manifest echo, the CLI options
+and help and the README's example config must all list exactly the
+table's keys.
 """
 
+import argparse
 import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from sentdep.cli import main
+from sentdep.cli import build_parser, main
 from sentdep.pipeline import CONFIG_KEYS, PipelineConfig, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,8 +58,62 @@ def test_help_lists_every_key_and_override(capsys, command):
         assert f"[{key.section}]" in epilog
         if key.kind is not dict:
             assert re.search(rf"^\s+(\[\w+\])?\s+{key.key}\s", epilog, re.M), key.key
-        if key.override:
+        if command in key.options:
             assert "--" + key.name.replace("_", "-") in usage
+
+
+#: Every command's option spellings, as they were before the key options
+#: were built from the table.
+OPTION_SPELLINGS = {
+    "keywords": "--tweets --out --min-count --malformed-cap",
+    "label": "--tweets --aspects --positive-terms --negative-terms --out --window "
+             "--malformed-cap",
+    "score": "--labels --out",
+    "analyze": "--config --scores --out --lag --pearson-threshold --granger-alpha "
+               "--granger-lag --granger-reverse --no-granger-reverse --granger-difference "
+               "--no-granger-difference --entropy-k --top-n-aspects --absent-as-zero "
+               "--no-absent-as-zero --seed",
+    "report": "--cells --out-dir",
+    "fixture": "--out-dir --seed",
+}
+OPTION_SPELLINGS["run"] = (OPTION_SPELLINGS["analyze"].replace("--scores --out", "")
+                           + " --output-dir")
+
+
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_SPELLINGS))
+def test_each_command_keeps_its_option_spellings(command):
+    spellings = {flag for action in command_parsers()[command]._actions
+                 for flag in action.option_strings if flag not in ("-h", "--help")}
+    assert spellings == set(OPTION_SPELLINGS[command].split())
+
+
+def test_every_key_option_is_its_row():
+    """Each option whose dest names a key that any command takes as an
+    option has the row's spelling, type, default and help."""
+    rows = {key.name: key for key in CONFIG_KEYS if key.options}
+    found = set()
+    for command, parser in command_parsers().items():
+        for action in parser._actions:
+            key = rows.get(action.dest)
+            if key is None:
+                continue
+            found.add((key.name, command))
+            flag = key.flag or "--" + key.name.replace("_", "-")
+            assert action.option_strings[0] == flag
+            if key.kind is bool:
+                assert isinstance(action, argparse.BooleanOptionalAction)
+            else:
+                assert action.type is key.kind
+            reads_config = command in ("run", "analyze")
+            assert action.default == (None if reads_config else key.default)
+            assert action.help == key.doc
+    assert found == {(key.name, command) for key in rows.values() for command in key.options}
 
 
 def test_readme_example_lists_exactly_the_table_keys():

@@ -853,3 +853,13 @@ class TestKeywordFrequencies:
         ]
         freqs = keyword_frequencies(self.tweets(texts), min_count=1)
         assert {f.keyword: f.tweet_count for f in freqs} == keyword_counts_bruteforce(texts)
+
+
+def test_an_input_error_while_rows_stream_into_a_file_stays_itself(tmp_path):
+    """Only the output file's own open, writes and close become OutputError."""
+    def rows():
+        yield ("a",)
+        raise OSError(5, "Input/output error")
+
+    with pytest.raises(OSError, match="Input/output error"):
+        ingest.write_csv(tmp_path / "out.csv", ("name",), rows())

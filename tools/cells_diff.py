@@ -13,7 +13,9 @@ standard library's ``csv`` and ``math`` are used.
 
 Usage: ``python3 tools/cells_diff.py A/cells.csv B/cells.csv``. Exits 0
 when only finite values changed and both files hold the same cells, each
-once, and 1 otherwise.
+once, and 1 otherwise. A file that cannot be read, a row shorter than its
+header or a non-number in a numeric column is one ``error:`` line naming
+the file (and its line and column) and exit 2.
 """
 
 from __future__ import annotations
@@ -25,18 +27,41 @@ import sys
 KEY = ("aspect", "kind", "ticker")
 
 
-def read(path: str) -> tuple[list[str], dict[tuple[str, ...], dict[str, str]], list]:
-    """(the columns, each cell's last row by its key, the key of each row
-    that repeats an earlier row's) of one cells.csv."""
-    with open(path, newline="", encoding="utf-8") as stream:
-        reader = csv.DictReader(stream)
-        rows, repeated = {}, []
-        for row in reader:
-            key = tuple(row[name] for name in KEY)
-            if key in rows:
-                repeated.append(key)
-            rows[key] = row
-        return list(reader.fieldnames or ()), rows, repeated
+class Unreadable(Exception):
+    """A cells.csv that cannot be compared; the message names the file,
+    and the line and column where there is one."""
+
+
+def read(path: str) -> tuple[list[str], dict[tuple[str, ...], dict[str, str]],
+                             dict[tuple[str, ...], int], list]:
+    """(the columns, each cell's last row by its key, that row's line, the
+    key of each row that repeats an earlier row's) of one cells.csv."""
+    try:
+        with open(path, newline="", encoding="utf-8") as stream:
+            reader = csv.DictReader(stream)
+            rows, lines, repeated = {}, {}, []
+            for row in reader:
+                short = [name for name, text in row.items() if text is None]
+                if short:
+                    raise Unreadable(f"{path}:{reader.line_num}: column {short[0]}: "
+                                     f"the row ends before it")
+                key = tuple(row[name] for name in KEY)
+                if key in rows:
+                    repeated.append(key)
+                rows[key], lines[key] = row, reader.line_num
+            return list(reader.fieldnames or ()), rows, lines, repeated
+    except OSError as exc:
+        raise Unreadable(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise Unreadable(f"{path}: not UTF-8: {exc.reason}") from None
+
+
+def number(text: str, path: str, line: int, name: str) -> float:
+    """The value of one numeric field."""
+    try:
+        return float(text)
+    except ValueError:
+        raise Unreadable(f"{path}:{line}: column {name}: not a number: {text!r}") from None
 
 
 def relative(a: float, b: float) -> float:
@@ -48,8 +73,8 @@ def relative(a: float, b: float) -> float:
 
 def diff(a_path: str, b_path: str) -> tuple[list[str], bool]:
     """(the report's lines, whether the files differ beyond finite float values)."""
-    columns, a_rows, a_repeated = read(a_path)
-    b_columns, b_rows, b_repeated = read(b_path)
+    columns, a_rows, a_lines, a_repeated = read(a_path)
+    b_columns, b_rows, b_lines, b_repeated = read(b_path)
     if b_columns != columns:
         return [f"columns differ: {columns} against {b_columns}"], True
     common = [key for key in a_rows if key in b_rows]
@@ -76,7 +101,8 @@ def diff(a_path: str, b_path: str) -> tuple[list[str], bool]:
                 changes.append(f"{name} {key}: {a or 'empty'} -> {b or 'empty'}")
             if a == "" or b == "" or a == b:
                 continue
-            x, y = float(a), float(b)
+            x = number(a, a_path, a_lines[key], name)
+            y = number(b, b_path, b_lines[key], name)
             if not (math.isfinite(x) and math.isfinite(y)):
                 if x != y and not (math.isnan(x) and math.isnan(y)):
                     changes.append(f"{name} {key}: {a} -> {b}")
@@ -99,7 +125,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print("usage: python3 tools/cells_diff.py A/cells.csv B/cells.csv", file=sys.stderr)
         return 2
-    lines, changed = diff(argv[1], argv[2])
+    try:
+        lines, changed = diff(argv[1], argv[2])
+    except Unreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(lines))
     return 1 if changed else 0
 
