@@ -12,12 +12,14 @@ command that labels tweets loads this module.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 from datetime import date
 from pathlib import Path
 from typing import Iterable
 
+from .errors import OutputError
 from .fork import MAX_CLAIMS
 from .ingest import (
     KeywordCounts,
@@ -96,9 +98,16 @@ class TweetBlocks:
     :data:`sentdep.fork.MAX_CLAIMS`, so that :func:`sentdep.fork.claims`
     can share them. Any process may then label any block (:meth:`label`):
     the block's label rows are written as they stream to a part file of
-    their own beside ``out`` (block 0's after the CSV header), and its
+    their own beside ``target`` (block 0's after the CSV header), and its
     keywords, labels and lines are counted into the process's
     :class:`Share`. No list of labels is held.
+
+    ``target`` is ``out`` with every symbolic link resolved, once, when
+    the labeling is made, so that a link at ``out`` is written through,
+    as every other writer writes through it: the part files are made
+    beside the link's target, and the join replaces the target. A loop
+    of links is an OutputError, as opening it is for every other writer.
+    Errors name ``out``.
     """
 
     def __init__(self, tweets_path, aspects_path, positive_path, negative_path, out_path,
@@ -106,10 +115,13 @@ class TweetBlocks:
         self.aspects = load_aspects(aspects_path)
         self.lexicon = PolarityLexicon.from_files(positive_path, negative_path)
         self.tweets, self.out, self.window = Path(tweets_path), Path(out_path), window
+        self.target = Path(os.path.realpath(self.out))
+        if self.target.is_symlink():  # only a loop of links stays a link
+            raise OutputError(f"cannot write file: {os.strerror(errno.ELOOP)}", path=self.out)
         self.spans = line_blocks(self.tweets, BLOCK_BYTES, MAX_CLAIMS)
 
     def part(self, index: int) -> Path:
-        return self.out.with_name(f".{self.out.name}.{index}")
+        return self.target.with_name(f".{self.target.name}.{index}")
 
     def label(self, blocks: Iterable[int], share: Share) -> Share:
         """Label each of ``blocks`` into ``share``; returns ``share``."""
@@ -134,15 +146,15 @@ class TweetBlocks:
         whole.check(self.tweets, malformed_cap)
 
     def join(self) -> None:
-        """Join the part files, in block order, into ``out``: they are
-        written into block 0's part, which is then renamed, so ``out``
+        """Join the part files, in block order, into ``target``: they are
+        written into block 0's part, which is then renamed, so ``target``
         appears whole or not at all. A failure names ``out``."""
         with output_errors(self.out):
             with open(self.part(0), "ab") as joined:
                 for index in range(1, len(self.spans)):
                     with open(self.part(index), "rb") as part:
                         shutil.copyfileobj(part, joined)
-            os.replace(self.part(0), self.out)
+            os.replace(self.part(0), self.target)
         self.discard()
 
     def discard(self) -> None:

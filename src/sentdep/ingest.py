@@ -10,16 +10,18 @@ All parsers are pure per file and safe to run concurrently. Formats:
 * Labels: CSV ``tweet_id,date,aspect,polarity``.
 * Aspect lexicon: plain text, one aspect per line, ``#`` comments ignored.
 
-Every CSV file is opened through :func:`csv_reader`, which decodes UTF-8,
+A CSV file is read through :func:`csv_reader`, which decodes UTF-8,
 checks for an empty file and the header, and turns a decoding or CSV
-syntax error into a FormatError with its line; :func:`_row_fields` holds
-the rule for blank rows and field counts. :func:`csv_rows` yields checked
-rows of a file with a fixed header on top of them. :func:`parse_prices`
-reads its file in one loop over the reader, stripping only the fields it
-uses, and uses :func:`_row_fields` only for the rows that fail its quick
-checks; :func:`parse_labeled` reads a label file so too, unless every
-row of the file splits at its commas as the reader would split it: such
-a file is counted in bulk, without the reader.
+syntax error into a FormatError with its line, unless every row of it
+splits at its commas as the reader would split it; :func:`_row_fields`
+holds the rule for blank rows and field counts. :func:`csv_rows` yields
+checked rows of a file with a fixed header on top of them.
+:func:`parse_prices` splits a plain price file (no quote, no CR, no
+overlong line) at its line feeds and commas and reads any other through
+the reader; either way one loop takes the rows, stripping only the fields
+it uses, and uses :func:`_row_fields` only for the rows that fail its
+quick checks. :func:`parse_labeled` counts a plain label file in bulk
+and reads any other row by row through the reader.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from datetime import date, datetime, timezone
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import COUNT_INDEX, DEFAULT_MALFORMED_CAP, DEFAULT_MIN_KEYWORD_COUNT, PolarityLabel
 from .errors import EmptySeries, FormatError, HeaderMismatch, OutputError
@@ -482,7 +484,34 @@ def parse_tweets(path, malformed_cap: float = DEFAULT_MALFORMED_CAP,
         tally.extend(counts)
 
 
-def parse_prices(path, ticker: str) -> dict[date, float]:
+def _plain_lines(path) -> list[str] | None:
+    """The lines of a CSV file that :func:`csv.reader` would split at its
+    commas alone, without their line feeds; None for any other file.
+
+    The file is read whole. It is plain when it is UTF-8 and not empty,
+    and holds no ``"``, no CR and no line longer than
+    :func:`csv.field_size_limit`: then the reader's rows are its lines,
+    each split at its commas, except that an empty line, one empty field
+    when split, is a row of no field to the reader: a blank row either way.
+    """
+    with open_input(Path(path), "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not text or '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the line feed that ends the last line
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    return lines
+
+
+def parse_prices(path, ticker: str, days: dict[str, date] | None = None) -> dict[date, float]:
     """Read one Yahoo-layout CSV into the date -> close dict of ``ticker``.
 
     Rows whose Close is non-numeric (Yahoo writes "null"), non-positive,
@@ -491,47 +520,67 @@ def parse_prices(path, ticker: str) -> dict[date, float]:
     for a Date raises FormatError with its line; a row skipped before it
     does not count.
 
-    The file is read in one loop over the reader, which strips only the
-    Date and Close fields; a row is checked for being blank only when it
-    is too short or its Date does not parse, so a blank row is skipped
-    without a warning.
+    A plain file (see :func:`_plain_lines`) is split at its line feeds
+    and commas; any other file, one with a quoted field, a CR or an
+    overlong line, or one that is not UTF-8, is read by
+    :func:`csv_reader`. Both give the same rows, with the same line
+    numbers, to one loop (:func:`_closes`), which strips only the Date
+    and Close fields; a row is checked for being blank only when it is
+    too short or its Date does not parse, so a blank row is skipped
+    without a warning. ``days`` maps each Date text that parsed to its
+    day; the caller may share it between files, so that each distinct
+    text is parsed once.
     """
+    days = {} if days is None else days
+    lines = _plain_lines(path)
+    if lines is None:
+        with csv_reader(path, "price") as (reader, header):
+            rows = ((reader.line_num, row) for row in reader)
+            return _closes(path, ticker, header, rows, days)
+    header = [f.strip() for f in lines[0].split(",")] if lines[0] else []
+    rows = enumerate([line.split(",") for line in lines[1:]], start=2)
+    return _closes(path, ticker, header, rows, days)
+
+
+def _closes(path, ticker: str, header: list[str], rows: Iterable[tuple[int, list[str]]],
+            days: dict[str, date]) -> dict[date, float]:
+    """The closes of a price file's ``(line number, fields)`` rows after its
+    stripped ``header``, by the rules of :func:`parse_prices`."""
+    for required in ("Date", "Close"):
+        if required not in header:
+            raise HeaderMismatch(f"missing column {required!r} in header {header}", path=path)
+    date_col = header.index("Date")
+    close_col = header.index("Close")
+    last_col = max(date_col, close_col)
     values: dict[date, float] = {}
-    with csv_reader(path, "price") as (reader, header):
-        for required in ("Date", "Close"):
-            if required not in header:
-                raise HeaderMismatch(
-                    f"missing column {required!r} in header {header}", path=path
-                )
-        date_col = header.index("Date")
-        close_col = header.index("Close")
-        last_col = max(date_col, close_col)
-        for row in reader:
-            if len(row) <= last_col:
-                if _row_fields(row, None, path, reader.line_num) is not None:
-                    logger.warning("%s:%d: short row skipped", path, reader.line_num)
-                continue
-            date_s = row[date_col].strip()
+    for line_number, row in rows:
+        if len(row) <= last_col:
+            if _row_fields(row, None, path, line_number) is not None:
+                logger.warning("%s:%d: short row skipped", path, line_number)
+            continue
+        date_s = row[date_col]
+        d = days.get(date_s)
+        if d is None:
             try:
-                d = date.fromisoformat(date_s)
+                d = days[date_s] = date.fromisoformat(date_s.strip())
             except ValueError:
-                if _row_fields(row, None, path, reader.line_num) is not None:
-                    logger.warning("%s:%d: bad date %r skipped", path, reader.line_num, date_s)
+                if _row_fields(row, None, path, line_number) is not None:
+                    logger.warning("%s:%d: bad date %r skipped", path, line_number,
+                                   date_s.strip())
                 continue
-            close_s = row[close_col].strip()
-            try:
-                close = float(close_s)
-            except ValueError:
-                logger.warning("%s:%d: non-numeric Close %r skipped",
-                               path, reader.line_num, close_s)
-                continue
-            if not 0 < close < math.inf:
-                logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
-                               path, reader.line_num, close)
-                continue
-            if d in values:
-                raise FormatError(f"repeated Date {d}", path=path, line_number=reader.line_num)
-            values[d] = close
+        close_s = row[close_col].strip()
+        try:
+            close = float(close_s)
+        except ValueError:
+            logger.warning("%s:%d: non-numeric Close %r skipped", path, line_number, close_s)
+            continue
+        if not 0 < close < math.inf:
+            logger.warning("%s:%d: non-positive or non-finite Close %r skipped",
+                           path, line_number, close)
+            continue
+        if d in values:
+            raise FormatError(f"repeated Date {d}", path=path, line_number=line_number)
+        values[d] = close
     if not values:
         raise EmptySeries(f"{path}: no usable price rows for {ticker}")
     return values
@@ -592,18 +641,22 @@ def _label_tails(fh) -> Counter[str] | None:
     return tails
 
 
-def _label_key(date_s: str, aspect: str, polarity_s: str) -> tuple[tuple[str, date], int]:
+def _label_key(date_s: str, aspect: str, polarity_s: str,
+               days: dict[str, date]) -> tuple[tuple[str, date], int]:
     """The ``(stripped aspect, day)`` cell and the count index of a label
     row's ``date``, ``aspect`` and ``polarity`` fields.
 
     A bad date, an unknown polarity or an empty aspect, checked in that
     order, raises ValueError with the message of the row's FormatError.
+    ``days`` maps each date text that parsed to its day, so that a text
+    met again is not parsed again.
     """
-    date_s = date_s.strip()
-    try:
-        day = date.fromisoformat(date_s)
-    except ValueError:
-        raise ValueError(f"bad date {date_s!r}") from None
+    day = days.get(date_s)
+    if day is None:
+        try:
+            day = days[date_s] = date.fromisoformat(date_s.strip())
+        except ValueError:
+            raise ValueError(f"bad date {date_s.strip()!r}") from None
     polarity_s = polarity_s.strip()
     index = _POLARITY_INDEX.get(polarity_s)
     if index is None:
@@ -616,17 +669,20 @@ def _label_key(date_s: str, aspect: str, polarity_s: str) -> tuple[tuple[str, da
 
 def _tail_cells(tails: Counter[str]) -> dict[tuple[str, date], list[int]] | None:
     """The count cells of counted ``date,aspect,polarity`` tails, by
-    stripped aspect and day; None when a tail is not a valid row's."""
+    stripped aspect and day; None when a tail is not a valid row's. Each
+    distinct date text is parsed once."""
     cells: dict[tuple[str, date], list[int]] = {}
+    days: dict[str, date] = {}
     for tail, n in tails.items():
-        fields = tail.split(",")
-        if len(fields) != 3:
-            return None
-        try:
-            key, index = _label_key(*fields)
+        try:  # a tail of other than three fields fails to unpack
+            date_s, aspect, polarity_s = tail.split(",")
+            key, index = _label_key(date_s, aspect, polarity_s, days)
         except ValueError:
             return None
-        cells.setdefault(key, [0, 0, 0])[index] += n
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = [0, 0, 0]
+        cell[index] += n
     return cells
 
 
@@ -676,6 +732,7 @@ def _label_cells(path) -> dict[tuple[str, date], list[int]]:
     """
     counts: dict[tuple[str, str, str], tuple[list[int], int]] = {}
     cells: dict[tuple[str, date], list[int]] = {}
+    days: dict[str, date] = {}
     width = len(_LABEL_HEADER)
     with csv_reader(path, "label", _LABEL_HEADER) as (reader, _):
         for row in reader:
@@ -688,7 +745,7 @@ def _label_cells(path) -> dict[tuple[str, date], list[int]]:
             count = counts.get(raw)
             if count is None:
                 try:
-                    key, index = _label_key(*raw)
+                    key, index = _label_key(*raw, days)
                 except ValueError as exc:
                     raise FormatError(str(exc), path=path,
                                       line_number=reader.line_num) from None
@@ -698,14 +755,19 @@ def _label_cells(path) -> dict[tuple[str, date], list[int]]:
     return cells
 
 
-class DayText(dict):
-    """``date -> ISO-8601 text``, each day formatted on its first lookup.
+class Formatted(dict):
+    """``value -> to_text(value)``, each value formatted on its first lookup.
 
-    A writer with many rows per day formats each day once.
+    A writer with many rows per value formats each value once: a day as
+    its ISO-8601 text, a float as its ``repr``.
     """
 
-    def __missing__(self, day: date) -> str:
-        text = self[day] = day.isoformat()
+    def __init__(self, to_text: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.to_text = to_text
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.to_text(value)
         return text
 
 
@@ -714,7 +776,7 @@ def write_labeled(labels: Iterable[tuple[str, date, str, PolarityLabel]], path,
     """Serialize label tuples, after the header unless ``header`` is false;
     :func:`parse_labeled` counts them back. A failed write names ``shown``
     (see :func:`open_output`)."""
-    day_text = DayText()
+    day_text = Formatted(date.isoformat)
     write_csv(path, _LABEL_HEADER if header else (),
               ((tweet_id, day_text[d], aspect, pol.value)
                for tweet_id, d, aspect, pol in labels), shown)

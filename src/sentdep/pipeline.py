@@ -72,6 +72,7 @@ from collections import Counter
 from dataclasses import dataclass, field, make_dataclass
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -439,13 +440,15 @@ def stage_report(cells: Sequence[DependenceCell], output_dir) -> list[Path]:
 
 def _ingest(config: PipelineConfig, out: Path, tweets=None,
             claimed: Callable[[], Iterable[int]] | None = None, handoff=None
-            ) -> tuple[AnalysisInputs, dict[str, str], tuple[int, int]]:
+            ) -> tuple[AnalysisInputs, dict[str, str], tuple[int, int], tuple[float, ...]]:
     """The text half of a run and the analysis inputs.
 
     Writes keywords.csv, labels.csv and scores.csv, then prepares what the
     analysis reads (see :func:`sentdep.prepare.prepare_analysis`) and the
     manifest's input digests. Returns them with how many tweet blocks and
-    lines this process labeled. Either way the label counts reach
+    lines this process labeled, and the seconds from this call's start
+    at which it had the label counts, had written scores.csv, had the
+    analysis inputs and had the digests. Either way the label counts reach
     :func:`~sentdep.scores.write_scores` as the one ``(aspect, day) ->
     [positive, negative, neutral]`` dict they are counted into.
 
@@ -460,6 +463,7 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
     :func:`sentdep.prepare.input_digests`, in the process that calls
     this: in a run, the ingest child.
     """
+    start = perf_counter()  # the timeline counts the import, which loads hashlib
     from .prepare import input_digests, prepare_analysis
 
     took = 0, 0
@@ -488,11 +492,16 @@ def _ingest(config: PipelineConfig, out: Path, tweets=None,
             logger.info("keywords: %d kept", n_keywords)
         cells = parse_labeled(config.labels)
 
+    marks = [perf_counter()]
     scores = write_scores(cells, out / "scores.csv")
+    marks.append(perf_counter())
     logger.info("scores: %d aspect-day cells", aspect_days(scores))
     del cells  # written into the scores; not held while the prices are read
     inputs = prepare_analysis(config, out / "scores.csv", scores)
-    return inputs, input_digests(config), took
+    marks.append(perf_counter())
+    digests = input_digests(config)
+    marks.append(perf_counter())
+    return inputs, digests, took, tuple(mark - start for mark in marks)
 
 
 def _import_analysis() -> tuple[int, float]:
@@ -581,9 +590,11 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
     start no worker thread for the life of the process. With one CPU, or
     where nothing can be pinned, the child still runs beside the import;
     without ``os.fork`` the ingest runs inline and labels every block.
-    One ``-v`` line tells what each process did, how long this one took to
-    import numpy with the statistics and then SciPy's ufuncs, and how long
-    it then waited for the child's message and took to take it.
+    One ``-v`` line tells what each process did, when the child had the
+    label counts, scores.csv, the analysis inputs and the digests, how
+    long this one took to import numpy with the statistics and then
+    SciPy's ufuncs, and how long it then waited for the child's message
+    and took to take it.
     """
     from .fork import Handoff, beside, claims, measured
 
@@ -610,7 +621,7 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
             raise
         finally:
             handoff.close()
-    inputs, digests, (child_blocks, child_lines) = prepared
+    inputs, digests, (child_blocks, child_lines), marks = prepared
     blocks = lines = label_s = 0
     here = imported
     if labeled is not None:
@@ -618,13 +629,15 @@ def _ingest_beside_import(config: PipelineConfig, out: Path
         blocks, lines, label_s = len(share.tallies), share.lines(), here.wall_s
     if child.pid != imported.pid:  # an ingest run inline overlapped nothing
         logger.info("ingest and analysis inputs (%d price files, %d trading days) "
-                    "%.3f s in a child process on CPUs %s; numpy and statistics import "
+                    "%.3f s in a child process on CPUs %s; the child had the label counts at "
+                    "%.3f s, scores.csv at %.3f s, the analysis inputs at %.3f s and the "
+                    "digests at %.3f s; numpy and statistics import "
                     "%.3f s and SciPy ufunc import %.3f s meanwhile on CPUs %s; tweet blocks "
                     "(lines): %d (%d) in the child, %d (%d) here in %.3f s; then waited "
                     "%.3f s for the child's message and %.3f s to take it; "
                     "froze %d objects; peak RSS %.1f MiB in the child, %.1f MiB here",
                     len(inputs.tickers), len(inputs.closes[0]), child.wall_s, child.cpus,
-                    imported.wall_s - ufuncs_s, ufuncs_s, imported.cpus, child_blocks,
+                    *marks, imported.wall_s - ufuncs_s, ufuncs_s, imported.cpus, child_blocks,
                     child_lines, blocks, lines, label_s, wait_s, take_s, frozen,
                     child.peak_mib, here.peak_mib)
     return inputs, digests

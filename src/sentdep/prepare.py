@@ -89,7 +89,8 @@ def prepare_analysis(
     """
     lexicon = load_aspects(config.aspects)
     series, totals = read_scores(scores_path) if scores is None else scores
-    prices = {t: parse_prices(p, t) for t, p in config.prices.items()}
+    days: dict[str, date] = {}  # each Date text of the price files, parsed once
+    prices = {t: parse_prices(p, t, days) for t, p in config.prices.items()}
     calendar = build_calendar(config, prices)
     top = select_top_aspects(lexicon, totals, config.top_n_aspects)
     return AnalysisInputs(

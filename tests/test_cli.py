@@ -1,6 +1,7 @@
 """Exit codes, stage composition, and override flags of the `sentdep` CLI."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -1210,6 +1211,53 @@ class TestStageComposition:
         if command == "score":
             days = {tuple(row.split(",")[:2]) for row in rows}
             assert int(counts[1]) == len(days) < len(rows)
+
+
+def linked(link: Path, target: Path) -> Path:
+    """Make ``link`` a symbolic link to ``target``; skip where none can be made."""
+    try:
+        link.symlink_to(target)
+    except (OSError, NotImplementedError):
+        pytest.skip("no symbolic links here")
+    return link
+
+
+class TestOutputLinks:
+    """A symbolic link at an output path is written through: the link stays
+    and its target gets the bytes, with no part file left beside either."""
+
+    def test_label_out_writes_through_a_link(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        argv = ["label", *STAGE_ARGV["label"][:-1]]
+        assert main([*argv, "plain.csv"]) == 0
+        (tmp_path / "l").mkdir()
+        link = linked(tmp_path / "l" / "link.csv", tmp_path / "target.csv")
+        assert main([*argv, "l/link.csv"]) == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert not [p for d in (tmp_path, tmp_path / "l") for p in d.glob(".*")]
+
+    def test_a_runs_labels_write_through_a_link(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "linked").mkdir()
+        link = linked(tmp_path / "linked" / "labels.csv", tmp_path / "kept" / "labels.csv")
+        assert main(["run", "--config", "config.ini", "--output-dir", "linked"]) == 0
+        assert link.is_symlink()
+        assert ((tmp_path / "kept" / "labels.csv").read_bytes()
+                == (tmp_path / "out" / "labels.csv").read_bytes())
+        assert not [p for d in ("kept", "linked") for p in (tmp_path / d).glob(".*")]
+
+    def test_a_loop_of_links_is_an_output_error(self, tmp_path, capsys, monkeypatch):
+        clean_run_tree(tmp_path, capsys, monkeypatch)
+        loop = linked(tmp_path / "loop.csv", tmp_path / "loop.csv")
+        for argv in (["label", *STAGE_ARGV["label"][:-1], "loop.csv"],
+                     ["score", "--labels", "labels.csv", "--out", "loop.csv"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: loop.csv: cannot write file: {os.strerror(errno.ELOOP)}\n")
+        assert loop.is_symlink()
+        assert not list(tmp_path.glob(".*"))
 
 
 class TestOverrides:

@@ -251,8 +251,16 @@ class TestForkedIngest:
         messages = caplog.messages
         overlap = [m for m in messages if "SciPy ufunc import" in m]
         assert len(overlap) == 1 and overlap[0].startswith("ingest ")
-        # The parent's import split in two, one block of 19 lines, taken by
-        # one of the two processes, and the parent's wait split in two.
+        # The child's timeline in order, the parent's import split in two,
+        # one block of 19 lines, taken by one of the two processes, and the
+        # parent's wait split in two.
+        timeline = re.search(r" ([\d.]+) s in a child process on CPUs \S+; the child had the "
+                             r"label counts at ([\d.]+) s, scores.csv at ([\d.]+) s, the "
+                             r"analysis inputs at ([\d.]+) s and the digests at ([\d.]+) s; ",
+                             overlap[0])
+        assert timeline is not None
+        child_s, *marks = map(float, timeline.groups())
+        assert marks == sorted(marks) and marks[-1] <= child_s
         blocks = re.search(r"; numpy and statistics import [\d.]+ s and SciPy ufunc import "
                            r"[\d.]+ s meanwhile on CPUs \S+; "
                            r"tweet blocks \(lines\): (\d+) \((\d+)\) in the child, "

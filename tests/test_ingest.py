@@ -454,6 +454,129 @@ class TestParsePrices:
         with caplog.at_level(logging.WARNING):
             check()
 
+    def test_both_row_sources_give_the_same_closes_warnings_and_error(
+            self, tmp_path_factory, caplog, monkeypatch):
+        # Each file is read by the source it allows, then by csv.reader;
+        # a plain file is split at its line feeds and commas.
+        p = tmp_path_factory.mktemp("prices") / "x.csv"
+        split_lines = ingest._plain_lines
+        force_reader = False
+        took = []
+        split = examples = 0
+
+        def plain_lines(path):
+            lines = None if force_reader else split_lines(path)
+            took.append(lines is not None)
+            return lines
+
+        def closes_and_warnings():
+            caplog.clear()
+            try:
+                result = parse_prices(p, "BP")
+            except (FormatError, EmptySeries) as exc:
+                result = type(exc), str(exc)
+            return result, caplog.messages
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(price_file_bytes())
+        @example(b"Date,Close\n2022-10-03,10.0\n2022-10-03,99.0\n")
+        @example(b"Date,Close\n2022-10-03,10.0\n20221003,99.0\n")
+        @example(b"Date,Close\r\n2022-10-03,10.0\r\n2022-10-03,99.0\r\n")
+        @example(b"\nDate,Close\n2022-10-03,10.0\n")
+        @example(b" , \n2022-10-03,10.0\n")
+        @example(b"Close, Date \n 1 , 20221003 \n\n \t\n7\n0,2022-10-04\n-1,x\n")
+        @example(b"Date,Close\n2022-10-03,\xff10\n")
+        @example(b"Date,Close\n2022-10-03,10.0\r2022-10-04,11.0\n")
+        @example(b"Date,Close\n2022-10-03," + b"1" * PRICE_FIELD_LIMIT + b"\n")
+        @example(b"Date,Close\n2022-10-03,1" + b",1" * PRICE_FIELD_LIMIT + b"\n")
+        @example(b"Date,Close\n" + b"x" * (PRICE_FIELD_LIMIT + 1) + b",1\n")
+        @example(b"")
+        @example(b"\n")
+        @example(b"Date,Close")
+        def check(content):
+            nonlocal force_reader, split, examples
+            p.write_bytes(content)
+            took.clear()
+            force_reader = False
+            allowed = closes_and_warnings()
+            force_reader = True
+            assert allowed == closes_and_warnings()
+            assert took == [plain_price_file(content), False]
+            split, examples = split + took[0], examples + 1
+
+        monkeypatch.setattr(ingest, "_plain_lines", plain_lines)
+        old = csv.field_size_limit(PRICE_FIELD_LIMIT)
+        try:
+            with caplog.at_level(logging.WARNING):
+                check()
+        finally:
+            csv.field_size_limit(old)
+        # Both sources ran first, on many files each.
+        assert 60 <= split <= examples - 60
+
+    def test_files_that_share_date_texts_read_together_as_alone(self, tmp_path):
+        texts = ["Date,Close\n2022-10-03,1\n20221004,2\n 2022-10-05,3\nbad,4\n",
+                 "Date,Close\n2022-10-03,5\n2022-10-04,6\n 2022-10-05 ,7\nbad,8\n",
+                 'Close,Date\n9,20221004\n"10",2022-10-03\n11,2022-13-01\n']
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"p{i}.csv")
+            paths[-1].write_text(text, encoding="utf-8")
+        days = {}
+        together = [parse_prices(path, "BP", days) for path in paths]
+        assert together == [parse_prices(path, "BP") for path in paths]
+        assert together[0] == {date(2022, 10, 3): 1.0, date(2022, 10, 4): 2.0,
+                               date(2022, 10, 5): 3.0}
+        # Each text that parsed is cached with its day; one that failed is not.
+        assert days == {"2022-10-03": date(2022, 10, 3), "20221004": date(2022, 10, 4),
+                        " 2022-10-05": date(2022, 10, 5), "2022-10-04": date(2022, 10, 4),
+                        " 2022-10-05 ": date(2022, 10, 5)}
+        # A later file's bad text stays bad, and a cached text is taken as cached.
+        days["bad"] = date(2000, 1, 1)
+        assert parse_prices(paths[0], "BP", days)[date(2000, 1, 1)] == 4.0
+
+
+#: The CSV field size limit under which the two price row sources are
+#: compared: a line longer than it is read by csv.reader.
+PRICE_FIELD_LIMIT = 80
+
+
+def plain_price_file(content: bytes) -> bool:
+    """Whether a price file is split at its line feeds and commas: UTF-8,
+    not empty, without a quote or a CR, and no line over the CSV limit."""
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return bool(text) and '"' not in text and "\r" not in text and all(
+        len(line) <= csv.field_size_limit() for line in text.split("\n"))
+
+
+@st.composite
+def price_file_bytes(draw):
+    """A generated price file as bytes (see :func:`price_file_text`): as
+    drawn, or plain (without a quote and with line feed ends), or plain
+    but for one thing that keeps it from being split at its commas: a line
+    over :data:`PRICE_FIELD_LIMIT` (of one long field or of many short
+    ones), a byte that is not UTF-8 or a lone CR."""
+    text = draw(price_file_text())
+    shape = draw(st.sampled_from(["plain"] * 4 + ["as drawn"] * 2
+                                 + ["long line", "not UTF-8", "lone CR"]))
+    if shape == "as drawn":
+        return text.encode("utf-8")
+    lines = text.replace('"', "").replace("\r", "").split("\n")
+    if shape == "long line":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([
+            "2022-10-20," + "1" * PRICE_FIELD_LIMIT,
+            "2022-10-20,1" + ",1" * PRICE_FIELD_LIMIT,
+            "2022-10-20, 1" + " " * PRICE_FIELD_LIMIT])))
+    content = "\n".join(lines).encode("utf-8")
+    odd = {"not UTF-8": b"\xff", "lone CR": b"\r"}.get(shape)
+    if odd is not None:
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + odd + content[at:]
+    return content
+
 
 #: Values drawn for each column of a generated price file: valid, skipped
 #: and bad ones, quoted fields that span lines, and blank ones.
@@ -750,6 +873,45 @@ class TestParseLabeled:
             assert len(reads) == 2
         finally:
             csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("dates", [
+        ["2021-01-04", "2021-01-04 ", " 2021-01-04", "20210104", "2021-01-05"],
+        ["20210104", "2021-01-04", " 20210104\t"],
+        ["2021-01-04", "2021-13-04", "2021-01-04"],
+        ["2021-01-04", " ", "2021-01-05"],
+        ["x", "x"],
+    ], ids=["padded and non-canonical", "canonical after basic", "bad month",
+            "blank", "bad twice"])
+    def test_tail_cells_parse_each_date_text_as_the_rows_do(self, tmp_path, dates):
+        # Each date text meets every polarity and two aspects, so a text is
+        # met again after it was parsed (or failed to parse).
+        rows = [f"t{i},{day},{aspect},{polarity.value}"
+                for i, (day, aspect, polarity) in enumerate(
+                    (day, aspect, polarity) for day in dates for aspect in ("tax", " bank")
+                    for polarity in PolarityLabel)]
+        p = tmp_path / "labels.csv"
+        p.write_text("\n".join([LABEL_HEADER, *rows]) + "\n", encoding="utf-8")
+        with open(p, "rb") as fh:
+            tails = ingest._label_tails(fh)
+        assert sum(tails.values()) == len(rows)
+        cells = ingest._tail_cells(tails)
+        expected = counts_or_error(ingest._label_cells, p)
+        if isinstance(expected, dict):
+            assert cells == expected == labels_row_by_row(p)
+        else:
+            assert cells is None and "bad date" in expected[1]
+
+    def test_a_date_text_that_fails_is_not_cached(self):
+        days = {}
+        key = ingest._label_key(" 20210104", "tax", "positive", days)
+        assert key == (("tax", date(2021, 1, 4)), ingest._POLARITY_INDEX["positive"])
+        for bad in ("2021-13-04", " ", "x"):
+            with pytest.raises(ValueError, match="bad date"):
+                ingest._label_key(bad, "tax", "positive", days)
+        # a date that parses is cached even when a later field of its row is bad
+        with pytest.raises(ValueError, match="unknown polarity"):
+            ingest._label_key("2021-01-05", "tax", "mixed", days)
+        assert days == {" 20210104": date(2021, 1, 4), "2021-01-05": date(2021, 1, 5)}
 
     @pytest.mark.parametrize("content, bulk", [
         (PLAIN_LABELS.encode(), True),

@@ -235,6 +235,7 @@ csv_aspects = st.one_of(
               st.integers(min_value=0, max_value=9)).filter(lambda t: sum(t[2:]) > 0),
     max_size=20, unique_by=lambda t: t[:2]))
 @example([("a,b", 0, 1, 2, 0), ('say "hi"', 1, 0, 0, 3), ("two\nlines", 0, 5, 0, 0)])
+@example([("tax", 0, 10**17, 3, 0), ("tax", 1, 3, 0, 10**17), ("tax", 2, 0, 2**60, 1)])
 def test_written_scores_are_the_csv_writers_bytes(tmp_path_factory, raw):
     counts = {(a, D0 + timedelta(days=o)): [p, n, u] for a, o, p, n, u in raw}
     root = tmp_path_factory.mktemp("scores")
